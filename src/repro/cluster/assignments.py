@@ -67,11 +67,10 @@ def relabel_consecutive(labels: np.ndarray) -> np.ndarray:
     relabelling deterministic for reproducible tests.
     """
     labels = check_labels(labels, name="labels")
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for index, value in enumerate(labels):
-        key = int(value)
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        out[index] = mapping[key]
-    return out
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    # ``np.unique`` numbers the values in sorted order; rank them by where
+    # each first appears instead.
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]

@@ -88,7 +88,10 @@ class RHCHMEResult:
     extras:
         Fit metadata; ``extras["update_seconds"]`` breaks the iteration
         loop's wall clock down by update family (``s_update`` /
-        ``g_update`` / ``e_update`` / ``objective``).
+        ``g_update`` / ``e_update`` / ``objective``), and
+        ``extras["subspace"]`` maps each type that ran the Eq. 9 solve to
+        its SPG outcome (``iterations``, ``converged``, ``objective``,
+        ``step_norm``).
     """
 
     labels: dict[str, np.ndarray]
@@ -366,6 +369,9 @@ class RHCHME:
 
         labels = {object_type.name: state.labels_for_type(index)
                   for index, object_type in enumerate(data.types)}
+        subspace_outcomes = {member.name: member.spg
+                             for member in ensemble.members_
+                             if member is not None and member.spg is not None}
         result = RHCHMEResult(labels=labels, state=state, trace=trace,
                               converged=converged, n_iterations=iteration,
                               fit_seconds=time.perf_counter() - start,
@@ -375,7 +381,8 @@ class RHCHME:
                                       "n_jobs": config.n_jobs,
                                       "executor": config.executor,
                                       "update_seconds": trace.timings,
-                                      "warm_start": warm_start is not None})
+                                      "warm_start": warm_start is not None,
+                                      "subspace": subspace_outcomes})
         if engine is not None:
             result.extras["device"] = engine.device
         if schedule is not None:

@@ -25,13 +25,18 @@ def project_nonnegative(matrix: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(matrix, dtype=np.float64), 0.0)
 
 
-def project_nonnegative_zero_diagonal(matrix: np.ndarray) -> np.ndarray:
-    """Projection operator of Eq. 11: clip negatives and zero the diagonal."""
-    matrix = np.maximum(np.asarray(matrix, dtype=np.float64), 0.0).copy()
+def project_nonnegative_zero_diagonal(matrix: np.ndarray,
+                                      out: np.ndarray | None = None) -> np.ndarray:
+    """Projection operator of Eq. 11: clip negatives and zero the diagonal.
+
+    The result goes to ``out`` when given; ``out=matrix`` projects in place.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+    out = np.maximum(matrix, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def project_box(matrix: np.ndarray, lower: float, upper: float) -> np.ndarray:

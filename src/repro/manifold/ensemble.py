@@ -44,12 +44,18 @@ __all__ = ["HeterogeneousManifoldEnsemble", "build_type_laplacians"]
 
 @dataclass
 class _TypeLaplacians:
-    """Per-type Laplacian members kept for inspection and ablation."""
+    """Per-type Laplacian members kept for inspection and ablation.
+
+    ``spg`` is the subspace solve's outcome (see
+    :meth:`repro.subspace.SubspaceResult.outcome`), ``None`` when the type
+    ran no subspace solve.
+    """
 
     name: str
     subspace: np.ndarray | sp.csr_array | None
     pnn: np.ndarray | sp.csr_array | None
     combined: np.ndarray | sp.csr_array
+    spg: dict | None = None
 
 
 @dataclass
@@ -187,6 +193,7 @@ class HeterogeneousManifoldEnsemble:
 
         subspace_laplacian = None
         pnn_laplacian = None
+        spg = None
         combined = (sp.csr_array((n_objects, n_objects), dtype=np.float64)
                     if use_sparse else np.zeros((n_objects, n_objects)))
         if self.use_subspace and self.alpha > 0.0:
@@ -194,7 +201,9 @@ class HeterogeneousManifoldEnsemble:
                                            max_iter=self.subspace_max_iter,
                                            tol=self.subspace_tol,
                                            random_state=self.random_state)
-            affinity = model.fit(features).affinity
+            solved = model.fit(features)
+            affinity = solved.affinity
+            spg = solved.outcome()
             if self.subspace_topk is not None:
                 affinity = topk_rows(affinity, self.subspace_topk)
                 if use_sparse:
@@ -215,7 +224,7 @@ class HeterogeneousManifoldEnsemble:
         if self.scale_by_size and n_objects > 0:
             combined = combined / float(n_objects)
         return _TypeLaplacians(name=name, subspace=subspace_laplacian,
-                               pnn=pnn_laplacian, combined=combined)
+                               pnn=pnn_laplacian, combined=combined, spg=spg)
 
     def build_blocks(self, data: MultiTypeRelationalData, *,
                      types=None) -> list:

@@ -19,19 +19,21 @@ def clustering_fscore(labels_true, labels_pred) -> float:
     """Return the clustering FScore in [0, 1]; higher is better."""
     table = contingency_matrix(labels_true, labels_pred).astype(np.float64)
     n_total = float(table.sum())
-    class_sizes = table.sum(axis=1)
-    cluster_sizes = table.sum(axis=0)
+    class_sizes = table.sum(axis=1, keepdims=True)
+    cluster_sizes = table.sum(axis=0, keepdims=True)
+    recalls = np.divide(table, class_sizes, out=np.zeros_like(table),
+                        where=class_sizes > 0)
+    precisions = np.divide(table, cluster_sizes, out=np.zeros_like(table),
+                           where=cluster_sizes > 0)
+    denominator = precisions + recalls
+    f_values = np.divide(2.0 * precisions * recalls, denominator,
+                         out=np.zeros_like(denominator), where=denominator > 0)
+    best = f_values.max(axis=1)
+    # Accumulate class by class, in class order, as a running float sum.
     score = 0.0
-    for j in range(table.shape[0]):
-        if class_sizes[j] == 0:
-            continue
-        recalls = table[j] / class_sizes[j]
-        precisions = np.divide(table[j], cluster_sizes,
-                               out=np.zeros_like(table[j]), where=cluster_sizes > 0)
-        denominator = precisions + recalls
-        f_values = np.divide(2.0 * precisions * recalls, denominator,
-                             out=np.zeros_like(denominator), where=denominator > 0)
-        score += (class_sizes[j] / n_total) * float(f_values.max())
+    for size, value in zip(class_sizes[:, 0], best):
+        if size > 0:
+            score += (size / n_total) * float(value)
     # The class weights sum to 1 only up to floating point; a perfect
     # clustering can otherwise accumulate to 1 + O(eps) and escape [0, 1].
     return float(min(score, 1.0))

@@ -24,9 +24,8 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(probabilities * np.log(probabilities)))
 
 
-def mutual_information(labels_true, labels_pred) -> float:
-    """Mutual information (nats) between two labelings."""
-    table = contingency_matrix(labels_true, labels_pred).astype(np.float64)
+def _mutual_information(table: np.ndarray) -> float:
+    """Mutual information (nats) of a float contingency table."""
     total = float(table.sum())
     joint = table / total
     class_marginal = joint.sum(axis=1, keepdims=True)
@@ -34,6 +33,12 @@ def mutual_information(labels_true, labels_pred) -> float:
     outer = class_marginal @ cluster_marginal
     mask = joint > 0
     return float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
+
+
+def mutual_information(labels_true, labels_pred) -> float:
+    """Mutual information (nats) between two labelings."""
+    return _mutual_information(
+        contingency_matrix(labels_true, labels_pred).astype(np.float64))
 
 
 def normalized_mutual_information(labels_true, labels_pred) -> float:
@@ -50,6 +55,5 @@ def normalized_mutual_information(labels_true, labels_pred) -> float:
         return 1.0
     if entropy_true == 0.0 or entropy_pred == 0.0:
         return 0.0
-    mi = mutual_information(labels_true, labels_pred)
-    value = mi / np.sqrt(entropy_true * entropy_pred)
+    value = _mutual_information(table) / np.sqrt(entropy_true * entropy_pred)
     return float(np.clip(value, 0.0, 1.0))

@@ -23,6 +23,7 @@ from .representation import (
     SubspaceRepresentation,
     SubspaceResult,
     learn_subspace_affinity,
+    subspace_evaluator,
     subspace_objective,
     subspace_objective_gradient,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "lrr_shrinkage_affinity",
     "spg_minimize",
     "ssc_affinity",
+    "subspace_evaluator",
     "subspace_objective",
     "subspace_objective_gradient",
 ]

@@ -15,6 +15,23 @@ from repro.cluster.assignments import (
 )
 
 label_lists = st.lists(st.integers(0, 5), min_size=1, max_size=40)
+#: Negative, sparse and large ids: arbitrary values, not cluster indices.
+raw_label_lists = st.lists(
+    st.one_of(st.integers(-7, 7), st.sampled_from([-(2**40), 10**6, 2**40])),
+    min_size=1, max_size=60)
+
+
+def relabel_by_loop(labels) -> np.ndarray:
+    """The per-element dict loop ``relabel_consecutive`` replaced."""
+    labels = np.asarray(labels, dtype=np.int64)
+    mapping: dict[int, int] = {}
+    out = np.empty_like(labels)
+    for index, value in enumerate(labels):
+        key = int(value)
+        if key not in mapping:
+            mapping[key] = len(mapping)
+        out[index] = mapping[key]
+    return out
 
 
 class TestOneHot:
@@ -81,6 +98,14 @@ class TestRelabelConsecutive:
         for value in np.unique(labels):
             mask = labels == value
             assert len(np.unique(relabelled[mask])) == 1
+
+    @given(raw_label_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_first_appearance_loop(self, labels):
+        relabelled = relabel_consecutive(np.asarray(labels))
+        expected = relabel_by_loop(labels)
+        assert relabelled.dtype == expected.dtype
+        np.testing.assert_array_equal(relabelled, expected)
 
     @given(label_lists)
     @settings(max_examples=30, deadline=None)

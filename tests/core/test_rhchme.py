@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import RHCHMEConfig
 from repro.core.rhchme import RHCHME
+from repro.data import make_dataset
 from repro.exceptions import NotFittedError
 from repro.metrics.fscore import clustering_fscore
 from repro.metrics.nmi import normalized_mutual_information
@@ -162,6 +163,30 @@ class TestWarmStart:
         from repro.exceptions import ValidationError
         with pytest.raises(ValidationError, match="warm_start"):
             RHCHME(max_iter=3).fit(tiny_dataset, warm_start=42)
+
+
+class TestSubspaceOutcomes:
+    def test_multi5_records_each_types_spg_outcome(self):
+        # The default 150-iteration budget is exhausted on every Multi5 type
+        # before the stationarity step reaches tol=1e-4.
+        data = make_dataset("multi5", random_state=0)
+        result = RHCHME(max_iter=1, random_state=0).fit(data)
+        outcomes = result.extras["subspace"]
+        assert set(outcomes) == {"documents", "terms", "concepts"}
+        objectives = {name: outcome["objective"]
+                      for name, outcome in outcomes.items()}
+        assert objectives == {"documents": pytest.approx(1937.47, rel=1e-5),
+                              "terms": pytest.approx(359.884, rel=1e-5),
+                              "concepts": pytest.approx(164.113, rel=1e-5)}
+        for outcome in outcomes.values():
+            assert outcome["iterations"] == 150
+            assert outcome["converged"] is False
+            assert outcome["step_norm"] > 1e-4
+
+    def test_no_entries_without_the_subspace_member(self, small_dataset):
+        result = RHCHME(max_iter=2, random_state=0,
+                        use_subspace_member=False).fit(small_dataset)
+        assert result.extras["subspace"] == {}
 
 
 class TestUpdateTimers:

@@ -39,6 +39,15 @@ class TestNonnegativeProjections:
         twice = project_nonnegative_zero_diagonal(once)
         np.testing.assert_allclose(once, twice)
 
+    @given(square_matrices)
+    @settings(max_examples=25, deadline=None)
+    def test_zero_diag_projection_in_place(self, matrix):
+        expected = project_nonnegative_zero_diagonal(matrix)
+        buffer = matrix.copy()
+        result = project_nonnegative_zero_diagonal(buffer, out=buffer)
+        assert result is buffer
+        np.testing.assert_array_equal(buffer, expected)
+
     def test_zero_diag_requires_square(self):
         with pytest.raises(ValueError):
             project_nonnegative_zero_diagonal(np.ones((2, 3)))

@@ -8,12 +8,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.noise import shuffle_fraction_of_labels
+from repro.metrics.contingency import contingency_matrix
 from repro.metrics.fscore import clustering_fscore, pairwise_precision_recall
 
 label_pairs = st.integers(2, 5).flatmap(
     lambda k: st.tuples(
         st.lists(st.integers(0, k - 1), min_size=8, max_size=40),
         st.lists(st.integers(0, k - 1), min_size=8, max_size=40)))
+
+
+def fscore_by_class_loop(labels_true, labels_pred) -> float:
+    """The per-class loop ``clustering_fscore`` replaced."""
+    table = contingency_matrix(labels_true, labels_pred).astype(np.float64)
+    n_total = float(table.sum())
+    class_sizes = table.sum(axis=1)
+    cluster_sizes = table.sum(axis=0)
+    score = 0.0
+    for j in range(table.shape[0]):
+        if class_sizes[j] == 0:
+            continue
+        recalls = table[j] / class_sizes[j]
+        precisions = np.divide(table[j], cluster_sizes,
+                               out=np.zeros_like(table[j]), where=cluster_sizes > 0)
+        denominator = precisions + recalls
+        f_values = np.divide(2.0 * precisions * recalls, denominator,
+                             out=np.zeros_like(denominator), where=denominator > 0)
+        score += (class_sizes[j] / n_total) * float(f_values.max())
+    return float(min(score, 1.0))
 
 
 class TestClusteringFScore:
@@ -48,6 +69,15 @@ class TestClusteringFScore:
         n = min(len(true), len(predicted))
         value = clustering_fscore(np.array(true[:n]), np.array(predicted[:n]))
         assert 0.0 <= value <= 1.0 + 1e-12
+
+    @given(label_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_class_loop(self, pair):
+        true, predicted = pair
+        n = min(len(true), len(predicted))
+        true, predicted = np.array(true[:n]), np.array(predicted[:n])
+        assert clustering_fscore(true, predicted) == fscore_by_class_loop(
+            true, predicted)
 
     def test_degrades_with_label_noise(self):
         rng_labels = np.repeat(np.arange(4), 25)
