@@ -1,37 +1,26 @@
-"""Three-engine backend benchmark for the RHCHME solver pipeline.
+"""Two-engine backend benchmark for the RHCHME solver pipeline.
 
 Times the stages the compute backend actually differentiates, across growing
-total object counts N, for every available engine:
+total object counts N, for the numpy ``dense`` and ``sparse`` engines:
 
-* **dense / sparse (numpy)** — the global-kernel pipeline of the original
-  benchmark: **build** (p-NN affinity + ensemble Laplacian assembly + the
-  one-time positive/negative split) and **update** (repeated membership
-  updates forming ``L± @ G``), with ``pipeline = build + update`` as the
-  gated dense-vs-sparse metric (sparse/dense speedup ≥ 3× at the largest
-  size).  Peak *additional* backend memory is measured with
-  :mod:`tracemalloc` in a separate untimed pass.
+* **pipeline** — the global-kernel stages the backend owns: **build** (p-NN
+  affinity + ensemble Laplacian assembly + the one-time positive/negative
+  split) and **update** (repeated membership updates forming ``L± @ G``),
+  with ``pipeline = build + update``.  The report records the
+  dense-over-sparse pipeline speedup at every size and whether it meets
+  the ≥ 3× target at the largest one; the target is reported, not gated.
+  Peak *additional* backend memory is measured with :mod:`tracemalloc` in
+  a separate untimed pass.
 * **engine sweep** — the blocked hot loop (S / G / E_R updates + objective,
-  exactly the kernels ``RHCHME.fit`` iterates) timed per engine: numpy
-  ``dense``, numpy ``sparse`` and — when torch is installed — the
-  ``torch`` engine of :class:`repro.linalg.torch_engine.TorchSolverEngine`.
-  Each engine entry records ``engine`` and ``device``; the summary derives
-  the torch-vs-numpy crossover N (smallest size where torch wins).
-* **s_update** — the batched per-pair association path (shape-grouped GEMM
-  sandwiches) against the per-pair loop it replaced, on the numpy engine.
+  exactly the kernels ``RHCHME.fit`` iterates) timed per engine; the
+  summary names the faster engine at the largest size.
 
-Gates (``--check``, used by the CI bench smoke):
-
-* the batched S update is no slower than the per-pair loop at the largest
-  size (10% timing slack);
-* when torch is installed and runs on CPU, the torch hot loop stays within
-  1.5× of the best numpy engine at the largest size.  Without torch the
-  numpy gates still run; no torch gate is applied.
+The runner has no ``--check`` gate.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backend.py            # full run
     PYTHONPATH=src python benchmarks/bench_backend.py --smoke    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_backend.py --check    # gate exit
     PYTHONPATH=src python benchmarks/bench_backend.py --with-fit
 
 Writes ``BENCH_backend.json`` (see ``--output``).
@@ -45,23 +34,21 @@ import tracemalloc
 import numpy as np
 
 from common import (bootstrap_sys_path, emit_report, environment_metadata,
-                    gate, make_parser, select_sizes)
+                    make_parser, select_sizes)
 
 bootstrap_sys_path()
 
-from repro.core import RHCHME, rspace  # noqa: E402
+from repro.core import RHCHME  # noqa: E402
 from repro.core.objective import (evaluate_objective,  # noqa: E402
                                   evaluate_objective_blocks)
 from repro.core.state import initialize_state  # noqa: E402
-from repro.core.updates import (active_relation_pairs,  # noqa: E402
-                                update_association, update_association_blocks,
+from repro.core.updates import (update_association,  # noqa: E402
+                                update_association_blocks,
                                 update_error_matrix_blocks, update_membership,
                                 update_membership_blocks)
-from repro.linalg.backend import is_sparse, torch_available  # noqa: E402
-from repro.linalg.batched import group_by_shape  # noqa: E402
+from repro.linalg.backend import is_sparse  # noqa: E402
 from repro.linalg.norms import trace_quadratic  # noqa: E402
 from repro.linalg.parts import split_parts  # noqa: E402
-from repro.linalg.safe import gram_pinv  # noqa: E402
 from repro.manifold.ensemble import HeterogeneousManifoldEnsemble  # noqa: E402
 from repro.relational.dataset import MultiTypeRelationalData  # noqa: E402
 from repro.relational.types import ObjectType, Relation  # noqa: E402
@@ -70,11 +57,6 @@ DEFAULT_SIZES = (300, 1000, 3000)
 SMOKE_SIZES = (150, 400)
 LAM = 250.0
 BETA = 50.0
-# Timing slack for the batched-no-slower gate: single-run wall-clock on
-# shared CI runners jitters by more than the margin the batching wins at
-# small N, so the gate asserts "no regression" rather than "strictly faster".
-BATCHED_SLACK = 1.10
-TORCH_CPU_SLACK = 1.5
 
 
 def make_synthetic(n_total: int, *, n_features: int = 10, n_clusters: int = 5,
@@ -153,7 +135,6 @@ def time_pipeline(data: MultiTypeRelationalData, *, backend: str, p: int,
     n = L.shape[0]
     return {
         "engine": backend,
-        "device": "cpu",
         "backend": backend,
         "build_seconds": round(build_seconds, 6),
         "update_seconds": round(update_seconds, 6),
@@ -168,13 +149,8 @@ def time_pipeline(data: MultiTypeRelationalData, *, backend: str, p: int,
 
 def _blocked_problem(data: MultiTypeRelationalData, *, engine_name: str,
                      p: int, seed: int):
-    """Blocked operands (R_pairs, L_blocks, L_parts, state) for one engine.
-
-    The torch engine consumes dense relation blocks (its carrier rule in
-    ``RHCHME.fit``); the numpy engines keep their own representation.
-    """
-    carrier = "dense" if engine_name == "torch" else engine_name
-    R_pairs = data.relation_blocks(normalize=True, backend=carrier)
+    """Blocked operands (R_pairs, L_blocks, L_parts, state) for one engine."""
+    R_pairs = data.relation_blocks(normalize=True, backend=engine_name)
     ensemble = _make_ensemble(engine_name, p)
     L_blocks = ensemble.build_blocks(data)
     L_parts = [split_parts(block) for block in L_blocks]
@@ -183,134 +159,53 @@ def _blocked_problem(data: MultiTypeRelationalData, *, engine_name: str,
 
 
 def time_engine_updates(data: MultiTypeRelationalData, *, engine_name: str,
-                        p: int, n_iters: int, seed: int,
-                        torch_device: str = "auto") -> dict:
+                        p: int, n_iters: int, seed: int) -> dict:
     """Time the blocked hot loop (S / G / E_R / objective) on one engine.
 
-    This is the per-iteration work ``RHCHME.fit`` repeats — the stages the
-    ``engine`` knob actually swaps — driven identically for numpy dense,
-    numpy sparse and the torch engine so the timings are comparable.
+    This is the per-iteration work ``RHCHME.fit`` repeats, driven
+    identically for numpy dense and numpy sparse so the timings are
+    comparable.
     """
-    engine = None
-    device = "cpu"
-    if engine_name == "torch":
-        from repro.linalg.torch_engine import TorchSolverEngine
-        engine = TorchSolverEngine(device=torch_device)
-        device = engine.device
     R_pairs, L_blocks, L_parts, state = _blocked_problem(
         data, engine_name=engine_name, p=p, seed=seed)
-    if engine is not None:
-        engine.register_laplacians(L_blocks, L_parts)
 
-    # One warm pass populates S / caches (torch moves loop invariants to the
-    # device here) so the timed rounds measure steady-state iterations.
-    state.S = update_association_blocks(R_pairs, state, engine=engine)
+    # One warm pass populates S so the timed rounds measure steady-state
+    # iterations.
+    state.S = update_association_blocks(R_pairs, state)
 
     start = time.perf_counter()
     for _ in range(n_iters):
-        S = update_association_blocks(R_pairs, state, engine=engine)
+        S = update_association_blocks(R_pairs, state)
     s_seconds = time.perf_counter() - start
     state.S = S
 
     start = time.perf_counter()
     for _ in range(n_iters):
-        G = update_membership_blocks(R_pairs, L_parts, state, lam=LAM,
-                                     engine=engine)
+        G = update_membership_blocks(R_pairs, L_parts, state, lam=LAM)
     g_seconds = time.perf_counter() - start
     state.G_blocks = G
 
     start = time.perf_counter()
     for _ in range(n_iters):
-        E = update_error_matrix_blocks(R_pairs, state, beta=BETA,
-                                       engine=engine)
+        E = update_error_matrix_blocks(R_pairs, state, beta=BETA)
     e_seconds = time.perf_counter() - start
     state.E_R = E
 
     start = time.perf_counter()
     for _ in range(n_iters):
         breakdown = evaluate_objective_blocks(R_pairs, state, L_blocks,
-                                              lam=LAM, beta=BETA,
-                                              engine=engine)
+                                              lam=LAM, beta=BETA)
     objective_seconds = time.perf_counter() - start
 
     total = s_seconds + g_seconds + e_seconds + objective_seconds
     return {
         "engine": engine_name,
-        "device": device,
         "s_seconds": round(s_seconds, 6),
         "g_seconds": round(g_seconds, 6),
         "e_seconds": round(e_seconds, 6),
         "objective_seconds": round(objective_seconds, 6),
         "update_total_seconds": round(total, 6),
         "final_objective": float(breakdown.total),
-    }
-
-
-def _loop_association(R_pairs, state) -> np.ndarray:
-    """The pre-batching S update, replicated exactly: one closure per pair
-    through the same span-wrapped ``_map`` fan-out, one pinv sandwich per
-    pair, no shape grouping."""
-    from repro.core import updates as updates_module
-
-    pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
-    G = state.G_blocks
-    cluster_spec = state.cluster_spec
-    object_spec = state.object_spec
-    pinvs = [gram_pinv(block.T @ block) for block in G]
-
-    def one_pair(pair):
-        t, u = pair
-        E_tu = updates_module._error_block(state.E_R, object_spec, t, u)
-        core = G[t].T @ rspace.project_relations(R_pairs.get(pair), E_tu, G[u])
-        return pinvs[t] @ core @ pinvs[u]
-
-    S = np.zeros((cluster_spec.total, cluster_spec.total))
-    blocks = updates_module._map(None, one_pair, pairs, labels=pairs,
-                                 name="one_pair")
-    for (t, u), block in zip(pairs, blocks):
-        S[cluster_spec.slice(t), cluster_spec.slice(u)] = block
-    return S
-
-
-def time_s_update(data: MultiTypeRelationalData, *, p: int, n_iters: int,
-                  seed: int) -> dict:
-    """Batched (shape-grouped GEMM) vs per-pair-loop association update."""
-    R_pairs, _, _, state = _blocked_problem(data, engine_name="dense",
-                                            p=p, seed=seed)
-    pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
-    clusters = [state.cluster_spec.sizes[t] for t in
-                range(state.cluster_spec.n_types)]
-    groups = group_by_shape(pairs, lambda pair: (clusters[pair[0]],
-                                                 clusters[pair[1]]))
-
-    loop_S = _loop_association(R_pairs, state)
-    batched_S = update_association_blocks(R_pairs, state)
-    np.testing.assert_allclose(batched_S, loop_S, rtol=1e-10, atol=1e-12)
-
-    # Best-of-3: both variants are sub-millisecond at small N, where a
-    # single-run comparison is scheduler noise, not a regression signal.
-    def best_of(fn, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(n_iters):
-                fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    loop_seconds = best_of(lambda: _loop_association(R_pairs, state))
-    batched_seconds = best_of(
-        lambda: update_association_blocks(R_pairs, state))
-
-    return {
-        "n_pairs": len(pairs),
-        "n_shape_groups": len(groups),
-        "max_group_size": max((len(members) for _, members in groups),
-                              default=0),
-        "loop_seconds": round(loop_seconds, 6),
-        "batched_seconds": round(batched_seconds, 6),
-        "speedup_batched_over_loop": round(
-            loop_seconds / max(batched_seconds, 1e-12), 3),
     }
 
 
@@ -325,7 +220,6 @@ def time_fit(data: MultiTypeRelationalData, *, backend: str, p: int,
     seconds = time.perf_counter() - start
     return {
         "engine": backend,
-        "device": result.extras.get("device", "cpu"),
         "backend": backend,
         "fit_seconds": round(seconds, 6),
         "ensemble_seconds": round(result.ensemble_seconds, 6),
@@ -334,24 +228,9 @@ def time_fit(data: MultiTypeRelationalData, *, backend: str, p: int,
     }
 
 
-def _crossover_n(results, engine_names) -> int | None:
-    """Smallest N where the torch hot loop beats the best numpy engine."""
-    if "torch" not in engine_names:
-        return None
-    for entry in results:
-        timings = {e["engine"]: e["update_total_seconds"]
-                   for e in entry["engines"]}
-        best_numpy = min(timings[name] for name in ("dense", "sparse"))
-        if timings["torch"] < best_numpy:
-            return entry["n_total"]
-    return None
-
-
 def run(sizes, *, p: int, n_iters: int, seed: int, with_fit: bool,
-        fit_max_iter: int, torch_device: str) -> dict:
+        fit_max_iter: int) -> dict:
     engine_names = ["dense", "sparse"]
-    if torch_available():
-        engine_names.append("torch")
     results = []
     for n_total in sizes:
         data = make_synthetic(n_total, seed=seed)
@@ -369,10 +248,7 @@ def run(sizes, *, p: int, n_iters: int, seed: int, with_fit: bool,
         for name in engine_names:
             print(f"[bench] N={n_total} engine={name} hot loop ...", flush=True)
             entry["engines"].append(time_engine_updates(
-                data, engine_name=name, p=p, n_iters=n_iters, seed=seed,
-                torch_device=torch_device))
-        entry["s_update"] = time_s_update(data, p=p, n_iters=n_iters,
-                                          seed=seed)
+                data, engine_name=name, p=p, n_iters=n_iters, seed=seed))
         if with_fit:
             for backend in engine_names:
                 print(f"[bench] N={n_total} full fit backend={backend} ...", flush=True)
@@ -381,8 +257,7 @@ def run(sizes, *, p: int, n_iters: int, seed: int, with_fit: bool,
             entry["speedup_fit"] = round(
                 entry["fit_dense"]["fit_seconds"] / entry["fit_sparse"]["fit_seconds"], 3)
         results.append(entry)
-        print(f"[bench] N={n_total}: pipeline speedup ×{entry['speedup_pipeline']}, "
-              f"s_update batched ×{entry['s_update']['speedup_batched_over_loop']}"
+        print(f"[bench] N={n_total}: pipeline speedup ×{entry['speedup_pipeline']}"
               + (f", fit speedup ×{entry['speedup_fit']}" if with_fit else ""),
               flush=True)
 
@@ -399,19 +274,7 @@ def run(sizes, *, p: int, n_iters: int, seed: int, with_fit: bool,
 
     engine_totals = {e["engine"]: e["update_total_seconds"]
                      for e in largest["engines"]}
-    best_numpy = min(engine_totals[name] for name in ("dense", "sparse"))
     fastest = min(engine_totals, key=engine_totals.get)
-    torch_entry = next((e for e in largest["engines"]
-                        if e["engine"] == "torch"), None)
-    torch_summary = {
-        "available": torch_available(),
-        "device": torch_entry["device"] if torch_entry else None,
-        "crossover_n": _crossover_n(results, engine_names),
-        "cpu_ratio_vs_best_numpy_at_largest": (
-            round(torch_entry["update_total_seconds"] / best_numpy, 3)
-            if torch_entry and torch_entry["device"] == "cpu" else None),
-    }
-    s_update = largest["s_update"]
     return {
         "benchmark": "rhchme-backend",
         **environment_metadata(),
@@ -430,61 +293,27 @@ def run(sizes, *, p: int, n_iters: int, seed: int, with_fit: bool,
                 bool(mem_exponent < 2.0) if mem_exponent is not None else None),
             "fastest_engine_at_largest": fastest,
             "engine_update_seconds_at_largest": engine_totals,
-            "torch": torch_summary,
-            "batched_s_update": {
-                "speedup_at_largest": s_update["speedup_batched_over_loop"],
-                "no_slower_than_loop": bool(
-                    s_update["batched_seconds"]
-                    <= s_update["loop_seconds"] * BATCHED_SLACK),
-            },
         },
     }
-
-
-def check_gates(report: dict) -> int:
-    """Exit status for ``--check``: batched-S and torch-CPU hot-loop gates."""
-    summary = report["summary"]
-    status = gate(
-        summary["batched_s_update"]["no_slower_than_loop"],
-        "batched S update slower than the per-pair loop at "
-        f"N={summary['largest_n']} "
-        f"(×{summary['batched_s_update']['speedup_at_largest']}, "
-        f"slack {BATCHED_SLACK})")
-    torch_summary = summary["torch"]
-    ratio = torch_summary["cpu_ratio_vs_best_numpy_at_largest"]
-    if ratio is not None:
-        status = status or gate(
-            ratio <= TORCH_CPU_SLACK,
-            f"torch-CPU hot loop ×{ratio} of best numpy at "
-            f"N={summary['largest_n']} (limit ×{TORCH_CPU_SLACK})")
-    return status
 
 
 def main(argv=None) -> int:
     parser = make_parser(
         __doc__, "BENCH_backend.json",
-        sizes_help=f"total object counts to benchmark (default {DEFAULT_SIZES})",
-        with_check="fail on a gate miss: batched S update no slower than the "
-                   "per-pair loop; torch-CPU (when installed) within 1.5x of "
-                   "the best numpy engine at the largest size")
+        sizes_help=f"total object counts to benchmark (default {DEFAULT_SIZES})")
     parser.add_argument("--p", type=int, default=5, help="p-NN neighbour count")
     parser.add_argument("--iters", type=int, default=10,
                         help="membership/objective rounds per pipeline timing")
     parser.add_argument("--with-fit", action="store_true",
                         help="also time full RHCHME fits (slower)")
     parser.add_argument("--fit-max-iter", type=int, default=5)
-    parser.add_argument("--torch-device", default="auto",
-                        help="device for the torch engine entries "
-                             "(auto/cpu/cuda; ignored without torch)")
     args = parser.parse_args(argv)
 
     sizes = select_sizes(args, DEFAULT_SIZES, SMOKE_SIZES)
     report = run(sizes, p=args.p, n_iters=args.iters, seed=args.seed,
-                 with_fit=args.with_fit, fit_max_iter=args.fit_max_iter,
-                 torch_device=args.torch_device)
+                 with_fit=args.with_fit, fit_max_iter=args.fit_max_iter)
     emit_report(report, args)
     summary = report["summary"]
-    torch_summary = summary["torch"]
     print(f"[bench] largest N={summary['largest_n']}: "
           f"pipeline speedup ×{summary['speedup_pipeline_at_largest']} "
           f"(target ≥3: {'PASS' if summary['meets_3x_target'] else 'MISS'}), "
@@ -492,10 +321,7 @@ def main(argv=None) -> int:
           f"{summary['sparse_peak_memory_growth_exponent_vs_n']}")
     print(f"[bench] engines at largest N: "
           f"{summary['engine_update_seconds_at_largest']} "
-          f"(fastest: {summary['fastest_engine_at_largest']}, "
-          f"torch crossover N: {torch_summary['crossover_n']})")
-    if getattr(args, "check", False):
-        return check_gates(report)
+          f"(fastest: {summary['fastest_engine_at_largest']})")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for RHCHME's design choices.
 
 Not part of the paper's tables, but they quantify the contribution of each
 RHCHME component on the synthetic data:

@@ -84,7 +84,7 @@ def main() -> None:
         # 3) serve the same queries in-process through the BatchPredictor
         predictor = BatchPredictor()
         served = predictor.predict(path=model_path, type_name="documents",
-                                   split.query_features, batch_size=16)
+                                   X_new=split.query_features, batch_size=16)
         stats = predictor.stats
         print(f"in-process serving: {stats.objects} objects in "
               f"{stats.seconds:.4f}s ({stats.objects_per_second:,.0f} objects/s)")

@@ -13,7 +13,6 @@ from typing import Any
 from .._validation import check_positive_float, check_positive_int
 from ..graph.weights import WeightingScheme
 from ..linalg.backend import check_backend
-from .parallel import EXECUTOR_KINDS
 
 __all__ = ["RHCHMEConfig"]
 
@@ -77,14 +76,9 @@ class RHCHMEConfig:
         ``"auto"`` (default) selects by dataset size — see
         :func:`repro.linalg.backend.resolve_backend` — except that it stays
         dense while the subspace member is active with ``subspace_topk``
-        unset, whose affinity is then dense in substance.  ``"torch"`` runs
-        the blocked solver kernels through the optional
-        :mod:`repro.linalg.torch_engine` (CPU or CUDA; raises a clear
-        :class:`ImportError` with an install hint when torch is missing),
-        and ``"auto"`` prefers it above the size threshold when torch sees
-        a CUDA device.  All backends produce the same labels and objective
-        trace up to floating-point noise (cross-engine parity is
-        test-enforced at 1e-6).
+        unset, whose affinity is then dense in substance.  Both backends
+        produce the same labels and objective trace up to floating-point
+        noise (dense/sparse parity is test-enforced at 1e-8).
     error_row_tol:
         Relative survival threshold of the row-sparse error matrix under the
         sparse backend: after the ``(β D + I)⁻¹`` shrinkage (Eq. 27), rows of
@@ -114,20 +108,6 @@ class RHCHMEConfig:
         runs serially with zero pool overhead; ``-1`` uses every available
         CPU.  The value never changes the optimisation — only which thread
         computes each block — so results are identical for every setting.
-    executor:
-        How ``n_jobs`` workers execute the blocked tasks: ``"thread"``
-        (default) uses a thread pool (numpy/scipy release the GIL inside
-        their kernels), ``"process"`` a spawn-context process pool for
-        BLAS-saturated machines where extra threads only contend for cores.
-        Results are identical for both kinds (test-enforced); like
-        ``n_jobs`` this is a run-time knob and is not persisted in
-        artifacts.
-    torch_device:
-        Device of the ``"torch"`` backend's engine: ``"auto"`` (default)
-        picks CUDA when visible and CPU otherwise; ``"cpu"`` and
-        ``"cuda"``/``"cuda:k"`` force a device (erroring at fit time if
-        CUDA is requested but absent).  Ignored by the numpy backends; a
-        run-time knob, not persisted in artifacts.
     diagnostics:
         Record fit-time health diagnostics (see
         :class:`repro.diagnostics.SpectralMonitor`): per-type spectral
@@ -163,8 +143,6 @@ class RHCHMEConfig:
     error_row_tol: float = 1e-8
     subspace_topk: int | None = None
     n_jobs: int = 1
-    executor: str = "thread"
-    torch_device: str = "auto"
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -196,16 +174,6 @@ class RHCHMEConfig:
             raise ValueError(
                 f"n_jobs must be a positive int or -1 (all CPUs), got "
                 f"{self.n_jobs!r}")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {list(EXECUTOR_KINDS)}, got "
-                f"{self.executor!r}")
-        device = self.torch_device
-        if not (device in ("auto", "cpu") or
-                (isinstance(device, str) and device.startswith("cuda"))):
-            raise ValueError(
-                f"torch_device must be 'auto', 'cpu' or 'cuda[:k]', got "
-                f"{device!r}")
         if not isinstance(self.diagnostics, bool):
             raise ValueError(
                 f"diagnostics must be a bool, got {self.diagnostics!r}")

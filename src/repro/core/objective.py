@@ -76,7 +76,7 @@ def evaluate_objective(R, G: np.ndarray, S: np.ndarray,
                               graph_smoothness=float(graph_smoothness))
 
 
-# Module-level objective task kernels (picklable for process pools; see
+# Module-level objective task kernels (pure functions of their item; see
 # repro.core.updates for the convention).  Items are plain operand tuples.
 
 
@@ -105,7 +105,7 @@ def _type_l21(E_R, object_spec, t: int) -> float:
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
                               beta: float, pairs=None, pool=None,
                               schedule=None, sweep: bool = False,
-                              cache=None, engine=None) -> ObjectiveBreakdown:
+                              cache=None) -> ObjectiveBreakdown:
     """Blockwise evaluation of Eq. 15 — no global matrix is ever assembled.
 
     Every term decomposes over the block structure: the reconstruction is a
@@ -136,10 +136,6 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         summed from the cache.  ``sweep=True`` refreshes every cached
         term.  Either argument ``None`` runs the full evaluation exactly
         as before.
-    engine:
-        Optional :class:`~repro.linalg.torch_engine.TorchSolverEngine`;
-        routes the per-pair residual norms and per-type traces through the
-        device instead of the pool.
     """
     from .updates import _error_block, _map  # local: avoids an import cycle
 
@@ -158,11 +154,6 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
 
     def evaluate_terms(eval_pairs, eval_types):
         """Per-pair reconstruction and per-type smoothness term values."""
-        if engine is not None:
-            return ([engine.pair_reconstruction_error(*pair_item(pair))
-                     for pair in eval_pairs],
-                    [engine.smoothness(t, G[t], L_blocks[t])
-                     for t in eval_types])
         pair_values = _map(pool, _pair_error_task,
                            [pair_item(pair) for pair in eval_pairs],
                            labels=eval_pairs, name="one_pair")

@@ -4,42 +4,26 @@ The blocked representation of Algorithm 2 decomposes every update into
 independent per-type or per-pair tasks: given the other factors fixed, the
 G update of one type never reads another type's block, and the S / E_R /
 objective contributions of one ``(t, u)`` relation pair never read another
-pair's.  :class:`TypeWorkPool` maps such task lists across workers.
-
-Two executor kinds share the same task decomposition:
-
-* ``kind="thread"`` (default) — numpy and scipy release the GIL inside
-  their matmul/reduction kernels, so plain threads give real parallelism
-  without pickling any matrix;
-* ``kind="process"`` — a spawn-context process pool for BLAS-saturated
-  boxes, where the BLAS library already multithreads each kernel and extra
-  Python threads only contend for the same cores.  Tasks and their operand
-  arrays are pickled to the workers, so this pays a serialisation cost per
-  task and only wins when the kernels are large enough to amortise it.
-  The spawn context (never fork) keeps OpenBLAS/Accelerate thread state
-  safe on every platform.
+pair's.  :class:`TypeWorkPool` maps such task lists across worker threads:
+numpy and scipy release the GIL inside their matmul/reduction kernels, so
+plain threads give real parallelism without copying any matrix.
 
 ``n_jobs=1`` (the default) bypasses the executor entirely: the serial path
 is a plain loop with zero scheduling overhead.  Every path returns results
-in task order, so the numbers are identical for every ``n_jobs`` and both
-executor kinds — the solver's kernels are deterministic functions of their
-operands.
+in task order, so the numbers are identical for every ``n_jobs`` — the
+solver's kernels are deterministic functions of their operands.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, TypeVar
 
-__all__ = ["TypeWorkPool", "resolve_n_jobs", "EXECUTOR_KINDS"]
+__all__ = ["TypeWorkPool", "resolve_n_jobs"]
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
-
-#: Valid values of the ``executor`` knob.
-EXECUTOR_KINDS = ("thread", "process")
 
 
 def resolve_n_jobs(n_jobs: int) -> int:
@@ -52,40 +36,21 @@ def resolve_n_jobs(n_jobs: int) -> int:
 
 
 class TypeWorkPool:
-    """Ordered map over independent blockwise tasks, serial or pooled.
+    """Ordered map over independent blockwise tasks, serial or threaded.
 
     Usable as a context manager; the serial variant holds no resources and
-    the pooled variants shut their executor down on exit.  One pool is
+    the threaded variant shuts its executor down on exit.  One pool is
     created per ``RHCHME.fit`` and shared by every update of the iteration
     loop, so worker start-up costs are paid once per fit, not per kernel.
-
-    With ``kind="process"`` the mapped callables and their items must be
-    picklable — the blocked kernels satisfy this by shipping module-level
-    task functions with plain array/tuple items.
     """
 
-    def __init__(self, n_jobs: int = 1, *, kind: str = "thread") -> None:
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; expected one of "
-                f"{list(EXECUTOR_KINDS)}")
+    def __init__(self, n_jobs: int = 1) -> None:
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.kind = kind
-        self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         if self.n_jobs > 1:
-            if kind == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    mp_context=multiprocessing.get_context("spawn"))
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_jobs,
-                    thread_name_prefix="rhchme-block")
-
-    @property
-    def is_process(self) -> bool:
-        """True when tasks run in worker processes (callables must pickle)."""
-        return self.kind == "process" and self._executor is not None
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.n_jobs,
+                thread_name_prefix="rhchme-block")
 
     def map(self, fn: Callable[[_Item], _Result],
             items: Iterable[_Item]) -> list[_Result]:
@@ -98,17 +63,6 @@ class TypeWorkPool:
         if self._executor is None or len(items) <= 1:
             return [fn(item) for item in items]
         return list(self._executor.map(fn, items))
-
-    def starmap(self, fn: Callable[..., _Result],
-                items: Iterable[Sequence]) -> list[_Result]:
-        """Like :meth:`map` with argument tuples unpacked into ``fn``.
-
-        The unpacking lambda is not picklable; process pools run starmap
-        through :meth:`map`'s serial fallback only for 0/1-item lists, so
-        prefer :meth:`map` with a module-level callable under
-        ``kind="process"``.
-        """
-        return self.map(lambda args: fn(*args), items)
 
     def close(self) -> None:
         """Shut the executor down (idempotent; serial pools are a no-op)."""

@@ -215,34 +215,19 @@ class RHCHME:
         backend = ensemble.resolved_backend_
         ensemble_seconds = time.perf_counter() - ensemble_start
 
-        engine = None
-        if backend == "torch":
-            # Lazy import: the torch engine (and torch itself) only loads
-            # when a fit actually resolves to it.
-            from ..linalg.torch_engine import TorchSolverEngine
-            engine = TorchSolverEngine(device=config.torch_device)
-
         # The relations follow the backend the ensemble resolved, so the
         # whole fit — graph side and R-space — shares one representation:
         # CSR relation blocks, row-sparse E_R and factored G_t S_tu G_uᵀ
         # products under "sparse", plain arrays under "dense".  Only the
         # per-pair blocks exist; the stacked (n, n) R is never assembled.
-        # The torch engine runs with dense-backend semantics (dense R
-        # blocks moved to the device once, dense E_R), so it fetches the
-        # dense carrier.
         R_pairs = data.relation_blocks(normalize=config.normalize_relations,
-                                       backend="dense" if engine is not None
-                                       else backend)
+                                       backend=backend)
 
         # L is fixed for the whole fit; split each type's block into
         # (L_t⁺, L_t⁻) once instead of re-splitting inside every membership
         # update.  Types the delta schedule never updates carry no block.
         L_parts = [None if block is None else split_parts(block)
                    for block in L_blocks]
-        if engine is not None:
-            # L and its splits are loop-invariant: one host→device transfer
-            # per fit, after which every L± @ G product runs device-side.
-            engine.register_laplacians(L_blocks, L_parts)
         if warm_start is None:
             state = initialize_state(data, R_pairs, init=config.init,
                                      smoothing=config.init_smoothing,
@@ -258,11 +243,6 @@ class RHCHME:
                 # whole refit for nothing — represent it row-sparse like a
                 # cold sparse initialisation does.
                 state.E_R = RowSparseMatrix.zeros(state.E_R.shape)
-            if engine is not None and isinstance(state.E_R, RowSparseMatrix):
-                # The inverse coercion: a warm start carried over from a
-                # sparse-backend fit stores E_R row-sparse, but the torch
-                # engine speaks dense-backend semantics.
-                state.E_R = state.E_R.to_dense()
 
         # The ordered pairs the updates must visit: every observed relation
         # (both orientations) plus any block a warm-start E_R carries mass
@@ -295,7 +275,6 @@ class RHCHME:
             # persisted with the spectral summary in the artifact sidecar.
             fit_span = Span("fit", backend=str(backend),
                             n_jobs=int(config.n_jobs),
-                            executor=str(config.executor),
                             max_iter=int(config.max_iter),
                             n_types=len(data.types),
                             warm_start=warm_start is not None,
@@ -304,7 +283,7 @@ class RHCHME:
         trace = TraceRecorder()
         converged = False
         iteration = 0
-        with TypeWorkPool(config.n_jobs, kind=config.executor) as pool:
+        with TypeWorkPool(config.n_jobs) as pool:
             # This S solve doubles as iteration 1's S step: the state does
             # not change between recording the initial objective and the
             # first loop pass, so re-solving there would recompute the
@@ -317,12 +296,10 @@ class RHCHME:
                     dirty_pairs=(schedule.dirty_pairs
                                  if schedule is not None and not setup_sweep
                                  else None),
-                    S_prev=state.S if schedule is not None else None,
-                    engine=engine)
+                    S_prev=state.S if schedule is not None else None)
                 self._record(trace, data, R_pairs, L_blocks, state, pairs,
                              pool, monitor=monitor, schedule=schedule,
-                             sweep=setup_sweep, cache=objective_cache,
-                             engine=engine)
+                             sweep=setup_sweep, cache=objective_cache)
 
             for iteration in range(1, config.max_iter + 1):
                 sweep = schedule is not None and schedule.sweep(iteration)
@@ -335,15 +312,13 @@ class RHCHME:
                             dirty_pairs=(schedule.dirty_pairs if restrict
                                          else None),
                             S_prev=(state.S if schedule is not None
-                                    else None),
-                            engine=engine)
+                                    else None))
                     state.G_blocks = self._timed(
                         trace, "g_update", update_membership_blocks,
                         R_pairs, L_parts, state,
                         lam=config.lam, pairs=pairs, pool=pool,
                         dirty_types=(schedule.dirty_types if restrict
-                                     else None),
-                        engine=engine)
+                                     else None))
                     if config.use_error_matrix:
                         state.E_R = self._timed(
                             trace, "e_update", update_error_matrix_blocks,
@@ -355,13 +330,11 @@ class RHCHME:
                             dirty_types=(schedule.error_types if restrict
                                          else None),
                             E_prev=(state.E_R if schedule is not None
-                                    else None),
-                            engine=engine)
+                                    else None))
                     state.iteration = iteration
                     self._record(trace, data, R_pairs, L_blocks, state, pairs,
                                  pool, monitor=monitor, schedule=schedule,
-                                 sweep=sweep, cache=objective_cache,
-                                 engine=engine)
+                                 sweep=sweep, cache=objective_cache)
                 decrease = trace.last_relative_decrease()
                 if 0.0 <= decrease < config.tol:
                     converged = True
@@ -379,12 +352,9 @@ class RHCHME:
                               extras={"config": config.describe(),
                                       "backend": backend,
                                       "n_jobs": config.n_jobs,
-                                      "executor": config.executor,
                                       "update_seconds": trace.timings,
                                       "warm_start": warm_start is not None,
                                       "subspace": subspace_outcomes})
-        if engine is not None:
-            result.extras["device"] = engine.device
         if schedule is not None:
             result.extras["dirty"] = schedule.describe()
         if monitor is not None:
@@ -457,14 +427,13 @@ class RHCHME:
     def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
                 R_pairs, L_blocks, state: FactorizationState, pairs,
                 pool, monitor=None, schedule=None, sweep: bool = False,
-                cache=None, engine=None) -> None:
+                cache=None) -> None:
         """Record the objective breakdown and optional metrics for one iterate."""
         config = self.config
         breakdown = self._timed(trace, "objective", evaluate_objective_blocks,
                                 R_pairs, state, L_blocks, lam=config.lam,
                                 beta=config.beta, pairs=pairs, pool=pool,
-                                schedule=schedule, sweep=sweep, cache=cache,
-                                engine=engine)
+                                schedule=schedule, sweep=sweep, cache=cache)
         metrics: dict[str, float] = {}
         if monitor is not None:
             metrics.update(monitor.observe(state))

@@ -32,7 +32,6 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from ..linalg.batched import batched_pinv_sandwich
 from ..linalg.normalize import row_normalize_l1
 from ..linalg.norms import frobenius_norm, row_l2_norms
 from ..linalg.parts import split_parts
@@ -233,17 +232,10 @@ def _map(pool, fn, items, *, labels=None, name=None):
     thread-safe way in.  ``labels`` supplies the per-item span labels
     (defaulting to ``str(item)``; task items carry operand arrays, whose
     repr is not a label) and ``name`` the kernel span name.
-
-    Under a process pool the recording wrapper is skipped — it closes over
-    the parent span and would not pickle, and the span object could not be
-    mutated from a worker process anyway.  Per-kernel child spans are a
-    thread/serial-execution feature; the per-family spans are recorded by
-    the solver either way.
     """
     items = list(items)
     parent = current_span()
-    if parent is not None and not (
-            pool is not None and getattr(pool, "is_process", False)):
+    if parent is not None:
         kernel = fn
         span_name = name if name is not None else getattr(kernel, "__name__",
                                                           "kernel")
@@ -265,10 +257,9 @@ def _map(pool, fn, items, *, labels=None, name=None):
 
 
 # Module-level task kernels: one per update family, taking a single plain
-# tuple of operand arrays.  Keeping them at module scope (instead of the
-# closures they once were) is what makes the blocked fan-out executable on
-# a spawn-context *process* pool — the callable and its items must pickle —
-# and it hands the torch engine the exact same per-task operands.
+# tuple of operand arrays.  Every operand a task reads is in its item, so a
+# kernel is a pure function of that tuple and returns identical results on
+# any worker thread, in any order.
 
 
 def _association_core_task(item):
@@ -301,7 +292,7 @@ def _error_type_task(item):
     ``terms`` lists ``(u, R_tu, S_tu, G_u)`` over the type's outgoing
     pairs.  Returns ``(global_rows, values)`` in sparse mode and a
     ``{u: scaled_block}`` mapping in dense mode — never writing shared
-    state, so the task runs identically in a thread or a worker process.
+    state, so the task runs identically on any worker thread.
     """
     (mode, G_t, terms, beta, zeta, floor, n_total, col_slices,
      row_offset) = item
@@ -384,7 +375,7 @@ def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
 
 def update_association_blocks(R_pairs, state: FactorizationState, *,
                               pairs=None, pool=None, dirty_pairs=None,
-                              S_prev=None, engine=None) -> np.ndarray:
+                              S_prev=None) -> np.ndarray:
     """Blockwise closed-form S update (Eq. 18).
 
     ``GᵀG`` is block diagonal, so its pseudo-inverse is the block diagonal
@@ -395,14 +386,9 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
     type-index pairs to relation blocks (dense or CSR); pairs absent from
     both ``R_pairs`` and ``pairs`` contribute nothing.
 
-    The per-pair cores fan out across ``pool``; the final ``(k_t, k_u)``
-    pseudo-inverse sandwiches are grouped by shape and run as batched
-    GEMMs (see :func:`repro.linalg.batched.batched_pinv_sandwich`)
-    whenever two or more pairs share a core shape.  With ``engine`` set
-    (a :class:`repro.linalg.torch_engine.TorchSolverEngine`) the cores
-    and the batched sandwiches run as torch kernels on the engine's
-    device instead; the gram pseudo-inverses stay on the host either way
-    (tiny guarded eigensolves).
+    The per-pair cores fan out across ``pool``; each pair's final
+    ``(k_t, k_u)`` pseudo-inverse sandwich is evaluated as
+    ``P_t (C_tu P_u)``.
 
     Under a delta schedule ``dirty_pairs`` restricts the solve to the
     pairs whose factors moved; clean blocks carry over from ``S_prev``
@@ -430,12 +416,8 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         E_tu = _error_block(state.E_R, object_spec, t, u)
         items.append((G[t], R_pairs.get(pair), E_tu, G[u]))
 
-    if engine is not None:
-        blocks = engine.association_blocks(compute, items, pinvs)
-    else:
-        cores = dict(zip(compute, _map(pool, _association_core_task, items,
-                                       labels=compute, name="one_pair")))
-        blocks = batched_pinv_sandwich(compute, cores, pinvs)
+    cores = _map(pool, _association_core_task, items, labels=compute,
+                 name="one_pair")
 
     if dirty_pairs is None or S_prev is None:
         S = np.zeros((cluster_spec.total, cluster_spec.total))
@@ -444,14 +426,15 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         for t in range(cluster_spec.n_types):
             block = cluster_spec.slice(t)
             S[block, block] = 0.0
-    for t, u in compute:
-        S[cluster_spec.slice(t), cluster_spec.slice(u)] = blocks[(t, u)]
+    for (t, u), core in zip(compute, cores):
+        S[cluster_spec.slice(t), cluster_spec.slice(u)] = (
+            pinvs[t] @ (core @ pinvs[u]))
     return S
 
 
 def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
                              lam: float, pairs=None, pool=None,
-                             dirty_types=None, engine=None) -> list[np.ndarray]:
+                             dirty_types=None) -> list[np.ndarray]:
     """Blockwise multiplicative G update (Eq. 21–22), one task per type.
 
     For type ``t`` the relevant rows of the global update's A and B terms
@@ -460,9 +443,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     ever formed, and the block mask of the global rule is structural here.
     ``L_parts`` supplies the per-type ``(L_t⁺, L_t⁻)`` splits (loop-invariant,
     computed once per fit).  Types are independent given the other factors,
-    so they thread across ``pool``; with ``engine`` set the per-type
-    updates run as torch kernels on the engine's device (which holds the
-    Laplacian splits resident across iterations).
+    so they thread across ``pool``.
 
     ``dirty_types`` (a set of type indices) restricts the update to those
     types; every clean type's block object is returned *as is* — frozen,
@@ -499,13 +480,9 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
         b_terms = [(s_block(u, t), grams[u]) for u in by_target.get(t, ())]
         return G[t], L_parts[t], a_terms, b_terms
 
-    if engine is not None:
-        blocks = engine.membership_blocks(
-            [(t, *type_item(t)) for t in todo], lam=lam)
-    else:
-        items = [(*type_item(t), lam) for t in todo]
-        blocks = _map(pool, _membership_type_task, items, labels=todo,
-                      name="one_type")
+    items = [(*type_item(t), lam) for t in todo]
+    blocks = _map(pool, _membership_type_task, items, labels=todo,
+                  name="one_type")
     if dirty_types is None:
         return list(blocks)
     updated = list(G)
@@ -550,7 +527,7 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
                                beta: float, zeta: float = 1e-10,
                                row_tol: float = 0.0, pairs=None,
                                pool=None, sparse: bool | None = None,
-                               dirty_types=None, E_prev=None, engine=None):
+                               dirty_types=None, E_prev=None):
     """Blockwise sample-wise sparse error matrix update (Eq. 25–27).
 
     The L2,1 row norm of object ``i`` of type ``t`` spans every cross-type
@@ -569,16 +546,9 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
     row types; every clean row type splices its rows of ``E_prev`` (the
     previous iterate's error matrix) through unchanged.  ``None`` solves
     every type from scratch — the pre-delta behaviour, unchanged.
-
-    With ``engine`` set the per-type residuals and row norms come from the
-    torch device (dense representation — the engine forces ``sparse=False``)
-    while the scalar shrinkage ``(β D + I)⁻¹`` runs on the host, shared
-    verbatim with the numpy path.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
-    if engine is not None:
-        sparse = False
     if sparse is None:
         # The relations' representation decides (matching the global rule's
         # dispatch on R); only a relation-free dataset falls back to the
@@ -619,26 +589,12 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
                  S[cluster_spec.slice(t), cluster_spec.slice(u)], G[u])
                 for u in by_source.get(t, ())]
 
-    if engine is not None:
-        results = []
-        for t in todo:
-            terms = type_terms(t)
-            if not terms:
-                results.append({})
-                continue
-            residuals, sq = engine.error_residuals((G[t], terms))
-            norms = np.sqrt(np.maximum(sq, 0.0))
-            scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-            scale[scale * norms <= floor] = 0.0
-            results.append({u: residual * scale[:, None]
-                            for u, residual in residuals.items()})
-    else:
-        col_slices = {u: object_spec.slice(u)
-                      for u in range(object_spec.n_types)}
-        items = [(mode, G[t], type_terms(t), beta, zeta, floor, n_total,
-                  col_slices, object_spec.offsets[t]) for t in todo]
-        results = _map(pool, _error_type_task, items, labels=todo,
-                       name="one_type")
+    col_slices = {u: object_spec.slice(u)
+                  for u in range(object_spec.n_types)}
+    items = [(mode, G[t], type_terms(t), beta, zeta, floor, n_total,
+              col_slices, object_spec.offsets[t]) for t in todo]
+    results = _map(pool, _error_type_task, items, labels=todo,
+                   name="one_type")
 
     if not sparse:
         for t, blocks in zip(todo, results):

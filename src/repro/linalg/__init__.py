@@ -14,32 +14,22 @@ The module groups small, well-tested numerical primitives:
 * :mod:`repro.linalg.projections` — projection operators onto the feasible
   sets used by the SPG solver.
 * :mod:`repro.linalg.safe` — numerically safe inverses and divisions.
-* :mod:`repro.linalg.backend` — dense/sparse/torch compute-backend selection
-  and conversion helpers used to thread scipy.sparse through the pipeline.
+* :mod:`repro.linalg.backend` — dense/sparse compute-backend selection and
+  conversion helpers used to thread scipy.sparse through the pipeline.
 * :mod:`repro.linalg.rowsparse` — the row-sparse matrix representation the
   sample-wise error matrix E_R uses under the sparse backend.
-* :mod:`repro.linalg.batched` — the shape-grouped batched GEMM layout shared
-  by the numpy and torch association kernels.
-* :mod:`repro.linalg.torch_engine` — the optional torch tensor engine
-  (imported lazily, never at package import time: torch is optional).
 """
 
 from .backend import (
     AUTO_SPARSE_THRESHOLD,
     BACKENDS,
-    TORCH_INSTALL_HINT,
     as_csr,
     check_backend,
-    check_backend_available,
     is_sparse,
-    numpy_carrier,
     resolve_backend,
     to_backend,
     to_dense,
-    torch_available,
-    torch_cuda_available,
 )
-from .batched import batched_pinv_sandwich, group_by_shape
 from .parts import negative_part, positive_part, split_parts
 from .norms import (
     frobenius_norm,
@@ -75,22 +65,15 @@ from .safe import gram_pinv, safe_divide, safe_inverse, safe_sqrt, stable_pinv
 __all__ = [
     "AUTO_SPARSE_THRESHOLD",
     "BACKENDS",
-    "TORCH_INSTALL_HINT",
     "BlockSpec",
     "RowSparseMatrix",
     "as_csr",
     "as_dense_matrix",
-    "batched_pinv_sandwich",
     "check_backend",
-    "check_backend_available",
-    "group_by_shape",
     "is_sparse",
-    "numpy_carrier",
     "resolve_backend",
     "to_backend",
     "to_dense",
-    "torch_available",
-    "torch_cuda_available",
     "block_diagonal",
     "block_offdiagonal",
     "column_normalize_l1",

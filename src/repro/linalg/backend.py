@@ -12,24 +12,13 @@ agnostic:
 * ``"dense"`` — plain ``numpy`` arrays (the seed behaviour);
 * ``"sparse"`` — CSR :class:`scipy.sparse` matrices for affinities and
   Laplacians;
-* ``"torch"`` — the :mod:`repro.linalg.torch_engine` tensor engine: the
-  blocked solver kernels run as torch ops (batched GEMMs, CPU or CUDA)
-  while everything outside the fit loop — datasets, artifacts, serving —
-  stays numpy-facing.  Torch is an *optional* dependency: the name is
-  always valid, but resolving it without torch installed raises a clear
-  :class:`ImportError` with an install hint;
 * ``"auto"`` — pick per dataset: sparse once the object count crosses
   :data:`AUTO_SPARSE_THRESHOLD` (where the O(n²) dense intermediates start to
   dominate), dense below it (small problems are faster without CSR
-  indirection).  When torch is installed *and* a CUDA device is visible,
-  ``"auto"`` prefers the torch engine above the same threshold — the
-  device only pays off once there is enough work per kernel to amortise
-  host↔device transfers.
+  indirection).
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,13 +28,8 @@ from .._validation import ensure_dense
 __all__ = [
     "BACKENDS",
     "AUTO_SPARSE_THRESHOLD",
-    "TORCH_INSTALL_HINT",
     "check_backend",
-    "check_backend_available",
-    "torch_available",
-    "torch_cuda_available",
     "resolve_backend",
-    "numpy_carrier",
     "is_sparse",
     "as_csr",
     "to_dense",
@@ -55,15 +39,7 @@ __all__ = [
 
 #: Valid values of the ``backend`` knob on :class:`repro.core.RHCHMEConfig`
 #: and :class:`repro.manifold.HeterogeneousManifoldEnsemble`.
-BACKENDS = ("auto", "dense", "sparse", "torch")
-
-#: Actionable message attached to every requested-but-missing torch error.
-TORCH_INSTALL_HINT = (
-    "backend='torch' requires the optional torch dependency; install a CPU "
-    "build with `pip install torch --index-url "
-    "https://download.pytorch.org/whl/cpu` (or a CUDA build from "
-    "https://pytorch.org/get-started/) and retry, or use backend='dense' / "
-    "'sparse' / 'auto'")
+BACKENDS = ("auto", "dense", "sparse")
 
 #: Object count at which ``backend="auto"`` switches to the sparse path.
 #: Below this the dense kernels win on constant factors; above it the
@@ -73,47 +49,10 @@ AUTO_SPARSE_THRESHOLD = 1024
 
 
 def check_backend(backend: str) -> str:
-    """Validate a backend name and return it.
-
-    Name validation only — ``"torch"`` is a valid *name* even without torch
-    installed, so configs and persisted artifacts that mention it keep
-    loading on torch-free machines.  Use :func:`check_backend_available`
-    (or :func:`resolve_backend`, which calls it) to additionally require
-    that the engine can actually run here.
-    """
+    """Validate a backend name and return it."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {list(BACKENDS)}")
-    return backend
-
-
-def torch_available() -> bool:
-    """True when the optional torch dependency is importable."""
-    return importlib.util.find_spec("torch") is not None
-
-
-def torch_cuda_available() -> bool:
-    """True when torch is importable and sees at least one CUDA device."""
-    if not torch_available():
-        return False
-    import torch
-    try:
-        return bool(torch.cuda.is_available())
-    except Exception:
-        return False
-
-
-def check_backend_available(backend: str) -> str:
-    """Validate a backend name *and* that its engine can run here.
-
-    Raises a :class:`ValueError` for unknown names and an
-    :class:`ImportError` carrying :data:`TORCH_INSTALL_HINT` when
-    ``"torch"`` is requested on a machine without torch — at request time,
-    instead of a generic failure deep inside the fit.
-    """
-    check_backend(backend)
-    if backend == "torch" and not torch_available():
-        raise ImportError(TORCH_INSTALL_HINT)
     return backend
 
 
@@ -121,48 +60,19 @@ def resolve_backend(backend: str, *, n_objects: int,
                     threshold: int = AUTO_SPARSE_THRESHOLD) -> str:
     """Resolve ``"auto"`` to a concrete backend for a problem of ``n_objects``.
 
-    An explicit ``"torch"`` request checks availability (raising
-    :class:`ImportError` with an install hint when torch is missing) and
-    resolves to itself.  ``"auto"`` picks the torch engine only when torch
-    is installed *and* CUDA is visible *and* the problem crosses
-    ``threshold`` — on CPU-only machines the numpy engines win below the
-    device-transfer break-even, so ``"auto"`` keeps its dense/sparse
-    behaviour there.
-
     Parameters
     ----------
     backend:
-        ``"auto"``, ``"dense"``, ``"sparse"`` or ``"torch"``.
+        ``"auto"``, ``"dense"`` or ``"sparse"``.
     n_objects:
         Total number of objects (rows/columns of the assembled Laplacian).
     threshold:
         Object count at which ``"auto"`` switches away from dense.
     """
     check_backend(backend)
-    if backend == "torch":
-        return check_backend_available(backend)
     if backend != "auto":
         return backend
-    if n_objects >= threshold and torch_cuda_available():
-        return "torch"
     return "sparse" if n_objects >= threshold else "dense"
-
-
-def numpy_carrier(backend: str, *, n_objects: int,
-                  threshold: int = AUTO_SPARSE_THRESHOLD) -> str:
-    """The numpy representation (``"dense"``/``"sparse"``) behind a backend.
-
-    The serving stack, artifacts and datasets are numpy-facing by contract:
-    a model fitted with ``backend="torch"`` must keep predicting on a
-    torch-free machine.  This maps any backend name to the concrete numpy
-    representation its data should use — ``"torch"`` and ``"auto"`` by the
-    size rule (sparse at or above ``threshold``), ``"dense"``/``"sparse"``
-    pass through — without ever importing or requiring torch.
-    """
-    check_backend(backend)
-    if backend in ("torch", "auto"):
-        return "sparse" if n_objects >= threshold else "dense"
-    return backend
 
 
 def is_sparse(matrix) -> bool:
@@ -183,12 +93,7 @@ def to_dense(matrix) -> np.ndarray:
 
 
 def to_backend(matrix, backend: str):
-    """Convert ``matrix`` to the numpy representation of a concrete backend.
-
-    ``"torch"`` converts to the dense numpy carrier — host-side data stays
-    numpy-facing; moving arrays onto a device is the
-    :class:`repro.linalg.torch_engine.TorchSolverEngine`'s job.
-    """
+    """Convert ``matrix`` to the numpy representation of a concrete backend."""
     check_backend(backend)
     if backend == "auto":
         raise ValueError("resolve 'auto' with resolve_backend() before converting")

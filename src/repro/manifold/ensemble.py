@@ -33,8 +33,7 @@ from .._validation import check_positive_float, check_positive_int
 from ..graph.laplacian import laplacian
 from ..graph.pnn import pnn_affinity
 from ..graph.weights import WeightingScheme
-from ..linalg.backend import (as_csr, check_backend, numpy_carrier,
-                              resolve_backend, topk_rows)
+from ..linalg.backend import as_csr, check_backend, resolve_backend, topk_rows
 from ..linalg.blocks import block_diagonal
 from ..relational.dataset import MultiTypeRelationalData
 from ..subspace.representation import SubspaceRepresentation
@@ -91,14 +90,11 @@ class HeterogeneousManifoldEnsemble:
         than a sum that grows with the dataset.  This keeps the λ grid of the
         paper meaningful on datasets of different sizes and balances the
         regulariser against the (block-normalised) reconstruction term; it is
-        a documented implementation deviation (see DESIGN.md).
+        an implementation deviation from the paper.
     backend:
-        ``"dense"`` (seed behaviour), ``"sparse"`` (CSR end to end),
-        ``"torch"`` (the optional tensor engine; the graph blocks are still
-        built in a numpy carrier — see :meth:`graph_carrier`) or ``"auto"``
-        (sparse once the dataset's total object count crosses
-        :data:`repro.linalg.backend.AUTO_SPARSE_THRESHOLD`, the torch
-        engine above it when torch sees a CUDA device).
+        ``"dense"`` (seed behaviour), ``"sparse"`` (CSR end to end) or
+        ``"auto"`` (sparse once the dataset's total object count crosses
+        :data:`repro.linalg.backend.AUTO_SPARSE_THRESHOLD`).
     random_state:
         Seed for the subspace solver initialisation.
     """
@@ -140,11 +136,6 @@ class HeterogeneousManifoldEnsemble:
         substance and CSR storage would cost more memory and slower products
         than a plain array.  With ``subspace_topk`` set the member is bounded
         at 2k non-zeros per row and the usual size-based choice applies.
-        The caveat does not apply when ``"auto"`` resolves to the torch
-        engine (torch installed, CUDA visible, problem above the size
-        threshold) — the engine holds dense or sparse graph operands alike,
-        so the dense-in-substance member only shapes the *carrier* (see
-        :meth:`graph_carrier`), not the engine choice.
         """
         resolved = resolve_backend(self.backend, n_objects=n_objects)
         if (resolved == "sparse" and self.backend == "auto"
@@ -152,22 +143,6 @@ class HeterogeneousManifoldEnsemble:
                 and self.subspace_topk is None):
             return "dense"
         return resolved
-
-    def graph_carrier(self, engine: str, n_objects: int) -> str:
-        """Numpy representation (``"dense"``/``"sparse"``) of the graph blocks.
-
-        The torch engine is representation-agnostic on its inputs — a CSR
-        Laplacian becomes a sparse COO tensor, a dense one a dense tensor —
-        so under ``engine="torch"`` this picks the numpy carrier the blocks
-        are *built* in: dense while the subspace member is active without
-        top-k (its affinity is dense in substance), the usual size rule
-        otherwise.  Concrete numpy engines pass through unchanged.
-        """
-        if engine != "torch":
-            return engine
-        if self.use_subspace and self.alpha > 0.0 and self.subspace_topk is None:
-            return "dense"
-        return numpy_carrier(engine, n_objects=n_objects)
 
     def build_for_type(self, name: str, features: np.ndarray | None,
                        n_objects: int, *, backend: str | None = None) -> _TypeLaplacians:
@@ -184,7 +159,6 @@ class HeterogeneousManifoldEnsemble:
         """
         backend = self.resolve(n_objects) if backend is None else resolve_backend(
             backend, n_objects=n_objects)
-        backend = self.graph_carrier(backend, n_objects)
         use_sparse = backend == "sparse"
         if features is None:
             zero = (sp.csr_array((n_objects, n_objects), dtype=np.float64)
@@ -245,7 +219,6 @@ class HeterogeneousManifoldEnsemble:
         """
         backend = self.resolve(data.n_objects_total)
         self.resolved_backend_ = backend
-        carrier = self.graph_carrier(backend, data.n_objects_total)
         self.members_ = []
         blocks = []
         for index, object_type in enumerate(data.types):
@@ -254,7 +227,7 @@ class HeterogeneousManifoldEnsemble:
                 blocks.append(None)
                 continue
             member = self.build_for_type(object_type.name, object_type.features,
-                                         object_type.n_objects, backend=carrier)
+                                         object_type.n_objects, backend=backend)
             self.members_.append(member)
             blocks.append(member.combined)
         return blocks

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .._validation import ensure_dense
 from ..exceptions import ValidationError
-from ..linalg.backend import numpy_carrier
+from ..linalg.backend import resolve_backend
 from ..linalg.blocks import BlockSpec, block_diagonal, block_offdiagonal
 from ..linalg.norms import frobenius_norm
 from .types import ObjectType, Relation
@@ -182,12 +182,10 @@ class MultiTypeRelationalData:
         ``normalize`` and ``backend`` have the same semantics as
         :meth:`inter_type_matrix`: blocks are scaled by ``weight`` (divided
         by their Frobenius norm first when normalising), and ``backend``
-        selects dense arrays or CSR matrices.  ``"auto"`` and ``"torch"``
-        map to their numpy carrier by total object count (see
-        :func:`repro.linalg.backend.numpy_carrier`) — the dataset is
-        numpy-facing and never imports torch.
+        selects dense arrays or CSR matrices.  ``"auto"`` resolves by total
+        object count (see :func:`repro.linalg.backend.resolve_backend`).
         """
-        backend = numpy_carrier(backend, n_objects=self.n_objects_total)
+        backend = resolve_backend(backend, n_objects=self.n_objects_total)
         blocks: dict[tuple[int, int], np.ndarray | sp.csr_array] = {}
         for (row, col), relation in self._relations.items():
             scale = relation.weight
@@ -217,12 +215,11 @@ class MultiTypeRelationalData:
         seed behaviour) returns a numpy array, ``"sparse"`` a CSR matrix
         assembled directly from the relation blocks' non-zeros — ``O(nnz)``
         memory with no ``(n, n)`` intermediate, the entry point of the
-        sparse R-space pipeline.  ``"auto"`` and ``"torch"`` map to their
-        numpy carrier by total object count (see
-        :func:`repro.linalg.backend.numpy_carrier`).  Both representations
-        hold identical values.
+        sparse R-space pipeline.  ``"auto"`` resolves by total object count
+        (see :func:`repro.linalg.backend.resolve_backend`).  Both
+        representations hold identical values.
         """
-        backend = numpy_carrier(backend, n_objects=self.n_objects_total)
+        backend = resolve_backend(backend, n_objects=self.n_objects_total)
         spec = self.object_block_spec()
         if backend == "sparse":
             return self._inter_type_matrix_sparse(spec, normalize=normalize)

@@ -26,8 +26,8 @@ The canonical request/response vocabulary is the versioned wire schema of
 :class:`~repro.net.schema.PredictRequest` and produce a
 :class:`~repro.net.schema.PredictResponse` — the same types the HTTP tier
 (:class:`repro.net.NetServer`) moves as JSON.  The historical
-``(path, type_name, queries)`` entry points remain as thin adapters over
-the schema types (deprecated in their positional form).
+``(path, type_name, queries)`` entry points remain as thin keyword-only
+adapters over the schema types.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from ..exceptions import (QueueFullError, ServerClosedError, ValidationError,
                           error_code)
 from ..net.schema import PredictRequest, PredictResponse
 from ..obs import Observability, activate_span
-from ..serve._legacy import legacy_positional_args
 from ..serve.artifact import MMAP_LAYOUT, RHCHMEModel
 from ..serve.extension import Prediction
 from ..serve.predictor import BatchPredictor
@@ -385,31 +384,23 @@ class RuntimeServer:
         """Serve one schema request synchronously (canonical entry point)."""
         return self.submit_request(request).result(timeout=timeout)
 
-    def submit(self, *args, **kwargs) -> Future:
+    def submit(self, *, path, type_name: str, queries) -> Future:
         """Queue a predict request; returns a future of its `Prediction`.
 
-        Legacy adapter over :meth:`submit_request` — builds a
-        :class:`~repro.net.schema.PredictRequest` internally.  Positional
-        ``(path, type_name, queries)`` calls are deprecated (pass keywords
-        or a schema request); see the README migration notes.
+        Keyword adapter over :meth:`submit_request` — builds a
+        :class:`~repro.net.schema.PredictRequest` internally.
         """
-        path, type_name, queries = legacy_positional_args(
-            "RuntimeServer.submit", ("path", "type_name", "queries"),
-            args, kwargs)
         return self._submit(PredictRequest(model=str(path),
                                            type_name=str(type_name),
                                            queries=queries))
 
-    def predict(self, *args, **kwargs) -> Prediction:
-        """Synchronous legacy wrapper: ``submit(...).result(timeout)``.
+    def predict(self, *, path, type_name: str, queries,
+                timeout: float | None = None) -> Prediction:
+        """Synchronous keyword wrapper: ``submit(...).result(timeout)``.
 
-        Deprecated in its positional form — the canonical API is
-        :meth:`serve` with a :class:`~repro.net.schema.PredictRequest`.
+        The canonical API is :meth:`serve` with a
+        :class:`~repro.net.schema.PredictRequest`.
         """
-        timeout = kwargs.pop("timeout", None)
-        path, type_name, queries = legacy_positional_args(
-            "RuntimeServer.predict", ("path", "type_name", "queries"),
-            args, kwargs)
         request = PredictRequest(model=str(path), type_name=str(type_name),
                                  queries=queries)
         return self._submit(request).result(timeout=timeout)

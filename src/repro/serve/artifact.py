@@ -54,7 +54,7 @@ from ..core.state import FactorizationState
 from ..exceptions import ArtifactError, ValidationError
 from ..graph.neighbors import QueryIndex
 from ..linalg.blocks import BlockSpec
-from ..linalg.backend import numpy_carrier
+from ..linalg.backend import resolve_backend
 from ..linalg.rowsparse import RowSparseMatrix
 from .extension import Prediction, out_of_sample_predict
 
@@ -443,11 +443,8 @@ class RHCHMEModel:
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
-        # Serving is numpy-facing by contract: a model fitted with
-        # backend="torch" predicts on a torch-free machine, so the knob
-        # maps to its numpy carrier rather than resolving to an engine.
-        resolved = numpy_carrier(self.config.backend if backend is None
-                                 else backend, n_objects=info.n_objects)
+        resolved = resolve_backend(self.config.backend if backend is None
+                                   else backend, n_objects=info.n_objects)
         index = self.query_index(type_name)
         return out_of_sample_predict(
             self.features[type_name], self.membership[type_name], X_new,
@@ -469,12 +466,6 @@ class RHCHMEModel:
         # recorded health metrics never changes the factors, and the
         # recorded metrics live in the sidecar's own diagnostics section.
         config.pop("diagnostics", None)
-        # executor and torch_device are run-time knobs as well: which pool
-        # kind computed the blocks and which device ran the kernels never
-        # change the fitted factors, and persisting them would tie an
-        # artifact to one machine's hardware.
-        config.pop("executor", None)
-        config.pop("torch_device", None)
         return config
 
     @staticmethod
@@ -745,7 +736,13 @@ class RHCHMEModel:
     def parse_sidecar(cls, sidecar: dict) -> tuple[RHCHMEConfig, tuple[TypeInfo, ...]]:
         """Reconstruct the config and type metadata from a validated sidecar."""
         try:
-            config = RHCHMEConfig(**sidecar["config"])
+            fields = dict(sidecar["config"])
+            if fields.get("backend") == "torch":
+                # Artifacts fitted by the retired torch engine: serving
+                # always resolved that name by the "auto" size rule, so it
+                # reads as "auto" and the predictions are unchanged.
+                fields["backend"] = "auto"
+            config = RHCHMEConfig(**fields)
         except (TypeError, ValueError) as exc:
             raise ArtifactError(
                 f"artifact config cannot be reconstructed: {exc}") from exc

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--random-state", type=int, default=0)
     fit.add_argument("--max-iter", type=int, default=30)
     fit.add_argument("--backend", default="auto",
-                     choices=["auto", "dense", "sparse", "torch"])
+                     choices=["auto", "dense", "sparse"])
     fit.add_argument("--subspace-topk", type=int, default=None,
                      help="top-k sparsification of the subspace member affinity")
     fit.add_argument("--no-subspace", action="store_true",

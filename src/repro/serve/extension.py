@@ -39,7 +39,7 @@ from ..exceptions import ShapeError
 from ..obs import current_span
 from ..graph.neighbors import QueryIndex
 from ..graph.weights import WeightingScheme, compute_edge_weights_query
-from ..linalg.backend import numpy_carrier
+from ..linalg.backend import resolve_backend
 from ..linalg.normalize import row_normalize_l1
 
 __all__ = ["Prediction", "out_of_sample_predict"]
@@ -147,9 +147,7 @@ def out_of_sample_predict(reference: np.ndarray, membership_block: np.ndarray,
             f"{reference.shape[1]}")
     batch_size = check_positive_int(batch_size, name="batch_size")
     p = min(check_positive_int(p, name="p"), n_train)
-    # Out-of-sample extension stays numpy-facing for every backend
-    # name (torch-fitted artifacts serve on torch-free machines).
-    backend = numpy_carrier(backend, n_objects=n_train)
+    backend = resolve_backend(backend, n_objects=n_train)
     weighting = WeightingScheme.coerce(weighting)
     if index is None:
         index = QueryIndex(reference, algorithm=algorithm)

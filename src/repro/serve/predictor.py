@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from .._validation import check_positive_int
 from ..diagnostics.drift import DriftDetector
 from ..obs import activate_span, current_span
-from ._legacy import legacy_positional_args
 from .artifact import RHCHMEModel
 from .extension import Prediction
 from .shards import open_model
@@ -302,22 +301,16 @@ class BatchPredictor:
                          if det is not None and det is not _UNSET}
         return {key: det.snapshot() for key, det in detectors.items()}
 
-    def predict(self, *args, **kwargs) -> Prediction:
+    def predict(self, *, path, type_name: str, X_new,
+                batch_size: int | None = None) -> Prediction:
         """Predict labels for new objects against the model at ``path``.
 
-        Legacy adapter over :meth:`serve` — builds a
+        Keyword adapter over :meth:`serve` — builds a
         :class:`~repro.net.schema.PredictRequest` internally and unwraps
         the response to a plain :class:`~repro.serve.Prediction`.
-        Positional ``(path, type_name, X_new)`` calls are deprecated (pass
-        keywords, or a schema request to :meth:`serve`); see the README
-        migration notes.
         """
         from ..net.schema import PredictRequest
 
-        batch_size = kwargs.pop("batch_size", None)
-        path, type_name, X_new = legacy_positional_args(
-            "BatchPredictor.predict", ("path", "type_name", "X_new"),
-            args, kwargs)
         request = PredictRequest(model=str(path), type_name=str(type_name),
                                  queries=X_new, batch_size=batch_size)
         return self.serve(request).to_prediction()

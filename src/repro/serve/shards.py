@@ -34,7 +34,7 @@ import numpy as np
 
 from ..exceptions import ArtifactError, ValidationError
 from ..graph.neighbors import QueryIndex
-from ..linalg.backend import numpy_carrier
+from ..linalg.backend import resolve_backend
 from ..linalg.rowsparse import RowSparseMatrix
 from .artifact import (GLOBAL_SHARD, MMAP_LAYOUT, RHCHMEModel, TypeInfo,
                        check_query_features, error_matrix_npz_keys)
@@ -454,8 +454,8 @@ class ShardedModelReader:
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
-        resolved = numpy_carrier(self.config.backend if backend is None
-                                 else backend, n_objects=info.n_objects)
+        resolved = resolve_backend(self.config.backend if backend is None
+                                   else backend, n_objects=info.n_objects)
         return out_of_sample_predict(
             self.features(type_name), self.membership(type_name), X_new,
             p=self.config.p, weighting=self.config.weighting,

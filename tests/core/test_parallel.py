@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
 
-from repro.core.parallel import EXECUTOR_KINDS, TypeWorkPool, resolve_n_jobs
-
-
-def _square(x):
-    """Module-level task: process pools require picklable callables."""
-    return x * x
-
-
-def _worker_pid(_):
-    return os.getpid()
+from repro.core.parallel import TypeWorkPool, resolve_n_jobs
 
 
 class TestResolveNJobs:
@@ -56,11 +46,6 @@ class TestTypeWorkPool:
             pool.map(record, range(8))
         assert any(name.startswith("rhchme-block") for name in seen)
 
-    def test_starmap_unpacks(self):
-        with TypeWorkPool(2) as pool:
-            assert pool.starmap(lambda a, b: a + b,
-                                [(1, 2), (3, 4)]) == [3, 7]
-
     def test_exceptions_propagate(self):
         def boom(x):
             if x == 2:
@@ -84,39 +69,3 @@ class TestTypeWorkPool:
             thread_names = pool.map(
                 lambda _: threading.current_thread().name, [0])
         assert thread_names[0] == threading.main_thread().name
-
-
-class TestProcessPool:
-    def test_executor_kinds_vocabulary(self):
-        assert EXECUTOR_KINDS == ("thread", "process")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="executor kind"):
-            TypeWorkPool(2, kind="fork")
-
-    def test_thread_pool_is_not_process(self):
-        with TypeWorkPool(2, kind="thread") as pool:
-            assert not pool.is_process
-        with TypeWorkPool(1, kind="process") as pool:
-            # Serial shortcut: no executor, so nothing runs out of process.
-            assert not pool.is_process
-
-    def test_process_map_preserves_order(self):
-        with TypeWorkPool(2, kind="process") as pool:
-            assert pool.is_process
-            assert pool.map(_square, range(6)) == [x * x for x in range(6)]
-
-    def test_process_map_runs_in_worker_processes(self):
-        with TypeWorkPool(2, kind="process") as pool:
-            pids = pool.map(_worker_pid, range(4))
-        assert all(pid != os.getpid() for pid in pids)
-
-    def test_process_single_item_stays_in_parent(self):
-        with TypeWorkPool(2, kind="process") as pool:
-            assert pool.map(_worker_pid, [0]) == [os.getpid()]
-
-    def test_process_pool_close_is_idempotent(self):
-        pool = TypeWorkPool(2, kind="process")
-        pool.close()
-        pool.close()
-        assert pool.map(_square, [2, 3]) == [4, 9]

@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.linalg import backend as backend_module
 from repro.linalg.backend import (
     AUTO_SPARSE_THRESHOLD,
     BACKENDS,
-    TORCH_INSTALL_HINT,
     as_csr,
     check_backend,
-    check_backend_available,
     is_sparse,
-    numpy_carrier,
     resolve_backend,
     to_backend,
     to_dense,
     topk_rows,
-    torch_available,
 )
 
 
@@ -49,85 +44,6 @@ class TestResolveBackend:
         assert resolve_backend("auto", n_objects=10, threshold=50) == "dense"
 
 
-class TestTorchBackendName:
-    """The "torch" name and its availability gating, without torch needed."""
-
-    def test_torch_is_a_valid_name_without_torch(self):
-        # Persisted artifacts that mention backend="torch" must keep loading
-        # on torch-free machines, so name validation never checks imports.
-        assert check_backend("torch") == "torch"
-
-    def test_check_backend_available_raises_with_install_hint(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "torch_available", lambda: False)
-        with pytest.raises(ImportError) as excinfo:
-            check_backend_available("torch")
-        assert TORCH_INSTALL_HINT in str(excinfo.value)
-        assert "pip install torch" in str(excinfo.value)
-
-    def test_resolve_backend_torch_raises_without_torch(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "torch_available", lambda: False)
-        with pytest.raises(ImportError) as excinfo:
-            resolve_backend("torch", n_objects=10)
-        assert TORCH_INSTALL_HINT in str(excinfo.value)
-
-    def test_explicit_torch_resolves_to_itself_when_available(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "torch_available", lambda: True)
-        assert resolve_backend("torch", n_objects=3) == "torch"
-
-    def test_check_backend_available_passes_numpy_backends(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "torch_available", lambda: False)
-        for name in ("auto", "dense", "sparse"):
-            assert check_backend_available(name) == name
-
-    def test_torch_available_is_a_bool(self):
-        assert isinstance(torch_available(), bool)
-
-
-class TestAutoTorchHeuristic:
-    def test_auto_prefers_torch_above_threshold_with_cuda(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "torch_cuda_available",
-                            lambda: True)
-        assert resolve_backend("auto",
-                               n_objects=AUTO_SPARSE_THRESHOLD) == "torch"
-        assert resolve_backend(
-            "auto", n_objects=AUTO_SPARSE_THRESHOLD - 1) == "dense"
-
-    def test_auto_without_cuda_keeps_numpy_choice(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "torch_cuda_available",
-                            lambda: False)
-        assert resolve_backend("auto",
-                               n_objects=AUTO_SPARSE_THRESHOLD) == "sparse"
-        assert resolve_backend(
-            "auto", n_objects=AUTO_SPARSE_THRESHOLD - 1) == "dense"
-
-
-class TestNumpyCarrier:
-    def test_torch_and_auto_map_by_size(self):
-        for name in ("torch", "auto"):
-            assert numpy_carrier(
-                name, n_objects=AUTO_SPARSE_THRESHOLD - 1) == "dense"
-            assert numpy_carrier(
-                name, n_objects=AUTO_SPARSE_THRESHOLD) == "sparse"
-
-    def test_concrete_backends_pass_through(self):
-        assert numpy_carrier("dense", n_objects=10**6) == "dense"
-        assert numpy_carrier("sparse", n_objects=3) == "sparse"
-
-    def test_never_touches_torch_probes(self, monkeypatch):
-        # Serving must stay loadable on torch-free machines: the carrier is
-        # a pure size rule and must not even probe torch availability.
-        def forbidden():
-            raise AssertionError("numpy_carrier probed torch availability")
-        monkeypatch.setattr(backend_module, "torch_available", forbidden)
-        monkeypatch.setattr(backend_module, "torch_cuda_available", forbidden)
-        assert numpy_carrier("torch", n_objects=10) == "dense"
-        assert numpy_carrier("auto", n_objects=10**6) == "sparse"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            numpy_carrier("cupy", n_objects=10)
-
-
 class TestConversions:
     def test_is_sparse(self):
         assert is_sparse(sp.csr_array(np.eye(3)))
@@ -152,11 +68,6 @@ class TestConversions:
         dense = np.eye(4)
         assert is_sparse(to_backend(dense, "sparse"))
         assert isinstance(to_backend(sp.csr_array(dense), "dense"), np.ndarray)
-
-    def test_to_backend_torch_gives_dense_carrier(self):
-        result = to_backend(sp.csr_array(np.eye(3)), "torch")
-        assert isinstance(result, np.ndarray)
-        np.testing.assert_array_equal(result, np.eye(3))
 
     def test_to_backend_rejects_auto(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Shutdown cancellation semantics and the deprecated positional adapters."""
+"""Shutdown cancellation semantics and the keyword-only serving adapters."""
 
 from __future__ import annotations
 
@@ -76,14 +76,20 @@ def test_runtime_server_close_cancels_queued_requests(runtime_model_path,
                       queries=query_batch[:4])
 
 
-# ------------------------------------------------------ deprecation adapters
-def test_positional_predict_warns_and_still_works(runtime_model_path,
-                                                  query_batch):
+# ------------------------------------------------------ keyword-only adapters
+def test_positional_predict_raises_type_error(runtime_model_path,
+                                              query_batch):
     with RuntimeServer(workers="serial") as server:
-        with pytest.warns(DeprecationWarning, match="RuntimeServer.predict"):
-            prediction = server.predict(str(runtime_model_path), "points",
-                                        query_batch[:4])
-    assert prediction.labels.shape == (4,)
+        with pytest.raises(TypeError, match="positional"):
+            server.predict(str(runtime_model_path), "points",
+                           query_batch[:4])
+
+
+def test_positional_submit_raises_type_error(runtime_model_path,
+                                             query_batch):
+    with RuntimeServer(workers="serial") as server:
+        with pytest.raises(TypeError, match="positional"):
+            server.submit(str(runtime_model_path), "points", query_batch[:4])
 
 
 def test_keyword_predict_does_not_warn(runtime_model_path, query_batch):
@@ -96,23 +102,17 @@ def test_keyword_predict_does_not_warn(runtime_model_path, query_batch):
     assert prediction.labels.shape == (4,)
 
 
-def test_batch_predictor_positional_warns(runtime_model_path, query_batch):
+def test_batch_predictor_positional_raises_type_error(runtime_model_path,
+                                                     query_batch):
     predictor = BatchPredictor()
-    with pytest.warns(DeprecationWarning, match="BatchPredictor.predict"):
-        positional = predictor.predict(str(runtime_model_path), "points",
-                                       query_batch[:4])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        keyword = predictor.predict(path=str(runtime_model_path),
-                                    type_name="points",
-                                    X_new=query_batch[:4])
-    np.testing.assert_array_equal(positional.labels, keyword.labels)
+    with pytest.raises(TypeError, match="positional"):
+        predictor.predict(str(runtime_model_path), "points", query_batch[:4])
 
 
 def test_legacy_adapters_agree_with_schema_serve(runtime_model_path,
                                                  query_batch):
-    # The deprecated surface is an adapter, not a parallel code path: the
-    # schema entry point and the legacy one must return identical arrays.
+    # The keyword surface is an adapter, not a parallel code path: the
+    # schema entry point and the keyword one must return identical arrays.
     predictor = BatchPredictor()
     request = PredictRequest(model=str(runtime_model_path),
                              type_name="points", queries=query_batch[:8])

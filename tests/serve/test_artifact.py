@@ -9,6 +9,7 @@ import pytest
 
 from repro.exceptions import ArtifactError, ValidationError
 from repro.serve import RHCHMEModel, SCHEMA_VERSION, load_model
+from repro.serve.shards import open_model
 
 
 @pytest.fixture
@@ -69,18 +70,56 @@ class TestRoundTrip:
         assert loaded.type_names == blob_artifact.type_names
 
     def test_runtime_knobs_absent_from_sidecar(self, saved):
-        # n_jobs / diagnostics / executor / torch_device describe how one
-        # machine ran the fit, not what the model is — they must not be
-        # persisted, so the artifact loads identically anywhere (including
-        # torch-free hosts).
+        # n_jobs / diagnostics describe how one machine ran the fit, not
+        # what the model is — they must not be persisted, so the artifact
+        # loads identically anywhere.
         _, path = saved
         sidecar = json.loads(path.with_suffix(".json").read_text())
-        for knob in ("n_jobs", "diagnostics", "executor", "torch_device"):
+        for knob in ("n_jobs", "diagnostics"):
             assert knob not in sidecar["config"]
         loaded = RHCHMEModel.load(path)
         assert loaded.config.n_jobs == 1
-        assert loaded.config.executor == "thread"
-        assert loaded.config.torch_device == "auto"
+        assert loaded.config.diagnostics is False
+
+
+class TestRetiredTorchBackend:
+    """Sidecars of fits by the retired torch engine load as ``"auto"``."""
+
+    @staticmethod
+    def _mark_torch(path):
+        sidecar_path = path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["config"]["backend"] = "torch"
+        sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+
+    def test_load_reads_torch_as_auto(self, blob_artifact, blob_split,
+                                      tmp_path):
+        queries = blob_split.query_features
+        reference = blob_artifact.save(tmp_path / "reference.npz")
+        edited = blob_artifact.save(tmp_path / "torch.npz")
+        self._mark_torch(edited)
+        loaded = RHCHMEModel.load(edited)
+        assert loaded.config.backend == "auto"
+        expected = RHCHMEModel.load(reference).predict("points", queries)
+        actual = loaded.predict("points", queries)
+        np.testing.assert_array_equal(actual.labels, expected.labels)
+        np.testing.assert_array_equal(actual.membership, expected.membership)
+
+    def test_sharded_reader_reads_torch_as_auto(self, blob_artifact,
+                                                blob_split, tmp_path):
+        queries = blob_split.query_features
+        reference = blob_artifact.save(tmp_path / "reference.npz",
+                                       shards="per-type-mmap")
+        edited = blob_artifact.save(tmp_path / "torch.npz",
+                                    shards="per-type-mmap")
+        self._mark_torch(edited)
+        with open_model(reference, lazy=True) as expected_reader, \
+                open_model(edited, lazy=True) as reader:
+            assert reader.config.backend == "auto"
+            expected = expected_reader.predict("points", queries)
+            actual = reader.predict("points", queries)
+        np.testing.assert_array_equal(actual.labels, expected.labels)
+        np.testing.assert_array_equal(actual.membership, expected.membership)
 
 
 class TestSchemaRefusal:

@@ -1,11 +1,9 @@
-"""Dense / sparse / torch backend parity for the full RHCHME pipeline.
+"""Dense / sparse backend parity for the full RHCHME pipeline.
 
 The compute backend must be an implementation detail: fits with
 ``backend="dense"`` and ``backend="sparse"`` on the same dataset and seed
 must produce identical hard labels and objective traces that agree to within
-1e-8, and a ``backend="torch"`` fit (when torch is installed — those tests
-skip otherwise) must match both at the 1e-6 gate.  These tests are the
-contract the benchmark speedups rest on.
+1e-8.  These tests are the contract the benchmark speedups rest on.
 """
 
 from __future__ import annotations
@@ -71,113 +69,6 @@ class TestAutoBackend:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             RHCHME(backend="bogus")
-
-
-class TestTorchBackendRequest:
-    def test_torch_config_is_constructible_without_torch(self):
-        # The knob is name-validated only, so configs (and artifacts that
-        # persist them) work on torch-free machines; availability is
-        # checked when a fit actually resolves the backend.
-        model = RHCHME(backend="torch", max_iter=2)
-        assert model.config.backend == "torch"
-
-    def test_fit_without_torch_raises_install_hint(self, multi5_small,
-                                                   monkeypatch):
-        from repro.linalg import backend as backend_module
-        monkeypatch.setattr(backend_module, "torch_available", lambda: False)
-        with pytest.raises(ImportError, match="pip install torch"):
-            RHCHME(backend="torch", max_iter=2,
-                   random_state=SEED).fit(multi5_small)
-
-
-class TestTorchFitParity:
-    """Torch engine vs numpy engines, end to end (skipped without torch)."""
-
-    @pytest.fixture(scope="class")
-    def torch_fit(self, multi5_small):
-        pytest.importorskip("torch")
-        return RHCHME(max_iter=MAX_ITER, random_state=SEED, backend="torch",
-                      torch_device="cpu").fit(multi5_small)
-
-    def test_backend_and_device_recorded(self, torch_fit):
-        assert torch_fit.extras["backend"] == "torch"
-        assert torch_fit.extras["device"] == "cpu"
-
-    def test_identical_labels_vs_both_numpy_engines(self, fits, torch_fit):
-        dense, sparse = fits
-        for reference in (dense, sparse):
-            assert set(torch_fit.labels) == set(reference.labels)
-            for type_name in reference.labels:
-                np.testing.assert_array_equal(torch_fit.labels[type_name],
-                                              reference.labels[type_name])
-
-    def test_objective_trace_within_1e6(self, fits, torch_fit):
-        dense, _ = fits
-        torch_trace = np.asarray(torch_fit.trace.objectives)
-        dense_trace = np.asarray(dense.trace.objectives)
-        assert torch_trace.shape == dense_trace.shape
-        np.testing.assert_allclose(torch_trace, dense_trace, rtol=1e-6)
-
-    def test_final_membership_within_1e6(self, fits, torch_fit):
-        dense, sparse = fits
-        np.testing.assert_allclose(torch_fit.state.G, dense.state.G,
-                                   rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(torch_fit.state.G, sparse.state.G,
-                                   rtol=1e-6, atol=1e-8)
-
-    def test_single_update_parity_vs_dense(self, multi5_small):
-        # One S / G / E_R update step from a shared iterate, compared at
-        # the update level (tighter localisation than the full fit).
-        pytest.importorskip("torch")
-        from repro.core.objective import evaluate_objective_blocks
-        from repro.core.state import initialize_state
-        from repro.core.updates import (update_association_blocks,
-                                        update_error_matrix_blocks,
-                                        update_membership_blocks)
-        from repro.linalg.parts import split_parts
-        from repro.linalg.torch_engine import TorchSolverEngine
-        from repro.manifold.ensemble import HeterogeneousManifoldEnsemble
-
-        R_pairs = multi5_small.relation_blocks(normalize=True,
-                                               backend="dense")
-        ensemble = HeterogeneousManifoldEnsemble(
-            backend="dense", use_subspace=False, p=3)
-        L_blocks = ensemble.build_blocks(multi5_small)
-        L_parts = [split_parts(block) for block in L_blocks]
-        state = initialize_state(multi5_small, R_pairs, init="kmeans",
-                                 random_state=SEED)
-        engine = TorchSolverEngine(device="cpu")
-        engine.register_laplacians(L_blocks, L_parts)
-
-        S_numpy = update_association_blocks(R_pairs, state)
-        S_torch = update_association_blocks(R_pairs, state, engine=engine)
-        np.testing.assert_allclose(S_torch, S_numpy, rtol=1e-6, atol=1e-9)
-
-        state.S = S_numpy
-        G_numpy = update_membership_blocks(R_pairs, L_parts, state, lam=250.0)
-        G_torch = update_membership_blocks(R_pairs, L_parts, state, lam=250.0,
-                                           engine=engine)
-        for numpy_block, torch_block in zip(G_numpy, G_torch):
-            np.testing.assert_allclose(torch_block, numpy_block,
-                                       rtol=1e-6, atol=1e-9)
-
-        state.G_blocks = G_numpy
-        E_numpy = update_error_matrix_blocks(R_pairs, state, beta=50.0)
-        E_torch = update_error_matrix_blocks(R_pairs, state, beta=50.0,
-                                             engine=engine)
-        np.testing.assert_allclose(E_torch, E_numpy, rtol=1e-6, atol=1e-9)
-
-        state.E_R = E_numpy
-        objective_numpy = evaluate_objective_blocks(
-            R_pairs, state, L_blocks, lam=250.0, beta=50.0)
-        objective_torch = evaluate_objective_blocks(
-            R_pairs, state, L_blocks, lam=250.0, beta=50.0, engine=engine)
-        assert objective_torch.total == pytest.approx(objective_numpy.total,
-                                                      rel=1e-6)
-        assert objective_torch.reconstruction == pytest.approx(
-            objective_numpy.reconstruction, rel=1e-6)
-        assert objective_torch.graph_smoothness == pytest.approx(
-            objective_numpy.graph_smoothness, rel=1e-6)
 
 
 class TestEnsembleParity:

@@ -125,31 +125,6 @@ class TestNJobsInvariance:
                                           threaded.labels[name])
 
 
-class TestExecutorInvariance:
-    """Process pools reuse the thread pools' task decomposition bit-for-bit."""
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_process_pool_fit_identical_to_serial(self, multi5_small, fits,
-                                                  backend):
-        serial = fits[(backend, 1)]
-        pooled = RHCHME(max_iter=MAX_ITER, random_state=SEED, backend=backend,
-                        n_jobs=2, executor="process").fit(multi5_small)
-        assert pooled.extras["executor"] == "process"
-        np.testing.assert_array_equal(serial.trace.objectives,
-                                      pooled.trace.objectives)
-        for term in TERMS:
-            np.testing.assert_array_equal(serial.trace.terms_series(term),
-                                          pooled.trace.terms_series(term))
-        for a, b in zip(serial.state.G_blocks, pooled.state.G_blocks):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(serial.state.S, pooled.state.S)
-        np.testing.assert_array_equal(np.asarray(serial.state.E_R),
-                                      np.asarray(pooled.state.E_R))
-        for name in serial.labels:
-            np.testing.assert_array_equal(serial.labels[name],
-                                          pooled.labels[name])
-
-
 class TestCrossBackendParity:
     """Dense × n_jobs and sparse × n_jobs all describe one optimisation."""
 
