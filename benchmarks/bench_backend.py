@@ -3,10 +3,10 @@
 Times the stages the compute backend actually differentiates, across growing
 total object counts N, for the numpy ``dense`` and ``sparse`` engines:
 
-* **pipeline** — the global-kernel stages the backend owns: **build** (p-NN
-  affinity + ensemble Laplacian assembly + the one-time positive/negative
-  split) and **update** (repeated membership updates forming ``L± @ G``),
-  with ``pipeline = build + update``.  The report records the
+* **pipeline** — the graph-side stages the backend owns, on the blocked
+  kernels: **build** (p-NN affinity + per-type ensemble Laplacian blocks +
+  the one-time positive/negative split) and **update** (repeated membership
+  updates forming ``L_t± @ G_t``), with ``pipeline = build + update``.  The report records the
   dense-over-sparse pipeline speedup at every size and whether it meets
   the ≥ 3× target at the largest one; the target is reported, not gated.
   Peak *additional* backend memory is measured with :mod:`tracemalloc` in
@@ -39,12 +39,10 @@ from common import (bootstrap_sys_path, emit_report, environment_metadata,
 bootstrap_sys_path()
 
 from repro.core import RHCHME  # noqa: E402
-from repro.core.objective import (evaluate_objective,  # noqa: E402
-                                  evaluate_objective_blocks)
+from repro.core.objective import evaluate_objective_blocks  # noqa: E402
 from repro.core.state import initialize_state  # noqa: E402
-from repro.core.updates import (update_association,  # noqa: E402
-                                update_association_blocks,
-                                update_error_matrix_blocks, update_membership,
+from repro.core.updates import (update_association_blocks,  # noqa: E402
+                                update_error_matrix_blocks,
                                 update_membership_blocks)
 from repro.linalg.backend import is_sparse  # noqa: E402
 from repro.linalg.norms import trace_quadratic  # noqa: E402
@@ -94,45 +92,49 @@ def _make_ensemble(backend: str, p: int) -> HeterogeneousManifoldEnsemble:
 
 def time_pipeline(data: MultiTypeRelationalData, *, backend: str, p: int,
                   n_iters: int, seed: int) -> dict:
-    """Time the backend-owned global-kernel stages and their peak memory.
+    """Time the backend-owned graph-side stages and their peak memory.
 
     Timed (without tracemalloc, which inflates allocation-heavy code):
     ensemble build, ``n_iters`` membership updates, ``n_iters`` objective
     evaluations.  Measured (untimed pass): peak memory of Laplacian assembly
     plus one regulariser application — the allocations the backend choice is
-    responsible for.
+    responsible for.  The relations stay dense for both backends, so only
+    the graph side differs.
     """
-    R = data.inter_type_matrix(normalize=True)
-    state = initialize_state(data, R, init="random", random_state=seed)
-    state.S = update_association(R, state)
+    R_pairs = data.relation_blocks(normalize=True)
+    state = initialize_state(data, R_pairs, init="random", random_state=seed)
+    state.S = update_association_blocks(R_pairs, state)
 
     start = time.perf_counter()
-    L = _make_ensemble(backend, p).build(data)
-    parts = split_parts(L)
+    L_blocks = _make_ensemble(backend, p).build_blocks(data)
+    L_parts = [split_parts(block) for block in L_blocks]
     build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     for _ in range(n_iters):
-        state.G = update_membership(R, L, state, lam=LAM, parts=parts)
+        state.G_blocks = update_membership_blocks(R_pairs, L_parts, state,
+                                                  lam=LAM)
     update_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     for _ in range(n_iters):
-        evaluate_objective(R, state.G, state.S, state.E_R, L, lam=LAM, beta=BETA)
+        evaluate_objective_blocks(R_pairs, state, L_blocks, lam=LAM, beta=BETA)
     objective_seconds = time.perf_counter() - start
 
-    del L
+    del L_blocks, L_parts
     tracemalloc.start()
-    L = _make_ensemble(backend, p).build(data)
-    L_pos, L_neg = split_parts(L)
-    _ = L_pos @ state.G
-    _ = L_neg @ state.G
-    trace_quadratic(state.G, L)
+    L_blocks = _make_ensemble(backend, p).build_blocks(data)
+    for G_t, L_t in zip(state.G_blocks, L_blocks):
+        L_pos, L_neg = split_parts(L_t)
+        _ = L_pos @ G_t
+        _ = L_neg @ G_t
+        trace_quadratic(G_t, L_t)
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    nnz = int(L.nnz) if is_sparse(L) else int(np.count_nonzero(L))
-    n = L.shape[0]
+    nnz = sum(int(L.nnz) if is_sparse(L) else int(np.count_nonzero(L))
+              for L in L_blocks)
+    n = state.object_spec.total
     return {
         "engine": backend,
         "backend": backend,
@@ -143,7 +145,7 @@ def time_pipeline(data: MultiTypeRelationalData, *, backend: str, p: int,
         "peak_additional_bytes": int(peak_bytes),
         "laplacian_nnz": nnz,
         "laplacian_density": round(nnz / float(n * n), 6),
-        "representation": "csr" if is_sparse(L) else "ndarray",
+        "representation": "csr" if is_sparse(L_blocks[0]) else "ndarray",
     }
 
 

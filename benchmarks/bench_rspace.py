@@ -13,9 +13,10 @@ and objective of :mod:`repro.core.rspace` that never materialise the
   honest representation).  The gated metric is the full-fit speedup at the
   largest N: **sparse must be ≥ 3× dense** (``--check`` turns a miss into a
   non-zero exit for CI).
-* **R-space memory** — peak bytes of the R-space stage alone (R assembly,
-  state initialisation, one S update, one E_R update, one objective
-  evaluation), measured with :mod:`tracemalloc` in a separate untimed pass.
+* **R-space memory** — peak bytes of the R-space stage alone (relation
+  blocks, state initialisation, one S update, one E_R update, one objective
+  evaluation, all on the blocked kernels ``RHCHME.fit`` iterates), measured
+  with :mod:`tracemalloc` in a separate untimed pass.
   Dense allocates the ``O(N²)`` R and E_R blocks; sparse must stay at
   ``O(nnz + N·c + k·N)`` for ``k`` surviving error rows — the report
   records the growth exponent of the sparse peak vs N (sublinear in N²
@@ -48,9 +49,10 @@ from common import (bootstrap_sys_path, emit_report, environment_metadata,
 bootstrap_sys_path()
 
 from repro.core import RHCHME  # noqa: E402
-from repro.core.objective import evaluate_objective  # noqa: E402
+from repro.core.objective import evaluate_objective_blocks  # noqa: E402
 from repro.core.state import initialize_state  # noqa: E402
-from repro.core.updates import update_association, update_error_matrix  # noqa: E402
+from repro.core.updates import (update_association_blocks,  # noqa: E402
+                                update_error_matrix_blocks)
 from repro.linalg.backend import is_sparse  # noqa: E402
 from repro.linalg.rowsparse import RowSparseMatrix  # noqa: E402
 from repro.relational.dataset import MultiTypeRelationalData  # noqa: E402
@@ -144,25 +146,28 @@ def measure_rspace_memory(data: MultiTypeRelationalData, *, backend: str,
                           seed: int) -> dict:
     """Peak bytes of the R-space stage alone (untimed tracemalloc pass)."""
     tracemalloc.start()
-    R = data.inter_type_matrix(normalize=True, backend=backend)
-    state = initialize_state(data, R, init="random", random_state=seed)
-    state.S = update_association(R, state)
-    state.E_R = update_error_matrix(R, state, beta=BETA,
-                                    row_tol=ERROR_ROW_TOL)
-    # Zero sparse Laplacian for both backends: the graph side has its own
-    # benchmark (bench_backend.py); only R-space allocations count here.
-    zero_L = sp.csr_array(R.shape, dtype=np.float64)
-    evaluate_objective(R, state.G, state.S, state.E_R, zero_L,
-                       lam=LAM, beta=BETA)
+    R_pairs = data.relation_blocks(normalize=True, backend=backend)
+    state = initialize_state(data, R_pairs, init="random", random_state=seed)
+    state.S = update_association_blocks(R_pairs, state)
+    state.E_R = update_error_matrix_blocks(R_pairs, state, beta=BETA,
+                                           row_tol=ERROR_ROW_TOL)
+    # Zero sparse Laplacian blocks for both backends: the graph side has its
+    # own benchmark (bench_backend.py); only R-space allocations count here.
+    zero_L = [sp.csr_array((n, n), dtype=np.float64)
+              for n in state.object_spec.sizes]
+    evaluate_objective_blocks(R_pairs, state, zero_L, lam=LAM, beta=BETA)
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    nnz = int(R.nnz) if is_sparse(R) else int(np.count_nonzero(R))
+    sparse = any(is_sparse(block) for block in R_pairs.values())
+    nnz = sum(int(block.nnz) if is_sparse(block)
+              else int(np.count_nonzero(block)) for block in R_pairs.values())
+    n_total = state.object_spec.total
     return {
         "backend": backend,
         "peak_rspace_bytes": int(peak_bytes),
         "r_nnz": nnz,
-        "r_density": round(nnz / float(R.shape[0] * R.shape[1]), 6),
-        "r_representation": "csr" if is_sparse(R) else "ndarray",
+        "r_density": round(nnz / float(n_total * n_total), 6),
+        "r_representation": "csr" if sparse else "ndarray",
     }
 
 

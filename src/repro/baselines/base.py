@@ -5,11 +5,14 @@ SRC, SNMTF and RMC all minimise variants of
     ‖R − G S Gᵀ‖²_F + λ tr(Gᵀ L G)          (Eq. 1 of the paper)
 
 with different choices of ``L`` (none / single p-NN Laplacian / homogeneous
-candidate ensemble).  They share the same S update, the same multiplicative
-G update (without the ℓ1 row normalisation, matching how those methods were
-published) and the same iteration loop; the subclasses only customise the
-regulariser.  Reusing RHCHME's audited update-rule implementations keeps the
-comparison honest — every method runs on the same numerical substrate.
+candidate ensemble).  That is RHCHME's objective (Eq. 15) without the error
+matrix E_R, so the baselines run on RHCHME's blocked solver core: the same
+per-pair S update, the same per-type multiplicative G update (without the
+ℓ1 row normalisation, matching how those methods were published) and the
+same blockwise objective.  The subclasses only customise the regulariser,
+supplied as per-type Laplacian blocks.  One engine keeps the comparison
+honest — every method, Table V's timings included, runs on the same
+numerical substrate.
 """
 
 from __future__ import annotations
@@ -18,15 +21,15 @@ from dataclasses import dataclass, field
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from .._validation import check_positive_float, check_positive_int
 from ..core.convergence import TraceRecorder
-from ..core.objective import evaluate_objective
+from ..core.objective import evaluate_objective_blocks
 from ..core.state import FactorizationState, initialize_state
-from ..core.updates import apply_block_structure, update_association
+from ..core.updates import update_association_blocks, update_membership_blocks
 from ..exceptions import NotFittedError
 from ..linalg.parts import split_parts
-from ..linalg.safe import safe_divide
 from ..metrics.fscore import clustering_fscore
 from ..metrics.nmi import normalized_mutual_information
 from ..relational.dataset import MultiTypeRelationalData
@@ -43,7 +46,8 @@ class HOCCResult:
     labels:
         Mapping from type name to that type's hard cluster labels.
     state:
-        Final factorisation state.
+        Final factorisation state (``E_R`` is ``None``: the baselines have
+        no error matrix).
     trace:
         Objective / metric history per iteration.
     converged:
@@ -66,10 +70,10 @@ class HOCCResult:
 class BaseHOCC:
     """Common driver of the NMTF-based HOCC baselines.
 
-    Subclasses implement :meth:`build_regularizer` (returning the ``n × n``
-    Laplacian, or ``None`` for no intra-type regularisation) and may override
-    :meth:`update_regularizer` to adapt the regulariser between iterations
-    (RMC refits its candidate weights this way).
+    Subclasses implement :meth:`build_regularizer` (returning the per-type
+    Laplacian blocks ``L_t``, or ``None`` for no intra-type regularisation)
+    and may override :meth:`update_regularizer` to adapt the regulariser
+    between iterations (RMC refits its candidate weights this way).
 
     Parameters
     ----------
@@ -107,36 +111,58 @@ class BaseHOCC:
         self.result_: HOCCResult | None = None
 
     # --------------------------------------------------------- customisation
-    def build_regularizer(self, data: MultiTypeRelationalData) -> np.ndarray | None:
-        """Return the graph Laplacian ``L`` (or ``None`` for no regulariser)."""
+    def build_regularizer(self, data: MultiTypeRelationalData) -> list | None:
+        """Return the per-type Laplacian blocks ``L_t`` (``None``: no regulariser)."""
         raise NotImplementedError
 
-    def update_regularizer(self, L: np.ndarray | None,
-                           state: FactorizationState) -> np.ndarray | None:
-        """Hook to adapt the regulariser between iterations (default: keep it)."""
-        return L
+    def update_regularizer(self, L_blocks: list,
+                           state: FactorizationState) -> list:
+        """Hook to adapt the regulariser between iterations (default: keep it).
+
+        Return the same list object to keep the regulariser, or a new list
+        of per-type blocks to replace it.
+        """
+        return L_blocks
 
     # ------------------------------------------------------------------- fit
     def fit(self, data: MultiTypeRelationalData) -> HOCCResult:
         """Run the alternating optimisation on a multi-type dataset."""
         start = time.perf_counter()
-        R = data.inter_type_matrix(normalize=self.normalize_relations)
-        L = self.build_regularizer(data)
-        state = initialize_state(data, R, init=self.init,
+        R_pairs = data.relation_blocks(normalize=self.normalize_relations)
+        L_blocks = self.build_regularizer(data)
+        lam = self.lam
+        if L_blocks is None:
+            # No intra-type term: zero graphs at λ = 0 leave both the
+            # multiplicative step and the objective exactly graph-free.
+            L_blocks = [sp.csr_array((t.n_objects, t.n_objects), dtype=np.float64)
+                        for t in data.types]
+            lam = 0.0
+        L_parts = [split_parts(block) for block in L_blocks]
+        state = initialize_state(data, R_pairs, init=self.init,
                                  smoothing=self.init_smoothing,
                                  random_state=self.random_state)
+        state.E_R = None  # the NMTF baselines have no error matrix
+        pairs = sorted(R_pairs)
         trace = TraceRecorder()
-        state.S = update_association(R, state)
-        self._record(trace, data, R, L, state)
+        state.S = update_association_blocks(R_pairs, state, pairs=pairs)
+        self._record(trace, data, R_pairs, L_blocks, state, pairs, lam)
 
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
-            state.S = update_association(R, state)
-            state.G = self._update_G(R, L, state)
+            state.S = update_association_blocks(R_pairs, state, pairs=pairs)
+            # Unlike RHCHME, the published baselines do not apply the ℓ1
+            # row normalisation; ``row_normalize=True`` re-enables it.
+            state.G_blocks = update_membership_blocks(
+                R_pairs, L_parts, state, lam=lam, pairs=pairs,
+                normalize=self.row_normalize)
             state.iteration = iteration
-            L = self.update_regularizer(L, state)
-            self._record(trace, data, R, L, state)
+            updated = self.update_regularizer(L_blocks, state)
+            if updated is not L_blocks:
+                # Split L± once per regulariser change, not per iteration.
+                L_blocks = updated
+                L_parts = [split_parts(block) for block in L_blocks]
+            self._record(trace, data, R_pairs, L_blocks, state, pairs, lam)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < self.tol:
                 converged = True
@@ -160,47 +186,11 @@ class BaseHOCC:
         return result.labels[type_name]
 
     # -------------------------------------------------------------- internals
-    def _update_G(self, R: np.ndarray, L: np.ndarray | None,
-                  state: FactorizationState) -> np.ndarray:
-        """One multiplicative G update, with or without the graph term.
-
-        Unlike RHCHME, the published baselines do not apply the ℓ1 row
-        normalisation, so the step is computed here directly rather than via
-        :func:`~repro.core.updates.update_membership` (which normalises);
-        ``row_normalize=True`` re-enables it for ablation studies.
-        """
-        graph = L if (L is not None and self.lam > 0) else None
-        return self._membership_step(R, graph, state)
-
-    def _membership_step(self, R: np.ndarray, L: np.ndarray | None,
-                         state: FactorizationState) -> np.ndarray:
-        """Multiplicative update of G (optionally followed by ℓ1 normalisation)."""
-        G, S, E_R = state.G, state.S, state.E_R
-        A = (R - E_R) @ G @ S.T
-        B = S.T @ (G.T @ G) @ S
-        A_pos, A_neg = split_parts(A)
-        B_pos, B_neg = split_parts(B)
-        numerator = A_pos + G @ B_neg
-        denominator = A_neg + G @ B_pos
-        if L is not None and self.lam > 0:
-            L_pos, L_neg = split_parts(L)
-            numerator = numerator + self.lam * (L_neg @ G)
-            denominator = denominator + self.lam * (L_pos @ G)
-        ratio = safe_divide(numerator, denominator)
-        updated = G * np.sqrt(ratio)
-        updated = apply_block_structure(updated, state)
-        if self.row_normalize:
-            from ..linalg.normalize import row_normalize_l1
-            updated = row_normalize_l1(updated)
-        return updated
-
     def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
-                R: np.ndarray, L: np.ndarray | None,
-                state: FactorizationState) -> None:
-        zero_L = L if L is not None else np.zeros((R.shape[0], R.shape[0]))
-        breakdown = evaluate_objective(R, state.G, state.S, state.E_R, zero_L,
-                                       lam=self.lam if L is not None else 0.0,
-                                       beta=0.0)
+                R_pairs, L_blocks, state: FactorizationState, pairs,
+                lam: float) -> None:
+        breakdown = evaluate_objective_blocks(R_pairs, state, L_blocks,
+                                              lam=lam, beta=0.0, pairs=pairs)
         metrics: dict[str, float] = {}
         if self.track_metrics_every and (
                 state.iteration % self.track_metrics_every == 0):

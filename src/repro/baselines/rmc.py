@@ -66,18 +66,18 @@ class RMC(BaseHOCC):
             specs=candidate_specs, laplacian_kind=laplacian_kind,
             smoothing=ensemble_smoothing)
 
-    def build_regularizer(self, data: MultiTypeRelationalData) -> np.ndarray | None:
-        """Build every candidate Laplacian and return their uniform combination."""
+    def build_regularizer(self, data: MultiTypeRelationalData) -> list:
+        """Build every candidate and return their uniform combination per type."""
         self.ensemble.build_candidates(data)
         self.ensemble.initial_weights()
         return self.ensemble.combine()
 
-    def update_regularizer(self, L: np.ndarray | None,
-                           state: FactorizationState) -> np.ndarray | None:
+    def update_regularizer(self, L_blocks: list,
+                           state: FactorizationState) -> list:
         """Periodically refit the candidate weights against the current G."""
         if self.refit_every <= 0 or state.iteration % self.refit_every != 0:
-            return L
-        self.ensemble.refit_weights(state.G)
+            return L_blocks
+        self.ensemble.refit_weights(state.G_blocks)
         return self.ensemble.combine()
 
     @property

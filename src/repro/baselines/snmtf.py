@@ -9,8 +9,6 @@ which is the classic SNMTF choice).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graph.weights import WeightingScheme
 from ..manifold.ensemble import HeterogeneousManifoldEnsemble
 from ..relational.dataset import MultiTypeRelationalData
@@ -58,10 +56,10 @@ class SNMTF(BaseHOCC):
         self.weighting = WeightingScheme.coerce(weighting)
         self.laplacian_kind = laplacian_kind
 
-    def build_regularizer(self, data: MultiTypeRelationalData) -> np.ndarray | None:
-        """Block-diagonal Laplacian built from one p-NN graph per type."""
+    def build_regularizer(self, data: MultiTypeRelationalData) -> list:
+        """Per-type Laplacian blocks, one p-NN graph per type."""
         ensemble = HeterogeneousManifoldEnsemble(
             alpha=0.0, p=self.p, weighting=self.weighting,
             laplacian_kind=self.laplacian_kind,
             use_subspace=False, use_pnn=True)
-        return ensemble.build(data)
+        return ensemble.build_blocks(data)

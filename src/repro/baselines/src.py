@@ -9,8 +9,6 @@ HOCC method: it cannot exploit the geometric structure within each type.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..relational.dataset import MultiTypeRelationalData
 from .base import BaseHOCC
 
@@ -40,6 +38,6 @@ class SRC(BaseHOCC):
                          init_smoothing=init_smoothing, random_state=random_state,
                          track_metrics_every=track_metrics_every)
 
-    def build_regularizer(self, data: MultiTypeRelationalData) -> np.ndarray | None:
+    def build_regularizer(self, data: MultiTypeRelationalData) -> None:
         """SRC uses no intra-type relationships: no regulariser."""
         return None

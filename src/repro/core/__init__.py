@@ -13,16 +13,16 @@ normalisation), and the sample-wise sparse error matrix E_R (Eq. 27), with
 The solver core is *blocked*: G lives as per-type membership blocks, L as
 per-type Laplacian blocks, R and E_R as per-pair cross-type blocks, and the
 updates run as per-type / per-pair kernels (optionally threaded across a
-``RHCHMEConfig(n_jobs=...)`` worker pool).  The global stacked matrices are
-compatibility adapters, never hot-path storage.
+``RHCHMEConfig(n_jobs=...)`` worker pool).  No stacked ``(n, n)`` R or L and
+no stacked ``(n, c)`` G is ever assembled.  It is the one solver path: the
+NMTF baselines of :mod:`repro.baselines` run the same kernels.
 
 * :mod:`repro.core.config` — :class:`RHCHMEConfig`, every tunable in one place.
-* :mod:`repro.core.objective` — objective evaluation and its decomposition
-  (global and blockwise).
-* :mod:`repro.core.updates` — the three update rules (global and blockwise).
-* :mod:`repro.core.rspace` — factored sparse-backend kernels for every
-  R-space quantity (the ``G S Gᵀ`` product is never materialised),
-  including the per-pair kernels of the blocked core.
+* :mod:`repro.core.objective` — blockwise objective evaluation and its
+  decomposition.
+* :mod:`repro.core.updates` — the three blockwise update rules.
+* :mod:`repro.core.rspace` — the per-pair R-space kernels of the blocked
+  core (the sparse backend never materialises ``G_t S_tu G_uᵀ``).
 * :mod:`repro.core.state` — blocked factorisation state and initialisation.
 * :mod:`repro.core.schedule` — delta scheduling (:class:`DirtySet`): which
   blocks an incremental refit recomputes and which stay frozen.
@@ -33,14 +33,13 @@ compatibility adapters, never hot-path storage.
 
 from .config import RHCHMEConfig
 from .convergence import IterationRecord, TraceRecorder
-from .objective import ObjectiveBreakdown, evaluate_objective, evaluate_objective_blocks
+from .objective import ObjectiveBreakdown, evaluate_objective_blocks
 from .parallel import TypeWorkPool
 from .rhchme import RHCHME, RHCHMEResult
 from .schedule import DeltaSchedule, DirtySet
 from .state import FactorizationState, initialize_state
-from .updates import (update_association, update_association_blocks,
-                      update_error_matrix, update_error_matrix_blocks,
-                      update_membership, update_membership_blocks)
+from .updates import (update_association_blocks, update_error_matrix_blocks,
+                      update_membership_blocks)
 
 __all__ = [
     "DeltaSchedule",
@@ -53,13 +52,9 @@ __all__ = [
     "RHCHMEResult",
     "TraceRecorder",
     "TypeWorkPool",
-    "evaluate_objective",
     "evaluate_objective_blocks",
     "initialize_state",
-    "update_association",
     "update_association_blocks",
-    "update_error_matrix",
     "update_error_matrix_blocks",
-    "update_membership",
     "update_membership_blocks",
 ]

@@ -5,11 +5,12 @@ tests to assert the monotone-decrease property proved in the paper's
 Theorem 1 and lets the convergence recorder log the contribution of each
 term (reconstruction, sparsity, graph smoothness).
 
-The evaluation is representation-agnostic: ``R`` may be dense or scipy
-sparse and ``E_R`` dense or row-sparse.  Under the sparse representations
-the reconstruction term ``‖R − G S Gᵀ − E_R‖²_F`` is expanded into pairwise
-Frobenius inner products (see :func:`repro.core.rspace.reconstruction_error`)
-so the dense ``G S Gᵀ`` product is never materialised.
+The evaluation runs on the blocked state and is representation-agnostic:
+relation blocks may be dense or CSR and ``E_R`` dense, row-sparse or
+``None``.  Under the sparse representations each pair's reconstruction
+term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` is expanded into Frobenius inner
+products (see :func:`repro.core.rspace.pair_reconstruction_error`) so the
+dense ``G_t S_tu G_uᵀ`` product is never materialised.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..linalg.norms import frobenius_norm, l21_norm, trace_quadratic
+from ..linalg.norms import l21_norm, trace_quadratic
 from ..linalg.rowsparse import RowSparseMatrix
 from . import rspace
 
-__all__ = ["ObjectiveBreakdown", "evaluate_objective",
-           "evaluate_objective_blocks"]
+__all__ = ["ObjectiveBreakdown", "evaluate_objective_blocks"]
 
 
 @dataclass(frozen=True)
@@ -51,31 +50,6 @@ class ObjectiveBreakdown:
         return self.reconstruction + self.error_sparsity + self.graph_smoothness
 
 
-def evaluate_objective(R, G: np.ndarray, S: np.ndarray,
-                       E_R, L, *, lam: float,
-                       beta: float) -> ObjectiveBreakdown:
-    """Evaluate the three terms of Eq. 15 at the given factors.
-
-    ``L`` may be dense or scipy sparse; the smoothness term only needs the
-    product ``L @ G`` (see :func:`repro.linalg.norms.trace_quadratic`), so a
-    sparse ensemble Laplacian is never densified.  Likewise ``R`` may be
-    dense or CSR and ``E_R`` dense or a
-    :class:`~repro.linalg.rowsparse.RowSparseMatrix`; any sparse operand
-    routes the reconstruction term through the factored expansion instead
-    of the dense residual.
-    """
-    if sp.issparse(R) or isinstance(E_R, RowSparseMatrix):
-        reconstruction = rspace.reconstruction_error(R, G, S, E_R)
-    else:
-        residual = R - G @ S @ G.T - E_R
-        reconstruction = frobenius_norm(residual) ** 2
-    error_sparsity = beta * l21_norm(E_R)
-    graph_smoothness = lam * trace_quadratic(G, L)
-    return ObjectiveBreakdown(reconstruction=float(reconstruction),
-                              error_sparsity=float(error_sparsity),
-                              graph_smoothness=float(graph_smoothness))
-
-
 # Module-level objective task kernels (pure functions of their item; see
 # repro.core.updates for the convention).  Items are plain operand tuples.
 
@@ -90,6 +64,11 @@ def _smoothness_task(item) -> float:
     """``tr(G_tᵀ L_t G_t)`` of one type."""
     G_t, L_t = item
     return trace_quadratic(G_t, L_t)
+
+
+def _l21(E_R) -> float:
+    """``‖E_R‖_{2,1}``; a state without an error matrix contributes zero."""
+    return 0.0 if E_R is None else l21_norm(E_R)
 
 
 def _type_l21(E_R, object_spec, t: int) -> float:
@@ -112,7 +91,8 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
     sum of per-pair residual norms ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F``
     (the diagonal blocks are structural zeros), the smoothness a sum of
     per-type traces ``tr(G_tᵀ L_t G_t)``, and the L2,1 term reads the
-    global E_R representation directly.  Pair and type tasks are
+    global E_R representation directly (``E_R=None``, a state without an
+    error matrix, contributes zero).  Pair and type tasks are
     independent and fan out across ``pool``.
 
     Parameters
@@ -127,7 +107,10 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         over (clean types without sweeps) — their constant smoothness
         contribution is omitted from the trace.
     pairs:
-        Active ordered pairs (defaults to the keys of ``R_pairs``).
+        Active ordered pairs (defaults to
+        :func:`~repro.core.updates.active_relation_pairs`, the set the
+        update kernels visit: every relation block plus any block a
+        warm-start E_R carries mass on).
     schedule, sweep, cache:
         Delta-evaluation mode: with a
         :class:`~repro.core.schedule.DeltaSchedule` and a (mutable) term
@@ -137,10 +120,11 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         term.  Either argument ``None`` runs the full evaluation exactly
         as before.
     """
-    from .updates import _error_block, _map  # local: avoids an import cycle
+    from .updates import (_error_block, _map,  # local: avoids an import cycle
+                          active_relation_pairs)
 
     if pairs is None:
-        pairs = sorted(R_pairs)
+        pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     G = state.G_blocks
     S = state.S
     object_spec = state.object_spec
@@ -167,7 +151,7 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
             list(pairs), list(range(object_spec.n_types)))
         reconstruction = float(sum(pair_values))
         smoothness = float(sum(type_values))
-        error_sparsity = beta * l21_norm(state.E_R)
+        error_sparsity = beta * _l21(state.E_R)
         return ObjectiveBreakdown(reconstruction=reconstruction,
                                   error_sparsity=float(error_sparsity),
                                   graph_smoothness=lam * smoothness)
@@ -195,7 +179,7 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         # source types of active pairs) — the one-shot global L2,1
         # reduction is both cheaper and bit-identical to the unscheduled
         # evaluation.
-        error_sparsity = float(beta * l21_norm(state.E_R))
+        error_sparsity = float(beta * _l21(state.E_R))
     else:
         for t in range(object_spec.n_types):
             if t in schedule.error_types or ("l21", t) not in cache:

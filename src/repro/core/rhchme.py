@@ -318,7 +318,8 @@ class RHCHME:
                         R_pairs, L_parts, state,
                         lam=config.lam, pairs=pairs, pool=pool,
                         dirty_types=(schedule.dirty_types if restrict
-                                     else None))
+                                     else None),
+                        normalize=True)
                     if config.use_error_matrix:
                         state.E_R = self._timed(
                             trace, "e_update", update_error_matrix_blocks,

@@ -1,17 +1,19 @@
-"""Factored R-space computations for the sparse compute backend.
+"""Factored R-space kernels of the blocked solver core.
 
 Every R-space quantity of Algorithm 2 — the association update (Eq. 18), the
 membership numerators (Eq. 21), the error-matrix shrinkage (Eq. 25–27) and
-the reconstruction term of the objective (Eq. 15) — involves the product
-``G S Gᵀ``, which is dense even when the relation matrix ``R`` is sparse.
-The dense backend materialises it; the kernels here never do.  Instead the
-product stays factored as ``M Gᵀ`` with ``M = G S`` and is only ever
+the reconstruction term of the objective (Eq. 15) — decomposes over the
+ordered relation pairs ``(t, u)`` and involves the pair product
+``G_t S_tu G_uᵀ``, which is dense even when the relation block ``R_tu`` is
+sparse.  The dense backend materialises it; the sparse kernels here never
+do.  Instead the product stays factored as ``M G_uᵀ`` with
+``M = G_t S_tu`` and is only ever
 
-* multiplied by a skinny dense matrix (``G S Gᵀ G = M (Gᵀ G)``),
-* evaluated at the sparse pattern of ``R`` (``(G S Gᵀ)ᵢⱼ = Mᵢ · Gⱼ`` for the
-  ``nnz`` stored ``(i, j)`` pairs), or
-* reduced through Frobenius/trace identities in the ``c × c`` cluster space
-  (``‖G S Gᵀ‖²_F = tr(Sᵀ P S P)`` with ``P = Gᵀ G``).
+* multiplied by a skinny dense matrix (``G_t S_tu G_uᵀ G_u = M (G_uᵀ G_u)``),
+* evaluated at the sparse pattern of ``R_tu`` (``(M G_uᵀ)ᵢⱼ = Mᵢ · G_uⱼ``
+  for the ``nnz`` stored ``(i, j)`` pairs), or
+* reduced through Frobenius/trace identities in the cluster space
+  (``‖M G_uᵀ‖²_F = Σ (M P_u) ∘ M`` with ``P_u = G_uᵀ G_u``).
 
 That caps the per-iteration R-space cost at ``O(nnz·c + n·c²)`` time and
 ``O(nnz + n·c)`` memory instead of ``O(n²·c)`` / ``O(n²)`` — the same
@@ -30,14 +32,9 @@ import scipy.sparse as sp
 from ..linalg.rowsparse import RowSparseMatrix
 
 __all__ = [
-    "factored_product",
     "pattern_inner",
     "pattern_row_inner",
-    "residual_row_norms",
-    "residual_rows",
-    "reconstruction_error",
     "project_relations",
-    "association_core",
     "pair_residual_sq_row_norms",
     "pair_residual_rows",
     "pair_reconstruction_error",
@@ -48,16 +45,11 @@ __all__ = [
 _PATTERN_CHUNK = 262_144
 
 
-def factored_product(G: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The skinny factor ``M = G S`` of the reconstruction ``G S Gᵀ = M Gᵀ``."""
-    return G @ S
-
-
 def pattern_row_inner(R: sp.csr_array, M: np.ndarray,
                       G: np.ndarray) -> np.ndarray:
-    """Per-row inner products ``Σⱼ Rᵢⱼ (G S Gᵀ)ᵢⱼ`` against R's pattern.
+    """Per-row inner products ``Σⱼ Rᵢⱼ (M Gᵀ)ᵢⱼ`` against R's pattern.
 
-    Evaluates ``(G S Gᵀ)ᵢⱼ = Mᵢ · Gⱼ`` only at the ``nnz`` stored entries of
+    Evaluates ``(M Gᵀ)ᵢⱼ = Mᵢ · Gⱼ`` only at the ``nnz`` stored entries of
     ``R`` and reduces them per row — ``O(nnz · c)`` time, ``O(nnz)`` memory
     (chunked gathers keep the transient buffers bounded).
     """
@@ -77,54 +69,8 @@ def pattern_row_inner(R: sp.csr_array, M: np.ndarray,
 
 
 def pattern_inner(R: sp.csr_array, M: np.ndarray, G: np.ndarray) -> float:
-    """Frobenius inner product ``⟨R, G S Gᵀ⟩`` against R's sparse pattern."""
+    """Frobenius inner product ``⟨R, M Gᵀ⟩`` against R's sparse pattern."""
     return float(np.sum(pattern_row_inner(R, M, G)))
-
-
-def _gram_inner(P: np.ndarray, S: np.ndarray) -> float:
-    """``‖G S Gᵀ‖²_F = tr(Sᵀ P S P)`` with the gram matrix ``P = Gᵀ G``."""
-    return float(np.sum((S.T @ P @ S) * P))
-
-
-def residual_row_norms(R: sp.csr_array, G: np.ndarray, S: np.ndarray, *,
-                       M: np.ndarray | None = None,
-                       P: np.ndarray | None = None) -> np.ndarray:
-    """Row L2 norms of the residual ``Q = R − G S Gᵀ`` without densifying.
-
-    Expands ``‖Qᵢ‖²`` into ``‖Rᵢ‖² − 2 Σⱼ Rᵢⱼ (G S Gᵀ)ᵢⱼ + (M P Mᵀ)ᵢᵢ`` —
-    first term from the CSR data, cross term from the sparse pattern, last
-    from the ``c × c`` gram space.  Tiny negative values from cancellation
-    are clipped before the square root.
-    """
-    R = sp.csr_array(R)
-    if M is None:
-        M = factored_product(G, S)
-    if P is None:
-        P = G.T @ G
-    data_sq = R.data * R.data
-    row_sq = np.add.reduceat(np.concatenate([data_sq, [0.0]]), R.indptr[:-1])
-    row_sq[np.diff(R.indptr) == 0] = 0.0
-    cross = pattern_row_inner(R, M, G)
-    gram_diag = np.einsum("ij,ij->i", M @ P, M)
-    return np.sqrt(np.maximum(row_sq - 2.0 * cross + gram_diag, 0.0))
-
-
-def residual_rows(R: sp.csr_array, G: np.ndarray, S: np.ndarray,
-                  rows: np.ndarray, *,
-                  M: np.ndarray | None = None) -> np.ndarray:
-    """Materialise the residual rows ``(R − G S Gᵀ)[rows]`` as a dense block.
-
-    Cost is ``O(k · n · c)`` for ``k`` requested rows — this is the only
-    place the sparse backend pays for dense rows, and only for the rows that
-    survive the shrinkage.
-    """
-    R = sp.csr_array(R)
-    if M is None:
-        M = factored_product(G, S)
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.empty((0, R.shape[1]), dtype=np.float64)
-    return R[rows].toarray() - M[rows] @ G.T
 
 
 def project_relations(R, E_R, G: np.ndarray) -> np.ndarray:
@@ -132,10 +78,10 @@ def project_relations(R, E_R, G: np.ndarray) -> np.ndarray:
 
     ``R`` may be dense, CSR or ``None`` (a structurally absent relation
     block, treated as zero); ``E_R`` may be dense, row-sparse or ``None``.
-    The result is always a dense ``(n, c)`` array and no ``(n, n)``
-    intermediate is formed for sparse operands.  The operands need not be
-    square: the blockwise solver calls this per relation pair with
-    ``R_{tu}`` and ``G_u``.
+    The result is always a dense ``(n_t, c_u)`` array and no
+    ``(n_t, n_u)`` intermediate is formed for sparse operands.  The
+    blockwise solver calls this per relation pair with ``R_tu``, ``E_tu``
+    and ``G_u``.
     """
     if R is None:
         if E_R is None:
@@ -154,19 +100,11 @@ def project_relations(R, E_R, G: np.ndarray) -> np.ndarray:
     return RG - E_R @ G
 
 
-def association_core(R, E_R, G: np.ndarray) -> np.ndarray:
-    """The ``c × c`` core ``Gᵀ (R − E_R) G`` of the closed-form S update."""
-    return G.T @ project_relations(R, E_R, G)
-
-
 # --------------------------------------------------------------- pair kernels
 #
-# The blocked solver never assembles the global R, E_R or G S Gᵀ: every
-# R-space quantity decomposes over the ``(t, u)`` relation pairs, with the
-# pair's reconstruction ``G_t S_{tu} G_uᵀ`` kept factored as ``M G_uᵀ``
-# (``M = G_t S_{tu}``).  The kernels below are the per-pair counterparts of
-# the square kernels above; ``R_tu`` may be dense, CSR or ``None`` (an
-# absent relation block).
+# The pair's reconstruction ``G_t S_{tu} G_uᵀ`` stays factored as
+# ``M G_uᵀ`` (``M = G_t S_{tu}``); ``R_tu`` may be dense, CSR or ``None``
+# (an absent relation block).
 
 
 def pair_residual_sq_row_norms(R_tu, G_t: np.ndarray, S_tu: np.ndarray,
@@ -221,9 +159,11 @@ def pair_reconstruction_error(R_tu, G_t: np.ndarray, S_tu: np.ndarray,
     """``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` for one relation pair.
 
     Expands the square into pairwise Frobenius inner products whenever any
-    operand is sparse, exactly like :func:`reconstruction_error` does for
-    the global matrices; with all-dense operands the residual is formed
-    directly.  ``E_tu`` may be dense, row-sparse or ``None``.
+    operand is sparse: the pure-R and pure-E terms come from their own
+    storage, the ``G_t S_tu G_uᵀ`` cross terms are evaluated at the sparse
+    patterns, and its own square collapses into the cluster space.  With
+    all-dense operands the residual is formed directly.  ``E_tu`` may be
+    dense, row-sparse or ``None``.
     """
     sparse_R = sp.issparse(R_tu)
     if not sparse_R and R_tu is not None and not isinstance(E_tu, RowSparseMatrix):
@@ -262,45 +202,5 @@ def pair_reconstruction_error(R_tu, G_t: np.ndarray, S_tu: np.ndarray,
         else:
             r_dot_e = float(np.sum(R_tu * E_tu))
         e_dot_gsgt = float(np.sum((E_tu @ G_u) * M))
-    total += e_sq - 2.0 * r_dot_e + 2.0 * e_dot_gsgt
-    return float(max(total, 0.0))
-
-
-def reconstruction_error(R, G: np.ndarray, S: np.ndarray, E_R) -> float:
-    """``‖R − G S Gᵀ − E_R‖²_F`` without materialising any ``(n, n)`` array.
-
-    Expands the square into pairwise Frobenius inner products: the pure-R
-    and pure-E terms come from their own storage, the ``G S Gᵀ`` cross terms
-    are evaluated at the sparse patterns, and ``‖G S Gᵀ‖²_F`` collapses into
-    the cluster space.  ``E_R`` may be dense, row-sparse or ``None``.
-    """
-    R = sp.csr_array(R) if sp.issparse(R) else np.asarray(R, dtype=np.float64)
-    sparse_R = sp.issparse(R)
-    M = factored_product(G, S)
-    P = G.T @ G
-
-    if sparse_R:
-        r_sq = float(np.sum(R.data * R.data))
-        r_dot_gsgt = pattern_inner(R, M, G)
-    else:
-        r_sq = float(np.sum(R * R))
-        r_dot_gsgt = float(np.sum((R @ G) * M))
-    gsgt_sq = _gram_inner(P, S)
-    total = r_sq - 2.0 * r_dot_gsgt + gsgt_sq
-
-    if E_R is None:
-        return float(max(total, 0.0))
-    if isinstance(E_R, RowSparseMatrix):
-        e_sq = E_R.frobenius_squared()
-        r_dot_e = E_R.inner(R)
-        e_dot_gsgt = float(np.sum((E_R.values @ G) * M[E_R.rows]))
-    else:
-        E_R = np.asarray(E_R, dtype=np.float64)
-        e_sq = float(np.sum(E_R * E_R))
-        if sparse_R:
-            r_dot_e = float(R.multiply(E_R).sum())
-        else:
-            r_dot_e = float(np.sum(R * E_R))
-        e_dot_gsgt = float(np.sum((E_R @ G) * M))
     total += e_sq - 2.0 * r_dot_e + 2.0 * e_dot_gsgt
     return float(max(total, 0.0))

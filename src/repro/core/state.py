@@ -7,14 +7,12 @@ matrix S from the first S-update, and the sparse error matrix E_R with zeros.
 The state is stored *blocked*: G lives as one ``(n_t, c_t)`` membership
 block per object type (``G_blocks``), never as the globally stacked
 ``(n, c)`` matrix — the global form is block diagonal by construction, so
-the stacked representation inflates memory and every update's work by the
-number of types while the off-diagonal zeros carry no information.  The
-:attr:`FactorizationState.G` property assembles (and its setter splits) the
-global matrix on demand, so baselines and tests that reason about the
-stacked form keep working; the solver's hot path only ever touches the
-blocks.  ``S`` stays a single ``(c, c)`` array (it is tiny — cluster space)
-and ``E_R`` keeps its global dense / row-sparse representation, which the
-blockwise kernels slice into per-pair views for free.
+the stacked representation would inflate memory and every update's work by
+the number of types while the off-diagonal zeros carry no information.
+``S`` stays a single ``(c, c)`` array (it is tiny — cluster space) and
+``E_R`` keeps its global dense / row-sparse representation, which the
+blockwise kernels slice into per-pair views for free; it is ``None`` for
+the NMTF baselines, which have no error matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .._validation import (as_float_array, check_non_negative,
 from ..cluster.assignments import labels_to_membership
 from ..cluster.kmeans import KMeans
 from ..exceptions import ShapeError, ValidationError
-from ..linalg.blocks import BlockSpec, block_diagonal, extract_factor_blocks
+from ..linalg.blocks import BlockSpec
 from ..linalg.normalize import row_normalize_l1
 from ..linalg.rowsparse import RowSparseMatrix
 from ..relational.dataset import MultiTypeRelationalData
@@ -52,63 +50,30 @@ class FactorizationState:
         ``(n, n)`` sample-wise sparse error matrix — a dense array under the
         dense backend, a :class:`~repro.linalg.rowsparse.RowSparseMatrix`
         (only the rows surviving the L2,1 shrinkage are materialised) under
-        the sparse backend.
+        the sparse backend, or ``None`` when the fit carries no error
+        matrix (the objective's L2,1 term is then zero).
     object_spec, cluster_spec:
         Block partitions of objects and clusters by type.
-
-    Construct with either ``G_blocks`` (the native form) or a globally
-    stacked ``G`` (split into blocks on entry; entries outside the diagonal
-    blocks are structural zeros and are discarded).  Reading :attr:`G`
-    assembles a fresh stacked matrix; assigning to it splits the assignment
-    back into blocks — note that *in-place* mutation of the assembled array
-    therefore does not write through to the state.
     """
 
-    def __init__(self, G: np.ndarray | None = None,
+    def __init__(self, *, G_blocks: Sequence[np.ndarray],
+                 object_spec: BlockSpec, cluster_spec: BlockSpec,
                  S: np.ndarray | None = None,
                  E_R: np.ndarray | RowSparseMatrix | None = None,
-                 object_spec: BlockSpec | None = None,
-                 cluster_spec: BlockSpec | None = None,
-                 iteration: int = 0,
-                 extras: dict | None = None, *,
-                 G_blocks: Sequence[np.ndarray] | None = None) -> None:
-        if object_spec is None or cluster_spec is None:
-            raise ValidationError(
-                "FactorizationState needs both an object_spec and a cluster_spec")
+                 iteration: int = 0, extras: dict | None = None) -> None:
         self.object_spec = object_spec
         self.cluster_spec = cluster_spec
-        if G_blocks is not None:
-            blocks = [np.asarray(block, dtype=np.float64) for block in G_blocks]
-            expected = list(zip(object_spec.sizes, cluster_spec.sizes))
-            if [block.shape for block in blocks] != expected:
-                raise ShapeError(
-                    f"G_blocks have shapes {[b.shape for b in blocks]}, "
-                    f"expected {expected}")
-            self.G_blocks = blocks
-        elif G is not None:
-            self.G_blocks = extract_factor_blocks(G, object_spec, cluster_spec)
-        else:
-            raise ValidationError(
-                "FactorizationState needs either G or G_blocks")
+        blocks = [np.asarray(block, dtype=np.float64) for block in G_blocks]
+        expected = list(zip(object_spec.sizes, cluster_spec.sizes))
+        if [block.shape for block in blocks] != expected:
+            raise ShapeError(
+                f"G_blocks have shapes {[b.shape for b in blocks]}, "
+                f"expected {expected}")
+        self.G_blocks = blocks
         self.S = S
         self.E_R = E_R
         self.iteration = iteration
         self.extras = dict(extras) if extras else {}
-
-    # ------------------------------------------------------- global adapters
-    @property
-    def G(self) -> np.ndarray:
-        """The globally stacked block-diagonal ``(n, c)`` membership matrix.
-
-        Assembled fresh on every read — a compatibility adapter for code
-        that reasons about the stacked form, not a hot-path accessor.
-        """
-        return block_diagonal(self.G_blocks)
-
-    @G.setter
-    def G(self, value: np.ndarray) -> None:
-        self.G_blocks = extract_factor_blocks(value, self.object_spec,
-                                              self.cluster_spec)
 
     def membership_block(self, type_index: int) -> np.ndarray:
         """Return the G block (objects × clusters) of one type."""
@@ -134,20 +99,18 @@ class FactorizationState:
             extras=dict(self.extras))
 
 
-def _relational_profile(R, object_spec: BlockSpec, index: int):
+def _relational_profile(R_pairs: Mapping, object_spec: BlockSpec,
+                        index: int):
     """Type ``index``'s rows of R (its relational profile), dense or CSR.
 
-    ``R`` is either a global ``(n, n)`` matrix or a mapping of per-pair
-    relation blocks keyed by ordered type-index pairs (the blocked solver's
-    representation); in the blocked case the profile is stitched from the
-    type's row blocks without ever assembling the global matrix.
+    The profile is stitched from the type's per-pair relation blocks
+    (keyed by ordered type-index pairs) without ever assembling the global
+    matrix; unrelated pairs contribute zero columns.
     """
-    if not isinstance(R, Mapping):
-        return R[object_spec.slice(index), :]
-    use_sparse = any(sp.issparse(block) for block in R.values())
+    use_sparse = _relations_are_sparse(R_pairs)
     pieces = []
     for other in range(object_spec.n_types):
-        block = R.get((index, other))
+        block = R_pairs.get((index, other))
         if block is None:
             shape = (object_spec.sizes[index], object_spec.sizes[other])
             pieces.append(sp.csr_array(shape, dtype=np.float64) if use_sparse
@@ -159,14 +122,13 @@ def _relational_profile(R, object_spec: BlockSpec, index: int):
     return np.hstack(pieces)
 
 
-def _relations_are_sparse(R) -> bool:
-    """Whether ``R`` (global matrix or pair-block mapping) is CSR-backed."""
-    if isinstance(R, Mapping):
-        return any(sp.issparse(block) for block in R.values())
-    return sp.issparse(R)
+def _relations_are_sparse(R_pairs: Mapping) -> bool:
+    """Whether the per-pair relation blocks are CSR-backed."""
+    return any(sp.issparse(block) for block in R_pairs.values())
 
 
-def initialize_membership_blocks(data: MultiTypeRelationalData, R, *,
+def initialize_membership_blocks(data: MultiTypeRelationalData,
+                                 R_pairs: Mapping, *,
                                  init: str = "kmeans", smoothing: float = 0.2,
                                  random_state=None) -> list[np.ndarray]:
     """Initialise each type's membership block.
@@ -175,11 +137,13 @@ def initialize_membership_blocks(data: MultiTypeRelationalData, R, *,
     inter-type matrix R (its relational profile), which is how the paper's
     Algorithm 2 obtains G0.  ``init="random"`` draws uniform positive blocks.
     Both variants end with strictly positive, row-ℓ1-normalised blocks so the
-    multiplicative updates are well defined.  ``R`` may be a dense array, a
-    CSR matrix or a mapping of per-pair relation blocks; sparse profiles are
-    clustered directly in CSR form (:class:`~repro.cluster.kmeans.KMeans`
-    evaluates distances through the ``‖x‖² − 2 x·c + ‖c‖²`` expansion), so
-    the initialisation stays ``O(nnz)`` — no per-type dense transient.
+    multiplicative updates are well defined.  ``R_pairs`` maps ordered
+    type-index pairs to dense or CSR relation blocks (see
+    :meth:`~repro.relational.MultiTypeRelationalData.relation_blocks`);
+    sparse profiles are clustered directly in CSR form
+    (:class:`~repro.cluster.kmeans.KMeans` evaluates distances through the
+    ``‖x‖² − 2 x·c + ‖c‖²`` expansion), so the initialisation stays
+    ``O(nnz)`` — no per-type dense transient.
     """
     rng = check_random_state(random_state)
     object_spec = data.object_block_spec()
@@ -189,7 +153,7 @@ def initialize_membership_blocks(data: MultiTypeRelationalData, R, *,
         if init == "random":
             block = rng.uniform(0.1, 1.0, size=(n_objects, n_clusters))
         else:
-            profile = _relational_profile(R, object_spec, index)
+            profile = _relational_profile(R_pairs, object_spec, index)
             seed = int(rng.integers(0, 2**31 - 1))
             if n_clusters >= n_objects:
                 labels = np.arange(n_objects) % n_clusters
@@ -314,27 +278,27 @@ def warm_start_state(data: MultiTypeRelationalData,
                               cluster_spec=cluster_spec)
 
 
-def initialize_state(data: MultiTypeRelationalData, R, *,
+def initialize_state(data: MultiTypeRelationalData, R_pairs: Mapping, *,
                      init: str = "kmeans", smoothing: float = 0.2,
                      random_state=None) -> FactorizationState:
     """Build the initial factorisation state for Algorithm 2.
 
-    ``R`` may be a global inter-type matrix (dense or CSR) or the blocked
-    solver's mapping of per-pair relation blocks.  The error matrix starts
-    at zero in the representation matching ``R``: a dense array for dense
-    relations, an empty (no stored rows)
+    ``R_pairs`` is the blocked solver's mapping of per-pair relation
+    blocks.  The error matrix starts at zero in the representation matching
+    the relations: a dense array for dense blocks, an empty (no stored rows)
     :class:`~repro.linalg.rowsparse.RowSparseMatrix` for CSR relations —
     the sparse backend never allocates the ``O(n²)`` zero block.
     """
     object_spec = data.object_block_spec()
     cluster_spec = data.cluster_block_spec()
-    blocks = initialize_membership_blocks(data, R, init=init, smoothing=smoothing,
+    blocks = initialize_membership_blocks(data, R_pairs, init=init,
+                                          smoothing=smoothing,
                                           random_state=random_state)
     n_objects = object_spec.total
     n_clusters = cluster_spec.total
     S = np.zeros((n_clusters, n_clusters))
     E_R = (RowSparseMatrix.zeros((n_objects, n_objects))
-           if _relations_are_sparse(R)
+           if _relations_are_sparse(R_pairs)
            else np.zeros((n_objects, n_objects)))
     return FactorizationState(G_blocks=blocks, S=S, E_R=E_R,
                               object_spec=object_spec,

@@ -1,4 +1,4 @@
-"""Update rules of Algorithm 2 (Eq. 18, Eq. 21–22, Eq. 25–27).
+"""Update rules of Algorithm 2 (Eq. 18, Eq. 21–22, Eq. 25–27), blockwise.
 
 The objective is minimised by alternating three subproblem solutions while
 the other variables are held fixed:
@@ -15,14 +15,16 @@ the other variables are held fixed:
   ``(β D + I)⁻¹ (R − G S Gᵀ)`` (Eq. 27) with the diagonal reweighting matrix
   D of Eq. 25, computed row-wise because ``β D + I`` is diagonal.
 
-Every rule accepts the relation matrix ``R`` as a dense array or a scipy
-CSR matrix and the error matrix ``E_R`` as a dense array or a
-:class:`repro.linalg.rowsparse.RowSparseMatrix`.  Under the sparse
-representations the residual ``R − G S Gᵀ`` is never densified: the
-``G S Gᵀ`` product stays factored and is only evaluated against the sparse
-pattern of ``R``/``E_R`` (see :mod:`repro.core.rspace`), and the E_R update
-returns a row-sparse matrix holding only the rows whose L2 norm survives
-the ``(β D + I)⁻¹`` shrinkage.
+Every rule runs on the block structure of the problem: per-type membership
+blocks ``G_t``, per-type Laplacian blocks ``L_t`` and per-pair relation
+blocks ``R_tu`` (dense or CSR).  The error matrix ``E_R`` is a dense array,
+a :class:`repro.linalg.rowsparse.RowSparseMatrix` or ``None`` (no error
+matrix).  Under the sparse representations the residual ``R − G S Gᵀ`` is
+never densified: each pair's ``G_t S_tu G_uᵀ`` stays factored and is only
+evaluated against the sparse pattern of ``R_tu`` (see
+:mod:`repro.core.rspace`), and the E_R update returns a row-sparse matrix
+holding only the rows whose L2 norm survives the ``(β D + I)⁻¹``
+shrinkage.
 """
 
 from __future__ import annotations
@@ -42,90 +44,14 @@ from . import rspace
 from .state import FactorizationState
 
 __all__ = [
-    "update_association",
-    "update_membership",
-    "update_error_matrix",
     "update_association_blocks",
     "update_membership_blocks",
     "update_error_matrix_blocks",
     "active_relation_pairs",
     "l21_reweighting_diagonal",
-    "apply_block_structure",
 ]
 
 _EPS = 1e-12
-
-
-def apply_block_structure(G: np.ndarray, state: FactorizationState) -> np.ndarray:
-    """Zero every entry of G outside its type's own cluster columns.
-
-    The factorisation requires G to stay block diagonal (each object can only
-    belong to clusters of its own type); the multiplicative update preserves
-    zeros, but re-imposing the mask explicitly protects against numerical
-    leakage and against initialisations that violate it.
-    """
-    masked = np.zeros_like(G)
-    for type_index in range(state.object_spec.n_types):
-        rows = state.object_spec.slice(type_index)
-        cols = state.cluster_spec.slice(type_index)
-        masked[rows, cols] = G[rows, cols]
-    return masked
-
-
-def update_association(R, state: FactorizationState) -> np.ndarray:
-    """Closed-form S update (Eq. 18) through a guarded gram pseudo-inverse.
-
-    ``R`` may be dense or CSR and ``E_R`` dense or row-sparse; the core
-    ``Gᵀ (R − E_R) G`` is assembled from skinny products either way.  The
-    pseudo-inverse zeroes the gram's null directions, so a cluster that
-    emptied mid-iteration (zero G column → singular GᵀG) receives zero
-    association mass instead of ``O(1/ridge)`` garbage.
-    """
-    G, E_R = state.G, state.E_R
-    gram_inverse = gram_pinv(G.T @ G)
-    core = rspace.association_core(R, E_R, G)
-    S = gram_inverse @ core @ gram_inverse
-    # The association matrix of the paper has zero diagonal blocks (cluster
-    # associations only exist across types); impose that structure to match.
-    masked = S.copy()
-    for type_index in range(state.cluster_spec.n_types):
-        block = state.cluster_spec.slice(type_index)
-        masked[block, block] = 0.0
-    return masked
-
-
-def update_membership(R, L, state: FactorizationState,
-                      *, lam: float, parts=None) -> np.ndarray:
-    """Multiplicative G update (Eq. 21) followed by row-ℓ1 normalisation (Eq. 22).
-
-    ``L`` may be a dense array or a scipy sparse matrix: the positive/negative
-    split of a sparse Laplacian stays sparse and both ``L⁺ @ G`` and
-    ``L⁻ @ G`` are skinny dense products, so the sparse backend never
-    materialises an ``(n, n)`` dense intermediate here.  The same holds for
-    the relation side: with a CSR ``R`` and a row-sparse ``E_R`` the
-    numerator term ``(R − E_R) G Sᵀ`` is built from ``O(nnz·c)`` products.
-
-    ``parts`` optionally supplies a precomputed ``(L⁺, L⁻)`` pair.  L is
-    loop-invariant across the fit iterations, so callers iterating this
-    update (Algorithm 2) should split once and pass it in rather than paying
-    the O(n²) (dense) or O(nnz) (sparse) split every iteration.
-    """
-    G, S, E_R = state.G, state.S, state.E_R
-    A = rspace.project_relations(R, E_R, G) @ S.T
-    B = S.T @ (G.T @ G) @ S
-    L_pos, L_neg = parts if parts is not None else split_parts(L)
-    A_pos, A_neg = split_parts(A)
-    B_pos, B_neg = split_parts(B)
-    # With a sparse L these two products are the only place L is touched and
-    # they produce dense (n, c) arrays directly.
-    numerator = lam * (L_neg @ G) + A_pos + G @ B_neg
-    denominator = lam * (L_pos @ G) + A_neg + G @ B_pos
-    ratio = safe_divide(numerator, denominator, eps=_EPS)
-    updated = G * np.sqrt(ratio)
-    updated = apply_block_structure(updated, state)
-    # Row-ℓ1 normalisation keeps each object's memberships on the simplex and
-    # prevents the trivial single-cluster solution (Section III.C).
-    return row_normalize_l1(updated)
 
 
 def l21_reweighting_diagonal(residual, *, zeta: float = 1e-10) -> np.ndarray:
@@ -156,68 +82,14 @@ def _shrinkage_scale(row_norms: np.ndarray, *, beta: float,
     return 1.0 / (beta * diag + 1.0)
 
 
-def _row_survival_floor(R, row_tol: float) -> float:
-    """Absolute shrunk-row-norm floor implied by the relative ``row_tol``.
-
-    Anchored to the RMS row norm of ``R`` (the natural scale of the
-    residual): a row whose shrunk L2 norm is at most ``row_tol`` times a
-    typical R row carries no signal worth a dense row.
-    """
-    if row_tol <= 0.0:
-        return 0.0
-    return row_tol * frobenius_norm(R) / np.sqrt(max(R.shape[0], 1))
-
-
-def update_error_matrix(R, state: FactorizationState, *, beta: float,
-                        zeta: float = 1e-10, row_tol: float = 0.0):
-    """Sample-wise sparse error matrix update (Eq. 27).
-
-    ``E_R = (β D + I)⁻¹ (R − G S Gᵀ)`` where ``β D + I`` is diagonal, so the
-    inverse is an element-wise row scaling: rows of the residual with small
-    norm are shrunk strongly (treated as noise-free) while rows with large
-    norm — the corrupted samples — absorb most of their residual into E_R.
-
-    With a dense ``R`` the result is dense (rows whose shrunk norm falls at
-    or below the ``row_tol`` floor are zeroed).  With a CSR ``R`` the
-    residual is never densified: its row norms come from the factored
-    expansion of :func:`repro.core.rspace.residual_row_norms` and only the
-    surviving rows are materialised, returned as a
-    :class:`~repro.linalg.rowsparse.RowSparseMatrix`.
-
-    Parameters
-    ----------
-    row_tol:
-        Relative survival threshold: rows whose *shrunk* L2 norm is at most
-        ``row_tol`` times the RMS row norm of ``R`` are treated as exactly
-        zero.  ``0`` (default) keeps every row with a strictly positive
-        shrunk norm — exact up to floating point.
-    """
-    G, S = state.G, state.S
-    floor = _row_survival_floor(R, row_tol)
-    if sp.issparse(R):
-        M = rspace.factored_product(G, S)
-        norms = rspace.residual_row_norms(R, G, S, M=M)
-        scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-        rows = np.flatnonzero(scale * norms > floor)
-        values = scale[rows, None] * rspace.residual_rows(R, G, S, rows, M=M)
-        return RowSparseMatrix(rows, values, R.shape)
-    residual = R - G @ S @ G.T
-    norms = row_l2_norms(residual)
-    scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-    scale[scale * norms <= floor] = 0.0
-    return residual * scale[:, None]
-
-
 # ----------------------------------------------------------- blockwise kernels
 #
 # The blocked solver core works on the structure Algorithm 2 already has:
 # G is block diagonal by type, S has zero diagonal blocks, R and E_R only
 # live on cross-type blocks, and L only couples objects within a type.  The
-# kernels below are the per-type / per-pair counterparts of the global
-# update rules above — algebraically identical (the global updates reduce
-# to them exactly because the off-block entries are structural zeros), but
-# without the ``n_types×`` memory and work inflation of the stacked
-# matrices, and with every independent task fan-out-able across a
+# kernels below solve each update per type / per pair — the stacked
+# matrices' off-block entries are structural zeros, so nothing is lost by
+# never forming them, and every independent task can fan out across a
 # :class:`repro.core.parallel.TypeWorkPool`.
 
 
@@ -270,7 +142,7 @@ def _association_core_task(item):
 
 def _membership_type_task(item):
     """Multiplicative update of one type's membership block (Eq. 21–22)."""
-    G_t, L_parts_t, a_terms, b_terms, lam = item
+    G_t, L_parts_t, a_terms, b_terms, lam, normalize = item
     A = np.zeros_like(G_t)
     for R_tu, E_tu, G_u, S_tu in a_terms:
         A += rspace.project_relations(R_tu, E_tu, G_u) @ S_tu.T
@@ -283,7 +155,8 @@ def _membership_type_task(item):
     numerator = lam * (L_neg @ G_t) + A_pos + G_t @ B_neg
     denominator = lam * (L_pos @ G_t) + A_neg + G_t @ B_pos
     ratio = safe_divide(numerator, denominator, eps=_EPS)
-    return row_normalize_l1(G_t * np.sqrt(ratio))
+    updated = G_t * np.sqrt(ratio)
+    return row_normalize_l1(updated) if normalize else updated
 
 
 def _error_type_task(item):
@@ -434,16 +307,21 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
 
 def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
                              lam: float, pairs=None, pool=None,
-                             dirty_types=None) -> list[np.ndarray]:
+                             dirty_types=None,
+                             normalize: bool = True) -> list[np.ndarray]:
     """Blockwise multiplicative G update (Eq. 21–22), one task per type.
 
-    For type ``t`` the relevant rows of the global update's A and B terms
-    are ``A_t = Σ_u (R_tu − E_tu) G_u S_tuᵀ`` and
-    ``B_t = Σ_u S_utᵀ (G_uᵀ G_u) S_ut`` — only that type's rows/blocks are
-    ever formed, and the block mask of the global rule is structural here.
-    ``L_parts`` supplies the per-type ``(L_t⁺, L_t⁻)`` splits (loop-invariant,
-    computed once per fit).  Types are independent given the other factors,
-    so they thread across ``pool``.
+    For type ``t`` the update's A and B terms are
+    ``A_t = Σ_u (R_tu − E_tu) G_u S_tuᵀ`` and
+    ``B_t = Σ_u S_utᵀ (G_uᵀ G_u) S_ut`` — only that type's blocks are ever
+    formed, so G stays block diagonal by construction.  ``L_parts``
+    supplies the per-type ``(L_t⁺, L_t⁻)`` splits (computed once per
+    regulariser, not per iteration).  Types are independent given the
+    other factors, so they thread across ``pool``.
+
+    ``normalize`` applies the row-ℓ1 normalisation of Eq. 22 after the
+    multiplicative step.  RHCHME always normalises; the NMTF baselines
+    publish the update without it (see :class:`repro.baselines.BaseHOCC`).
 
     ``dirty_types`` (a set of type indices) restricts the update to those
     types; every clean type's block object is returned *as is* — frozen,
@@ -480,7 +358,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
         b_terms = [(s_block(u, t), grams[u]) for u in by_target.get(t, ())]
         return G[t], L_parts[t], a_terms, b_terms
 
-    items = [(*type_item(t), lam) for t in todo]
+    items = [(*type_item(t), lam, normalize) for t in todo]
     blocks = _map(pool, _membership_type_task, items, labels=todo,
                   name="one_type")
     if dirty_types is None:
@@ -550,9 +428,8 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     if sparse is None:
-        # The relations' representation decides (matching the global rule's
-        # dispatch on R); only a relation-free dataset falls back to the
-        # current E_R representation.
+        # The relations' representation decides; only a relation-free
+        # dataset falls back to the current E_R representation.
         if R_pairs:
             sparse = any(sp.issparse(block) for block in R_pairs.values())
         else:

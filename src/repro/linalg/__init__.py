@@ -9,8 +9,8 @@ The module groups small, well-tested numerical primitives:
 * :mod:`repro.linalg.normalize` — row/column and symmetric normalisations
   (including the row-ℓ1 normalisation applied to the cluster membership
   matrix G).
-* :mod:`repro.linalg.blocks` — assembly and extraction of the block matrices
-  R, W, G and S used by multi-type relational data.
+* :mod:`repro.linalg.blocks` — the per-type block partition of the
+  matrices R, W, G and S used by multi-type relational data.
 * :mod:`repro.linalg.projections` — projection operators onto the feasible
   sets used by the SPG solver.
 * :mod:`repro.linalg.safe` — numerically safe inverses and divisions.
@@ -46,13 +46,7 @@ from .normalize import (
     symmetric_normalize,
     tfidf_transform,
 )
-from .blocks import (
-    BlockSpec,
-    block_diagonal,
-    block_offdiagonal,
-    extract_blocks,
-    extract_diagonal_blocks,
-)
+from .blocks import BlockSpec
 from .projections import (
     project_box,
     project_nonnegative,
@@ -74,11 +68,7 @@ __all__ = [
     "resolve_backend",
     "to_backend",
     "to_dense",
-    "block_diagonal",
-    "block_offdiagonal",
     "column_normalize_l1",
-    "extract_blocks",
-    "extract_diagonal_blocks",
     "frobenius_norm",
     "gram_pinv",
     "l1_norm",

@@ -1,4 +1,4 @@
-"""Block-matrix assembly for multi-type relational data.
+"""Block partitions of multi-type relational data.
 
 The paper organises a K-type dataset into symmetric block matrices:
 
@@ -11,27 +11,19 @@ The paper organises a K-type dataset into symmetric block matrices:
 * ``S`` — cluster association: zero diagonal blocks, ``S_kl`` on the
   off-diagonal.
 
-:class:`BlockSpec` records the row/column partition once and provides
-assembly and extraction in both directions, so the solvers never hand-roll
-index arithmetic.
+The solvers never assemble the stacked R, W or G: they keep per-pair and
+per-type blocks.  :class:`BlockSpec` records the row/column partition once
+(the offsets of each type inside the stacked layout, which ``S`` and
+``E_R`` still use), so no code hand-rolls the index arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = [
-    "BlockSpec",
-    "block_diagonal",
-    "block_offdiagonal",
-    "extract_blocks",
-    "extract_diagonal_blocks",
-    "extract_factor_blocks",
-]
+__all__ = ["BlockSpec"]
 
 
 @dataclass(frozen=True)
@@ -84,114 +76,3 @@ class BlockSpec:
         if not 0 <= position < self.total:
             raise IndexError(f"position {position} out of range [0, {self.total})")
         return int(np.searchsorted(self.offsets, position, side="right") - 1)
-
-
-def block_diagonal(blocks: Sequence[np.ndarray]):
-    """Assemble a block-diagonal matrix from per-type square or tall blocks.
-
-    Used for both the intra-type matrix ``W`` (square blocks) and the cluster
-    membership matrix ``G`` (``n_k × c_k`` blocks).  When any block is a scipy
-    sparse matrix the whole assembly stays sparse (CSR) — this is how the
-    sparse compute backend builds the ensemble Laplacian without ever
-    allocating the ``(n, n)`` dense array.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("need at least one block")
-    if any(sp.issparse(block) for block in blocks):
-        blocks = [block if sp.issparse(block) else np.asarray(block, dtype=np.float64)
-                  for block in blocks]
-        for block in blocks:
-            if block.ndim != 2:
-                raise ValueError(f"blocks must be 2-D, got shape {block.shape}")
-        return sp.block_diag(blocks, format="csr").astype(np.float64, copy=False)
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    for block in blocks:
-        if block.ndim != 2:
-            raise ValueError(f"blocks must be 2-D, got shape {block.shape}")
-    n_rows = sum(b.shape[0] for b in blocks)
-    n_cols = sum(b.shape[1] for b in blocks)
-    result = np.zeros((n_rows, n_cols), dtype=np.float64)
-    row = col = 0
-    for block in blocks:
-        result[row:row + block.shape[0], col:col + block.shape[1]] = block
-        row += block.shape[0]
-        col += block.shape[1]
-    return result
-
-
-def block_offdiagonal(spec_rows: BlockSpec, spec_cols: BlockSpec,
-                      blocks: Mapping[tuple[int, int], np.ndarray],
-                      *, symmetric: bool = True) -> np.ndarray:
-    """Assemble a matrix with zero diagonal blocks from off-diagonal blocks.
-
-    ``blocks[(k, l)]`` is placed at block position ``(k, l)``; with
-    ``symmetric=True`` its transpose is mirrored to ``(l, k)`` unless that
-    block is supplied explicitly.  Used for the inter-type matrix ``R`` and
-    the association matrix ``S``.
-    """
-    result = np.zeros((spec_rows.total, spec_cols.total), dtype=np.float64)
-    placed: set[tuple[int, int]] = set()
-    for (row, col), block in blocks.items():
-        block = np.asarray(block, dtype=np.float64)
-        if row == col:
-            raise ValueError(
-                f"block ({row}, {col}) lies on the diagonal; diagonal blocks must be zero")
-        expected = (spec_rows.sizes[row], spec_cols.sizes[col])
-        if block.shape != expected:
-            raise ValueError(
-                f"block ({row}, {col}) has shape {block.shape}, expected {expected}")
-        result[spec_rows.slice(row), spec_cols.slice(col)] = block
-        placed.add((row, col))
-    if symmetric:
-        if spec_rows.sizes != spec_cols.sizes:
-            raise ValueError("symmetric assembly requires identical row/column specs")
-        for (row, col) in list(placed):
-            if (col, row) not in placed:
-                result[spec_rows.slice(col), spec_cols.slice(row)] = (
-                    result[spec_rows.slice(row), spec_cols.slice(col)].T)
-    return result
-
-
-def extract_diagonal_blocks(matrix: np.ndarray, spec: BlockSpec) -> list[np.ndarray]:
-    """Return copies of the diagonal blocks of a square block matrix."""
-    return [np.array(spec.block(matrix, k, k)) for k in range(spec.n_types)]
-
-
-def extract_factor_blocks(matrix: np.ndarray, spec_rows: BlockSpec,
-                          spec_cols: BlockSpec) -> list[np.ndarray]:
-    """Return copies of the diagonal blocks of a rectangular factor matrix.
-
-    The cluster membership matrix ``G`` pairs an object partition (rows)
-    with a cluster partition (columns); its structural non-zeros are the
-    ``(k, k)`` blocks.  Entries outside those blocks are discarded — this is
-    the inverse of :func:`block_diagonal` for factor matrices, and the
-    conversion the blocked solver state uses to accept a globally stacked G.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if spec_rows.n_types != spec_cols.n_types:
-        raise ValueError(
-            f"row partition has {spec_rows.n_types} blocks, column partition "
-            f"{spec_cols.n_types}")
-    if matrix.shape != (spec_rows.total, spec_cols.total):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match specs "
-            f"({spec_rows.total}, {spec_cols.total})")
-    return [np.array(matrix[spec_rows.slice(k), spec_cols.slice(k)])
-            for k in range(spec_rows.n_types)]
-
-
-def extract_blocks(matrix: np.ndarray, spec_rows: BlockSpec,
-                   spec_cols: BlockSpec) -> dict[tuple[int, int], np.ndarray]:
-    """Return every block of ``matrix`` keyed by its ``(row, col)`` position."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (spec_rows.total, spec_cols.total):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match specs "
-            f"({spec_rows.total}, {spec_cols.total})")
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for row in range(spec_rows.n_types):
-        for col in range(spec_cols.n_types):
-            blocks[(row, col)] = np.array(
-                matrix[spec_rows.slice(row), spec_cols.slice(col)])
-    return blocks

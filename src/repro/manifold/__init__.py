@@ -14,11 +14,10 @@ Laplacians with learnt convex weights (Eq. 2).
 * :mod:`repro.manifold.homogeneous` — the RMC-style candidate ensemble.
 """
 
-from .ensemble import HeterogeneousManifoldEnsemble, build_type_laplacians
+from .ensemble import HeterogeneousManifoldEnsemble
 from .homogeneous import HomogeneousCandidateEnsemble
 
 __all__ = [
     "HeterogeneousManifoldEnsemble",
     "HomogeneousCandidateEnsemble",
-    "build_type_laplacians",
 ]

@@ -6,17 +6,18 @@ For each object type with features, two intra-type affinities are learnt:
   (complete: any within-subspace pair is connected, however distant);
 * ``W^E`` — cosine-weighted p-NN affinity (accurate for close neighbours).
 
-Their graph Laplacians are combined per type as ``L_k = α L_k^S + L_k^E`` and
-assembled into the block-diagonal regulariser ``L`` over all n objects.
-Setting ``α → 0`` recovers an SNMTF-style pNN-only regulariser and
+Their graph Laplacians are combined per type as ``L_k = α L_k^S + L_k^E``;
+the block-diagonal regulariser ``L`` over all n objects is kept as those
+per-type blocks and never assembled.  Setting ``α → 0`` (or disabling the
+subspace member) recovers the SNMTF pNN-only regulariser and
 ``α → ∞`` a subspace-only regulariser — the extremes the paper's parameter
 study (Fig. 2) explores.
 
 The ensemble supports two compute backends.  With ``backend="sparse"`` the
 p-NN member is assembled directly as a CSR matrix (≤ 2p non-zeros per row)
-and the block-diagonal ``L`` stays sparse end to end, so no ``(n, n)`` dense
-array is ever allocated for the graph pipeline.  ``backend="auto"`` picks
-per dataset size (see :mod:`repro.linalg.backend`).  The subspace member —
+and every ``L_k`` block stays sparse end to end, so no dense
+``(n_k, n_k)`` array is ever allocated for the graph pipeline.
+``backend="auto"`` picks per dataset size (see :mod:`repro.linalg.backend`).  The subspace member —
 inherently dense, since any within-subspace pair is connected — is converted
 to CSR when it participates in a sparse ensemble so the combined operator
 keeps a single representation.
@@ -34,11 +35,10 @@ from ..graph.laplacian import laplacian
 from ..graph.pnn import pnn_affinity
 from ..graph.weights import WeightingScheme
 from ..linalg.backend import as_csr, check_backend, resolve_backend, topk_rows
-from ..linalg.blocks import block_diagonal
 from ..relational.dataset import MultiTypeRelationalData
 from ..subspace.representation import SubspaceRepresentation
 
-__all__ = ["HeterogeneousManifoldEnsemble", "build_type_laplacians"]
+__all__ = ["HeterogeneousManifoldEnsemble"]
 
 
 @dataclass
@@ -59,7 +59,7 @@ class _TypeLaplacians:
 
 @dataclass
 class HeterogeneousManifoldEnsemble:
-    """Builder for the block-diagonal heterogeneous ensemble Laplacian.
+    """Builder for the per-type blocks of the heterogeneous ensemble Laplacian.
 
     Parameters
     ----------
@@ -151,11 +151,11 @@ class HeterogeneousManifoldEnsemble:
         Types without features contribute a zero Laplacian block (no
         intra-type smoothing), matching how the paper treats types whose
         only information is relational.  ``backend`` overrides the instance
-        knob with an already-resolved concrete backend — :meth:`build` always
-        passes one, resolved once against the dataset's *total* object count
-        so every block shares a representation.  Only when this method is
-        called standalone with the knob still at ``"auto"`` is the choice
-        made from this type's own size.
+        knob with an already-resolved concrete backend — :meth:`build_blocks`
+        always passes one, resolved once against the dataset's *total*
+        object count so every block shares a representation.  Only when
+        this method is called standalone with the knob still at ``"auto"``
+        is the choice made from this type's own size.
         """
         backend = self.resolve(n_objects) if backend is None else resolve_backend(
             backend, n_objects=n_objects)
@@ -231,30 +231,3 @@ class HeterogeneousManifoldEnsemble:
             self.members_.append(member)
             blocks.append(member.combined)
         return blocks
-
-    def build(self, data: MultiTypeRelationalData):
-        """Assemble the full block-diagonal ensemble Laplacian ``L``.
-
-        Returns a dense array or a CSR sparse matrix depending on the
-        (resolved) backend; either representation is accepted by the global
-        update rules and objective evaluation.  The blocked solver core
-        uses :meth:`build_blocks` instead and never pays for the stacked
-        ``(n, n)`` assembly.
-        """
-        return block_diagonal(self.build_blocks(data))
-
-
-def build_type_laplacians(data: MultiTypeRelationalData, *, p: int = 5,
-                          weighting: WeightingScheme | str = WeightingScheme.COSINE,
-                          laplacian_kind: str = "unnormalized",
-                          backend: str = "dense"):
-    """Build a pNN-only block-diagonal Laplacian (the SNMTF regulariser).
-
-    This is the homogeneous single-member special case used by the SNMTF
-    baseline; kept here so baseline and RHCHME share the same assembly code.
-    """
-    ensemble = HeterogeneousManifoldEnsemble(alpha=0.0, p=p, weighting=weighting,
-                                             laplacian_kind=laplacian_kind,
-                                             use_subspace=False, use_pnn=True,
-                                             backend=backend)
-    return ensemble.build(data)

@@ -7,6 +7,10 @@ neighbour size and the weighting scheme) and uses their convex combination
 regulariser.  The weights can be uniform or refitted against the current
 cluster membership by minimising ``Σᵢ βᵢ tr(Gᵀ L̂ᵢ G) + μ‖β‖²`` on the
 simplex, which is how RMC adapts the ensemble during its iterations.
+
+Every candidate is block diagonal by type, so it is kept as one list of
+per-type blocks ``L̂ᵢ,t`` — the form the blocked solver core consumes — and
+both the combination and the weight refit work type by type.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 
 from .._validation import check_positive_float
 from ..graph.candidates import CandidateSpec, candidate_laplacians, default_candidate_grid
-from ..linalg.blocks import block_diagonal
 from ..linalg.norms import trace_quadratic
 from ..linalg.projections import project_simplex
 from ..relational.dataset import MultiTypeRelationalData
@@ -51,7 +54,7 @@ class HomogeneousCandidateEnsemble:
     smoothing: float = 1.0
     scale_by_size: bool = True
     weights_: np.ndarray | None = field(default=None, init=False, repr=False)
-    candidates_: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    candidates_: list[list[np.ndarray]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.specs is None:
@@ -66,10 +69,12 @@ class HomogeneousCandidateEnsemble:
         """Number of candidate Laplacians per type."""
         return len(self.specs)
 
-    def build_candidates(self, data: MultiTypeRelationalData) -> list[np.ndarray]:
-        """Build one full block-diagonal Laplacian per candidate spec.
+    def build_candidates(self, data: MultiTypeRelationalData) -> list[list[np.ndarray]]:
+        """Build the per-type Laplacian blocks of every candidate spec.
 
-        Types without features contribute zero blocks to every candidate.
+        Returns one list per candidate holding that candidate's
+        ``(n_t, n_t)`` block for every type, in type order.  Types without
+        features contribute zero blocks to every candidate.
         """
         per_candidate_blocks: list[list[np.ndarray]] = [[] for _ in self.specs]
         for object_type in data.types:
@@ -84,7 +89,7 @@ class HomogeneousCandidateEnsemble:
                      if self.scale_by_size else 1.0)
             for blocks, candidate in zip(per_candidate_blocks, laplacians):
                 blocks.append(candidate * scale)
-        self.candidates_ = [block_diagonal(blocks) for blocks in per_candidate_blocks]
+        self.candidates_ = per_candidate_blocks
         return self.candidates_
 
     def initial_weights(self) -> np.ndarray:
@@ -93,8 +98,8 @@ class HomogeneousCandidateEnsemble:
         self.weights_ = weights
         return weights
 
-    def combine(self, weights: np.ndarray | None = None) -> np.ndarray:
-        """Return the weighted combination of the prepared candidates."""
+    def combine(self, weights: np.ndarray | None = None) -> list[np.ndarray]:
+        """Return the weighted combination of the candidates, per type."""
         if not self.candidates_:
             raise RuntimeError("call build_candidates() before combine()")
         if weights is None:
@@ -103,23 +108,26 @@ class HomogeneousCandidateEnsemble:
         if weights.shape != (self.n_candidates,):
             raise ValueError(
                 f"weights must have shape ({self.n_candidates},), got {weights.shape}")
-        combined = np.zeros_like(self.candidates_[0])
+        combined = [np.zeros_like(block) for block in self.candidates_[0]]
         for weight, candidate in zip(weights, self.candidates_):
-            combined += weight * candidate
+            for total, block in zip(combined, candidate):
+                total += weight * block
         return combined
 
-    def refit_weights(self, G: np.ndarray) -> np.ndarray:
-        """Refit the candidate weights against the current membership matrix.
+    def refit_weights(self, G_blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Refit the candidate weights against the current membership blocks.
 
         Minimises ``Σᵢ βᵢ tr(Gᵀ L̂ᵢ G) + μ ‖β‖²`` subject to the simplex
-        constraint.  The closed-form unconstrained minimiser
-        ``βᵢ = −tr(Gᵀ L̂ᵢ G) / (2μ)`` is projected onto the simplex, which
-        down-weights candidates whose Laplacian penalises the current
-        clustering most.
+        constraint, with ``tr(Gᵀ L̂ᵢ G) = Σ_t tr(G_tᵀ L̂ᵢ,t G_t)`` summed over
+        the per-type membership blocks ``G_t``.  The closed-form
+        unconstrained minimiser ``βᵢ = −tr(Gᵀ L̂ᵢ G) / (2μ)`` is projected
+        onto the simplex, which down-weights candidates whose Laplacian
+        penalises the current clustering most.
         """
         if not self.candidates_:
             raise RuntimeError("call build_candidates() before refit_weights()")
-        penalties = np.array([trace_quadratic(G, candidate)
+        penalties = np.array([sum(trace_quadratic(G_t, block)
+                                  for G_t, block in zip(G_blocks, candidate))
                               for candidate in self.candidates_])
         raw = -penalties / (2.0 * self.smoothing)
         self.weights_ = project_simplex(raw)

@@ -7,9 +7,9 @@ matrices.  This package provides:
 * :mod:`repro.relational.types` — :class:`ObjectType` and :class:`Relation`
   descriptors.
 * :mod:`repro.relational.dataset` — :class:`MultiTypeRelationalData`, the
-  container every HOCC method consumes, with assembly of the block matrices
-  ``R`` (inter-type) and ``W`` (intra-type) and the block structure of the
-  cluster membership matrix ``G``.
+  container every HOCC method consumes, with the per-pair blocks of the
+  inter-type matrix ``R`` and the block partitions of objects and clusters
+  that structure ``G`` and ``S``.
 """
 
 from .types import ObjectType, Relation

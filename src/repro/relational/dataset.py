@@ -1,20 +1,19 @@
 """The multi-type relational dataset container.
 
 :class:`MultiTypeRelationalData` holds the object types and the observed
-pairwise relations between them, and assembles the symmetric block matrices
-the HOCC objectives operate on:
+pairwise relations between them, and provides what the HOCC solvers
+operate on:
 
-* ``R`` — the ``n × n`` inter-type relationship matrix with zero diagonal
-  blocks and ``R_kl`` / ``R_klᵀ`` in the off-diagonal blocks;
-* ``W`` — the ``n × n`` block-diagonal intra-type relationship matrix, built
-  from per-type affinities supplied by the caller;
+* the per-pair relation blocks ``R_kl`` / ``R_lk = R_klᵀ`` of the symmetric
+  ``n × n`` inter-type matrix ``R`` (its diagonal blocks are zero and it is
+  never assembled);
 * the :class:`~repro.linalg.blocks.BlockSpec` partitions of objects and
   clusters used to interpret the factor matrices ``G`` and ``S``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +21,7 @@ import scipy.sparse as sp
 from .._validation import ensure_dense
 from ..exceptions import ValidationError
 from ..linalg.backend import resolve_backend
-from ..linalg.blocks import BlockSpec, block_diagonal, block_offdiagonal
+from ..linalg.blocks import BlockSpec
 from ..linalg.norms import frobenius_norm
 from .types import ObjectType, Relation
 
@@ -50,8 +49,10 @@ class MultiTypeRelationalData:
     >>> terms = ObjectType("terms", n_objects=3, n_clusters=2)
     >>> rel = Relation("documents", "terms", np.ones((4, 3)))
     >>> data = MultiTypeRelationalData([docs, terms], [rel])
-    >>> data.inter_type_matrix().shape
-    (7, 7)
+    >>> sorted(data.relation_blocks())
+    [(0, 1), (1, 0)]
+    >>> data.relation_blocks()[(1, 0)].shape
+    (3, 4)
     """
 
     def __init__(self, types: Sequence[ObjectType],
@@ -172,18 +173,21 @@ class MultiTypeRelationalData:
                         backend: str = "dense") -> dict:
         """Per-pair relation blocks ``R_tu`` in both orientations.
 
-        This is the blocked solver's view of R: a mapping from ordered
-        type-index pairs ``(t, u)`` to the ``(n_t, n_u)`` relation block,
-        with every observed relation present in both orientations
+        This is the solvers' view of the inter-type matrix R: a mapping from
+        ordered type-index pairs ``(t, u)`` to the ``(n_t, n_u)`` relation
+        block, with every observed relation present in both orientations
         (``R_ut = R_tuᵀ``) and unrelated pairs absent.  No global ``(n, n)``
-        matrix is assembled — :meth:`inter_type_matrix` stays as the
-        stacked-form adapter for code that needs one.
+        matrix is assembled.
 
-        ``normalize`` and ``backend`` have the same semantics as
-        :meth:`inter_type_matrix`: blocks are scaled by ``weight`` (divided
-        by their Frobenius norm first when normalising), and ``backend``
-        selects dense arrays or CSR matrices.  ``"auto"`` resolves by total
-        object count (see :func:`repro.linalg.backend.resolve_backend`).
+        Blocks are scaled by their relation ``weight``; with
+        ``normalize=True`` each is first scaled to unit Frobenius norm so
+        that types with very different co-occurrence magnitudes contribute
+        comparably.  ``backend`` selects dense arrays (``"dense"``) or CSR
+        matrices built from the blocks' non-zeros (``"sparse"``, ``O(nnz)``
+        memory — the entry point of the sparse R-space pipeline);
+        ``"auto"`` resolves by total object count (see
+        :func:`repro.linalg.backend.resolve_backend`).  Both representations
+        hold identical values.
         """
         backend = resolve_backend(backend, n_objects=self.n_objects_total)
         blocks: dict[tuple[int, int], np.ndarray | sp.csr_array] = {}
@@ -202,102 +206,6 @@ class MultiTypeRelationalData:
             blocks[(row, col)] = block
             blocks[(col, row)] = transposed
         return blocks
-
-    def inter_type_matrix(self, *, normalize: bool = False,
-                          backend: str = "dense"):
-        """Assemble the symmetric inter-type relationship matrix ``R``.
-
-        With ``normalize=True`` each relation block is scaled to unit
-        Frobenius norm (then multiplied by its relation weight) so that types
-        with very different co-occurrence magnitudes contribute comparably.
-
-        ``backend`` selects the representation: ``"dense"`` (default, the
-        seed behaviour) returns a numpy array, ``"sparse"`` a CSR matrix
-        assembled directly from the relation blocks' non-zeros — ``O(nnz)``
-        memory with no ``(n, n)`` intermediate, the entry point of the
-        sparse R-space pipeline.  ``"auto"`` resolves by total object count
-        (see :func:`repro.linalg.backend.resolve_backend`).  Both
-        representations hold identical values.
-        """
-        backend = resolve_backend(backend, n_objects=self.n_objects_total)
-        spec = self.object_block_spec()
-        if backend == "sparse":
-            return self._inter_type_matrix_sparse(spec, normalize=normalize)
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        for (row, col), relation in self._relations.items():
-            matrix = ensure_dense(relation.matrix)
-            if normalize:
-                norm = float(np.linalg.norm(matrix))
-                if norm > 0:
-                    matrix = matrix / norm
-            blocks[(row, col)] = matrix * relation.weight
-        return block_offdiagonal(spec, spec, blocks, symmetric=True)
-
-    def _inter_type_matrix_sparse(self, spec: BlockSpec, *,
-                                  normalize: bool) -> sp.csr_array:
-        """CSR assembly of ``R``: each block contributes its non-zeros twice
-        (once per orientation), offset into the global block layout."""
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for (row, col), relation in self._relations.items():
-            block = sp.coo_array(relation.matrix)
-            scale = relation.weight
-            if normalize:
-                norm = frobenius_norm(relation.matrix)
-                if norm > 0:
-                    scale = scale / norm
-            row_offset = spec.offsets[row]
-            col_offset = spec.offsets[col]
-            block_rows = block.row.astype(np.int64) + row_offset
-            block_cols = block.col.astype(np.int64) + col_offset
-            values = block.data.astype(np.float64) * scale
-            rows.extend([block_rows, block_cols])
-            cols.extend([block_cols, block_rows])
-            data.extend([values, values])
-        n = spec.total
-        if not data:
-            return sp.csr_array((n, n), dtype=np.float64)
-        matrix = sp.coo_array(
-            (np.concatenate(data),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsr()
-        matrix.sum_duplicates()
-        return matrix
-
-    def intra_type_matrix(self, affinities: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Assemble the block-diagonal intra-type matrix ``W``.
-
-        ``affinities`` maps type names to symmetric non-negative per-type
-        affinity matrices.  Types without an entry contribute a zero block.
-        """
-        blocks = []
-        for object_type in self._types:
-            affinity = affinities.get(object_type.name)
-            size = object_type.n_objects
-            if affinity is None:
-                blocks.append(np.zeros((size, size)))
-                continue
-            affinity = np.asarray(affinity, dtype=np.float64)
-            if affinity.shape != (size, size):
-                raise ValidationError(
-                    f"affinity for type {object_type.name!r} has shape "
-                    f"{affinity.shape}, expected {(size, size)}")
-            blocks.append(affinity)
-        return block_diagonal(blocks)
-
-    def membership_block_structure(self) -> list[tuple[slice, slice]]:
-        """Row/column slices of each type's block inside the full G matrix."""
-        object_spec = self.object_block_spec()
-        cluster_spec = self.cluster_block_spec()
-        return [(object_spec.slice(k), cluster_spec.slice(k))
-                for k in range(self.n_types)]
-
-    def labels_vector(self) -> np.ndarray | None:
-        """Concatenated ground-truth labels for all types, if every type has them."""
-        if not all(t.has_labels for t in self._types):
-            return None
-        return np.concatenate([t.labels for t in self._types])
 
     def describe(self) -> str:
         """One-line summary used in logs and experiment reports."""

@@ -20,9 +20,9 @@ class TestRMC:
 
     def test_regularizer_shape(self, tiny_dataset):
         model = RMC(lam=1.0, candidate_specs=_small_grid(), random_state=0)
-        L = model.build_regularizer(tiny_dataset)
-        n = tiny_dataset.n_objects_total
-        assert L.shape == (n, n)
+        L_blocks = model.build_regularizer(tiny_dataset)
+        assert [L.shape for L in L_blocks] == [
+            (t.n_objects, t.n_objects) for t in tiny_dataset.types]
 
     def test_initial_weights_uniform(self, tiny_dataset):
         model = RMC(lam=1.0, candidate_specs=_small_grid(), random_state=0)

@@ -10,14 +10,16 @@ from repro.metrics.fscore import clustering_fscore
 
 class TestSNMTF:
     def test_regularizer_is_block_diagonal_laplacian(self, tiny_dataset):
+        # One (n_t, n_t) block per type; the off-diagonal blocks of the
+        # block-diagonal L are structural zeros and never exist.
         model = SNMTF(lam=10.0, p=3, random_state=0)
-        L = model.build_regularizer(tiny_dataset)
-        n = tiny_dataset.n_objects_total
-        assert L.shape == (n, n)
-        spec = tiny_dataset.object_block_spec()
-        np.testing.assert_allclose(spec.block(L, 0, 1), 0.0)
-        # each diagonal block is a Laplacian: rows sum to ~0
-        np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-8)
+        L_blocks = model.build_regularizer(tiny_dataset)
+        assert [L.shape for L in L_blocks] == [
+            (t.n_objects, t.n_objects) for t in tiny_dataset.types]
+        for L in L_blocks:
+            # each block is a Laplacian: symmetric, rows sum to ~0
+            np.testing.assert_allclose(L, L.T, atol=1e-12)
+            np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-8)
 
     def test_fit_recovers_block_structure(self, tiny_dataset):
         result = SNMTF(lam=1.0, p=3, max_iter=30, random_state=0).fit(tiny_dataset)
@@ -35,7 +37,7 @@ class TestSNMTF:
         cosine = SNMTF(lam=1.0, p=3, weighting="cosine", random_state=0)
         L_heat = heat.build_regularizer(tiny_dataset)
         L_cos = cosine.build_regularizer(tiny_dataset)
-        assert not np.allclose(L_heat, L_cos)
+        assert not all(np.allclose(a, b) for a, b in zip(L_heat, L_cos))
 
     def test_zero_lambda_behaves_like_src(self, tiny_dataset):
         from repro.baselines.src import SRC

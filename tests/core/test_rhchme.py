@@ -46,9 +46,9 @@ class TestRHCHMEFit:
 
     def test_membership_rows_on_simplex(self, small_dataset):
         result = RHCHME(max_iter=6, random_state=0).fit(small_dataset)
-        G = result.state.G
-        assert np.all(G >= 0)
-        np.testing.assert_allclose(G.sum(axis=1), 1.0, atol=1e-8)
+        for G in result.state.G_blocks:
+            assert np.all(G >= 0)
+            np.testing.assert_allclose(G.sum(axis=1), 1.0, atol=1e-8)
 
     def test_error_matrix_disabled_stays_zero(self, small_dataset):
         config = RHCHMEConfig(max_iter=5, random_state=0, use_error_matrix=False)
@@ -139,11 +139,12 @@ class TestWarmStart:
     def test_warm_start_does_not_mutate_callers_state(self, small_dataset):
         cold = RHCHME(max_iter=5, random_state=0,
                       track_metrics_every=0).fit(small_dataset)
-        G_before = cold.state.G.copy()
+        G_before = [block.copy() for block in cold.state.G_blocks]
         RHCHME(max_iter=5, random_state=0,
                track_metrics_every=0).fit(small_dataset,
                                           warm_start=cold.state)
-        np.testing.assert_array_equal(cold.state.G, G_before)
+        for block, before in zip(cold.state.G_blocks, G_before):
+            np.testing.assert_array_equal(block, before)
 
     def test_mismatched_state_rejected(self, small_dataset, tiny_dataset):
         cold = RHCHME(max_iter=3, random_state=0,
@@ -151,6 +152,28 @@ class TestWarmStart:
         from repro.exceptions import ValidationError
         with pytest.raises(ValidationError, match="does not match"):
             RHCHME(max_iter=3).fit(small_dataset, warm_start=cold.state)
+
+    @pytest.mark.parametrize("use_error_matrix", [True, False])
+    def test_warm_start_state_without_error_matrix(self, small_dataset,
+                                                   use_error_matrix):
+        # FactorizationState.E_R is optional; a state that carries none
+        # warm-starts a fit under either error-matrix setting, its L2,1
+        # term reading as zero until the first E_R update.
+        cold = RHCHME(max_iter=3, random_state=0,
+                      track_metrics_every=0).fit(small_dataset)
+        state = cold.state.copy()
+        state.E_R = None
+        result = RHCHME(max_iter=3, random_state=0, track_metrics_every=0,
+                        use_error_matrix=use_error_matrix
+                        ).fit(small_dataset, warm_start=state)
+        sparsity = result.trace.terms_series("error_sparsity")
+        assert np.all(np.isfinite(result.trace.objectives))
+        assert sparsity[0] == 0.0
+        if use_error_matrix:
+            assert sparsity[-1] > 0.0
+        else:
+            assert result.state.E_R is None
+            np.testing.assert_array_equal(sparsity, 0.0)
 
     def test_missing_block_rejected(self, tiny_dataset):
         from repro.exceptions import ValidationError

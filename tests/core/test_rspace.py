@@ -1,8 +1,8 @@
-"""Tests for repro.core.rspace (factored sparse-backend R-space kernels).
+"""Tests for repro.core.rspace (factored per-pair R-space kernels).
 
-Every kernel is checked against the dense formula it replaces on random
-block-structured problems: the factored path must agree to floating-point
-noise without ever building the ``(n, n)`` residual.
+Every kernel is checked against the dense formula it replaces on a random
+non-square relation pair ``(t, u)``: the factored path must agree to
+floating-point noise without ever building the ``(n_t, n_u)`` residual.
 """
 
 from __future__ import annotations
@@ -14,119 +14,148 @@ import scipy.sparse as sp
 from repro.core import rspace
 from repro.linalg.rowsparse import RowSparseMatrix
 
+N_T, N_U, C_T, C_U = 30, 20, 4, 3
+
 
 @pytest.fixture
 def problem(rng):
-    """Random sparse R plus factor matrices of a small two-type problem."""
-    n, c = 30, 6
-    dense_R = rng.random((n, n))
+    """Random sparse R_tu plus the factor blocks of one relation pair."""
+    dense_R = rng.random((N_T, N_U))
     dense_R[dense_R < 0.7] = 0.0
-    dense_R = (dense_R + dense_R.T) / 2.0
-    np.fill_diagonal(dense_R, 0.0)
+    dense_R[5] = 0.0  # an empty row
     R = sp.csr_array(dense_R)
-    G = np.abs(rng.normal(size=(n, c)))
-    S = rng.normal(size=(c, c))
-    E_dense = np.zeros((n, n))
+    G_t = np.abs(rng.normal(size=(N_T, C_T)))
+    G_u = np.abs(rng.normal(size=(N_U, C_U)))
+    S = rng.normal(size=(C_T, C_U))
+    E_dense = np.zeros((N_T, N_U))
     stored = np.array([2, 11, 23])
-    E_dense[stored] = rng.normal(size=(3, n))
-    E = RowSparseMatrix(stored, E_dense[stored], (n, n))
-    return dense_R, R, G, S, E_dense, E
+    E_dense[stored] = rng.normal(size=(3, N_U))
+    E = RowSparseMatrix(stored, E_dense[stored], (N_T, N_U))
+    return dense_R, R, G_t, S, G_u, E_dense, E
+
+
+def _relation_kinds(dense_R, R):
+    """(argument, dense reference) for R_tu dense, CSR and absent."""
+    return [(dense_R, dense_R), (R, dense_R), (None, np.zeros_like(dense_R))]
 
 
 class TestPatternKernels:
     def test_pattern_row_inner_matches_dense(self, problem):
-        dense_R, R, G, S, _, _ = problem
-        M = rspace.factored_product(G, S)
-        expected = np.sum(dense_R * (G @ S @ G.T), axis=1)
-        np.testing.assert_allclose(rspace.pattern_row_inner(R, M, G), expected)
+        dense_R, R, G_t, S, G_u, _, _ = problem
+        M = G_t @ S
+        expected = np.sum(dense_R * (M @ G_u.T), axis=1)
+        np.testing.assert_allclose(rspace.pattern_row_inner(R, M, G_u),
+                                   expected)
 
     def test_pattern_inner_matches_dense(self, problem):
-        dense_R, R, G, S, _, _ = problem
-        M = rspace.factored_product(G, S)
-        np.testing.assert_allclose(rspace.pattern_inner(R, M, G),
-                                   float(np.sum(dense_R * (G @ S @ G.T))))
+        dense_R, R, G_t, S, G_u, _, _ = problem
+        M = G_t @ S
+        np.testing.assert_allclose(rspace.pattern_inner(R, M, G_u),
+                                   float(np.sum(dense_R * (M @ G_u.T))))
 
     def test_empty_pattern(self):
-        R = sp.csr_array((5, 5), dtype=np.float64)
+        R = sp.csr_array((5, 4), dtype=np.float64)
         M = np.ones((5, 2))
-        G = np.ones((5, 2))
+        G = np.ones((4, 2))
         np.testing.assert_array_equal(rspace.pattern_row_inner(R, M, G),
                                       np.zeros(5))
 
 
 class TestResidualKernels:
     def test_residual_row_norms_match_dense(self, problem):
-        dense_R, R, G, S, _, _ = problem
-        expected = np.linalg.norm(dense_R - G @ S @ G.T, axis=1)
-        np.testing.assert_allclose(rspace.residual_row_norms(R, G, S),
-                                   expected, rtol=1e-9, atol=1e-12)
+        dense_R, R, G_t, S, G_u, _, _ = problem
+        for R_arg, R_ref in _relation_kinds(dense_R, R):
+            residual = R_ref - G_t @ S @ G_u.T
+            np.testing.assert_allclose(
+                rspace.pair_residual_sq_row_norms(R_arg, G_t, S, G_u),
+                np.sum(residual * residual, axis=1), rtol=1e-9, atol=1e-12)
 
     def test_residual_rows_match_dense(self, problem):
-        dense_R, R, G, S, _, _ = problem
-        rows = np.array([0, 7, 29])
-        expected = (dense_R - G @ S @ G.T)[rows]
-        np.testing.assert_allclose(rspace.residual_rows(R, G, S, rows),
-                                   expected, rtol=1e-9, atol=1e-12)
+        dense_R, R, G_t, S, G_u, _, _ = problem
+        rows = np.array([0, 5, 7, 29])
+        for R_arg, R_ref in _relation_kinds(dense_R, R):
+            expected = (R_ref - G_t @ S @ G_u.T)[rows]
+            np.testing.assert_allclose(
+                rspace.pair_residual_rows(R_arg, G_t, S, G_u, rows),
+                expected, rtol=1e-9, atol=1e-12)
 
     def test_residual_rows_empty_selection(self, problem):
-        _, R, G, S, _, _ = problem
-        out = rspace.residual_rows(R, G, S, np.empty(0, dtype=np.int64))
-        assert out.shape == (0, R.shape[1])
+        _, R, G_t, S, G_u, _, _ = problem
+        out = rspace.pair_residual_rows(R, G_t, S, G_u,
+                                        np.empty(0, dtype=np.int64))
+        assert out.shape == (0, N_U)
 
 
 class TestProjectRelations:
     def test_sparse_r_row_sparse_e(self, problem):
-        dense_R, R, G, _, E_dense, E = problem
-        expected = (dense_R - E_dense) @ G
-        np.testing.assert_allclose(rspace.project_relations(R, E, G), expected)
+        dense_R, R, _, _, G_u, E_dense, E = problem
+        expected = (dense_R - E_dense) @ G_u
+        np.testing.assert_allclose(rspace.project_relations(R, E, G_u),
+                                   expected)
 
     def test_sparse_r_none_e(self, problem):
-        dense_R, R, G, _, _, _ = problem
-        np.testing.assert_allclose(rspace.project_relations(R, None, G),
-                                   dense_R @ G)
+        dense_R, R, _, _, G_u, _, _ = problem
+        np.testing.assert_allclose(rspace.project_relations(R, None, G_u),
+                                   dense_R @ G_u)
 
     def test_dense_r_row_sparse_e(self, problem):
-        dense_R, _, G, _, E_dense, E = problem
-        np.testing.assert_allclose(rspace.project_relations(dense_R, E, G),
-                                   (dense_R - E_dense) @ G)
+        dense_R, _, _, _, G_u, E_dense, E = problem
+        np.testing.assert_allclose(rspace.project_relations(dense_R, E, G_u),
+                                   (dense_R - E_dense) @ G_u)
 
     def test_dense_r_dense_e(self, problem):
-        dense_R, _, G, _, E_dense, _ = problem
+        dense_R, _, _, _, G_u, E_dense, _ = problem
         np.testing.assert_allclose(
-            rspace.project_relations(dense_R, E_dense, G),
-            (dense_R - E_dense) @ G)
+            rspace.project_relations(dense_R, E_dense, G_u),
+            (dense_R - E_dense) @ G_u)
 
     def test_association_core(self, problem):
-        dense_R, R, G, _, E_dense, E = problem
-        np.testing.assert_allclose(rspace.association_core(R, E, G),
-                                   G.T @ (dense_R - E_dense) @ G)
+        # The S update's per-pair core G_tᵀ (R_tu − E_tu) G_u (Eq. 18).
+        from repro.core.updates import _association_core_task
+        dense_R, R, G_t, _, G_u, E_dense, E = problem
+        np.testing.assert_allclose(_association_core_task((G_t, R, E, G_u)),
+                                   G_t.T @ (dense_R - E_dense) @ G_u)
 
 
 class TestReconstructionError:
-    def _dense_value(self, dense_R, G, S, E_dense):
-        return float(np.linalg.norm(dense_R - G @ S @ G.T - E_dense) ** 2)
+    def _dense_value(self, dense_R, G_t, S, G_u, E_dense):
+        return float(np.linalg.norm(dense_R - G_t @ S @ G_u.T - E_dense) ** 2)
+
+    @staticmethod
+    def _error_operands(e_kind, E_dense, E):
+        if e_kind == "row-sparse":
+            return E, E_dense
+        if e_kind == "dense":
+            return E_dense, E_dense
+        return None, np.zeros_like(E_dense)
 
     @pytest.mark.parametrize("sparse_r", [True, False])
     @pytest.mark.parametrize("e_kind", ["row-sparse", "dense", "none"])
     def test_matches_dense_formula(self, problem, sparse_r, e_kind):
-        dense_R, R, G, S, E_dense, E = problem
+        dense_R, R, G_t, S, G_u, E_dense, E = problem
         R_arg = R if sparse_r else dense_R
-        if e_kind == "row-sparse":
-            E_arg, E_ref = E, E_dense
-        elif e_kind == "dense":
-            E_arg, E_ref = E_dense, E_dense
-        else:
-            E_arg, E_ref = None, np.zeros_like(E_dense)
-        expected = self._dense_value(dense_R, G, S, E_ref)
+        E_arg, E_ref = self._error_operands(e_kind, E_dense, E)
+        expected = self._dense_value(dense_R, G_t, S, G_u, E_ref)
         np.testing.assert_allclose(
-            rspace.reconstruction_error(R_arg, G, S, E_arg), expected,
-            rtol=1e-9)
+            rspace.pair_reconstruction_error(R_arg, G_t, S, G_u, E_arg),
+            expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("e_kind", ["row-sparse", "dense", "none"])
+    def test_absent_relation_matches_dense_formula(self, problem, e_kind):
+        # R_tu = None: a pair that only a warm-start E_R keeps active.
+        dense_R, _, G_t, S, G_u, E_dense, E = problem
+        E_arg, E_ref = self._error_operands(e_kind, E_dense, E)
+        expected = self._dense_value(np.zeros_like(dense_R), G_t, S, G_u,
+                                     E_ref)
+        np.testing.assert_allclose(
+            rspace.pair_reconstruction_error(None, G_t, S, G_u, E_arg),
+            expected, rtol=1e-9)
 
     def test_exact_reconstruction_is_near_zero(self, rng):
-        n, c = 20, 4
-        G = np.abs(rng.normal(size=(n, c)))
-        S = rng.normal(size=(c, c))
-        product = G @ S @ G.T
+        G_t = np.abs(rng.normal(size=(N_T, C_T)))
+        G_u = np.abs(rng.normal(size=(N_U, C_U)))
+        S = rng.normal(size=(C_T, C_U))
+        product = G_t @ S @ G_u.T
         R = sp.csr_array(product)
-        value = rspace.reconstruction_error(R, G, S, None)
+        value = rspace.pair_reconstruction_error(R, G_t, S, G_u, None)
         assert value < 1e-9 * float(np.sum(product * product))

@@ -1,48 +1,73 @@
-"""Tests for repro.core.updates (the S / G / E_R update rules)."""
+"""Tests for repro.core.updates (the blockwise S / G / E_R update rules)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import block_diag
 
-from repro.core.objective import evaluate_objective
+from repro.core.objective import evaluate_objective_blocks
 from repro.core.state import initialize_state
 from repro.core.updates import (
-    apply_block_structure,
     l21_reweighting_diagonal,
-    update_association,
-    update_error_matrix,
-    update_membership,
+    update_association_blocks,
+    update_error_matrix_blocks,
+    update_membership_blocks,
 )
 from repro.graph.laplacian import unnormalized_laplacian
 from repro.graph.pnn import pnn_affinity
-from repro.linalg.blocks import block_diagonal
+from repro.linalg.normalize import row_normalize_l1
+from repro.linalg.parts import split_parts
+from repro.linalg.rowsparse import RowSparseMatrix
+
+
+def _stacked_relations(R_pairs, spec) -> np.ndarray:
+    """Test-local dense ``(n, n)`` R assembled from the per-pair blocks."""
+    R = np.zeros((spec.total, spec.total))
+    for (t, u), block in R_pairs.items():
+        R[spec.slice(t), spec.slice(u)] = (block.toarray() if sp.issparse(block)
+                                           else block)
+    return R
+
+
+def _residual(R_pairs, state) -> np.ndarray:
+    """Dense stacked residual ``R − G S Gᵀ``."""
+    G = block_diag(*state.G_blocks)
+    return _stacked_relations(R_pairs, state.object_spec) - G @ state.S @ G.T
+
+
+def _objective(R_pairs, state, L_blocks, *, lam, beta):
+    return evaluate_objective_blocks(R_pairs, state, L_blocks, lam=lam,
+                                     beta=beta)
 
 
 @pytest.fixture
 def prepared(tiny_dataset):
-    """Dataset, R, a block-diagonal Laplacian and an initialised state."""
-    R = tiny_dataset.inter_type_matrix(normalize=True)
-    laplacians = []
-    for object_type in tiny_dataset.types:
-        affinity = pnn_affinity(object_type.features, p=3, scheme="cosine")
-        laplacians.append(unnormalized_laplacian(affinity))
-    L = block_diagonal(laplacians)
-    state = initialize_state(tiny_dataset, R, random_state=0)
-    state.S = update_association(R, state)
-    return tiny_dataset, R, L, state
+    """Relation blocks, per-type Laplacians and an initialised state."""
+    R_pairs = tiny_dataset.relation_blocks(normalize=True)
+    L_blocks = [unnormalized_laplacian(pnn_affinity(object_type.features, p=3,
+                                                    scheme="cosine"))
+                for object_type in tiny_dataset.types]
+    state = initialize_state(tiny_dataset, R_pairs, random_state=0)
+    state.S = update_association_blocks(R_pairs, state)
+    return R_pairs, L_blocks, state
+
+
+def _parts(L_blocks):
+    return [split_parts(block) for block in L_blocks]
 
 
 class TestAssociationUpdate:
     def test_shape_and_finite(self, prepared):
-        _, R, _, state = prepared
-        S = update_association(R, state)
+        R_pairs, _, state = prepared
+        S = update_association_blocks(R_pairs, state)
         assert S.shape == state.S.shape
         assert np.all(np.isfinite(S))
 
     def test_diagonal_blocks_zero(self, prepared):
-        _, R, _, state = prepared
-        S = update_association(R, state)
+        R_pairs, _, state = prepared
+        S = update_association_blocks(R_pairs, state)
         spec = state.cluster_spec
         for k in range(spec.n_types):
             np.testing.assert_allclose(S[spec.slice(k), spec.slice(k)], 0.0)
@@ -50,91 +75,93 @@ class TestAssociationUpdate:
     def test_minimises_reconstruction_given_G(self, prepared):
         # The closed-form S is the least-squares minimiser; perturbing it must
         # not decrease the reconstruction term.
-        _, R, L, state = prepared
-        state.S = update_association(R, state)
-        base = evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                  lam=0.0, beta=0.0).reconstruction
+        R_pairs, L_blocks, state = prepared
+        state.S = update_association_blocks(R_pairs, state)
+        base = _objective(R_pairs, state, L_blocks, lam=0.0,
+                          beta=0.0).reconstruction
         rng = np.random.default_rng(0)
+        perturbed = state.copy()
         for _ in range(5):
-            perturbed = state.S + 0.05 * rng.normal(size=state.S.shape)
-            value = evaluate_objective(R, state.G, perturbed, state.E_R, L,
-                                       lam=0.0, beta=0.0).reconstruction
+            perturbed.S = state.S + 0.05 * rng.normal(size=state.S.shape)
+            value = _objective(R_pairs, perturbed, L_blocks, lam=0.0,
+                               beta=0.0).reconstruction
             assert value >= base - 1e-8
 
 
 class TestMembershipUpdate:
     def test_nonnegative_and_row_normalised(self, prepared):
-        _, R, L, state = prepared
-        G = update_membership(R, L, state, lam=1.0)
-        assert np.all(G >= 0)
-        np.testing.assert_allclose(G.sum(axis=1), 1.0, atol=1e-9)
+        R_pairs, L_blocks, state = prepared
+        for block in update_membership_blocks(R_pairs, _parts(L_blocks), state,
+                                              lam=1.0):
+            assert np.all(block >= 0)
+            np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-9)
 
     def test_block_structure_preserved(self, prepared):
-        data, R, L, state = prepared
-        G = update_membership(R, L, state, lam=1.0)
-        object_spec, cluster_spec = state.object_spec, state.cluster_spec
-        for k in range(object_spec.n_types):
-            for l in range(cluster_spec.n_types):
-                if k != l:
-                    np.testing.assert_allclose(
-                        G[object_spec.slice(k), cluster_spec.slice(l)], 0.0)
+        R_pairs, L_blocks, state = prepared
+        blocks = update_membership_blocks(R_pairs, _parts(L_blocks), state,
+                                          lam=1.0)
+        expected = list(zip(state.object_spec.sizes, state.cluster_spec.sizes))
+        assert [block.shape for block in blocks] == expected
+
+    def test_normalize_keyword_routes_row_normalisation(self, prepared):
+        # normalize=False is the bare multiplicative step of Eq. 21; Eq. 22
+        # row-normalises exactly that step.
+        R_pairs, L_blocks, state = prepared
+        parts = _parts(L_blocks)
+        bare = update_membership_blocks(R_pairs, parts, state, lam=1.0,
+                                        normalize=False)
+        normalised = update_membership_blocks(R_pairs, parts, state, lam=1.0,
+                                              normalize=True)
+        for raw, block in zip(bare, normalised):
+            assert not np.allclose(raw.sum(axis=1), 1.0)
+            np.testing.assert_array_equal(block, row_normalize_l1(raw))
 
     def test_objective_not_increased_by_joint_s_g_update(self, prepared):
         # Theorem 1: each alternating pass decreases J4.  The G update alone
         # uses the *unnormalised* KKT step, so we check the full pass
         # (S update followed by G update) like Algorithm 2 does.
-        _, R, L, state = prepared
+        R_pairs, L_blocks, state = prepared
         lam = 0.5
-        before = evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                    lam=lam, beta=1.0).total
+        parts = _parts(L_blocks)
+        before = _objective(R_pairs, state, L_blocks, lam=lam, beta=1.0).total
         for _ in range(3):
-            state.S = update_association(R, state)
-            state.G = update_membership(R, L, state, lam=lam)
-        after = evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                   lam=lam, beta=1.0).total
+            state.S = update_association_blocks(R_pairs, state)
+            state.G_blocks = update_membership_blocks(R_pairs, parts, state,
+                                                      lam=lam)
+        after = _objective(R_pairs, state, L_blocks, lam=lam, beta=1.0).total
         assert after <= before * 1.05
 
     def test_zero_lambda_ignores_graph(self, prepared):
-        _, R, L, state = prepared
-        with_graph = update_membership(R, L, state, lam=0.0)
-        without_graph = update_membership(R, np.zeros_like(L), state, lam=1.0)
-        np.testing.assert_allclose(with_graph, without_graph, atol=1e-10)
-
-
-class TestApplyBlockStructure:
-    def test_masks_off_blocks(self, prepared):
-        _, R, _, state = prepared
-        full = np.ones_like(state.G)
-        masked = apply_block_structure(full, state)
-        object_spec, cluster_spec = state.object_spec, state.cluster_spec
-        for k in range(object_spec.n_types):
-            np.testing.assert_allclose(
-                masked[object_spec.slice(k), cluster_spec.slice(k)], 1.0)
-            for l in range(cluster_spec.n_types):
-                if l != k:
-                    np.testing.assert_allclose(
-                        masked[object_spec.slice(k), cluster_spec.slice(l)], 0.0)
+        R_pairs, L_blocks, state = prepared
+        with_graph = update_membership_blocks(R_pairs, _parts(L_blocks), state,
+                                              lam=0.0)
+        zeros = [np.zeros_like(block) for block in L_blocks]
+        without_graph = update_membership_blocks(R_pairs, _parts(zeros), state,
+                                                 lam=1.0)
+        for a, b in zip(with_graph, without_graph):
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestErrorMatrixUpdate:
     def test_shape_and_finite(self, prepared):
-        _, R, _, state = prepared
-        E = update_error_matrix(R, state, beta=10.0)
-        assert E.shape == R.shape
+        R_pairs, _, state = prepared
+        E = update_error_matrix_blocks(R_pairs, state, beta=10.0)
+        n = state.object_spec.total
+        assert E.shape == (n, n)
         assert np.all(np.isfinite(E))
 
     def test_large_beta_shrinks_error_matrix(self, prepared):
-        _, R, _, state = prepared
-        small_beta = update_error_matrix(R, state, beta=0.1)
-        large_beta = update_error_matrix(R, state, beta=1000.0)
+        R_pairs, _, state = prepared
+        small_beta = update_error_matrix_blocks(R_pairs, state, beta=0.1)
+        large_beta = update_error_matrix_blocks(R_pairs, state, beta=1000.0)
         assert np.abs(large_beta).sum() < np.abs(small_beta).sum()
 
     def test_error_rows_proportional_to_residual_rows(self, prepared):
-        _, R, _, state = prepared
-        E = update_error_matrix(R, state, beta=10.0)
-        residual = R - state.G @ state.S @ state.G.T
+        R_pairs, _, state = prepared
+        E = update_error_matrix_blocks(R_pairs, state, beta=10.0)
+        residual = _residual(R_pairs, state)
         # Each row of E is a positive scaling of the corresponding residual row.
-        for i in range(R.shape[0]):
+        for i in range(residual.shape[0]):
             if np.linalg.norm(residual[i]) < 1e-12:
                 continue
             mask = np.abs(residual[i]) > 1e-12
@@ -148,16 +175,16 @@ class TestErrorMatrixUpdate:
         # Eq. 27 is the exact minimiser of the reweighted quadratic
         # ‖Q − E‖²_F + β tr(Eᵀ D E) with D computed from the residual Q
         # (Eq. 25); perturbing the solution must not lower that objective.
-        _, R, _, state = prepared
+        R_pairs, _, state = prepared
         beta = 5.0
-        residual = R - state.G @ state.S @ state.G.T
+        residual = _residual(R_pairs, state)
         diag = l21_reweighting_diagonal(residual)
 
         def reweighted(E: np.ndarray) -> float:
             return float(np.sum((residual - E) ** 2)
                          + beta * np.sum(diag[:, None] * E * E))
 
-        E_star = update_error_matrix(R, state, beta=beta)
+        E_star = update_error_matrix_blocks(R_pairs, state, beta=beta)
         base = reweighted(E_star)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -167,21 +194,18 @@ class TestErrorMatrixUpdate:
     def test_update_decreases_subobjective_when_residual_dominates(self, prepared):
         # With β small relative to the residual row norms the one-step update
         # is guaranteed to decrease the true L2,1-regularised sub-objective.
-        _, R, L, state = prepared
-        residual = R - state.G @ state.S @ state.G.T
+        R_pairs, L_blocks, state = prepared
+        residual = _residual(R_pairs, state)
         row_norms = np.sqrt(np.sum(residual * residual, axis=1))
         beta = 0.5 * float(np.min(row_norms[row_norms > 0]))
-        before = evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                    lam=0.0, beta=beta).total
-        state.E_R = update_error_matrix(R, state, beta=beta)
-        after = evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                   lam=0.0, beta=beta).total
+        before = _objective(R_pairs, state, L_blocks, lam=0.0, beta=beta).total
+        state.E_R = update_error_matrix_blocks(R_pairs, state, beta=beta)
+        after = _objective(R_pairs, state, L_blocks, lam=0.0, beta=beta).total
         assert after <= before + 1e-8
 
     def test_reweighting_diagonal_positive(self, prepared):
-        _, R, _, state = prepared
-        residual = R - state.G @ state.S @ state.G.T
-        diag = l21_reweighting_diagonal(residual)
+        R_pairs, _, state = prepared
+        diag = l21_reweighting_diagonal(_residual(R_pairs, state))
         assert np.all(diag > 0)
 
     def test_reweighting_handles_zero_rows(self):
@@ -192,23 +216,38 @@ class TestErrorMatrixUpdate:
 
 class TestMembershipUpdateBackends:
     def test_precomputed_parts_match_unsplit_path(self, prepared):
-        from repro.linalg.parts import split_parts
-        _, R, L, state = prepared
-        plain = update_membership(R, L, state.copy(), lam=250.0)
-        cached = update_membership(R, L, state.copy(), lam=250.0,
-                                   parts=split_parts(L))
-        np.testing.assert_allclose(cached, plain)
+        # Test-local dense Eq. 21-22 on the stacked matrices, splitting the
+        # stacked L on the fly: the kernel's per-type precomputed parts must
+        # give the same blocks.
+        R_pairs, L_blocks, state = prepared
+        lam = 250.0
+        R = _stacked_relations(R_pairs, state.object_spec)
+        G = block_diag(*state.G_blocks)
+        S = state.S
+        L_pos, L_neg = split_parts(block_diag(*L_blocks))
+        A_pos, A_neg = split_parts(R @ G @ S.T)
+        B_pos, B_neg = split_parts(S.T @ (G.T @ G) @ S)
+        ratio = ((lam * (L_neg @ G) + A_pos + G @ B_neg)
+                 / np.maximum(lam * (L_pos @ G) + A_neg + G @ B_pos, 1e-12))
+        expected = row_normalize_l1(G * np.sqrt(ratio))
+        blocks = update_membership_blocks(R_pairs, _parts(L_blocks), state,
+                                          lam=lam)
+        np.testing.assert_allclose(block_diag(*blocks), expected,
+                                   rtol=1e-12, atol=1e-15)
 
     def test_sparse_laplacian_matches_dense(self, prepared):
-        import scipy.sparse as sp
-        _, R, L, state = prepared
-        dense = update_membership(R, L, state.copy(), lam=250.0)
-        sparse = update_membership(R, sp.csr_array(L), state.copy(), lam=250.0)
-        np.testing.assert_allclose(sparse, dense, atol=1e-12)
+        R_pairs, L_blocks, state = prepared
+        dense = update_membership_blocks(R_pairs, _parts(L_blocks), state,
+                                         lam=250.0)
+        csr = [sp.csr_array(block) for block in L_blocks]
+        sparse = update_membership_blocks(R_pairs, _parts(csr), state,
+                                          lam=250.0)
+        for a, b in zip(sparse, dense):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestEmptyClusterRegression:
-    """update_association must survive a cluster emptying mid-iteration.
+    """The S update must survive a cluster emptying mid-iteration.
 
     An (almost) empty cluster is a (near-)zero column of G, so GᵀG is
     singular; the ridge-regularised solve formerly answered with
@@ -218,11 +257,9 @@ class TestEmptyClusterRegression:
     """
 
     def test_bounded_with_exactly_empty_cluster(self, prepared):
-        _, R, _, state = prepared
-        G = state.G
-        G[:, 0] = 0.0
-        state.G = G  # reading assembles a copy; write back through the setter
-        S = update_association(R, state)
+        R_pairs, _, state = prepared
+        state.G_blocks[0][:, 0] = 0.0
+        S = update_association_blocks(R_pairs, state)
         assert np.all(np.isfinite(S))
         np.testing.assert_allclose(S[0, :], 0.0, atol=1e-10)
         np.testing.assert_allclose(S[:, 0], 0.0, atol=1e-10)
@@ -230,12 +267,10 @@ class TestEmptyClusterRegression:
     def test_bounded_with_nearly_empty_cluster(self, prepared):
         # The dangerous regime: the column is not exactly zero, so the
         # gram is singular only numerically and nothing cancels exactly.
-        _, R, _, state = prepared
-        healthy = update_association(R, state)
-        G = state.G
-        G[:, 0] *= 1e-15
-        state.G = G  # write the mutated copy back through the setter
-        S = update_association(R, state)
+        R_pairs, _, state = prepared
+        healthy = update_association_blocks(R_pairs, state)
+        state.G_blocks[0][:, 0] *= 1e-15
+        S = update_association_blocks(R_pairs, state)
         assert np.all(np.isfinite(S))
         bound = 10.0 * max(np.max(np.abs(healthy)), 1.0)
         assert np.max(np.abs(S)) < bound
@@ -243,17 +278,16 @@ class TestEmptyClusterRegression:
 
     def test_fit_survives_warm_start_with_empty_cluster(self, tiny_dataset):
         from repro.core.rhchme import RHCHME
-        from repro.core.state import initialize_state
-        R = tiny_dataset.inter_type_matrix(normalize=True)
-        state = initialize_state(tiny_dataset, R, random_state=0)
-        # empty the first documents cluster outright (blocks are the
-        # authoritative storage; the stacked G property is a copy)
+        R_pairs = tiny_dataset.relation_blocks(normalize=True)
+        state = initialize_state(tiny_dataset, R_pairs, random_state=0)
+        # empty the first documents cluster outright
         state.G_blocks[0][:, 0] = 0.0
         result = RHCHME(max_iter=5, random_state=0,
                         track_metrics_every=0).fit(tiny_dataset,
                                                    warm_start=state)
         assert np.all(np.isfinite(result.trace.objectives))
-        assert np.all(np.isfinite(result.state.G))
+        for block in result.state.G_blocks:
+            assert np.all(np.isfinite(block))
         assert np.all(np.isfinite(np.asarray(result.state.E_R)))
 
     def test_gram_pinv_matches_inverse_when_well_conditioned(self, rng):
@@ -268,10 +302,12 @@ class TestZeroResidualRegression:
     """All-zero residual rows must never produce NaNs in the E_R update."""
 
     def _exact_state(self, prepared):
-        # Make the residual exactly zero by construction: R := G S Gᵀ.
-        _, R, _, state = prepared
+        # Make the residual exactly zero by construction: R_tu := G_t S_tu G_uᵀ.
+        R_pairs, _, state = prepared
         state = state.copy()
-        R_exact = state.G @ state.S @ state.G.T
+        c = state.cluster_spec
+        R_exact = {(t, u): state.G_blocks[t] @ state.S[c.slice(t), c.slice(u)]
+                   @ state.G_blocks[u].T for t, u in R_pairs}
         return R_exact, state
 
     def test_reweighting_finite_without_zeta(self):
@@ -287,15 +323,15 @@ class TestZeroResidualRegression:
     @pytest.mark.parametrize("beta", [0.0, 10.0])
     def test_exact_residual_yields_finite_zero_error(self, prepared, beta):
         R_exact, state = self._exact_state(prepared)
-        E = update_error_matrix(R_exact, state, beta=beta, zeta=0.0)
+        E = update_error_matrix_blocks(R_exact, state, beta=beta, zeta=0.0)
         assert np.all(np.isfinite(E))
         np.testing.assert_allclose(E, 0.0, atol=1e-10)
 
     def test_sparse_path_drops_exact_rows_entirely(self, prepared):
-        import scipy.sparse as sp
         R_exact, state = self._exact_state(prepared)
-        E = update_error_matrix(sp.csr_array(R_exact), state,
-                                beta=10.0, zeta=0.0, row_tol=1e-8)
+        R_csr = {pair: sp.csr_array(block) for pair, block in R_exact.items()}
+        E = update_error_matrix_blocks(R_csr, state, beta=10.0, zeta=0.0,
+                                       row_tol=1e-8)
         assert E.n_stored_rows == 0
 
     def test_fit_on_exactly_reconstructable_data_stays_finite(self):
@@ -326,42 +362,42 @@ class TestSparseUpdateParity:
 
     @pytest.fixture
     def sparse_prepared(self, prepared):
-        import scipy.sparse as sp
-        data, R, L, state = prepared
+        R_pairs, L_blocks, state = prepared
         state = state.copy()
-        state.E_R = update_error_matrix(R, state, beta=10.0)
+        state.E_R = update_error_matrix_blocks(R_pairs, state, beta=10.0)
         sparse_state = state.copy()
-        from repro.linalg.rowsparse import RowSparseMatrix
         sparse_state.E_R = RowSparseMatrix.from_dense(state.E_R)
-        return R, sp.csr_array(R), L, state, sparse_state
+        R_csr = {pair: sp.csr_array(block) for pair, block in R_pairs.items()}
+        return R_pairs, R_csr, L_blocks, state, sparse_state
 
     def test_association_update(self, sparse_prepared):
-        R, R_csr, _, state, sparse_state = sparse_prepared
-        dense = update_association(R, state)
-        sparse = update_association(R_csr, sparse_state)
+        R_pairs, R_csr, _, state, sparse_state = sparse_prepared
+        dense = update_association_blocks(R_pairs, state)
+        sparse = update_association_blocks(R_csr, sparse_state)
         np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
 
     def test_membership_update(self, sparse_prepared):
-        R, R_csr, L, state, sparse_state = sparse_prepared
-        dense = update_membership(R, L, state, lam=250.0)
-        sparse = update_membership(R_csr, L, sparse_state, lam=250.0)
-        np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
+        R_pairs, R_csr, L_blocks, state, sparse_state = sparse_prepared
+        parts = _parts(L_blocks)
+        dense = update_membership_blocks(R_pairs, parts, state, lam=250.0)
+        sparse = update_membership_blocks(R_csr, parts, sparse_state,
+                                          lam=250.0)
+        for a, b in zip(sparse, dense):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_error_matrix_update(self, sparse_prepared):
-        from repro.linalg.rowsparse import RowSparseMatrix
-        R, R_csr, _, state, sparse_state = sparse_prepared
-        dense = update_error_matrix(R, state, beta=10.0)
-        sparse = update_error_matrix(R_csr, sparse_state, beta=10.0)
+        R_pairs, R_csr, _, state, sparse_state = sparse_prepared
+        dense = update_error_matrix_blocks(R_pairs, state, beta=10.0)
+        sparse = update_error_matrix_blocks(R_csr, sparse_state, beta=10.0)
         assert isinstance(sparse, RowSparseMatrix)
         np.testing.assert_allclose(sparse.to_dense(), dense,
                                    rtol=1e-8, atol=1e-11)
 
     def test_objective_evaluation(self, sparse_prepared):
-        R, R_csr, L, state, sparse_state = sparse_prepared
-        dense = evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                   lam=250.0, beta=10.0)
-        sparse = evaluate_objective(R_csr, sparse_state.G, sparse_state.S,
-                                    sparse_state.E_R, L, lam=250.0, beta=10.0)
+        R_pairs, R_csr, L_blocks, state, sparse_state = sparse_prepared
+        dense = _objective(R_pairs, state, L_blocks, lam=250.0, beta=10.0)
+        sparse = _objective(R_csr, sparse_state, L_blocks, lam=250.0,
+                            beta=10.0)
         np.testing.assert_allclose(sparse.reconstruction, dense.reconstruction,
                                    rtol=1e-9)
         np.testing.assert_allclose(sparse.error_sparsity, dense.error_sparsity,
@@ -373,12 +409,8 @@ class TestSparseUpdateParity:
 class TestBlockwiseDefaultPairs:
     """Omitting ``pairs`` must still visit warm-start E_R-only blocks."""
 
-    def test_error_only_pair_contributes_to_association(self):
-        import scipy.sparse as sp
-        from repro.core.state import initialize_state
-        from repro.core.updates import (active_relation_pairs,
-                                        update_association_blocks)
-        from repro.linalg.rowsparse import RowSparseMatrix
+    @pytest.fixture
+    def chain(self):
         from repro.relational.dataset import MultiTypeRelationalData
         from repro.relational.types import ObjectType, Relation
 
@@ -400,7 +432,13 @@ class TestBlockwiseDefaultPairs:
         values = np.zeros((1, spec.total))
         values[0, spec.slice(u)] = 1.0
         state.E_R = RowSparseMatrix(rows, values, (spec.total, spec.total))
+        return R_pairs, state, (t, u)
 
+    def test_error_only_pair_contributes_to_association(self, chain):
+        from repro.core.updates import active_relation_pairs
+
+        R_pairs, state, (t, u) = chain
+        spec = state.object_spec
         assert (t, u) in active_relation_pairs(R_pairs, state.E_R, spec)
         S_default = update_association_blocks(R_pairs, state)
         cspec = state.cluster_spec
@@ -411,3 +449,26 @@ class TestBlockwiseDefaultPairs:
             pairs=active_relation_pairs(R_pairs, state.E_R, spec))
         np.testing.assert_array_equal(S_default, explicit)
         assert not sp.issparse(S_default)
+
+    def test_error_only_pair_contributes_to_objective(self, chain):
+        # The objective's default pair set is the update kernels' active
+        # set: the (a, c) block's residual −E_ac is part of ‖R − GSGᵀ − E‖².
+        from repro.core.updates import active_relation_pairs
+
+        R_pairs, state, _ = chain
+        state.S = update_association_blocks(R_pairs, state)
+        L_blocks = [np.zeros((n, n)) for n in state.object_spec.sizes]
+        default = _objective(R_pairs, state, L_blocks, lam=0.0, beta=0.0)
+        explicit = evaluate_objective_blocks(
+            R_pairs, state, L_blocks, lam=0.0, beta=0.0,
+            pairs=active_relation_pairs(R_pairs, state.E_R,
+                                        state.object_spec))
+        relation_only = evaluate_objective_blocks(
+            R_pairs, state, L_blocks, lam=0.0, beta=0.0, pairs=sorted(R_pairs))
+        assert default.reconstruction == explicit.reconstruction
+        assert default.reconstruction > relation_only.reconstruction + 1.0
+        G = block_diag(*state.G_blocks)
+        dense = (_stacked_relations(R_pairs, state.object_spec)
+                 - G @ state.S @ G.T - state.E_R.to_dense())
+        assert default.reconstruction == pytest.approx(float(np.sum(dense ** 2)),
+                                                       rel=1e-12)

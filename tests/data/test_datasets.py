@@ -90,12 +90,14 @@ class TestMakeDataset:
         data = make_dataset("corrupted-multi5", random_state=0)
         assert data.get_type("documents").n_objects == 150
 
-    def test_inter_type_matrix_is_valid(self):
+    def test_relation_blocks_are_valid(self):
         data = make_dataset("multi5-small", random_state=0)
-        R = data.inter_type_matrix(normalize=True)
-        assert np.all(np.isfinite(R))
-        np.testing.assert_allclose(R, R.T, atol=1e-12)
-        assert np.all(R >= 0)
+        blocks = data.relation_blocks(normalize=True)
+        assert blocks
+        for (t, u), block in blocks.items():
+            assert np.all(np.isfinite(block))
+            np.testing.assert_allclose(blocks[(u, t)], block.T, atol=1e-12)
+            assert np.all(block >= 0)
 
 
 class TestDatasetCharacteristics:

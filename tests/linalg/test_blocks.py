@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.linalg.blocks import (
-    BlockSpec,
-    block_diagonal,
-    block_offdiagonal,
-    extract_blocks,
-    extract_diagonal_blocks,
-)
+from repro.linalg.blocks import BlockSpec
 
 
 class TestBlockSpec:
@@ -53,139 +47,3 @@ class TestBlockSpec:
         spec = BlockSpec((2, 2))
         with pytest.raises(ValueError):
             spec.block(np.zeros((3, 3)), 0, 0)
-
-
-class TestBlockDiagonal:
-    def test_square_blocks(self):
-        result = block_diagonal([np.eye(2), 2 * np.eye(3)])
-        assert result.shape == (5, 5)
-        np.testing.assert_allclose(result[:2, :2], np.eye(2))
-        np.testing.assert_allclose(result[2:, 2:], 2 * np.eye(3))
-        np.testing.assert_allclose(result[:2, 2:], 0.0)
-
-    def test_rectangular_blocks(self):
-        result = block_diagonal([np.ones((3, 2)), np.ones((2, 4))])
-        assert result.shape == (5, 6)
-        np.testing.assert_allclose(result[:3, :2], 1.0)
-        np.testing.assert_allclose(result[3:, 2:], 1.0)
-        np.testing.assert_allclose(result[:3, 2:], 0.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            block_diagonal([])
-
-    def test_rejects_1d_blocks(self):
-        with pytest.raises(ValueError):
-            block_diagonal([np.ones(3)])
-
-
-class TestBlockOffdiagonal:
-    def test_symmetric_mirroring(self):
-        spec = BlockSpec((2, 3))
-        R12 = np.arange(6, dtype=float).reshape(2, 3)
-        full = block_offdiagonal(spec, spec, {(0, 1): R12})
-        np.testing.assert_allclose(full[:2, 2:], R12)
-        np.testing.assert_allclose(full[2:, :2], R12.T)
-        np.testing.assert_allclose(full[:2, :2], 0.0)
-        np.testing.assert_allclose(full, full.T)
-
-    def test_explicit_reverse_block_not_overwritten(self):
-        spec = BlockSpec((2, 2))
-        forward = np.ones((2, 2))
-        reverse = 3 * np.ones((2, 2))
-        full = block_offdiagonal(spec, spec, {(0, 1): forward, (1, 0): reverse})
-        np.testing.assert_allclose(full[2:, :2], reverse)
-
-    def test_rejects_diagonal_block(self):
-        spec = BlockSpec((2, 2))
-        with pytest.raises(ValueError, match="diagonal"):
-            block_offdiagonal(spec, spec, {(0, 0): np.ones((2, 2))})
-
-    def test_rejects_shape_mismatch(self):
-        spec = BlockSpec((2, 3))
-        with pytest.raises(ValueError, match="shape"):
-            block_offdiagonal(spec, spec, {(0, 1): np.ones((2, 2))})
-
-    def test_symmetric_requires_matching_specs(self):
-        with pytest.raises(ValueError, match="identical"):
-            block_offdiagonal(BlockSpec((2, 2)), BlockSpec((1, 3)),
-                              {(0, 1): np.ones((2, 3))}, symmetric=True)
-
-
-class TestExtraction:
-    def test_diagonal_blocks_roundtrip(self):
-        blocks = [np.full((2, 2), 1.0), np.full((3, 3), 2.0)]
-        matrix = block_diagonal(blocks)
-        extracted = extract_diagonal_blocks(matrix, BlockSpec((2, 3)))
-        for original, result in zip(blocks, extracted):
-            np.testing.assert_allclose(result, original)
-
-    def test_extract_all_blocks(self):
-        spec = BlockSpec((1, 2))
-        matrix = np.arange(9, dtype=float).reshape(3, 3)
-        blocks = extract_blocks(matrix, spec, spec)
-        assert set(blocks) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        np.testing.assert_allclose(blocks[(1, 1)], matrix[1:, 1:])
-
-    def test_extract_blocks_shape_check(self):
-        with pytest.raises(ValueError):
-            extract_blocks(np.zeros((2, 2)), BlockSpec((3,)), BlockSpec((3,)))
-
-
-class TestSparseBlockDiagonal:
-    def test_sparse_blocks_assemble_to_csr(self):
-        import scipy.sparse as sp
-        a = sp.csr_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = sp.csr_array(np.array([[5.0]]))
-        result = block_diagonal([a, b])
-        assert sp.issparse(result)
-        expected = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]])
-        np.testing.assert_allclose(result.toarray(), expected)
-
-    def test_mixed_sparse_and_dense_blocks(self):
-        import scipy.sparse as sp
-        a = sp.csr_array(np.eye(2))
-        b = np.full((2, 2), 7.0)
-        result = block_diagonal([a, b])
-        assert sp.issparse(result)
-        dense_result = block_diagonal([np.eye(2), b])
-        np.testing.assert_allclose(result.toarray(), dense_result)
-
-    def test_sparse_empty_blocks_keep_shape(self):
-        import scipy.sparse as sp
-        zero = sp.csr_array((3, 3))
-        result = block_diagonal([zero, sp.csr_array(np.eye(2))])
-        assert result.shape == (5, 5)
-        assert result.nnz == 2
-
-
-class TestExtractFactorBlocks:
-    def test_roundtrips_with_block_diagonal(self):
-        from repro.linalg.blocks import extract_factor_blocks
-        rng = np.random.default_rng(0)
-        blocks = [rng.random((3, 2)), rng.random((4, 3)), rng.random((2, 1))]
-        stacked = block_diagonal(blocks)
-        rows = BlockSpec((3, 4, 2))
-        cols = BlockSpec((2, 3, 1))
-        recovered = extract_factor_blocks(stacked, rows, cols)
-        assert len(recovered) == 3
-        for original, back in zip(blocks, recovered):
-            np.testing.assert_array_equal(back, original)
-
-    def test_discards_off_block_entries(self):
-        from repro.linalg.blocks import extract_factor_blocks
-        full = np.ones((5, 4))
-        rows = BlockSpec((3, 2))
-        cols = BlockSpec((2, 2))
-        recovered = extract_factor_blocks(full, rows, cols)
-        np.testing.assert_array_equal(recovered[0], np.ones((3, 2)))
-        np.testing.assert_array_equal(recovered[1], np.ones((2, 2)))
-
-    def test_shape_mismatch_rejected(self):
-        from repro.linalg.blocks import extract_factor_blocks
-        with pytest.raises(ValueError):
-            extract_factor_blocks(np.ones((4, 4)), BlockSpec((3,)),
-                                  BlockSpec((4,)))
-        with pytest.raises(ValueError):
-            extract_factor_blocks(np.ones((4, 4)), BlockSpec((2, 2)),
-                                  BlockSpec((4,)))

@@ -5,35 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.manifold.ensemble import HeterogeneousManifoldEnsemble, build_type_laplacians
+from repro.manifold.ensemble import HeterogeneousManifoldEnsemble
 
 
 class TestHeterogeneousEnsemble:
     def test_block_diagonal_structure(self, tiny_dataset):
+        # L is block diagonal by type: one (n_t, n_t) block per type, the
+        # off-diagonal blocks never exist.
         ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3,
                                                  subspace_max_iter=30,
                                                  random_state=0)
-        L = ensemble.build(tiny_dataset)
-        n = tiny_dataset.n_objects_total
-        assert L.shape == (n, n)
-        spec = tiny_dataset.object_block_spec()
-        np.testing.assert_allclose(spec.block(L, 0, 1), 0.0)
-        np.testing.assert_allclose(spec.block(L, 1, 0), 0.0)
+        L_blocks = ensemble.build_blocks(tiny_dataset)
+        assert [L.shape for L in L_blocks] == [
+            (t.n_objects, t.n_objects) for t in tiny_dataset.types]
 
     def test_symmetric_and_psd_blocks(self, tiny_dataset):
         ensemble = HeterogeneousManifoldEnsemble(alpha=0.5, gamma=10.0, p=3,
                                                  subspace_max_iter=30,
                                                  random_state=0)
-        L = ensemble.build(tiny_dataset)
-        np.testing.assert_allclose(L, L.T, atol=1e-8)
-        eigenvalues = np.linalg.eigvalsh((L + L.T) / 2)
-        assert eigenvalues.min() >= -1e-6
+        for L in ensemble.build_blocks(tiny_dataset):
+            np.testing.assert_allclose(L, L.T, atol=1e-8)
+            eigenvalues = np.linalg.eigvalsh((L + L.T) / 2)
+            assert eigenvalues.min() >= -1e-6
 
     def test_members_recorded_per_type(self, tiny_dataset):
         ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3,
                                                  subspace_max_iter=20,
                                                  random_state=0)
-        ensemble.build(tiny_dataset)
+        ensemble.build_blocks(tiny_dataset)
         assert len(ensemble.members_) == tiny_dataset.n_types
         for member in ensemble.members_:
             assert member.combined.shape[0] == member.combined.shape[1]
@@ -43,20 +42,20 @@ class TestHeterogeneousEnsemble:
     def test_alpha_zero_equals_pnn_only(self, tiny_dataset):
         hetero = HeterogeneousManifoldEnsemble(alpha=0.0, p=3, use_subspace=True,
                                                use_pnn=True, random_state=0)
-        L_alpha_zero = hetero.build(tiny_dataset)
-        L_pnn_only = build_type_laplacians(tiny_dataset, p=3)
-        np.testing.assert_allclose(L_alpha_zero, L_pnn_only, atol=1e-10)
+        pnn_only = HeterogeneousManifoldEnsemble(p=3, use_subspace=False)
+        for alpha_zero, pnn in zip(hetero.build_blocks(tiny_dataset),
+                                   pnn_only.build_blocks(tiny_dataset)):
+            np.testing.assert_allclose(alpha_zero, pnn, atol=1e-10)
 
     def test_alpha_scales_subspace_member(self, tiny_dataset):
         small = HeterogeneousManifoldEnsemble(alpha=0.5, gamma=10.0, p=3,
                                               subspace_max_iter=20, random_state=0)
         large = HeterogeneousManifoldEnsemble(alpha=2.0, gamma=10.0, p=3,
                                               subspace_max_iter=20, random_state=0)
-        L_small = small.build(tiny_dataset)
-        L_large = large.build(tiny_dataset)
         # The pNN member is shared; the difference is (2.0 - 0.5) * L_S per type.
-        difference = L_large - L_small
-        assert np.abs(difference).sum() > 0
+        for L_small, L_large in zip(small.build_blocks(tiny_dataset),
+                                    large.build_blocks(tiny_dataset)):
+            assert np.abs(L_large - L_small).sum() > 0
 
     def test_type_without_features_gets_zero_block(self):
         import numpy as np
@@ -71,9 +70,9 @@ class TestHeterogeneousEnsemble:
         ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3,
                                                  subspace_max_iter=20,
                                                  random_state=0)
-        L = ensemble.build(data)
-        spec = data.object_block_spec()
-        np.testing.assert_allclose(spec.block(L, 1, 1), 0.0)
+        L_blocks = ensemble.build_blocks(data)
+        np.testing.assert_allclose(L_blocks[1], 0.0)
+        assert L_blocks[1].shape == (5, 5)
 
     def test_both_members_disabled_rejected(self):
         with pytest.raises(ValueError):
@@ -88,19 +87,20 @@ class TestEnsembleBackend:
     def test_sparse_build_matches_dense(self, tiny_dataset):
         import scipy.sparse as sp
         kwargs = dict(use_subspace=False, use_pnn=True, p=3)
-        dense = HeterogeneousManifoldEnsemble(backend="dense", **kwargs).build(
-            tiny_dataset)
-        sparse = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs).build(
-            tiny_dataset)
-        assert sp.issparse(sparse)
-        np.testing.assert_allclose(sparse.toarray(), dense, atol=1e-12)
+        dense = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
+                                              ).build_blocks(tiny_dataset)
+        sparse = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs
+                                               ).build_blocks(tiny_dataset)
+        for sparse_block, dense_block in zip(sparse, dense):
+            assert sp.issparse(sparse_block)
+            np.testing.assert_allclose(sparse_block.toarray(), dense_block,
+                                       atol=1e-12)
 
     def test_auto_backend_resolves_dense_for_tiny_data(self, tiny_dataset):
         import scipy.sparse as sp
         ensemble = HeterogeneousManifoldEnsemble(use_subspace=False, use_pnn=True,
                                                  p=3, backend="auto")
-        L = ensemble.build(tiny_dataset)
-        assert not sp.issparse(L)
+        assert not any(sp.issparse(L) for L in ensemble.build_blocks(tiny_dataset))
 
     def test_featureless_type_contributes_sparse_zero_block(self):
         import scipy.sparse as sp
@@ -114,13 +114,6 @@ class TestEnsembleBackend:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             HeterogeneousManifoldEnsemble(backend="bogus")
-
-    def test_build_type_laplacians_sparse(self, tiny_dataset):
-        import scipy.sparse as sp
-        dense = build_type_laplacians(tiny_dataset, p=3)
-        sparse = build_type_laplacians(tiny_dataset, p=3, backend="sparse")
-        assert sp.issparse(sparse)
-        np.testing.assert_allclose(sparse.toarray(), dense, atol=1e-12)
 
 
 class TestAutoBackendResolution:
@@ -146,5 +139,5 @@ class TestResolvedBackendRecording:
         ensemble = HeterogeneousManifoldEnsemble(use_subspace=False, use_pnn=True,
                                                  p=3, backend="auto")
         assert ensemble.resolved_backend_ is None
-        ensemble.build(tiny_dataset)
+        ensemble.build_blocks(tiny_dataset)
         assert ensemble.resolved_backend_ == "dense"

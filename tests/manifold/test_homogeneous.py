@@ -7,6 +7,8 @@ import pytest
 
 from repro.graph.candidates import CandidateSpec, default_candidate_grid
 from repro.graph.weights import WeightingScheme
+from repro.linalg.norms import trace_quadratic
+from repro.linalg.projections import project_simplex
 from repro.manifold.homogeneous import HomogeneousCandidateEnsemble
 
 
@@ -19,10 +21,10 @@ class TestHomogeneousEnsemble:
         ensemble = HomogeneousCandidateEnsemble(
             specs=default_candidate_grid(p_values=[2, 4], schemes=["binary"]))
         candidates = ensemble.build_candidates(tiny_dataset)
-        n = tiny_dataset.n_objects_total
         assert len(candidates) == 2
         for candidate in candidates:
-            assert candidate.shape == (n, n)
+            assert [block.shape for block in candidate] == [
+                (t.n_objects, t.n_objects) for t in tiny_dataset.types]
 
     def test_combine_requires_build(self):
         ensemble = HomogeneousCandidateEnsemble()
@@ -34,14 +36,18 @@ class TestHomogeneousEnsemble:
             specs=default_candidate_grid(p_values=[2, 4], schemes=["cosine"]))
         candidates = ensemble.build_candidates(tiny_dataset)
         combined = ensemble.combine()
-        np.testing.assert_allclose(combined, np.mean(candidates, axis=0), atol=1e-12)
+        for t, block in enumerate(combined):
+            np.testing.assert_allclose(
+                block, np.mean([candidate[t] for candidate in candidates], axis=0),
+                atol=1e-12)
 
     def test_custom_weights_combination(self, tiny_dataset):
         ensemble = HomogeneousCandidateEnsemble(
             specs=default_candidate_grid(p_values=[2, 4], schemes=["cosine"]))
         candidates = ensemble.build_candidates(tiny_dataset)
         combined = ensemble.combine(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(combined, candidates[0])
+        for block, expected in zip(combined, candidates[0]):
+            np.testing.assert_allclose(block, expected)
 
     def test_wrong_weight_shape_rejected(self, tiny_dataset):
         ensemble = HomogeneousCandidateEnsemble(
@@ -54,18 +60,25 @@ class TestHomogeneousEnsemble:
         ensemble = HomogeneousCandidateEnsemble(
             specs=default_candidate_grid(p_values=[2, 4],
                                          schemes=["binary", "cosine"]))
-        ensemble.build_candidates(tiny_dataset)
+        candidates = ensemble.build_candidates(tiny_dataset)
         rng = np.random.default_rng(0)
-        G = rng.random((tiny_dataset.n_objects_total, 4))
-        weights = ensemble.refit_weights(G)
+        G_blocks = [rng.random((t.n_objects, t.n_clusters))
+                    for t in tiny_dataset.types]
+        weights = ensemble.refit_weights(G_blocks)
         assert weights.shape == (4,)
         assert np.all(weights >= -1e-12)
         assert weights.sum() == pytest.approx(1.0)
+        # the penalty of each candidate sums its per-type blocks' traces
+        penalties = np.array([sum(trace_quadratic(G, L)
+                                  for G, L in zip(G_blocks, candidate))
+                              for candidate in candidates])
+        np.testing.assert_allclose(
+            weights, project_simplex(-penalties / (2.0 * ensemble.smoothing)))
 
     def test_refit_requires_build(self):
         ensemble = HomogeneousCandidateEnsemble()
         with pytest.raises(RuntimeError):
-            ensemble.refit_weights(np.ones((3, 2)))
+            ensemble.refit_weights([np.ones((3, 2))])
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -83,5 +96,5 @@ class TestHomogeneousEnsemble:
         ensemble = HomogeneousCandidateEnsemble(
             specs=[CandidateSpec(p=3, scheme=WeightingScheme.COSINE)])
         candidates = ensemble.build_candidates(data)
-        spec = data.object_block_spec()
-        np.testing.assert_allclose(spec.block(candidates[0], 1, 1), 0.0)
+        np.testing.assert_allclose(candidates[0][1], 0.0)
+        assert candidates[0][1].shape == (4, 4)

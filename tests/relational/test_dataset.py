@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.relational.dataset import MultiTypeRelationalData
@@ -25,6 +26,10 @@ def three_type_data() -> MultiTypeRelationalData:
         Relation("terms", "concepts", rng.random((4, 3))),
     ]
     return MultiTypeRelationalData([docs, terms, concepts], relations)
+
+
+def _dense(block) -> np.ndarray:
+    return block.toarray() if sp.issparse(block) else np.asarray(block)
 
 
 class TestConstruction:
@@ -74,29 +79,32 @@ class TestConstruction:
 
 
 class TestMatrixAssembly:
-    def test_inter_type_matrix_is_symmetric(self, three_type_data):
-        R = three_type_data.inter_type_matrix()
-        assert R.shape == (13, 13)
-        np.testing.assert_allclose(R, R.T, atol=1e-12)
+    """The inter-type matrix R, as the per-pair blocks the solvers consume."""
+
+    def test_relation_blocks_are_symmetric(self, three_type_data):
+        for backend in ("dense", "sparse"):
+            blocks = three_type_data.relation_blocks(normalize=True,
+                                                     backend=backend)
+            assert len(blocks) == 6
+            for (t, u), block in blocks.items():
+                np.testing.assert_allclose(_dense(blocks[(u, t)]),
+                                           _dense(block).T, atol=1e-12)
 
     def test_inter_type_diagonal_blocks_zero(self, three_type_data):
-        R = three_type_data.inter_type_matrix()
-        spec = three_type_data.object_block_spec()
-        for k in range(3):
-            np.testing.assert_allclose(spec.block(R, k, k), 0.0)
+        # R's diagonal blocks are structurally zero: no (t, t) block exists.
+        for normalize in (False, True):
+            blocks = three_type_data.relation_blocks(normalize=normalize)
+            assert all(t != u for t, u in blocks)
 
     def test_inter_type_offdiagonal_matches_relations(self, three_type_data):
         data = three_type_data
-        R = data.inter_type_matrix(normalize=False)
-        spec = data.object_block_spec()
+        blocks = data.relation_blocks(normalize=False)
         doc_term = data.relation_between("documents", "terms")
-        np.testing.assert_allclose(spec.block(R, 0, 1), doc_term.matrix)
+        np.testing.assert_allclose(blocks[(0, 1)], doc_term.matrix)
 
     def test_normalized_blocks_have_unit_frobenius_norm(self, three_type_data):
-        R = three_type_data.inter_type_matrix(normalize=True)
-        spec = three_type_data.object_block_spec()
-        block = spec.block(R, 0, 1)
-        assert np.linalg.norm(block) == pytest.approx(1.0)
+        blocks = three_type_data.relation_blocks(normalize=True)
+        assert np.linalg.norm(blocks[(0, 1)]) == pytest.approx(1.0)
 
     def test_missing_relation_gives_zero_block(self):
         docs = ObjectType("documents", n_objects=3, n_clusters=2)
@@ -105,46 +113,14 @@ class TestMatrixAssembly:
         data = MultiTypeRelationalData(
             [docs, terms, concepts],
             [Relation("documents", "terms", np.ones((3, 4)))])
-        R = data.inter_type_matrix()
-        spec = data.object_block_spec()
-        np.testing.assert_allclose(spec.block(R, 0, 2), 0.0)
+        # An unrelated pair's block is zero, so it is absent from R's blocks.
+        assert sorted(data.relation_blocks()) == [(0, 1), (1, 0)]
         assert data.relation_between("documents", "concepts") is None
-
-    def test_intra_type_matrix_block_diagonal(self, three_type_data):
-        affinities = {"documents": np.ones((6, 6)), "terms": np.ones((4, 4))}
-        W = three_type_data.intra_type_matrix(affinities)
-        assert W.shape == (13, 13)
-        spec = three_type_data.object_block_spec()
-        np.testing.assert_allclose(spec.block(W, 0, 0), 1.0)
-        np.testing.assert_allclose(spec.block(W, 2, 2), 0.0)  # no concepts affinity
-        np.testing.assert_allclose(spec.block(W, 0, 1), 0.0)
-
-    def test_intra_type_shape_mismatch_rejected(self, three_type_data):
-        with pytest.raises(ValidationError):
-            three_type_data.intra_type_matrix({"documents": np.ones((5, 5))})
 
     def test_relation_between_orientation(self, three_type_data):
         forward = three_type_data.relation_between("documents", "terms")
         backward = three_type_data.relation_between("terms", "documents")
         np.testing.assert_allclose(forward.matrix, backward.matrix.T)
-
-    def test_labels_vector_concatenates(self, three_type_data):
-        labels = three_type_data.labels_vector()
-        assert labels.shape == (13,)
-
-    def test_labels_vector_none_when_missing(self):
-        docs = ObjectType("documents", n_objects=3, n_clusters=2)
-        terms = ObjectType("terms", n_objects=4, n_clusters=2)
-        data = MultiTypeRelationalData(
-            [docs, terms], [Relation("documents", "terms", np.ones((3, 4)))])
-        assert data.labels_vector() is None
-
-    def test_membership_block_structure(self, three_type_data):
-        slices = three_type_data.membership_block_structure()
-        assert len(slices) == 3
-        rows, cols = slices[1]
-        assert rows == slice(6, 10)
-        assert cols == slice(2, 4)
 
     def test_describe_mentions_all_types(self, three_type_data):
         text = three_type_data.describe()
@@ -164,23 +140,31 @@ class TestRelationBlocks:
                                        np.asarray(block).T)
 
     def test_matches_global_assembly(self, three_type_data):
-        spec = three_type_data.object_block_spec()
+        # Test-local stacked R: each relation (scaled to unit Frobenius norm
+        # when normalising) placed at (t, u) and its transpose at (u, t).
+        data = three_type_data
+        spec = data.object_block_spec()
         for normalize in (False, True):
-            R = three_type_data.inter_type_matrix(normalize=normalize)
-            blocks = three_type_data.relation_blocks(normalize=normalize)
-            for (t, u), block in blocks.items():
-                np.testing.assert_allclose(
-                    np.asarray(block), R[spec.slice(t), spec.slice(u)],
-                    atol=1e-12)
-            # pairs absent from the mapping are zero blocks globally
-            for t in range(three_type_data.n_types):
-                for u in range(three_type_data.n_types):
-                    if t != u and (t, u) not in blocks:
-                        np.testing.assert_allclose(
-                            R[spec.slice(t), spec.slice(u)], 0.0)
+            R = np.zeros((spec.total, spec.total))
+            for relation in data.relations:
+                t = data.type_index(relation.source)
+                u = data.type_index(relation.target)
+                matrix = np.asarray(relation.matrix) * relation.weight
+                if normalize:
+                    matrix = matrix / np.linalg.norm(relation.matrix)
+                R[spec.slice(t), spec.slice(u)] = matrix
+                R[spec.slice(u), spec.slice(t)] = matrix.T
+            blocks = data.relation_blocks(normalize=normalize)
+            for t in range(data.n_types):
+                for u in range(data.n_types):
+                    expected = R[spec.slice(t), spec.slice(u)]
+                    if (t, u) in blocks:
+                        np.testing.assert_allclose(blocks[(t, u)], expected,
+                                                   atol=1e-12)
+                    else:
+                        np.testing.assert_allclose(expected, 0.0)
 
     def test_sparse_backend_yields_csr(self, three_type_data):
-        import scipy.sparse as sp
         blocks = three_type_data.relation_blocks(backend="sparse")
         dense_blocks = three_type_data.relation_blocks(backend="dense")
         assert blocks, "expected at least one relation pair"

@@ -56,8 +56,10 @@ class TestFitParity:
 
     def test_final_membership_matrices_close(self, fits):
         dense, sparse = fits
-        np.testing.assert_allclose(sparse.state.G, dense.state.G,
-                                   rtol=1e-8, atol=1e-10)
+        for sparse_block, dense_block in zip(sparse.state.G_blocks,
+                                             dense.state.G_blocks):
+            np.testing.assert_allclose(sparse_block, dense_block,
+                                       rtol=1e-8, atol=1e-10)
 
 
 class TestAutoBackend:
@@ -74,21 +76,23 @@ class TestAutoBackend:
 class TestEnsembleParity:
     def test_ensemble_laplacians_match(self, multi5_small):
         kwargs = dict(use_subspace=False, use_pnn=True, p=3)
-        dense_L = HeterogeneousManifoldEnsemble(backend="dense", **kwargs).build(
-            multi5_small)
-        sparse_L = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs).build(
-            multi5_small)
-        assert isinstance(dense_L, np.ndarray)
-        assert sp.issparse(sparse_L)
-        np.testing.assert_allclose(sparse_L.toarray(), dense_L, atol=1e-12)
+        dense = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
+                                              ).build_blocks(multi5_small)
+        sparse = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs
+                                               ).build_blocks(multi5_small)
+        for dense_L, sparse_L in zip(dense, sparse):
+            assert isinstance(dense_L, np.ndarray)
+            assert sp.issparse(sparse_L)
+            np.testing.assert_allclose(sparse_L.toarray(), dense_L, atol=1e-12)
 
     def test_sparse_ensemble_with_subspace_member(self, multi5_small):
         kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
                       subspace_max_iter=10, random_state=SEED)
-        dense_L = HeterogeneousManifoldEnsemble(backend="dense", **kwargs).build(
-            multi5_small)
-        sparse_L = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs).build(
-            multi5_small)
-        assert sp.issparse(sparse_L)
-        np.testing.assert_allclose(sparse_L.toarray(), dense_L,
-                                   rtol=1e-10, atol=1e-12)
+        dense = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
+                                              ).build_blocks(multi5_small)
+        sparse = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs
+                                               ).build_blocks(multi5_small)
+        for dense_L, sparse_L in zip(dense, sparse):
+            assert sp.issparse(sparse_L)
+            np.testing.assert_allclose(sparse_L.toarray(), dense_L,
+                                       rtol=1e-10, atol=1e-12)

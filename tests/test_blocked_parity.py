@@ -1,27 +1,27 @@
-"""Blocked-core ↔ global-kernel parity for the full RHCHME pipeline.
+"""Blocked-core ↔ dense-oracle parity for the full RHCHME pipeline.
 
-The PR-5 refactor moved ``RHCHME.fit`` onto the blocked solver core:
-per-type G blocks, per-type Laplacians, per-pair relations and blockwise
-S / G / E_R / objective kernels, optionally threaded across ``n_jobs``
-workers.  The global kernels remain (baselines and adapters use them), so
-the contract is checkable directly: a blocked fit must reproduce the
-global-kernel reference loop — same labels, same per-term objective
-trajectory — on every ``backend × n_jobs`` combination, and the thread
-count must never change a single bit of the result.
+``RHCHME.fit`` runs on the blocked solver core: per-type G blocks,
+per-type Laplacians, per-pair relations and blockwise S / G / E_R /
+objective kernels, optionally threaded across ``n_jobs`` workers.  The
+contract is checkable against a test-local dense oracle of Algorithm 2 on
+the stacked numpy matrices: a blocked fit must reproduce it — same
+labels, same per-term objective trajectory — on every ``backend × n_jobs``
+combination, and the thread count must never change a single bit of the
+result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from repro.core import RHCHME
-from repro.core.objective import evaluate_objective
 from repro.core.state import initialize_state
-from repro.core.updates import (update_association, update_error_matrix,
-                                update_membership)
 from repro.data.datasets import make_dataset
 from repro.linalg.parts import split_parts
+from repro.linalg.safe import gram_pinv
 from repro.manifold.ensemble import HeterogeneousManifoldEnsemble
 from repro.runtime import refresh_model
 
@@ -43,44 +43,90 @@ def fits(multi5_small):
             for backend in ("dense", "sparse") for n_jobs in (1, 2)}
 
 
-def _global_reference_trace(data, *, backend: str, config) -> dict:
-    """Drive the global kernels through the blocked fit's exact schedule."""
+def _dense(block) -> np.ndarray:
+    return block.toarray() if sp.issparse(block) else np.asarray(block)
+
+
+def _dense_reference_trace(data, *, backend: str, config) -> dict:
+    """Test-local dense Algorithm 2 on the stacked matrices.
+
+    Eq. 18 S through the guarded gram pseudo-inverse, Eq. 21–22 G, Eq.
+    25–27 E_R and the Eq. 15 objective, all on stacked ``(n, n)`` R, L, E_R
+    and ``(n, c)`` G, driven through the blocked fit's exact schedule.
+    """
     ensemble = HeterogeneousManifoldEnsemble(backend=backend,
                                              random_state=SEED)
-    L = ensemble.build(data)
-    R = data.inter_type_matrix(normalize=True,
-                               backend=ensemble.resolved_backend_)
-    parts = split_parts(L)
-    state = initialize_state(data, R, init="kmeans", smoothing=0.2,
+    L = block_diag(*[_dense(block) for block in ensemble.build_blocks(data)])
+    R_pairs = data.relation_blocks(normalize=True,
+                                   backend=ensemble.resolved_backend_)
+    objects, clusters = data.object_block_spec(), data.cluster_block_spec()
+    R = np.zeros((objects.total, objects.total))
+    for (t, u), block in R_pairs.items():
+        R[objects.slice(t), objects.slice(u)] = _dense(block)
+    state = initialize_state(data, R_pairs, init="kmeans", smoothing=0.2,
                              random_state=SEED)
+    G = block_diag(*state.G_blocks)
+    E = np.zeros_like(R)
     lam, beta = config.lam, config.beta
-    breakdowns = []
-    state.S = update_association(R, state)
-    breakdowns.append(evaluate_objective(R, state.G, state.S, state.E_R, L,
-                                         lam=lam, beta=beta))
+    L_pos, L_neg = split_parts(L)
+    floor = (config.error_row_tol * np.linalg.norm(R)
+             / np.sqrt(objects.total))
+
+    def update_S():
+        gram_inverse = gram_pinv(G.T @ G)
+        S = gram_inverse @ (G.T @ (R - E) @ G) @ gram_inverse
+        for k in range(clusters.n_types):
+            S[clusters.slice(k), clusters.slice(k)] = 0.0
+        return S
+
+    def update_G():
+        A_pos, A_neg = split_parts((R - E) @ G @ S.T)
+        B_pos, B_neg = split_parts(S.T @ (G.T @ G) @ S)
+        numerator = lam * (L_neg @ G) + A_pos + G @ B_neg
+        denominator = lam * (L_pos @ G) + A_neg + G @ B_pos
+        updated = G * np.sqrt(numerator / np.maximum(denominator, 1e-12))
+        return updated / updated.sum(axis=1, keepdims=True)
+
+    def update_E():
+        residual = R - G @ S @ G.T
+        norms = np.linalg.norm(residual, axis=1)
+        D = 1.0 / np.maximum(2.0 * np.sqrt(norms ** 2 + config.zeta), 1e-12)
+        scale = 1.0 / (beta * D + 1.0)
+        scale[scale * norms <= floor] = 0.0
+        return residual * scale[:, None]
+
+    def objective():
+        reconstruction = np.linalg.norm(R - G @ S @ G.T - E) ** 2
+        return {"reconstruction": reconstruction,
+                "error_sparsity": beta * np.linalg.norm(E, axis=1).sum(),
+                "graph_smoothness": lam * np.trace(G.T @ L @ G)}
+
+    S = update_S()
+    breakdowns = [objective()]
     for iteration in range(1, MAX_ITER + 1):
         if iteration > 1:
-            state.S = update_association(R, state)
-        state.G = update_membership(R, L, state, lam=lam, parts=parts)
-        state.E_R = update_error_matrix(R, state, beta=beta, zeta=config.zeta,
-                                        row_tol=config.error_row_tol)
-        breakdowns.append(evaluate_objective(R, state.G, state.S, state.E_R,
-                                             L, lam=lam, beta=beta))
-    labels = {object_type.name: state.labels_for_type(index)
+            S = update_S()
+        G = update_G()
+        E = update_E()
+        breakdowns.append(objective())
+    labels = {object_type.name: np.argmax(G[objects.slice(index),
+                                            clusters.slice(index)], axis=1)
               for index, object_type in enumerate(data.types)}
     return {
         "labels": labels,
-        "terms": {term: np.array([getattr(b, term) for b in breakdowns])
+        "terms": {term: np.array([b[term] for b in breakdowns])
                   for term in TERMS},
     }
 
 
 class TestBlockedGlobalParity:
+    """The blocked fit against the stacked dense oracle of Algorithm 2."""
+
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_per_term_trajectories_match_global_kernels(self, multi5_small,
                                                         fits, backend):
         blocked = fits[(backend, 1)]
-        reference = _global_reference_trace(
+        reference = _dense_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER).config)
         for term in TERMS:
@@ -91,7 +137,7 @@ class TestBlockedGlobalParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_labels_match_global_kernels(self, multi5_small, fits, backend):
         blocked = fits[(backend, 1)]
-        reference = _global_reference_trace(
+        reference = _dense_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER).config)
         for name, labels in reference["labels"].items():

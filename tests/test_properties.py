@@ -1,11 +1,11 @@
 """Cross-module property-based tests (hypothesis).
 
-These properties tie several packages together: block assembly must commute
-with extraction, Laplacian regularisers must stay positive semi-definite
-under the ensemble combinations, the metric implementations must respect
-their mathematical invariants for arbitrary label vectors, and the update
-rules must preserve the feasibility constraints (non-negativity, simplex
-rows, block structure) for arbitrary non-negative inputs.
+These properties tie several packages together: Laplacian regularisers must
+stay positive semi-definite under the ensemble combinations, the metric
+implementations must respect their mathematical invariants for arbitrary
+label vectors, and the update rules must preserve the feasibility
+constraints (non-negativity, simplex rows) for arbitrary non-negative
+inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cluster.assignments import membership_to_labels, one_hot_membership
 from repro.graph.laplacian import unnormalized_laplacian
-from repro.linalg.blocks import BlockSpec, block_diagonal, extract_diagonal_blocks
 from repro.linalg.normalize import row_normalize_l1
 from repro.linalg.norms import l21_norm, trace_quadratic
 from repro.linalg.parts import split_parts
@@ -35,9 +34,6 @@ label_vectors = st.integers(2, 4).flatmap(
 nonneg_affinities = arrays(
     np.float64, (7, 7), elements=st.floats(0, 5, allow_nan=False)).map(
     lambda A: (A + A.T) / 2).map(lambda A: A - np.diag(np.diag(A)))
-
-small_blocks = st.lists(
-    st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4)
 
 
 class TestMetricProperties:
@@ -91,17 +87,6 @@ class TestGraphProperties:
 
 
 class TestBlockAndProjectionProperties:
-    @given(small_blocks)
-    @settings(max_examples=30, deadline=None)
-    def test_block_diagonal_roundtrip(self, shapes):
-        rng = np.random.default_rng(0)
-        blocks = [rng.random((rows, rows)) for rows, _ in shapes]
-        matrix = block_diagonal(blocks)
-        spec = BlockSpec(tuple(rows for rows, _ in shapes))
-        recovered = extract_diagonal_blocks(matrix, spec)
-        for original, result in zip(blocks, recovered):
-            np.testing.assert_allclose(result, original)
-
     @given(arrays(np.float64, (6, 6), elements=st.floats(-5, 5, allow_nan=False)))
     @settings(max_examples=30, deadline=None)
     def test_feasibility_projection_is_projection(self, matrix):

@@ -78,9 +78,10 @@ class TestFullFitParity:
                                    rtol=1e-7, atol=1e-10)
 
     def test_final_membership_matrices_close(self, fits):
-        np.testing.assert_allclose(fits["sparse"].state.G,
-                                   fits["dense"].state.G,
-                                   rtol=1e-8, atol=1e-10)
+        for sparse_block, dense_block in zip(fits["sparse"].state.G_blocks,
+                                             fits["dense"].state.G_blocks):
+            np.testing.assert_allclose(sparse_block, dense_block,
+                                       rtol=1e-8, atol=1e-10)
 
 
 class TestCsrRelationInput:
@@ -96,18 +97,19 @@ class TestCsrRelationInput:
                                               sparse_relations)
         return multi5_small, sparse_data
 
-    def test_inter_type_matrix_values_match(self, paired_datasets):
+    def test_relation_block_values_match(self, paired_datasets):
         dense_data, sparse_data = paired_datasets
         for normalize in (False, True):
-            expected = dense_data.inter_type_matrix(normalize=normalize)
-            R_sparse = sparse_data.inter_type_matrix(normalize=normalize,
-                                                     backend="sparse")
-            assert sp.issparse(R_sparse)
-            np.testing.assert_allclose(R_sparse.toarray(), expected,
-                                       atol=1e-12)
-            np.testing.assert_allclose(
-                sparse_data.inter_type_matrix(normalize=normalize), expected,
-                atol=1e-12)
+            expected = dense_data.relation_blocks(normalize=normalize)
+            R_sparse = sparse_data.relation_blocks(normalize=normalize,
+                                                   backend="sparse")
+            R_dense = sparse_data.relation_blocks(normalize=normalize)
+            assert sorted(R_sparse) == sorted(R_dense) == sorted(expected)
+            for pair, block in expected.items():
+                assert sp.issparse(R_sparse[pair])
+                np.testing.assert_allclose(R_sparse[pair].toarray(), block,
+                                           atol=1e-12)
+                np.testing.assert_allclose(R_dense[pair], block, atol=1e-12)
 
     def test_fits_agree_across_relation_storage(self, paired_datasets):
         dense_data, sparse_data = paired_datasets

@@ -36,26 +36,30 @@ class TestEnsembleParityAtTopkNMinusOne:
     def test_sparse_topk_matches_exact_dense_ensemble(self, multi5_small):
         kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
                       subspace_max_iter=10, random_state=SEED)
-        exact = HeterogeneousManifoldEnsemble(backend="dense", **kwargs).build(
-            multi5_small)
+        exact = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
+                                              ).build_blocks(multi5_small)
         topk = _largest_type_size(multi5_small) - 1
         thresholded = HeterogeneousManifoldEnsemble(
-            backend="sparse", subspace_topk=topk, **kwargs).build(multi5_small)
-        assert sp.issparse(thresholded)
-        np.testing.assert_allclose(thresholded.toarray(), exact,
-                                   rtol=1e-10, atol=1e-12)
+            backend="sparse", subspace_topk=topk, **kwargs
+        ).build_blocks(multi5_small)
+        for exact_L, thresholded_L in zip(exact, thresholded):
+            assert sp.issparse(thresholded_L)
+            np.testing.assert_allclose(thresholded_L.toarray(), exact_L,
+                                       rtol=1e-10, atol=1e-12)
 
     def test_small_topk_actually_sparsifies(self, multi5_small):
         kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
                       subspace_max_iter=10, random_state=SEED)
-        full = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs).build(
-            multi5_small)
+        full = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs
+                                             ).build_blocks(multi5_small)
         thresholded = HeterogeneousManifoldEnsemble(
-            backend="sparse", subspace_topk=5, **kwargs).build(multi5_small)
-        assert thresholded.nnz < full.nnz
+            backend="sparse", subspace_topk=5, **kwargs
+        ).build_blocks(multi5_small)
+        assert (sum(L.nnz for L in thresholded)
+                < sum(L.nnz for L in full))
         # subspace top-5 union + pNN(3) union + diagonal stays well bounded
-        n = thresholded.shape[0]
-        assert thresholded.nnz <= n * (2 * 5 + 2 * 3 + 1)
+        for L in thresholded:
+            assert L.nnz <= L.shape[0] * (2 * 5 + 2 * 3 + 1)
 
 
 class TestAutoResolution:
