@@ -127,10 +127,11 @@ def aligned_agreement(reference: np.ndarray, candidate: np.ndarray) -> float:
 
 def run_size(n_total: int, seed: int, workdir) -> dict:
     base, grown, n_grow = make_stream_pair(n_total, seed)
-    # use_error_matrix=False: E_R is *global* state every refresh must
-    # read, and on this synthetic data nearly all of its rows survive, so
-    # it would swamp the per-type byte accounting the mmap gate measures
-    # (partial reads of the per-type feature/factor blocks).
+    # use_error_matrix=False: the E step re-solves every row type of a
+    # dirty pair, which on this star includes the hub, so with E_R on the
+    # delta refresh skips much less of the full refresh's work (2.0x
+    # against 2.9x at the full size on a 2-core x86_64 host) and the gate
+    # would measure the hub instead of the delta schedule.
     estimator = RHCHME(max_iter=FIT_ITER, random_state=seed,
                        backend="sparse", use_error_matrix=False,
                        use_subspace_member=False, track_metrics_every=0)
@@ -224,30 +225,6 @@ def main() -> int:
               f"{entry['mmap']['touched_fraction']}")
         results.append(entry)
 
-    report = {
-        "benchmark": "stream",
-        "environment": environment_metadata(),
-        "config": {
-            "n_clusters": N_CLUSTERS,
-            "n_features": N_FEATURES,
-            "split": list(SPLIT),
-            "refresh_iter": REFRESH_ITER,
-            "refresh_tol": REFRESH_TOL,
-            "fit_iter": FIT_ITER,
-            "grow_fraction": GROW_FRACTION,
-        },
-        "gates": {
-            "speedup_min": speedup_gate,
-            "agreement_min": AGREEMENT_GATE,
-            "touched_fraction_max": TOUCHED_BYTES_GATE,
-            "mmap_parity_tol": MMAP_PARITY_TOL,
-        },
-        "results": results,
-    }
-    emit_report(report, args)
-
-    if not getattr(args, "check", False):
-        return 0
     failures = []
     for entry in results:
         n_total = entry["n_total"]
@@ -268,6 +245,31 @@ def main() -> int:
             failures.append(
                 f"N={n_total}: mmap refresh diverges from in-memory by "
                 f"{entry['mmap']['membership_max_abs_diff']}")
+    report = {
+        "benchmark": "stream",
+        "environment": environment_metadata(),
+        "config": {
+            "n_clusters": N_CLUSTERS,
+            "n_features": N_FEATURES,
+            "split": list(SPLIT),
+            "refresh_iter": REFRESH_ITER,
+            "refresh_tol": REFRESH_TOL,
+            "fit_iter": FIT_ITER,
+            "grow_fraction": GROW_FRACTION,
+        },
+        "gates": {
+            "speedup_min": speedup_gate,
+            "agreement_min": AGREEMENT_GATE,
+            "touched_fraction_max": TOUCHED_BYTES_GATE,
+            "mmap_parity_tol": MMAP_PARITY_TOL,
+        },
+        "results": results,
+        # Gate misses are recorded whether or not --check enforces them.
+        "failures": failures,
+    }
+    emit_report(report, args)
+    if not getattr(args, "check", False):
+        return 0
     return gate(not failures, "; ".join(failures))
 
 

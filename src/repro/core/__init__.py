@@ -7,8 +7,9 @@ Robust High-order Co-clustering via Heterogeneous Manifold Ensemble solves
 
 by alternating closed-form / multiplicative updates for the association
 matrix S (Eq. 18), the cluster membership matrix G (Eq. 21 + row-ℓ1
-normalisation), and the sample-wise sparse error matrix E_R (Eq. 27), with
-``L`` the heterogeneous manifold ensemble of Eq. 12.
+normalisation), and the sample-wise sparse error matrix E_R (the exact
+L2,1 prox that Eq. 25–27 iterate towards), with ``L`` the heterogeneous
+manifold ensemble of Eq. 12.
 
 The solver core is *blocked*: G lives as per-type membership blocks, L as
 per-type Laplacian blocks, R and E_R as per-pair cross-type blocks, and the

@@ -34,7 +34,11 @@ class RHCHMEConfig:
         Laplacian (Eq. 12); stable region [0.25, 2].
     beta:
         Weight β of the L2,1 penalty on the sparse error matrix (Eq. 15);
-        the paper reports 50 as the sweet spot.
+        the paper reports 50 as the sweet spot.  The E step is the exact
+        L2,1 prox, which keeps a row of E_R only where the residual row
+        norm exceeds β/2.  Relation blocks are normalised to unit
+        Frobenius norm, so at β = 50 no row survives and E_R stays empty;
+        rows of corrupted objects survive at β ≈ 0.3.
     p:
         Neighbour size of the p-NN graph (paper: 5).
     weighting:
@@ -65,9 +69,6 @@ class RHCHMEConfig:
         Record FScore/NMI against ground truth every this many iterations
         when labels are available (0 disables tracking); used to reproduce
         the convergence curves of Figure 3.
-    zeta:
-        Small perturbation regularising the L2,1 reweighting when a residual
-        row is exactly zero (Section III.D.3).
     backend:
         Compute backend for the graph pipeline: ``"dense"`` materialises the
         affinities and the ensemble Laplacian as numpy arrays (seed
@@ -79,18 +80,6 @@ class RHCHMEConfig:
         unset, whose affinity is then dense in substance.  Both backends
         produce the same labels and objective trace up to floating-point
         noise (dense/sparse parity is test-enforced at 1e-8).
-    error_row_tol:
-        Relative survival threshold of the row-sparse error matrix under the
-        sparse backend: after the ``(β D + I)⁻¹`` shrinkage (Eq. 27), rows of
-        ``E_R`` whose L2 norm is at most ``error_row_tol`` times the RMS row
-        norm of ``R`` are treated as exactly zero and never materialised.
-        The default ``1e-8`` only drops numerically dead rows (exact up to
-        floating point — dense/sparse parity is test-enforced); raising it
-        to ``1e-3``–``1e-2`` keeps only genuinely corrupted samples' rows,
-        which is what bounds E_R memory at ``O(k·n)`` for ``k`` corrupted
-        objects and makes the sparse R-space fit ``O(nnz)`` end to end.
-        The dense backend applies the same rule (zeroing instead of
-        skipping), so both backends optimise the same objective.
     subspace_topk:
         Optional top-k thresholding of the (inherently dense) subspace-member
         affinity: keep only the k strongest similarities per row, united
@@ -138,9 +127,7 @@ class RHCHMEConfig:
     subspace_tol: float = 1e-4
     random_state: int | None = None
     track_metrics_every: int = 1
-    zeta: float = 1e-10
     backend: str = "auto"
-    error_row_tol: float = 1e-8
     subspace_topk: int | None = None
     n_jobs: int = 1
     diagnostics: bool = False
@@ -153,7 +140,6 @@ class RHCHMEConfig:
         check_positive_int(self.p, name="p")
         check_positive_int(self.max_iter, name="max_iter")
         check_positive_float(self.tol, name="tol")
-        check_positive_float(self.zeta, name="zeta")
         check_positive_float(self.init_smoothing, name="init_smoothing",
                              minimum=0.0, inclusive=True)
         if self.init not in {"kmeans", "random"}:
@@ -161,12 +147,6 @@ class RHCHMEConfig:
         if self.track_metrics_every < 0:
             raise ValueError("track_metrics_every must be >= 0")
         check_backend(self.backend)
-        check_positive_float(self.error_row_tol, name="error_row_tol",
-                             minimum=0.0, inclusive=True)
-        if self.error_row_tol >= 1.0:
-            raise ValueError(
-                f"error_row_tol is relative to R's RMS row norm and must be "
-                f"< 1, got {self.error_row_tol}")
         if self.subspace_topk is not None:
             check_positive_int(self.subspace_topk, name="subspace_topk")
         if not isinstance(self.n_jobs, int) or isinstance(self.n_jobs, bool) \

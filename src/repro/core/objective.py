@@ -5,22 +5,20 @@ tests to assert the monotone-decrease property proved in the paper's
 Theorem 1 and lets the convergence recorder log the contribution of each
 term (reconstruction, sparsity, graph smoothness).
 
-The evaluation runs on the blocked state and is representation-agnostic:
-relation blocks may be dense or CSR and ``E_R`` dense, row-sparse or
-``None``.  Under the sparse representations each pair's reconstruction
-term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` is expanded into Frobenius inner
-products (see :func:`repro.core.rspace.pair_reconstruction_error`) so the
-dense ``G_t S_tu G_uᵀ`` product is never materialised.
+The evaluation runs on the blocked state: relation blocks may be dense or
+CSR and ``E_R`` is row-sparse or ``None``.  Each pair's reconstruction
+term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` comes from
+:func:`repro.core.rspace.pair_reconstruction_error`: the residual
+row-norm identity for a CSR block (so ``G_t S_tu G_uᵀ`` is never
+materialised against it), the residual itself for a dense one, with the
+rows E_R stores differenced directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..linalg.norms import l21_norm, trace_quadratic
-from ..linalg.rowsparse import RowSparseMatrix
+from ..linalg.norms import trace_quadratic
 from . import rspace
 
 __all__ = ["ObjectiveBreakdown", "evaluate_objective_blocks"]
@@ -68,17 +66,14 @@ def _smoothness_task(item) -> float:
 
 def _l21(E_R) -> float:
     """``‖E_R‖_{2,1}``; a state without an error matrix contributes zero."""
-    return 0.0 if E_R is None else l21_norm(E_R)
+    return 0.0 if E_R is None else E_R.l21_norm()
 
 
 def _type_l21(E_R, object_spec, t: int) -> float:
     """The L2,1 norm contribution of one row type's E_R rows."""
     if E_R is None:
         return 0.0
-    rows = object_spec.slice(t)
-    if isinstance(E_R, RowSparseMatrix):
-        return float(l21_norm(E_R.block(rows, slice(0, E_R.shape[1]))))
-    return float(l21_norm(np.asarray(E_R)[rows]))
+    return E_R.block(object_spec.slice(t), slice(0, E_R.shape[1])).l21_norm()
 
 
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
@@ -90,8 +85,8 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
     Every term decomposes over the block structure: the reconstruction is a
     sum of per-pair residual norms ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F``
     (the diagonal blocks are structural zeros), the smoothness a sum of
-    per-type traces ``tr(G_tᵀ L_t G_t)``, and the L2,1 term reads the
-    global E_R representation directly (``E_R=None``, a state without an
+    per-type traces ``tr(G_tᵀ L_t G_t)``, and the L2,1 term sums the
+    stored rows of the row-sparse E_R (``E_R=None``, a state without an
     error matrix, contributes zero).  Pair and type tasks are
     independent and fan out across ``pool``.
 

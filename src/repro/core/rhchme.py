@@ -28,7 +28,6 @@ import numpy as np
 from ..exceptions import NotFittedError, ValidationError
 from ..obs import Span, activate_span, current_span
 from ..linalg.parts import split_parts
-from ..linalg.rowsparse import RowSparseMatrix
 from ..manifold.ensemble import HeterogeneousManifoldEnsemble
 from ..metrics.fscore import clustering_fscore
 from ..metrics.nmi import normalized_mutual_information
@@ -217,9 +216,9 @@ class RHCHME:
 
         # The relations follow the backend the ensemble resolved, so the
         # whole fit — graph side and R-space — shares one representation:
-        # CSR relation blocks, row-sparse E_R and factored G_t S_tu G_uᵀ
-        # products under "sparse", plain arrays under "dense".  Only the
-        # per-pair blocks exist; the stacked (n, n) R is never assembled.
+        # CSR relation blocks under "sparse", plain arrays under "dense".
+        # E_R is row-sparse and G_t S_tu G_uᵀ stays factored on both.  Only
+        # the per-pair blocks exist; the stacked (n, n) R is never assembled.
         R_pairs = data.relation_blocks(normalize=config.normalize_relations,
                                        backend=backend)
 
@@ -234,15 +233,6 @@ class RHCHME:
                                      random_state=config.random_state)
         else:
             state = self._coerce_warm_start(warm_start, data)
-            if backend == "sparse" and isinstance(state.E_R, np.ndarray) \
-                    and not np.any(state.E_R):
-                # Warm starts built without a backend in sight (e.g. a
-                # refresh of a use_error_matrix=False model) default E_R to
-                # dense zeros; under the sparse backend that block would
-                # drag O(n²) memory and per-iteration work through the
-                # whole refit for nothing — represent it row-sparse like a
-                # cold sparse initialisation does.
-                state.E_R = RowSparseMatrix.zeros(state.E_R.shape)
 
         # The ordered pairs the updates must visit: every observed relation
         # (both orientations) plus any block a warm-start E_R carries mass
@@ -325,8 +315,6 @@ class RHCHME:
                             trace, "e_update", update_error_matrix_blocks,
                             R_pairs, state,
                             beta=config.beta,
-                            zeta=config.zeta,
-                            row_tol=config.error_row_tol,
                             pairs=pairs, pool=pool,
                             dirty_types=(schedule.error_types if restrict
                                          else None),

@@ -10,7 +10,7 @@ block per object type (``G_blocks``), never as the globally stacked
 the stacked representation would inflate memory and every update's work by
 the number of types while the off-diagonal zeros carry no information.
 ``S`` stays a single ``(c, c)`` array (it is tiny — cluster space) and
-``E_R`` keeps its global dense / row-sparse representation, which the
+``E_R`` is one global row-sparse matrix on both backends, which the
 blockwise kernels slice into per-pair views for free; it is ``None`` for
 the NMTF baselines, which have no error matrix.
 """
@@ -29,7 +29,7 @@ from ..cluster.kmeans import KMeans
 from ..exceptions import ShapeError, ValidationError
 from ..linalg.blocks import BlockSpec
 from ..linalg.normalize import row_normalize_l1
-from ..linalg.rowsparse import RowSparseMatrix
+from ..linalg.rowsparse import RowSparseMatrix, as_row_sparse
 from ..relational.dataset import MultiTypeRelationalData
 
 __all__ = ["FactorizationState", "initialize_state",
@@ -47,11 +47,11 @@ class FactorizationState:
     S:
         ``(c, c)`` association matrix (zero diagonal blocks).
     E_R:
-        ``(n, n)`` sample-wise sparse error matrix — a dense array under the
-        dense backend, a :class:`~repro.linalg.rowsparse.RowSparseMatrix`
-        (only the rows surviving the L2,1 shrinkage are materialised) under
-        the sparse backend, or ``None`` when the fit carries no error
-        matrix (the objective's L2,1 term is then zero).
+        ``(n, n)`` sample-wise sparse error matrix as a
+        :class:`~repro.linalg.rowsparse.RowSparseMatrix` holding only the
+        rows the L2,1 prox keeps, or ``None`` when the fit carries no
+        error matrix (the objective's L2,1 term is then zero).  A dense
+        array assigned here is compressed to its non-zero rows.
     object_spec, cluster_spec:
         Block partitions of objects and clusters by type.
     """
@@ -59,7 +59,7 @@ class FactorizationState:
     def __init__(self, *, G_blocks: Sequence[np.ndarray],
                  object_spec: BlockSpec, cluster_spec: BlockSpec,
                  S: np.ndarray | None = None,
-                 E_R: np.ndarray | RowSparseMatrix | None = None,
+                 E_R: RowSparseMatrix | np.ndarray | None = None,
                  iteration: int = 0, extras: dict | None = None) -> None:
         self.object_spec = object_spec
         self.cluster_spec = cluster_spec
@@ -74,6 +74,14 @@ class FactorizationState:
         self.E_R = E_R
         self.iteration = iteration
         self.extras = dict(extras) if extras else {}
+
+    @property
+    def E_R(self) -> RowSparseMatrix | None:
+        return self._E_R
+
+    @E_R.setter
+    def E_R(self, value) -> None:
+        self._E_R = as_row_sparse(value)
 
     def membership_block(self, type_index: int) -> np.ndarray:
         """Return the G block (objects × clusters) of one type."""
@@ -107,7 +115,7 @@ def _relational_profile(R_pairs: Mapping, object_spec: BlockSpec,
     (keyed by ordered type-index pairs) without ever assembling the global
     matrix; unrelated pairs contribute zero columns.
     """
-    use_sparse = _relations_are_sparse(R_pairs)
+    use_sparse = any(sp.issparse(block) for block in R_pairs.values())
     pieces = []
     for other in range(object_spec.n_types):
         block = R_pairs.get((index, other))
@@ -120,11 +128,6 @@ def _relational_profile(R_pairs: Mapping, object_spec: BlockSpec,
     if use_sparse:
         return sp.csr_array(sp.hstack(pieces, format="csr"))
     return np.hstack(pieces)
-
-
-def _relations_are_sparse(R_pairs: Mapping) -> bool:
-    """Whether the per-pair relation blocks are CSR-backed."""
-    return any(sp.issparse(block) for block in R_pairs.values())
 
 
 def initialize_membership_blocks(data: MultiTypeRelationalData,
@@ -195,12 +198,11 @@ def warm_start_state(data: MultiTypeRelationalData,
     association, error_matrix:
         Optional warm starts for ``S`` and ``E_R`` (zeros when omitted;
         ``S`` is recomputed from ``G`` at the start of the fit anyway).
-        ``E_R`` may be a dense array or a
-        :class:`~repro.linalg.rowsparse.RowSparseMatrix`; when omitted the
-        all-zero E_R is represented row-sparse (no stored rows), so a
-        warm start never allocates an ``O(n²)`` zero block — the first
-        error-matrix update of the fit re-establishes the backend's
-        representation either way.
+        ``E_R`` may be a
+        :class:`~repro.linalg.rowsparse.RowSparseMatrix` or a dense array,
+        which is compressed to its non-zero rows; when omitted the
+        all-zero E_R has no stored rows, so a warm start never allocates
+        an ``O(n²)`` zero block.
     smoothing:
         Fraction of uniform mass mixed into each row after ℓ1
         normalisation.  The multiplicative updates cannot move an entry off
@@ -261,18 +263,14 @@ def warm_start_state(data: MultiTypeRelationalData,
     if error_matrix is None:
         error_matrix = RowSparseMatrix.zeros((n_objects, n_objects))
     elif isinstance(error_matrix, RowSparseMatrix):
-        if error_matrix.shape != (n_objects, n_objects):
-            raise ShapeError(
-                f"error_matrix has shape {error_matrix.shape}, expected "
-                f"{(n_objects, n_objects)}")
         error_matrix = error_matrix.copy()
     else:
-        error_matrix = as_float_array(error_matrix, name="error_matrix", ndim=2)
-        if error_matrix.shape != (n_objects, n_objects):
-            raise ShapeError(
-                f"error_matrix has shape {error_matrix.shape}, expected "
-                f"{(n_objects, n_objects)}")
-        error_matrix = error_matrix.copy()
+        error_matrix = RowSparseMatrix.from_dense(
+            as_float_array(error_matrix, name="error_matrix", ndim=2))
+    if error_matrix.shape != (n_objects, n_objects):
+        raise ShapeError(
+            f"error_matrix has shape {error_matrix.shape}, expected "
+            f"{(n_objects, n_objects)}")
     return FactorizationState(G_blocks=prepared, S=association,
                               E_R=error_matrix, object_spec=object_spec,
                               cluster_spec=cluster_spec)
@@ -284,10 +282,9 @@ def initialize_state(data: MultiTypeRelationalData, R_pairs: Mapping, *,
     """Build the initial factorisation state for Algorithm 2.
 
     ``R_pairs`` is the blocked solver's mapping of per-pair relation
-    blocks.  The error matrix starts at zero in the representation matching
-    the relations: a dense array for dense blocks, an empty (no stored rows)
-    :class:`~repro.linalg.rowsparse.RowSparseMatrix` for CSR relations —
-    the sparse backend never allocates the ``O(n²)`` zero block.
+    blocks.  The error matrix starts at zero as a
+    :class:`~repro.linalg.rowsparse.RowSparseMatrix` with no stored rows,
+    so neither backend allocates an ``O(n²)`` zero block.
     """
     object_spec = data.object_block_spec()
     cluster_spec = data.cluster_block_spec()
@@ -297,9 +294,7 @@ def initialize_state(data: MultiTypeRelationalData, R_pairs: Mapping, *,
     n_objects = object_spec.total
     n_clusters = cluster_spec.total
     S = np.zeros((n_clusters, n_clusters))
-    E_R = (RowSparseMatrix.zeros((n_objects, n_objects))
-           if _relations_are_sparse(R_pairs)
-           else np.zeros((n_objects, n_objects)))
+    E_R = RowSparseMatrix.zeros((n_objects, n_objects))
     return FactorizationState(G_blocks=blocks, S=S, E_R=E_R,
                               object_spec=object_spec,
                               cluster_spec=cluster_spec)

@@ -11,20 +11,22 @@ the other variables are held fixed:
 * ``G`` — a multiplicative update derived from the KKT conditions (Eq. 21),
   using positive/negative part splits of L, A and B to keep G non-negative,
   followed by row-ℓ1 normalisation (Eq. 22).
-* ``E_R`` — the L2,1-regularised least squares solution
-  ``(β D + I)⁻¹ (R − G S Gᵀ)`` (Eq. 27) with the diagonal reweighting matrix
-  D of Eq. 25, computed row-wise because ``β D + I`` is diagonal.
+* ``E_R`` — the exact minimiser of ``‖Q − E‖²_F + β ‖E‖₂,₁`` with
+  ``Q = R − G S Gᵀ``: the proximal operator of the L2,1 norm, a row-wise
+  group soft threshold (Parikh & Boyd, *Proximal Algorithms*, 2014) that
+  scales row ``q_i`` by ``s_i = max(0, 1 − β / (2 ‖q_i‖))``.  It is the
+  fixed point of the paper's reweighting (Eq. 25–27, with D taken from E
+  rather than from Q), whereas Eq. 27 applied once is only that
+  iteration's first step — which can raise the objective and breaks
+  Theorem 1.
 
 Every rule runs on the block structure of the problem: per-type membership
 blocks ``G_t``, per-type Laplacian blocks ``L_t`` and per-pair relation
-blocks ``R_tu`` (dense or CSR).  The error matrix ``E_R`` is a dense array,
-a :class:`repro.linalg.rowsparse.RowSparseMatrix` or ``None`` (no error
-matrix).  Under the sparse representations the residual ``R − G S Gᵀ`` is
-never densified: each pair's ``G_t S_tu G_uᵀ`` stays factored and is only
-evaluated against the sparse pattern of ``R_tu`` (see
-:mod:`repro.core.rspace`), and the E_R update returns a row-sparse matrix
-holding only the rows whose L2 norm survives the ``(β D + I)⁻¹``
-shrinkage.
+blocks ``R_tu`` (dense or CSR).  The error matrix ``E_R`` is a
+:class:`repro.linalg.rowsparse.RowSparseMatrix` holding only the rows the
+prox keeps, or ``None`` (no error matrix).  The residual ``R − G S Gᵀ`` is
+never formed: each pair's ``G_t S_tu G_uᵀ`` stays factored (see
+:mod:`repro.core.rspace`), and only the kept rows are materialised.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..linalg.normalize import row_normalize_l1
-from ..linalg.norms import frobenius_norm, row_l2_norms
 from ..linalg.parts import split_parts
 from ..linalg.rowsparse import RowSparseMatrix
 from ..linalg.safe import gram_pinv, safe_divide
@@ -48,38 +48,9 @@ __all__ = [
     "update_membership_blocks",
     "update_error_matrix_blocks",
     "active_relation_pairs",
-    "l21_reweighting_diagonal",
 ]
 
 _EPS = 1e-12
-
-
-def l21_reweighting_diagonal(residual, *, zeta: float = 1e-10) -> np.ndarray:
-    """Diagonal of the L2,1 reweighting matrix D (Eq. 25).
-
-    ``D_ii = 1 / (2 ‖q_i‖₂)`` where ``q_i`` is the i-th row of the residual
-    ``Q = R − G S Gᵀ``; rows with zero norm are regularised with the small
-    perturbation ζ as described under Eq. 27.  ``residual`` may be a full
-    matrix (any representation) or a precomputed vector of row norms.  The
-    denominator is floored at machine epsilon scale so all-zero residual
-    rows stay finite even with ``zeta=0`` — without the floor they turn
-    into ``inf`` diagonals whose downstream products NaN out under
-    ``beta > 0``.
-    """
-    if isinstance(residual, np.ndarray) and residual.ndim == 1:
-        row_norms_sq = residual * residual
-    else:
-        norms = row_l2_norms(residual)
-        row_norms_sq = norms * norms
-    row_norms = np.sqrt(row_norms_sq + zeta)
-    return 1.0 / np.maximum(2.0 * row_norms, _EPS)
-
-
-def _shrinkage_scale(row_norms: np.ndarray, *, beta: float,
-                     zeta: float) -> np.ndarray:
-    """Row scaling ``(β D + I)⁻¹`` of Eq. 27 from residual row norms."""
-    diag = l21_reweighting_diagonal(row_norms, zeta=zeta)
-    return 1.0 / (beta * diag + 1.0)
 
 
 # ----------------------------------------------------------- blockwise kernels
@@ -160,66 +131,40 @@ def _membership_type_task(item):
 
 
 def _error_type_task(item):
-    """Shrunk error rows of one row type (Eq. 25–27).
+    """Prox rows of one row type (the exact E step).
 
     ``terms`` lists ``(u, R_tu, S_tu, G_u)`` over the type's outgoing
-    pairs.  Returns ``(global_rows, values)`` in sparse mode and a
-    ``{u: scaled_block}`` mapping in dense mode — never writing shared
-    state, so the task runs identically on any worker thread.
+    pairs.  The squared residual row norms accumulate across them; a row
+    survives the group soft threshold when ``2 ‖q_i‖ > β`` and is stored
+    as ``s_i q_i`` with ``s_i = 1 − β / (2 ‖q_i‖) > 0``.  A zero residual
+    row never survives, so no division by zero arises.  Returns
+    ``(global_rows, values)`` without writing shared state, so the task
+    runs identically on any worker thread.
     """
-    (mode, G_t, terms, beta, zeta, floor, n_total, col_slices,
-     row_offset) = item
-    sparse = mode == "sparse"
-    n_t = G_t.shape[0]
-    if not terms:
-        return (np.empty(0, dtype=np.int64),
-                np.empty((0, n_total))) if sparse else {}
-    if sparse:
-        factored = {u: G_t @ S_tu for u, _, S_tu, _ in terms}
-        sq = np.zeros(n_t)
-        for u, R_tu, S_tu, G_u in terms:
-            sq += rspace.pair_residual_sq_row_norms(R_tu, G_t, S_tu, G_u,
-                                                    M=factored[u])
-        norms = np.sqrt(np.maximum(sq, 0.0))
-        scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-        rows = np.flatnonzero(scale * norms > floor)
-        values = np.zeros((rows.size, n_total))
-        for u, R_tu, S_tu, G_u in terms:
-            values[:, col_slices[u]] = scale[rows, None] * (
-                rspace.pair_residual_rows(R_tu, G_t, S_tu, G_u, rows,
-                                          M=factored[u]))
-        return rows + row_offset, values
-    residuals = {}
-    sq = np.zeros(n_t)
+    G_t, terms, beta, n_total, col_slices, row_offset = item
+    factored = {u: G_t @ S_tu for u, _, S_tu, _ in terms}
+    sq = np.zeros(G_t.shape[0])
     for u, R_tu, S_tu, G_u in terms:
-        reconstruction = (G_t @ S_tu) @ G_u.T
-        if R_tu is None:
-            residual = -reconstruction
-        else:
-            if sp.issparse(R_tu):
-                R_tu = R_tu.toarray()
-            residual = R_tu - reconstruction
-        residuals[u] = residual
-        sq += np.einsum("ij,ij->i", residual, residual)
+        sq += rspace.pair_residual_sq_row_norms(R_tu, G_t, S_tu, G_u,
+                                                M=factored[u])
     norms = np.sqrt(np.maximum(sq, 0.0))
-    scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-    scale[scale * norms <= floor] = 0.0
-    return {u: residual * scale[:, None] for u, residual in residuals.items()}
+    rows = np.flatnonzero(2.0 * norms > beta)
+    scale = 1.0 - beta / (2.0 * norms[rows])
+    values = np.zeros((rows.size, n_total))
+    for u, R_tu, S_tu, G_u in terms:
+        values[:, col_slices[u]] = scale[:, None] * rspace.pair_residual_rows(
+            R_tu, G_t, S_tu, G_u, rows, M=factored[u])
+    return rows + row_offset, values
 
 
 def _error_block(E_R, object_spec, t: int, u: int):
-    """The ``(t, u)`` block of the global error matrix, as a view.
+    """The ``(t, u)`` block of the row-sparse error matrix, as a view.
 
-    ``None`` stays ``None``; a dense E_R yields an ndarray view, a
-    row-sparse one a :class:`RowSparseMatrix` sharing the value storage.
+    ``None`` stays ``None``; the block shares the value storage.
     """
     if E_R is None:
         return None
-    rows = object_spec.slice(t)
-    cols = object_spec.slice(u)
-    if isinstance(E_R, RowSparseMatrix):
-        return E_R.block(rows, cols)
-    return E_R[rows, cols]
+    return E_R.block(object_spec.slice(t), object_spec.slice(u))
 
 
 def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
@@ -237,11 +182,7 @@ def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
             for u in range(object_spec.n_types):
                 if t == u or (t, u) in active:
                     continue
-                block = _error_block(E_R, object_spec, t, u)
-                if isinstance(block, RowSparseMatrix):
-                    if block.rows.size and np.any(block.values):
-                        active.add((t, u))
-                elif np.any(block):
+                if np.any(_error_block(E_R, object_spec, t, u).values):
                     active.add((t, u))
     return sorted(active)
 
@@ -369,16 +310,6 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     return updated
 
 
-def _pair_frobenius_sq(R_pairs, pairs) -> float:
-    """``‖R‖²_F`` accumulated from the ordered relation blocks."""
-    total = 0.0
-    for pair in pairs:
-        block = R_pairs.get(pair)
-        if block is not None:
-            total += frobenius_norm(block) ** 2
-    return total
-
-
 def _carried_error_rows(E_prev, object_spec, t: int, n_total: int):
     """Type ``t``'s stored rows of the previous E_R, in global coordinates.
 
@@ -386,80 +317,48 @@ def _carried_error_rows(E_prev, object_spec, t: int, n_total: int):
     their previous rows through unchanged instead of re-solving them.
     Returns ``(rows, values)`` with values of global width ``n_total``.
     """
-    lo = object_spec.offsets[t]
-    hi = lo + object_spec.sizes[t]
     if E_prev is None:
         return np.empty(0, dtype=np.int64), np.empty((0, n_total))
-    if isinstance(E_prev, RowSparseMatrix):
-        start = int(np.searchsorted(E_prev.rows, lo))
-        stop = int(np.searchsorted(E_prev.rows, hi))
-        return (np.asarray(E_prev.rows[start:stop], dtype=np.int64),
-                np.asarray(E_prev.values[start:stop]))
-    block = np.asarray(E_prev)[lo:hi]
-    norms_sq = np.einsum("ij,ij->i", block, block)
-    keep = np.flatnonzero(norms_sq > 0.0)
-    return keep.astype(np.int64) + lo, block[keep]
+    lo = object_spec.offsets[t]
+    start = int(np.searchsorted(E_prev.rows, lo))
+    stop = int(np.searchsorted(E_prev.rows, lo + object_spec.sizes[t]))
+    return (np.asarray(E_prev.rows[start:stop], dtype=np.int64),
+            np.asarray(E_prev.values[start:stop]))
 
 
 def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
-                               beta: float, zeta: float = 1e-10,
-                               row_tol: float = 0.0, pairs=None,
-                               pool=None, sparse: bool | None = None,
-                               dirty_types=None, E_prev=None):
-    """Blockwise sample-wise sparse error matrix update (Eq. 25–27).
+                               beta: float, pairs=None, pool=None,
+                               dirty_types=None,
+                               E_prev=None) -> RowSparseMatrix:
+    """Blockwise exact E step: the L2,1 prox of the residual, row-sparse.
 
     The L2,1 row norm of object ``i`` of type ``t`` spans every cross-type
     block of its row, so the task unit is a *type*: accumulate the squared
-    residual row norms over the type's relation pairs, shrink, and
-    materialise only the surviving rows (sparse relations) or scale the
-    type's residual blocks in place (dense).  The global residual
+    residual row norms over the type's relation pairs, threshold them, and
+    materialise only the surviving rows.  The global residual
     ``R − G S Gᵀ`` is never assembled — per pair the reconstruction stays
-    factored as ``(G_t S_tu) G_uᵀ``.
-
-    Returns the global representation the rest of the pipeline speaks: a
-    :class:`RowSparseMatrix` when the relations are CSR (or ``sparse=True``),
-    a dense array otherwise.
+    factored as ``(G_t S_tu) G_uᵀ``.  Returns a :class:`RowSparseMatrix`
+    on both backends; at the default β on unit-Frobenius relation blocks
+    it stores no row at all.
 
     Under a delta schedule ``dirty_types`` restricts the re-solve to those
     row types; every clean row type splices its rows of ``E_prev`` (the
     previous iterate's error matrix) through unchanged.  ``None`` solves
-    every type from scratch — the pre-delta behaviour, unchanged.
+    every type from scratch.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
-    if sparse is None:
-        # The relations' representation decides; only a relation-free
-        # dataset falls back to the current E_R representation.
-        if R_pairs:
-            sparse = any(sp.issparse(block) for block in R_pairs.values())
-        else:
-            sparse = isinstance(state.E_R, RowSparseMatrix)
     G = state.G_blocks
     S = state.S
     object_spec = state.object_spec
     cluster_spec = state.cluster_spec
     n_total = object_spec.total
-    floor = 0.0
-    if row_tol > 0.0:
-        floor = row_tol * np.sqrt(_pair_frobenius_sq(R_pairs, pairs)
-                                  / max(n_total, 1))
     by_source: dict[int, list[int]] = {}
     for t, u in pairs:
         by_source.setdefault(t, []).append(u)
 
     todo = (list(range(object_spec.n_types)) if dirty_types is None
             else sorted(dirty_types))
-    if sparse:
-        E_dense = None
-    elif dirty_types is None or E_prev is None:
-        E_dense = np.zeros((n_total, n_total))
-    else:
-        E_dense = (E_prev.to_dense() if isinstance(E_prev, RowSparseMatrix)
-                   else np.array(E_prev, dtype=np.float64, copy=True))
-        for t in todo:
-            E_dense[object_spec.slice(t), :] = 0.0
-
-    mode = "sparse" if sparse else "dense"
 
     def type_terms(t: int):
         return [(u, R_pairs.get((t, u)),
@@ -468,17 +367,10 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
 
     col_slices = {u: object_spec.slice(u)
                   for u in range(object_spec.n_types)}
-    items = [(mode, G[t], type_terms(t), beta, zeta, floor, n_total,
-              col_slices, object_spec.offsets[t]) for t in todo]
+    items = [(G[t], type_terms(t), beta, n_total, col_slices,
+              object_spec.offsets[t]) for t in todo]
     results = _map(pool, _error_type_task, items, labels=todo,
                    name="one_type")
-
-    if not sparse:
-        for t, blocks in zip(todo, results):
-            t_rows = object_spec.slice(t)
-            for u, block in blocks.items():
-                E_dense[t_rows, object_spec.slice(u)] = block
-        return E_dense
     if dirty_types is None:
         pieces = results
     else:
@@ -486,7 +378,7 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
         # types splice theirs from E_prev, so concatenating in type order
         # keeps the global row index strictly increasing.
         solved = dict(zip(todo, results))
-        pieces = [solved.get(t) if t in solved
+        pieces = [solved[t] if t in solved
                   else _carried_error_rows(E_prev, object_spec, t, n_total)
                   for t in range(object_spec.n_types)]
     rows = np.concatenate([piece[0] for piece in pieces])

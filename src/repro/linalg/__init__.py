@@ -16,8 +16,8 @@ The module groups small, well-tested numerical primitives:
 * :mod:`repro.linalg.safe` — numerically safe inverses and divisions.
 * :mod:`repro.linalg.backend` — dense/sparse compute-backend selection and
   conversion helpers used to thread scipy.sparse through the pipeline.
-* :mod:`repro.linalg.rowsparse` — the row-sparse matrix representation the
-  sample-wise error matrix E_R uses under the sparse backend.
+* :mod:`repro.linalg.rowsparse` — the row-sparse matrix representation of
+  the sample-wise error matrix E_R.
 """
 
 from .backend import (

@@ -1,11 +1,12 @@
 """Row-sparse matrices: few materialised rows, zeros everywhere else.
 
-The L2,1-regularised error matrix ``E_R`` of RHCHME (Eq. 27) is *sample-wise*
-sparse: the ``(β D + I)⁻¹`` shrinkage drives the rows of well-explained
-objects towards zero while corrupted objects keep a whole (dense) row of
-residual.  A general-purpose CSR matrix is the wrong container for that
-shape — the surviving rows are dense, so per-entry indexing triples the
-memory — and a dense array wastes ``O(n²)`` on zeros.
+The L2,1-regularised error matrix ``E_R`` of RHCHME (Eq. 15) is *sample-wise*
+sparse: its exact update, the L2,1 prox (a row-wise group soft threshold),
+sets the rows of well-explained objects exactly to zero while corrupted
+objects keep a whole (dense) row of shrunk residual.  A general-purpose
+CSR matrix is the wrong container for that shape — the surviving rows are
+dense, so per-entry indexing triples the memory — and a dense array wastes
+``O(n²)`` on zeros.
 :class:`RowSparseMatrix` stores exactly what the structure has: the sorted
 indices of the surviving rows and one dense ``(k, n)`` value block.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["RowSparseMatrix", "as_dense_matrix"]
+__all__ = ["RowSparseMatrix", "as_dense_matrix", "as_row_sparse"]
 
 
 class RowSparseMatrix:
@@ -214,3 +215,16 @@ def as_dense_matrix(matrix) -> np.ndarray:
     if sp.issparse(matrix):
         return matrix.toarray().astype(np.float64, copy=False)
     return np.asarray(matrix, dtype=np.float64)
+
+
+def as_row_sparse(matrix) -> RowSparseMatrix | None:
+    """The row-sparse form of an error matrix given in any representation.
+
+    ``None`` stays ``None`` and a :class:`RowSparseMatrix` passes through;
+    anything else (a dense array, e.g. from a legacy artifact or a caller's
+    warm start) is compressed to its non-zero rows with
+    :meth:`RowSparseMatrix.from_dense`, which is exact.
+    """
+    if matrix is None or isinstance(matrix, RowSparseMatrix):
+        return matrix
+    return RowSparseMatrix.from_dense(matrix)

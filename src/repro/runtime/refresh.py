@@ -225,13 +225,11 @@ def warm_start_blocks(model: RHCHMEModel, data: MultiTypeRelationalData, *,
 
 
 def _embed_error_matrix(model: RHCHMEModel, data: MultiTypeRelationalData
-                        ) -> np.ndarray | RowSparseMatrix | None:
+                        ) -> RowSparseMatrix | None:
     """Scatter the old E_R into the grown block layout (zeros for new rows).
 
-    A row-sparse E_R stays row-sparse: its surviving row indices are
-    remapped into the grown layout and the value block gains zero columns
-    at the new objects' positions — the ``O(n²)`` dense scatter of the
-    dense path never happens for sparse-backend artifacts.
+    The stored row indices are remapped into the grown layout and the
+    value block gains zero columns at the new objects' positions.
     """
     if model.error_matrix is None:
         return None
@@ -244,15 +242,11 @@ def _embed_error_matrix(model: RHCHMEModel, data: MultiTypeRelationalData
         offset += n_new
     index = np.concatenate(old_positions)
     n_total = sum(new_sizes)
-    if isinstance(model.error_matrix, RowSparseMatrix):
-        old = model.error_matrix
-        values = np.zeros((old.n_stored_rows, n_total))
-        values[:, index] = old.values
-        # ``index`` is strictly increasing, so the remapped rows stay sorted.
-        return RowSparseMatrix(index[old.rows], values, (n_total, n_total))
-    E_R = np.zeros((n_total, n_total))
-    E_R[np.ix_(index, index)] = model.error_matrix
-    return E_R
+    old = model.error_matrix
+    values = np.zeros((old.n_stored_rows, n_total))
+    values[:, index] = old.values
+    # ``index`` is strictly increasing, so the remapped rows stay sorted.
+    return RowSparseMatrix(index[old.rows], values, (n_total, n_total))
 
 
 def _seed_agreement(blocks: dict[str, np.ndarray],

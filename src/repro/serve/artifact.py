@@ -55,12 +55,12 @@ from ..exceptions import ArtifactError, ValidationError
 from ..graph.neighbors import QueryIndex
 from ..linalg.blocks import BlockSpec
 from ..linalg.backend import resolve_backend
-from ..linalg.rowsparse import RowSparseMatrix
+from ..linalg.rowsparse import RowSparseMatrix, as_row_sparse
 from .extension import Prediction, out_of_sample_predict
 
 __all__ = ["SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS", "SHARD_LAYOUTS",
            "MMAP_LAYOUT", "TypeInfo", "RHCHMEModel", "load_model",
-           "error_matrix_npz_keys"]
+           "error_matrix_npz_keys", "read_error_matrix"]
 
 #: Version stamp of the on-disk artifact layout.  Bump whenever the npz key
 #: set or the sidecar structure changes incompatibly; ``load`` refuses
@@ -72,10 +72,12 @@ __all__ = ["SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS", "SHARD_LAYOUTS",
 #:   ``error_matrix`` array.
 #: * 2 — adds the ``row-sparse`` error-matrix layout
 #:   (``error_matrix_rows``/``error_matrix_values`` keys plus the
-#:   ``error_matrix_layout`` sidecar field) and the ``error_row_tol``
-#:   config knob.  Version-1 artifacts still load; version-2 artifacts are
-#:   refused by version-1 readers with a clean schema error rather than a
-#:   misleading corruption message.
+#:   ``error_matrix_layout`` sidecar field).  Version-1 artifacts still
+#:   load; version-2 artifacts are refused by version-1 readers with a
+#:   clean schema error rather than a misleading corruption message.
+#:   Saves write only the row-sparse layout; a ``dense`` one (every
+#:   version-1 artifact, and early version-2 dense-backend ones) is
+#:   compressed to its non-zero rows on load.
 SCHEMA_VERSION = 2
 
 #: Schema versions this library can read.
@@ -93,19 +95,22 @@ MMAP_LAYOUT = "per-type-mmap"
 GLOBAL_SHARD = "global"
 
 #: Sidecar values of ``error_matrix_layout`` (absent on pre-row-sparse
-#: artifacts, which are all dense).
+#: artifacts, which are all dense).  Saves write only ``row-sparse``.
 ERROR_MATRIX_LAYOUTS = ("dense", "row-sparse")
+
+#: Config keys of the retired one-step E update, dropped when a sidecar is
+#: read: the exact prox needs neither.
+_RETIRED_CONFIG_KEYS = ("zeta", "error_row_tol")
 
 
 def error_matrix_npz_keys(sidecar: dict) -> list[str]:
     """npz keys holding the error matrix described by a validated sidecar.
 
-    A dense layout stores one ``error_matrix`` array; the row-sparse layout
-    stores the surviving row indices and their dense value block
-    (``error_matrix_rows``/``error_matrix_values``) — for the typical
-    all-zero or few-corrupted-rows E_R that is O(k·n) on disk and at load
-    time instead of the O(n²) a densified zero block costs.  Returns an
-    empty list when the artifact has no error matrix.
+    The row-sparse layout stores the surviving row indices and their dense
+    value block (``error_matrix_rows``/``error_matrix_values``) — for the
+    typical all-zero or few-corrupted-rows E_R that is O(k·n) on disk and
+    at load time.  A legacy dense layout stores one ``error_matrix``
+    array.  Returns an empty list when the artifact has no error matrix.
     """
     if not sidecar.get("has_error_matrix"):
         return []
@@ -117,6 +122,20 @@ def error_matrix_npz_keys(sidecar: dict) -> list[str]:
             f"unknown error-matrix layout {layout!r} "
             f"(this library reads {list(ERROR_MATRIX_LAYOUTS)})")
     return ["error_matrix"]
+
+
+def read_error_matrix(arrays, n_total: int) -> RowSparseMatrix | None:
+    """The row-sparse E_R held by an artifact's error-matrix arrays.
+
+    ``arrays`` maps the keys of :func:`error_matrix_npz_keys` to arrays; a
+    legacy dense ``error_matrix`` is compressed to its non-zero rows.
+    Returns ``None`` when the artifact has no error matrix.
+    """
+    if "error_matrix_rows" in arrays:
+        return RowSparseMatrix(np.asarray(arrays["error_matrix_rows"]),
+                               np.asarray(arrays["error_matrix_values"]),
+                               (n_total, n_total))
+    return as_row_sparse(arrays.get("error_matrix"))
 
 
 def _safe_label(label: str) -> str:
@@ -219,11 +238,11 @@ class RHCHMEModel:
     association:
         The fitted association matrix ``S``.
     error_matrix:
-        The fitted sample-wise error matrix ``E_R`` (``None`` when the fit
-        disabled it).  A dense array for dense-backend fits, a
-        :class:`~repro.linalg.rowsparse.RowSparseMatrix` for sparse-backend
-        fits — the artifact keeps whichever representation the fit produced
-        and round-trips it through ``save``/``load`` without densifying.
+        The fitted sample-wise error matrix ``E_R`` as a
+        :class:`~repro.linalg.rowsparse.RowSparseMatrix` (``None`` when the
+        fit disabled it); a dense array passed in is compressed to its
+        non-zero rows.  It round-trips through ``save``/``load`` without
+        densifying.
     backend:
         The concrete backend the fit resolved to (``"dense"``/``"sparse"``).
     diagnostics:
@@ -243,13 +262,15 @@ class RHCHMEModel:
     membership: dict[str, np.ndarray]
     labels: dict[str, np.ndarray]
     association: np.ndarray
-    error_matrix: np.ndarray | RowSparseMatrix | None
+    error_matrix: RowSparseMatrix | None
     backend: str = "dense"
     schema_version: int = SCHEMA_VERSION
     library_version: str = _library_version
     diagnostics: dict | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "error_matrix",
+                           as_row_sparse(self.error_matrix))
         # Per-type neighbour-search indexes, built lazily on first predict
         # and reused for every later call (a KD-tree build per request would
         # dominate single-object latencies).  A plain cache, not state: the
@@ -325,12 +346,8 @@ class RHCHMEModel:
                 state.membership_block(index))
             labels[object_type.name] = np.asarray(
                 result.labels[object_type.name], dtype=np.int64).copy()
-        if not config.use_error_matrix:
-            error_matrix = None
-        elif isinstance(state.E_R, RowSparseMatrix):
-            error_matrix = state.E_R.copy()
-        else:
-            error_matrix = np.array(state.E_R)
+        error_matrix = (state.E_R.copy() if config.use_error_matrix
+                        and state.E_R is not None else None)
         # Every export fingerprints the training features (bounded-sample
         # sketches — see repro.diagnostics.drift), so any artifact can be
         # drift-scored at serving time; the fit-time spectral/churn record
@@ -384,24 +401,10 @@ class RHCHMEModel:
         if self.error_matrix is None:
             E_R = RowSparseMatrix.zeros((object_spec.total, object_spec.total))
         else:
-            E_R = self.error_matrix.copy()  # keeps its representation
+            E_R = self.error_matrix.copy()
         return FactorizationState(G_blocks=blocks, S=self.association.copy(),
                                   E_R=E_R, object_spec=object_spec,
                                   cluster_spec=cluster_spec)
-
-    def _error_matrix_layout(self) -> str | None:
-        """On-disk layout of the error matrix (``None`` when absent).
-
-        Row-sparse fits and all-zero dense blocks persist compactly
-        (indices + surviving rows); only a genuinely dense non-zero E_R
-        pays for an ``(n, n)`` array — so a load never rematerialises an
-        O(n²) zero block the fit itself never held.
-        """
-        if self.error_matrix is None:
-            return None
-        if isinstance(self.error_matrix, RowSparseMatrix):
-            return "row-sparse"
-        return "dense" if np.any(self.error_matrix) else "row-sparse"
 
     def info(self) -> dict:
         """Plain-dictionary summary (used by the ``info`` CLI subcommand)."""
@@ -417,9 +420,8 @@ class RHCHMEModel:
             "types": [asdict(t) for t in self.types],
             "has_error_matrix": self.error_matrix is not None,
         }
-        layout = self._error_matrix_layout()
-        if layout is not None:
-            info["error_matrix_layout"] = layout
+        if self.error_matrix is not None:
+            info["error_matrix_layout"] = "row-sparse"
         if self.diagnostics is not None:
             info["diagnostics"] = self.diagnostics
         return info
@@ -587,16 +589,9 @@ class RHCHMEModel:
 
     def _global_arrays(self) -> dict[str, np.ndarray]:
         arrays: dict[str, np.ndarray] = {"association": self.association}
-        layout = self._error_matrix_layout()
-        if layout == "row-sparse":
-            if isinstance(self.error_matrix, RowSparseMatrix):
-                compact = self.error_matrix
-            else:  # all-zero dense block: nothing survives
-                compact = RowSparseMatrix.zeros(self.error_matrix.shape)
-            arrays["error_matrix_rows"] = compact.rows
-            arrays["error_matrix_values"] = compact.values
-        elif layout == "dense":
-            arrays["error_matrix"] = self.error_matrix
+        if self.error_matrix is not None:
+            arrays["error_matrix_rows"] = self.error_matrix.rows
+            arrays["error_matrix_values"] = self.error_matrix.values
         return arrays
 
     @classmethod
@@ -737,6 +732,8 @@ class RHCHMEModel:
         """Reconstruct the config and type metadata from a validated sidecar."""
         try:
             fields = dict(sidecar["config"])
+            for key in _RETIRED_CONFIG_KEYS:
+                fields.pop(key, None)
             if fields.get("backend") == "torch":
                 # Artifacts fitted by the retired torch engine: serving
                 # always resolved that name by the "auto" size rule, so it
@@ -845,13 +842,8 @@ class RHCHMEModel:
             if info.n_features is not None:
                 features[info.name] = arrays[f"features::{info.name}"]
 
-        if "error_matrix_rows" in arrays:
-            n_total = sum(info.n_objects for info in types)
-            error_matrix = RowSparseMatrix(arrays["error_matrix_rows"],
-                                           arrays["error_matrix_values"],
-                                           (n_total, n_total))
-        else:
-            error_matrix = arrays.get("error_matrix")
+        error_matrix = read_error_matrix(
+            arrays, sum(info.n_objects for info in types))
         return cls(config=config, types=types, features=features,
                    membership=membership, labels=labels,
                    association=arrays["association"],

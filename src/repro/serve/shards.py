@@ -37,7 +37,8 @@ from ..graph.neighbors import QueryIndex
 from ..linalg.backend import resolve_backend
 from ..linalg.rowsparse import RowSparseMatrix
 from .artifact import (GLOBAL_SHARD, MMAP_LAYOUT, RHCHMEModel, TypeInfo,
-                       check_query_features, error_matrix_npz_keys)
+                       check_query_features, error_matrix_npz_keys,
+                       read_error_matrix)
 from .extension import Prediction, out_of_sample_predict
 
 __all__ = ["ShardedModelReader", "open_model"]
@@ -253,12 +254,10 @@ class ShardedModelReader:
         return self._global()["association"]
 
     @property
-    def error_matrix(self) -> np.ndarray | RowSparseMatrix | None:
+    def error_matrix(self) -> RowSparseMatrix | None:
         """The fitted error matrix ``E_R`` (``None`` when the fit disabled it).
 
-        Reconstructs the same representation :meth:`RHCHMEModel.load`
-        produces — a :class:`RowSparseMatrix` for the row-sparse on-disk
-        layout, a dense array otherwise.
+        Row-sparse, exactly as :meth:`RHCHMEModel.load` reconstructs it.
         """
         keys = error_matrix_npz_keys(self._sidecar)
         if not keys:
@@ -267,12 +266,8 @@ class ShardedModelReader:
             arrays = {key: self._mmap_get(GLOBAL_SHARD, key) for key in keys}
         else:
             arrays = self._global()
-        if "error_matrix_rows" in keys:
-            n_total = sum(info.n_objects for info in self.types)
-            return RowSparseMatrix(np.asarray(arrays["error_matrix_rows"]),
-                                   np.asarray(arrays["error_matrix_values"]),
-                                   (n_total, n_total))
-        return arrays["error_matrix"]
+        return read_error_matrix(
+            arrays, sum(info.n_objects for info in self.types))
 
     def query_index(self, type_name: str) -> QueryIndex:
         """Cached neighbour-search index of one type (single-flight build)."""

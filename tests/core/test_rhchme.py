@@ -12,6 +12,11 @@ from repro.exceptions import NotFittedError
 from repro.metrics.fscore import clustering_fscore
 from repro.metrics.nmi import normalized_mutual_information
 
+#: A β below twice the largest residual row norms of ``small_dataset``
+#: (they peak near 0.3), so the exact E step keeps rows.  At the default
+#: β = 50 it keeps none.
+KEEP_BETA = 0.1
+
 
 class TestRHCHMEFit:
     def test_returns_labels_for_every_type(self, small_dataset):
@@ -56,8 +61,25 @@ class TestRHCHMEFit:
         np.testing.assert_allclose(result.state.E_R, 0.0)
 
     def test_error_matrix_enabled_becomes_nonzero(self, small_dataset):
-        result = RHCHME(max_iter=5, random_state=0).fit(small_dataset)
+        result = RHCHME(max_iter=5, random_state=0,
+                        beta=KEEP_BETA).fit(small_dataset)
+        assert result.state.E_R.n_stored_rows > 0
         assert np.abs(result.state.E_R).sum() > 0
+
+    def test_default_beta_fit_equals_error_matrix_off(self, small_dataset):
+        # Relation blocks have unit Frobenius norm, so every residual row
+        # norm stays far below β/2 = 25: the prox keeps nothing and the fit
+        # is bit-identical to the ablation without E_R.
+        result = RHCHME(max_iter=5, random_state=0).fit(small_dataset)
+        ablated = RHCHME(max_iter=5, random_state=0,
+                         use_error_matrix=False).fit(small_dataset)
+        assert result.state.E_R.n_stored_rows == 0
+        np.testing.assert_array_equal(result.trace.objectives,
+                                      ablated.trace.objectives)
+        np.testing.assert_array_equal(result.state.S, ablated.state.S)
+        for block, ablated_block in zip(result.state.G_blocks,
+                                        ablated.state.G_blocks):
+            np.testing.assert_array_equal(block, ablated_block)
 
     def test_metrics_tracked_per_iteration(self, small_dataset):
         result = RHCHME(max_iter=5, random_state=0,
@@ -164,7 +186,7 @@ class TestWarmStart:
         state = cold.state.copy()
         state.E_R = None
         result = RHCHME(max_iter=3, random_state=0, track_metrics_every=0,
-                        use_error_matrix=use_error_matrix
+                        use_error_matrix=use_error_matrix, beta=KEEP_BETA
                         ).fit(small_dataset, warm_start=state)
         sparsity = result.trace.terms_series("error_sparsity")
         assert np.all(np.isfinite(result.trace.objectives))

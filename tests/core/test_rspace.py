@@ -40,25 +40,14 @@ def _relation_kinds(dense_R, R):
 
 
 class TestPatternKernels:
-    def test_pattern_row_inner_matches_dense(self, problem):
-        dense_R, R, G_t, S, G_u, _, _ = problem
-        M = G_t @ S
-        expected = np.sum(dense_R * (M @ G_u.T), axis=1)
-        np.testing.assert_allclose(rspace.pattern_row_inner(R, M, G_u),
-                                   expected)
-
-    def test_pattern_inner_matches_dense(self, problem):
-        dense_R, R, G_t, S, G_u, _, _ = problem
-        M = G_t @ S
-        np.testing.assert_allclose(rspace.pattern_inner(R, M, G_u),
-                                   float(np.sum(dense_R * (M @ G_u.T))))
-
     def test_empty_pattern(self):
+        # A CSR relation with no stored entries leaves only the (M P_u) · M
+        # term of the residual row-norm identity.
         R = sp.csr_array((5, 4), dtype=np.float64)
-        M = np.ones((5, 2))
-        G = np.ones((4, 2))
-        np.testing.assert_array_equal(rspace.pattern_row_inner(R, M, G),
-                                      np.zeros(5))
+        G_t, S, G_u = np.ones((5, 2)), np.eye(2), np.ones((4, 2))
+        np.testing.assert_allclose(
+            rspace.pair_residual_sq_row_norms(R, G_t, S, G_u),
+            np.sum((G_t @ S @ G_u.T) ** 2, axis=1))
 
 
 class TestResidualKernels:
@@ -103,12 +92,6 @@ class TestProjectRelations:
         np.testing.assert_allclose(rspace.project_relations(dense_R, E, G_u),
                                    (dense_R - E_dense) @ G_u)
 
-    def test_dense_r_dense_e(self, problem):
-        dense_R, _, _, _, G_u, E_dense, _ = problem
-        np.testing.assert_allclose(
-            rspace.project_relations(dense_R, E_dense, G_u),
-            (dense_R - E_dense) @ G_u)
-
     def test_association_core(self, problem):
         # The S update's per-pair core G_tᵀ (R_tu − E_tu) G_u (Eq. 18).
         from repro.core.updates import _association_core_task
@@ -125,12 +108,10 @@ class TestReconstructionError:
     def _error_operands(e_kind, E_dense, E):
         if e_kind == "row-sparse":
             return E, E_dense
-        if e_kind == "dense":
-            return E_dense, E_dense
         return None, np.zeros_like(E_dense)
 
     @pytest.mark.parametrize("sparse_r", [True, False])
-    @pytest.mark.parametrize("e_kind", ["row-sparse", "dense", "none"])
+    @pytest.mark.parametrize("e_kind", ["row-sparse", "none"])
     def test_matches_dense_formula(self, problem, sparse_r, e_kind):
         dense_R, R, G_t, S, G_u, E_dense, E = problem
         R_arg = R if sparse_r else dense_R
@@ -140,7 +121,7 @@ class TestReconstructionError:
             rspace.pair_reconstruction_error(R_arg, G_t, S, G_u, E_arg),
             expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("e_kind", ["row-sparse", "dense", "none"])
+    @pytest.mark.parametrize("e_kind", ["row-sparse", "none"])
     def test_absent_relation_matches_dense_formula(self, problem, e_kind):
         # R_tu = None: a pair that only a warm-start E_R keeps active.
         dense_R, _, G_t, S, G_u, E_dense, E = problem

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.state import (FactorizationState, initialize_membership_blocks,
-                              initialize_state)
+                              initialize_state, warm_start_state)
 from repro.exceptions import ShapeError
+from repro.linalg.rowsparse import RowSparseMatrix
 
 
 class TestInitializeState:
@@ -81,3 +82,41 @@ class TestInitializeState:
             block[:] = 0.0
         assert sum(block.sum() for block in state.G_blocks) > 0
         assert sum(block.sum() for block in clone.G_blocks) == 0.0
+
+
+class TestRowSparseErrorMatrix:
+    """E_R has one representation: row-sparse (or None), never dense."""
+
+    def test_initial_error_matrix_stores_no_rows(self, tiny_dataset):
+        for backend in ("dense", "sparse"):
+            R_pairs = tiny_dataset.relation_blocks(backend=backend)
+            state = initialize_state(tiny_dataset, R_pairs, random_state=0)
+            assert isinstance(state.E_R, RowSparseMatrix)
+            assert state.E_R.is_zero
+
+    def test_warm_start_compresses_dense_error_matrix(self, tiny_dataset):
+        n = tiny_dataset.n_objects_total
+        dense = np.zeros((n, n))
+        dense[[2, 7]] = np.arange(2 * n, dtype=float).reshape(2, n) + 1.0
+        blocks = {t.name: np.ones((t.n_objects, t.n_clusters))
+                  for t in tiny_dataset.types}
+        state = warm_start_state(tiny_dataset, blocks, error_matrix=dense)
+        assert isinstance(state.E_R, RowSparseMatrix)
+        np.testing.assert_array_equal(state.E_R.rows, [2, 7])
+        np.testing.assert_array_equal(state.E_R.to_dense(), dense)
+        with pytest.raises(ShapeError):
+            warm_start_state(tiny_dataset, blocks,
+                             error_matrix=np.zeros((n, n + 1)))
+
+    def test_assigned_dense_error_matrix_is_compressed(self, tiny_dataset):
+        R_pairs = tiny_dataset.relation_blocks()
+        state = initialize_state(tiny_dataset, R_pairs, random_state=0)
+        n = tiny_dataset.n_objects_total
+        dense = np.zeros((n, n))
+        dense[4, 1] = 3.0
+        state.E_R = dense
+        assert isinstance(state.E_R, RowSparseMatrix)
+        np.testing.assert_array_equal(state.E_R.rows, [4])
+        state.E_R = None
+        assert state.E_R is None
+

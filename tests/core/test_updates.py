@@ -10,7 +10,6 @@ from scipy.linalg import block_diag
 from repro.core.objective import evaluate_objective_blocks
 from repro.core.state import initialize_state
 from repro.core.updates import (
-    l21_reweighting_diagonal,
     update_association_blocks,
     update_error_matrix_blocks,
     update_membership_blocks,
@@ -20,6 +19,11 @@ from repro.graph.pnn import pnn_affinity
 from repro.linalg.normalize import row_normalize_l1
 from repro.linalg.parts import split_parts
 from repro.linalg.rowsparse import RowSparseMatrix
+
+
+#: A β inside the residual row norms (0.015–0.04) of ``prepared``'s state,
+#: so the E step keeps part of the rows.
+KEEP_BETA = 0.04
 
 
 def _stacked_relations(R_pairs, spec) -> np.ndarray:
@@ -151,49 +155,73 @@ class TestErrorMatrixUpdate:
         assert np.all(np.isfinite(E))
 
     def test_large_beta_shrinks_error_matrix(self, prepared):
+        # β = min row norm keeps every row (2‖q_i‖ > β); β = max row norm
+        # keeps only rows with ‖q_i‖ > β/2, each shrunk harder.
         R_pairs, _, state = prepared
-        small_beta = update_error_matrix_blocks(R_pairs, state, beta=0.1)
-        large_beta = update_error_matrix_blocks(R_pairs, state, beta=1000.0)
+        norms = np.linalg.norm(_residual(R_pairs, state), axis=1)
+        small_beta = update_error_matrix_blocks(R_pairs, state,
+                                                beta=float(norms.min()))
+        large_beta = update_error_matrix_blocks(R_pairs, state,
+                                                beta=float(norms.max()))
+        assert small_beta.n_stored_rows == norms.size
+        assert 0 < large_beta.n_stored_rows < small_beta.n_stored_rows
         assert np.abs(large_beta).sum() < np.abs(small_beta).sum()
 
     def test_error_rows_proportional_to_residual_rows(self, prepared):
+        # Row i of E is s_i q_i with the group soft threshold
+        # s_i = max(0, 1 − β / (2‖q_i‖)) of the residual row q_i.
         R_pairs, _, state = prepared
-        E = update_error_matrix_blocks(R_pairs, state, beta=10.0)
         residual = _residual(R_pairs, state)
-        # Each row of E is a positive scaling of the corresponding residual row.
-        for i in range(residual.shape[0]):
-            if np.linalg.norm(residual[i]) < 1e-12:
-                continue
-            mask = np.abs(residual[i]) > 1e-12
-            if not mask.any():
-                continue
-            values = E[i, mask] / residual[i, mask]
-            assert np.allclose(values, values[0], atol=1e-8)
-            assert 0.0 <= values[0] <= 1.0
+        norms = np.linalg.norm(residual, axis=1)
+        beta = float(norms.max())
+        E = update_error_matrix_blocks(R_pairs, state, beta=beta)
+        scale = np.maximum(0.0, 1.0 - beta / (2.0 * norms))
+        np.testing.assert_array_equal(E.rows, np.flatnonzero(scale > 0))
+        assert 0 < E.n_stored_rows < norms.size
+        np.testing.assert_allclose(E.to_dense(), scale[:, None] * residual,
+                                   rtol=1e-9, atol=1e-14)
 
-    def test_update_minimises_reweighted_subproblem(self, prepared):
-        # Eq. 27 is the exact minimiser of the reweighted quadratic
-        # ‖Q − E‖²_F + β tr(Eᵀ D E) with D computed from the residual Q
-        # (Eq. 25); perturbing the solution must not lower that objective.
-        R_pairs, _, state = prepared
-        beta = 5.0
-        residual = _residual(R_pairs, state)
-        diag = l21_reweighting_diagonal(residual)
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 50.0])
+    def test_update_minimises_l21_subproblem(self, tiny_dataset, beta):
+        # The E step is the exact prox of β‖·‖₂,₁ at Q = R − G S Gᵀ:
+        # perturbing its output never lowers ‖Q − E‖²_F + β‖E‖₂,₁.  On the
+        # unnormalised relation the residual row norms (0.3–0.9) all
+        # exceed β/2 at β = 0.1, straddle it at β = 1 and stay below it at
+        # β = 50; one residual row is planted exactly zero.
+        R_pairs = tiny_dataset.relation_blocks(normalize=False)
+        state = initialize_state(tiny_dataset, R_pairs, random_state=0)
+        state.S = update_association_blocks(R_pairs, state)
+        zero_row = 3
+        G = block_diag(*state.G_blocks)
+        R_pairs[(0, 1)] = R_pairs[(0, 1)].copy()
+        R_pairs[(0, 1)][zero_row] = (G @ state.S @ G.T)[
+            zero_row, state.object_spec.slice(1)]
+        Q = _residual(R_pairs, state)
+        assert not np.any(Q[zero_row])
 
-        def reweighted(E: np.ndarray) -> float:
-            return float(np.sum((residual - E) ** 2)
-                         + beta * np.sum(diag[:, None] * E * E))
+        def l21_objective(E: np.ndarray) -> float:
+            return float(np.sum((Q - E) ** 2)
+                         + beta * np.sum(np.linalg.norm(E, axis=1)))
 
         E_star = update_error_matrix_blocks(R_pairs, state, beta=beta)
-        base = reweighted(E_star)
+        assert zero_row not in E_star.rows
+        if beta < 50.0:
+            assert E_star.n_stored_rows > 0
+        E_star = E_star.to_dense()
+        base = l21_objective(E_star)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            perturbed = E_star + 0.01 * rng.normal(size=E_star.shape)
-            assert reweighted(perturbed) >= base - 1e-9
+        for scale in (1e-1, 1e-3):
+            for _ in range(5):
+                step = scale * rng.normal(size=E_star.shape)
+                assert l21_objective(E_star + step) >= base - 1e-12
+            zero_step = np.zeros_like(E_star)
+            zero_step[zero_row] = scale * rng.normal(size=E_star.shape[1])
+            assert l21_objective(E_star + zero_step) >= base - 1e-12
 
     def test_update_decreases_subobjective_when_residual_dominates(self, prepared):
-        # With β small relative to the residual row norms the one-step update
-        # is guaranteed to decrease the true L2,1-regularised sub-objective.
+        # With β small relative to the residual row norms every row
+        # survives, and the exact step lowers the L2,1-regularised
+        # sub-objective.
         R_pairs, L_blocks, state = prepared
         residual = _residual(R_pairs, state)
         row_norms = np.sqrt(np.sum(residual * residual, axis=1))
@@ -203,15 +231,31 @@ class TestErrorMatrixUpdate:
         after = _objective(R_pairs, state, L_blocks, lam=0.0, beta=beta).total
         assert after <= before + 1e-8
 
-    def test_reweighting_diagonal_positive(self, prepared):
+    def test_reweighting_handles_zero_rows(self, prepared):
+        # At a β far below the residual row norms (0.015–0.04) every
+        # non-zero residual row survives, scaled by s_i = 1 − β / (2‖q_i‖),
+        # while rows planted exactly zero are never stored — the threshold
+        # never divides by a zero row norm.  β stays above the ~1e-9
+        # rounding floor of the row-norm identity, which a zero row's
+        # computed norm can reach.
         R_pairs, _, state = prepared
-        diag = l21_reweighting_diagonal(_residual(R_pairs, state))
-        assert np.all(diag > 0)
-
-    def test_reweighting_handles_zero_rows(self):
-        residual = np.zeros((4, 4))
-        diag = l21_reweighting_diagonal(residual, zeta=1e-10)
-        assert np.all(np.isfinite(diag))
+        zero_rows = [0, 5]
+        G = block_diag(*state.G_blocks)
+        R_pairs = dict(R_pairs)
+        R_pairs[(0, 1)] = R_pairs[(0, 1)].copy()
+        R_pairs[(0, 1)][zero_rows] = (G @ state.S @ G.T)[
+            zero_rows, state.object_spec.slice(1)]
+        Q = _residual(R_pairs, state)
+        assert not np.any(Q[zero_rows])
+        norms = np.linalg.norm(Q, axis=1)
+        nonzero = np.flatnonzero(norms > 0)
+        beta = 1e-6
+        E = update_error_matrix_blocks(R_pairs, state, beta=beta)
+        assert np.all(np.isfinite(E.values))
+        np.testing.assert_array_equal(E.rows, nonzero)
+        scale = 1.0 - beta / (2.0 * norms[nonzero])
+        np.testing.assert_allclose(E.values, scale[:, None] * Q[nonzero],
+                                   rtol=1e-9, atol=1e-14)
 
 
 class TestMembershipUpdateBackends:
@@ -310,29 +354,38 @@ class TestZeroResidualRegression:
                    @ state.G_blocks[u].T for t, u in R_pairs}
         return R_exact, state
 
-    def test_reweighting_finite_without_zeta(self):
-        diag = l21_reweighting_diagonal(np.zeros((4, 4)), zeta=0.0)
-        assert np.all(np.isfinite(diag))
-
-    def test_reweighting_accepts_row_norm_vector(self, rng):
-        residual = rng.normal(size=(6, 9))
-        norms = np.linalg.norm(residual, axis=1)
-        np.testing.assert_allclose(l21_reweighting_diagonal(norms),
-                                   l21_reweighting_diagonal(residual))
-
     @pytest.mark.parametrize("beta", [0.0, 10.0])
     def test_exact_residual_yields_finite_zero_error(self, prepared, beta):
         R_exact, state = self._exact_state(prepared)
-        E = update_error_matrix_blocks(R_exact, state, beta=beta, zeta=0.0)
+        E = update_error_matrix_blocks(R_exact, state, beta=beta)
         assert np.all(np.isfinite(E))
         np.testing.assert_allclose(E, 0.0, atol=1e-10)
 
     def test_sparse_path_drops_exact_rows_entirely(self, prepared):
         R_exact, state = self._exact_state(prepared)
         R_csr = {pair: sp.csr_array(block) for pair, block in R_exact.items()}
-        E = update_error_matrix_blocks(R_csr, state, beta=10.0, zeta=0.0,
-                                       row_tol=1e-8)
+        E = update_error_matrix_blocks(R_csr, state, beta=10.0)
         assert E.n_stored_rows == 0
+
+    def test_reweighting_finite_without_zeta(self, prepared):
+        # The prox is the fixed point of the paper's reweighting (Eq. 25–27)
+        # with D taken from E and no ζ floor: every stored row satisfies
+        # e_i = q_i / (1 + β D_ii) with D_ii = 1 / (2‖e_i‖).  Rows whose
+        # residual is exactly zero are never stored, so D is never
+        # evaluated at a zero row and the step stays finite.
+        R_exact, state = self._exact_state(prepared)
+        noisy_rows = [1, 4, 7]
+        R_exact[(0, 1)] = R_exact[(0, 1)].copy()
+        R_exact[(0, 1)][noisy_rows] += 0.05
+        Q = _residual(R_exact, state)
+        beta = 0.01
+        E = update_error_matrix_blocks(R_exact, state, beta=beta)
+        assert np.all(np.isfinite(E.values))
+        np.testing.assert_array_equal(E.rows, noisy_rows)
+        D = 1.0 / (2.0 * E.stored_row_norms())
+        np.testing.assert_allclose(E.values,
+                                   Q[E.rows] / (1.0 + beta * D)[:, None],
+                                   rtol=1e-9, atol=1e-14)
 
     def test_fit_on_exactly_reconstructable_data_stays_finite(self):
         # A perfectly block-structured relation: the factorisation can
@@ -351,22 +404,27 @@ class TestZeroResidualRegression:
              ObjectType("b", n_objects=n_b, n_clusters=2, features=matrix.T,
                         labels=labels_b)],
             [Relation("a", "b", matrix)])
-        result = RHCHME(max_iter=10, random_state=0, beta=50.0, zeta=1e-10,
+        result = RHCHME(max_iter=10, random_state=0, beta=50.0,
                         track_metrics_every=0).fit(data)
         assert np.all(np.isfinite(result.trace.objectives))
         assert np.all(np.isfinite(np.asarray(result.state.E_R)))
 
 
 class TestSparseUpdateParity:
-    """Each update rule must agree across R / E_R representations."""
+    """Each update rule must agree across dense and CSR relation blocks.
+
+    The shared state carries E_R rows: :data:`KEEP_BETA` sits inside the
+    residual row norms of ``prepared``, so the prox keeps part of them.
+    """
 
     @pytest.fixture
     def sparse_prepared(self, prepared):
         R_pairs, L_blocks, state = prepared
         state = state.copy()
-        state.E_R = update_error_matrix_blocks(R_pairs, state, beta=10.0)
+        state.E_R = update_error_matrix_blocks(R_pairs, state,
+                                               beta=KEEP_BETA)
+        assert 0 < state.E_R.n_stored_rows < state.object_spec.total
         sparse_state = state.copy()
-        sparse_state.E_R = RowSparseMatrix.from_dense(state.E_R)
         R_csr = {pair: sp.csr_array(block) for pair, block in R_pairs.items()}
         return R_pairs, R_csr, L_blocks, state, sparse_state
 
@@ -387,17 +445,19 @@ class TestSparseUpdateParity:
 
     def test_error_matrix_update(self, sparse_prepared):
         R_pairs, R_csr, _, state, sparse_state = sparse_prepared
-        dense = update_error_matrix_blocks(R_pairs, state, beta=10.0)
-        sparse = update_error_matrix_blocks(R_csr, sparse_state, beta=10.0)
-        assert isinstance(sparse, RowSparseMatrix)
-        np.testing.assert_allclose(sparse.to_dense(), dense,
+        dense = update_error_matrix_blocks(R_pairs, state, beta=KEEP_BETA)
+        sparse = update_error_matrix_blocks(R_csr, sparse_state,
+                                            beta=KEEP_BETA)
+        np.testing.assert_array_equal(sparse.rows, dense.rows)
+        np.testing.assert_allclose(sparse.to_dense(), dense.to_dense(),
                                    rtol=1e-8, atol=1e-11)
 
     def test_objective_evaluation(self, sparse_prepared):
         R_pairs, R_csr, L_blocks, state, sparse_state = sparse_prepared
-        dense = _objective(R_pairs, state, L_blocks, lam=250.0, beta=10.0)
+        dense = _objective(R_pairs, state, L_blocks, lam=250.0,
+                           beta=KEEP_BETA)
         sparse = _objective(R_csr, sparse_state, L_blocks, lam=250.0,
-                            beta=10.0)
+                            beta=KEEP_BETA)
         np.testing.assert_allclose(sparse.reconstruction, dense.reconstruction,
                                    rtol=1e-9)
         np.testing.assert_allclose(sparse.error_sparsity, dense.error_sparsity,

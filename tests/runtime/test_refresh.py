@@ -207,8 +207,10 @@ class TestSparseErrorMatrixRefresh:
     def sparse_artifact(self, blobs_factory, tmp_path_factory):
         from repro.serve import RHCHMEModel
         data = blobs_factory(90)
+        # The residual rows of these blobs stay below 0.01, so a small β
+        # keeps E_R rows for the embed step to remap.
         model = RHCHME(max_iter=25, random_state=0, use_subspace_member=False,
-                       track_metrics_every=0, backend="sparse")
+                       track_metrics_every=0, backend="sparse", beta=0.001)
         model.fit(data)
         path = model.export_model(data).save(
             tmp_path_factory.mktemp("sparse-er") / "model.npz")
@@ -228,6 +230,7 @@ class TestSparseErrorMatrixRefresh:
                                   grown_dataset.n_objects_total)
         # old rows land at their remapped positions with identical values
         old = sparse_artifact.error_matrix
+        assert old.n_stored_rows > 0
         n_new_points = (grown_dataset.get_type("points").n_objects
                         - sparse_artifact.type_info("points").n_objects)
         dense_old = old.to_dense()

@@ -123,6 +123,22 @@ class TestRetiredTorchBackend:
         np.testing.assert_array_equal(actual.membership, expected.membership)
 
 
+class TestRetiredErrorKnobs:
+    """Sidecars carrying the one-step E update's knobs still load."""
+
+    def test_zeta_and_error_row_tol_are_dropped(self, blob_artifact,
+                                                tmp_path):
+        path = blob_artifact.save(tmp_path / "model.npz",
+                                  shards="per-type-mmap")
+        sidecar_path = path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["config"].update(zeta=1e-10, error_row_tol=1e-8)
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert RHCHMEModel.load(path).config == blob_artifact.config
+        with open_model(path, lazy=True) as reader:
+            assert reader.config == blob_artifact.config
+
+
 class TestSchemaRefusal:
     def _rewrite_sidecar(self, path, **overrides):
         sidecar_path = path.with_suffix(".json")
@@ -230,30 +246,85 @@ class TestModelInterface:
         assert hash(artifact) is not None
 
 
-class TestErrorMatrixPersistence:
-    """Compact persistence of all-zero and row-sparse error matrices.
+def _rewrite_as_dense_layout(path) -> np.ndarray:
+    """Rewrite a saved monolithic artifact's E_R in the legacy dense layout.
 
-    A dense all-zero E_R used to be persisted as a dense array — small on
-    disk after compression, but densified back to O(N²) memory on every
-    load.  All-zero and row-sparse blocks now persist as surviving rows
-    only and reconstruct without ever allocating the (n, n) block.
+    Saves only write the row-sparse layout, so the dense one (every
+    version-1 artifact, and version-2 dense-backend fits) is reproduced by
+    hand: one ``error_matrix`` array and an ``error_matrix_layout`` of
+    ``"dense"``.  Returns the dense matrix written.
+    """
+    from repro.serve.artifact import read_error_matrix
+    sidecar_path = path.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    n = sum(entry["n_objects"] for entry in sidecar["types"])
+    dense = read_error_matrix(arrays, n).to_dense()
+    del arrays["error_matrix_rows"], arrays["error_matrix_values"]
+    np.savez_compressed(path, error_matrix=dense, **arrays)
+    sidecar["error_matrix_layout"] = "dense"
+    sidecar_path.write_text(json.dumps(sidecar))
+    return dense
+
+
+class TestErrorMatrixPersistence:
+    """Row-sparse persistence of the error matrix, and legacy dense loads.
+
+    Saves write only the row-sparse layout: the stored rows' indices and
+    values, never an (n, n) block.  Dense-layout artifacts written before
+    still load, compressed to their non-zero rows.
     """
 
     @pytest.fixture
-    def sparse_fit_artifact(self, blob_split):
+    def sparse_fit_artifact(self, blob_dataset):
+        # Four corrupted point rows: at β = 0.3 the exact E step keeps
+        # exactly them, so E_R has a few stored rows to persist.
         from repro.core import RHCHME
+        from repro.data.noise import corrupt_rows
+        from repro.relational.dataset import MultiTypeRelationalData
+        from repro.relational.types import Relation
+        corrupted, _ = corrupt_rows(
+            blob_dataset.relation_between("points", "anchors").matrix,
+            fraction=0.05, magnitude=3.0, random_state=0)
+        data = MultiTypeRelationalData(
+            blob_dataset.types, [Relation("points", "anchors", corrupted)])
         model = RHCHME(max_iter=15, random_state=0, use_subspace_member=False,
-                       track_metrics_every=0, backend="sparse",
-                       error_row_tol=1e-2)
-        model.fit(blob_split.train)
-        return model.export_model(blob_split.train)
+                       track_metrics_every=0, backend="sparse", beta=0.3)
+        model.fit(data)
+        artifact = model.export_model(data)
+        assert artifact.error_matrix.n_stored_rows == 4
+        return artifact
 
-    def test_dense_nonzero_error_matrix_keeps_dense_layout(self, saved):
-        artifact, path = saved
+    @pytest.fixture
+    def dense_saved(self, sparse_fit_artifact, tmp_path):
+        path = sparse_fit_artifact.save(tmp_path / "model.npz")
+        return sparse_fit_artifact, path, _rewrite_as_dense_layout(path)
+
+    def test_saves_write_only_row_sparse_layout(self, sparse_fit_artifact,
+                                                tmp_path):
+        path = sparse_fit_artifact.save(tmp_path / "model.npz")
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        assert sidecar["error_matrix_layout"] == "row-sparse"
+        with np.load(path) as npz:
+            assert "error_matrix" not in npz.files
+            assert npz["error_matrix_values"].shape == (
+                4, sparse_fit_artifact.error_matrix.shape[1])
+
+    def test_dense_layout_artifact_loads_row_sparse(self, dense_saved):
+        from repro.linalg.rowsparse import RowSparseMatrix
+        artifact, path, dense = dense_saved
         sidecar = json.loads(path.with_suffix(".json").read_text())
         assert sidecar["error_matrix_layout"] == "dense"
         loaded = RHCHMEModel.load(path)
-        assert isinstance(loaded.error_matrix, np.ndarray)
+        assert isinstance(loaded.error_matrix, RowSparseMatrix)
+        np.testing.assert_array_equal(loaded.error_matrix.rows,
+                                      artifact.error_matrix.rows)
+        np.testing.assert_array_equal(loaded.error_matrix.to_dense(), dense)
+        # and it re-saves in the row-sparse layout
+        repath = loaded.save(path.parent / "resaved.npz")
+        residecar = json.loads(repath.with_suffix(".json").read_text())
+        assert residecar["error_matrix_layout"] == "row-sparse"
 
     def test_all_zero_dense_error_matrix_compacts(self, blob_artifact,
                                                   tmp_path):
@@ -322,32 +393,34 @@ class TestErrorMatrixPersistence:
                                       sparse_fit_artifact.association)
         assert reader.shard_loads == {"global": 1}
 
-    def test_legacy_dense_sidecar_without_layout_field_loads(self, saved):
+    def test_legacy_dense_sidecar_without_layout_field_loads(self,
+                                                            dense_saved):
         # Artifacts written before the layout field existed are all dense;
         # a missing field must keep reading them.
-        artifact, path = saved
+        artifact, path, dense = dense_saved
         sidecar_path = path.with_suffix(".json")
         sidecar = json.loads(sidecar_path.read_text())
         sidecar.pop("error_matrix_layout")
         sidecar_path.write_text(json.dumps(sidecar))
         loaded = RHCHMEModel.load(path)
-        np.testing.assert_array_equal(loaded.error_matrix,
-                                      artifact.error_matrix)
+        np.testing.assert_array_equal(loaded.error_matrix.rows,
+                                      artifact.error_matrix.rows)
+        np.testing.assert_array_equal(loaded.error_matrix.to_dense(), dense)
 
-    def test_version1_dense_artifact_still_loads(self, saved):
-        # A true pre-row-sparse artifact: schema version 1, no layout field,
-        # no error_row_tol knob in the config.  It must keep loading.
-        artifact, path = saved
+    def test_version1_dense_artifact_still_loads(self, dense_saved):
+        # A true pre-row-sparse artifact: schema version 1, no layout
+        # field, and the one-step E update's zeta knob in its config.
+        artifact, path, dense = dense_saved
         sidecar_path = path.with_suffix(".json")
         sidecar = json.loads(sidecar_path.read_text())
         sidecar["schema_version"] = 1
         sidecar.pop("error_matrix_layout")
-        sidecar["config"].pop("error_row_tol")
+        sidecar["config"]["zeta"] = 1e-10
         sidecar_path.write_text(json.dumps(sidecar))
         loaded = RHCHMEModel.load(path)
         assert loaded.schema_version == 1
-        np.testing.assert_array_equal(loaded.error_matrix,
-                                      artifact.error_matrix)
+        assert loaded.config == artifact.config
+        np.testing.assert_array_equal(loaded.error_matrix.to_dense(), dense)
         # re-saving writes the current schema, not the stale stamp
         repath = loaded.save(path.parent / "resaved.npz")
         residecar = json.loads(repath.with_suffix(".json").read_text())

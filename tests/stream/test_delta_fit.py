@@ -102,8 +102,11 @@ class TestSparseErrorMatrixBoundary:
     @pytest.fixture(scope="class")
     def sparse_model(self, star_factory):
         base = star_factory(sparse=True)
+        # A β below the residual row norms, so E_R stores rows on both
+        # sides of the dirty boundary.
         estimator = RHCHME(max_iter=25, random_state=0, backend="sparse",
-                           use_subspace_member=False, track_metrics_every=0)
+                           use_subspace_member=False, track_metrics_every=0,
+                           beta=0.001)
         estimator.fit(base)
         return estimator.export_model(base)
 
@@ -113,6 +116,8 @@ class TestSparseErrorMatrixBoundary:
         outcome = refresh_model(sparse_model, grown,
                                 dirty=DirtySet(types=frozenset({"docs"})),
                                 max_iter=6)
+        assert sparse_model.error_matrix.n_stored_rows > 0
+        assert outcome.model.error_matrix.n_stored_rows > 0
         assert outcome.model.membership["docs"].shape == (72, 3)
         for name in ("words", "authors", "venues"):
             np.testing.assert_allclose(outcome.model.membership[name],

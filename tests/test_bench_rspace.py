@@ -24,8 +24,9 @@ def test_runner_produces_report(tmp_path):
     for entry in report["results"]:
         assert entry["memory_dense"]["r_representation"] == "ndarray"
         assert entry["memory_sparse"]["r_representation"] == "csr"
+        # one E_R representation on both backends
         assert entry["fit_sparse"]["error_matrix_representation"] == "row-sparse"
-        assert entry["fit_dense"]["error_matrix_representation"] == "ndarray"
+        assert entry["fit_dense"]["error_matrix_representation"] == "row-sparse"
         # parity is enforced inside the runner; re-assert the recorded gap
         assert entry["objective_parity_gap"] <= 1e-6
         assert entry["speedup_fit"] > 0

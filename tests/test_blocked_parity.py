@@ -27,6 +27,9 @@ from repro.runtime import refresh_model
 
 MAX_ITER = 10
 SEED = 0
+#: A β where the exact E step keeps some of multi5-small's rows, so every
+#: parity below covers stored E_R rows.
+BETA = 0.3
 TERMS = ("reconstruction", "error_sparsity", "graph_smoothness")
 
 
@@ -38,8 +41,8 @@ def multi5_small():
 @pytest.fixture(scope="module")
 def fits(multi5_small):
     return {(backend, n_jobs): RHCHME(max_iter=MAX_ITER, random_state=SEED,
-                                      backend=backend, n_jobs=n_jobs
-                                      ).fit(multi5_small)
+                                      backend=backend, n_jobs=n_jobs,
+                                      beta=BETA).fit(multi5_small)
             for backend in ("dense", "sparse") for n_jobs in (1, 2)}
 
 
@@ -50,9 +53,10 @@ def _dense(block) -> np.ndarray:
 def _dense_reference_trace(data, *, backend: str, config) -> dict:
     """Test-local dense Algorithm 2 on the stacked matrices.
 
-    Eq. 18 S through the guarded gram pseudo-inverse, Eq. 21–22 G, Eq.
-    25–27 E_R and the Eq. 15 objective, all on stacked ``(n, n)`` R, L, E_R
-    and ``(n, c)`` G, driven through the blocked fit's exact schedule.
+    Eq. 18 S through the guarded gram pseudo-inverse, Eq. 21–22 G, the
+    L2,1 prox for E_R and the Eq. 15 objective, all on stacked ``(n, n)``
+    R, L, E_R and ``(n, c)`` G, driven through the blocked fit's exact
+    schedule.
     """
     ensemble = HeterogeneousManifoldEnsemble(backend=backend,
                                              random_state=SEED)
@@ -69,8 +73,6 @@ def _dense_reference_trace(data, *, backend: str, config) -> dict:
     E = np.zeros_like(R)
     lam, beta = config.lam, config.beta
     L_pos, L_neg = split_parts(L)
-    floor = (config.error_row_tol * np.linalg.norm(R)
-             / np.sqrt(objects.total))
 
     def update_S():
         gram_inverse = gram_pinv(G.T @ G)
@@ -90,9 +92,9 @@ def _dense_reference_trace(data, *, backend: str, config) -> dict:
     def update_E():
         residual = R - G @ S @ G.T
         norms = np.linalg.norm(residual, axis=1)
-        D = 1.0 / np.maximum(2.0 * np.sqrt(norms ** 2 + config.zeta), 1e-12)
-        scale = 1.0 / (beta * D + 1.0)
-        scale[scale * norms <= floor] = 0.0
+        scale = np.zeros_like(norms)
+        alive = 2.0 * norms > beta
+        scale[alive] = 1.0 - beta / (2.0 * norms[alive])
         return residual * scale[:, None]
 
     def objective():
@@ -128,7 +130,8 @@ class TestBlockedGlobalParity:
         blocked = fits[(backend, 1)]
         reference = _dense_reference_trace(
             multi5_small, backend=backend,
-            config=RHCHME(max_iter=MAX_ITER).config)
+            config=RHCHME(max_iter=MAX_ITER, beta=BETA).config)
+        assert reference["terms"]["error_sparsity"][-1] > 0
         for term in TERMS:
             np.testing.assert_allclose(blocked.trace.terms_series(term),
                                        reference["terms"][term],
@@ -139,7 +142,7 @@ class TestBlockedGlobalParity:
         blocked = fits[(backend, 1)]
         reference = _dense_reference_trace(
             multi5_small, backend=backend,
-            config=RHCHME(max_iter=MAX_ITER).config)
+            config=RHCHME(max_iter=MAX_ITER, beta=BETA).config)
         for name, labels in reference["labels"].items():
             np.testing.assert_array_equal(blocked.labels[name], labels)
 
