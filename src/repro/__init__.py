@@ -30,7 +30,7 @@ Subpackages
     The multi-type relational data model (object types, relations, block
     matrices).
 ``repro.subspace``
-    Multiple-subspace representation learning (SPG solver).
+    Multiple-subspace representation learning (Eq. 9, solved by ADMM).
 ``repro.graph`` / ``repro.manifold``
     p-NN graphs, Laplacians and the manifold ensembles.
 ``repro.cluster`` / ``repro.metrics``

@@ -62,9 +62,11 @@ class RHCHMEConfig:
         Positive mass added to the one-hot k-means initialisation so the
         multiplicative updates can move every entry.
     subspace_max_iter, subspace_tol:
-        SPG budget of the subspace representation solver.
+        Iteration cap of the subspace representation's ADMM, and the
+        absolute and relative tolerance of both its residuals.
     random_state:
-        Seed shared by k-means initialisation and the subspace solver.
+        Seed of the k-means initialisation (the subspace solve is
+        deterministic).
     track_metrics_every:
         Record FScore/NMI against ground truth every this many iterations
         when labels are available (0 disables tracking); used to reproduce
@@ -124,7 +126,7 @@ class RHCHMEConfig:
     init: str = "kmeans"
     init_smoothing: float = 0.2
     subspace_max_iter: int = 150
-    subspace_tol: float = 1e-4
+    subspace_tol: float = 1e-5
     random_state: int | None = None
     track_metrics_every: int = 1
     backend: str = "auto"

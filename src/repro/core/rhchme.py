@@ -89,8 +89,8 @@ class RHCHMEResult:
         loop's wall clock down by update family (``s_update`` /
         ``g_update`` / ``e_update`` / ``objective``), and
         ``extras["subspace"]`` maps each type that ran the Eq. 9 solve to
-        its SPG outcome (``iterations``, ``converged``, ``objective``,
-        ``step_norm``).
+        its ADMM outcome (``iterations``, ``converged``, ``objective``,
+        ``primal_residual``, ``dual_residual``).
     """
 
     labels: dict[str, np.ndarray]
@@ -203,7 +203,6 @@ class RHCHME:
             use_pnn=config.use_pnn_member,
             subspace_topk=config.subspace_topk,
             backend=config.backend,
-            random_state=config.random_state,
         )
         # Without sweeps only dirty types ever run a G update, so only
         # their Laplacian blocks are built; sweep iterations need them all.
@@ -331,9 +330,9 @@ class RHCHME:
 
         labels = {object_type.name: state.labels_for_type(index)
                   for index, object_type in enumerate(data.types)}
-        subspace_outcomes = {member.name: member.spg
+        subspace_outcomes = {member.name: member.outcome
                              for member in ensemble.members_
-                             if member is not None and member.spg is not None}
+                             if member is not None and member.outcome is not None}
         result = RHCHMEResult(labels=labels, state=state, trace=trace,
                               converged=converged, n_iterations=iteration,
                               fit_seconds=time.perf_counter() - start,

@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,10 +21,15 @@ from ..core.rhchme import RHCHME
 from ..data.datasets import make_dataset
 from ..data.manifolds import sample_intersecting_circles
 from ..graph.pnn import pnn_affinity
+from ..linalg.projections import project_nonnegative_zero_diagonal
 from ..metrics.fscore import clustering_fscore
 from ..metrics.nmi import normalized_mutual_information
 from ..relational.dataset import MultiTypeRelationalData
-from ..subspace.representation import learn_subspace_affinity
+from ..subspace.representation import (
+    learn_subspace_affinity,
+    subspace_objective,
+    subspace_objective_gradient,
+)
 
 __all__ = [
     "SensitivityCurve",
@@ -69,13 +75,49 @@ class SensitivityCurve:
 
 
 # --------------------------------------------------------------------- fig 1
+def _algorithm1_affinity(points: np.ndarray, gamma: float,
+                         max_iter: int) -> np.ndarray:
+    """Eq. 9 by the paper's Algorithm 1 for ``max_iter`` steps from ``W = 0``.
+
+    Algorithm 1 is the non-monotone spectral projected gradient of Birgin,
+    Martínez & Raydan (memory 10, Armijo constant 1e-4, step halving): each
+    step moves along ``Π(W − σ∇J2) − W`` with the Barzilai–Borwein ``σ``.
+    Its iterate after a fixed budget is dense; Eq. 9's optimum is sparse.
+    """
+    gram = points @ points.T
+    gram /= np.trace(gram) / len(points)
+    W = np.zeros_like(gram)
+    grad = subspace_objective_gradient(W, gram, gamma)
+    recent = deque([subspace_objective(W, gram, gamma)], maxlen=10)
+    sigma = 1.0
+    for _ in range(max_iter):
+        direction = project_nonnegative_zero_diagonal(W - sigma * grad) - W
+        slope = float(np.vdot(grad, direction))
+        if slope >= 0.0:
+            break
+        step = 1.0
+        for _ in range(30):
+            candidate = W + step * direction
+            value = subspace_objective(candidate, gram, gamma)
+            if value <= max(recent) + 1e-4 * step * slope:
+                break
+            step /= 2.0
+        new_grad = subspace_objective_gradient(candidate, gram, gamma)
+        s, y = candidate - W, new_grad - grad
+        sy = float(np.vdot(s, y))
+        sigma = float(np.clip(np.vdot(s, s) / sy, 1e-10, 1e10)) if sy > 0 else 1e10
+        W, grad = candidate, new_grad
+        recent.append(value)
+    return (W + W.T) / 2.0
+
+
 def figure1_neighbour_completeness(n_per_circle: int = 60, *, p: int = 5,
                                    gamma: float = 25.0, separation: float = 1.0,
                                    noise: float = 0.03,
                                    random_state: int = 0) -> dict[str, float]:
     """Quantify the Figure 1 argument on two intersecting circles.
 
-    For each affinity (p-NN graph vs subspace representation) we measure
+    For each affinity we measure
 
     * ``within_manifold_mass`` — the fraction of total affinity mass that
       connects points of the same circle (higher = the affinity respects the
@@ -84,8 +126,19 @@ def figure1_neighbour_completeness(n_per_circle: int = 60, *, p: int = 5,
       point is connected to (p-NN is bounded by p/n; subspace learning can
       reach distant within-manifold points).
 
-    The expected shape is the paper's: the subspace affinity achieves higher
-    coverage of within-manifold neighbours than the small-p graph.
+    The affinities, each under its key prefix, are
+
+    * ``pnn`` — the binary p-NN graph;
+    * ``subspace`` — Eq. 9 as the paper computes it, 150 steps of
+      Algorithm 1 (SPG), the affinity the paper's Figure 1 argument is about;
+    * ``admm`` — Eq. 9 by the library's ADMM under the same 150-iteration
+      cap, as the ensemble builds it.
+
+    The paper expects the subspace affinity to cover more within-manifold
+    neighbours than the small-p graph, and Algorithm 1's iterate does.  The
+    ADMM gets closer to Eq. 9's optimum, and covers fewer: on 2-D points an
+    optimal column has at most three non-zeros, because circles are not the
+    linear subspaces Eq. 9 models.
     """
     points, labels = sample_intersecting_circles(
         n_per_circle, separation=separation, noise=noise,
@@ -108,17 +161,17 @@ def figure1_neighbour_completeness(n_per_circle: int = 60, *, p: int = 5,
             / np.maximum(np.sum(same_manifold, axis=1), 1)))
         return mass_ratio, coverage
 
-    pnn = pnn_affinity(points, p=p, scheme="binary")
-    subspace = learn_subspace_affinity(points, gamma=gamma, max_iter=150,
-                                       random_state=random_state)
-    pnn_mass, pnn_coverage = analyse(pnn)
-    sub_mass, sub_coverage = analyse(subspace)
-    return {
-        "pnn_within_manifold_mass": pnn_mass,
-        "pnn_neighbour_coverage": pnn_coverage,
-        "subspace_within_manifold_mass": sub_mass,
-        "subspace_neighbour_coverage": sub_coverage,
+    affinities = {
+        "pnn": pnn_affinity(points, p=p, scheme="binary"),
+        "subspace": _algorithm1_affinity(points, gamma, max_iter=150),
+        "admm": learn_subspace_affinity(points, gamma=gamma, max_iter=150),
     }
+    metrics: dict[str, float] = {}
+    for name, affinity in affinities.items():
+        mass, coverage = analyse(affinity)
+        metrics[f"{name}_within_manifold_mass"] = mass
+        metrics[f"{name}_neighbour_coverage"] = coverage
+    return metrics
 
 
 # --------------------------------------------------------------------- fig 2

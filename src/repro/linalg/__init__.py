@@ -12,7 +12,7 @@ The module groups small, well-tested numerical primitives:
 * :mod:`repro.linalg.blocks` — the per-type block partition of the
   matrices R, W, G and S used by multi-type relational data.
 * :mod:`repro.linalg.projections` — projection operators onto the feasible
-  sets used by the SPG solver.
+  sets of the subspace solve and the RMC candidate weights.
 * :mod:`repro.linalg.safe` — numerically safe inverses and divisions.
 * :mod:`repro.linalg.backend` — dense/sparse compute-backend selection and
   conversion helpers used to thread scipy.sparse through the pipeline.
@@ -53,7 +53,7 @@ from .projections import (
     project_nonnegative_zero_diagonal,
     project_simplex_rows,
 )
-from .rowsparse import RowSparseMatrix, as_dense_matrix
+from .rowsparse import RowSparseMatrix
 from .safe import gram_pinv, safe_divide, safe_inverse, safe_sqrt, stable_pinv
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "BlockSpec",
     "RowSparseMatrix",
     "as_csr",
-    "as_dense_matrix",
     "check_backend",
     "is_sparse",
     "resolve_backend",

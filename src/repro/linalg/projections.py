@@ -1,7 +1,7 @@
 """Projection operators onto the feasible sets used by the solvers.
 
-The SPG solver for the multiple-subspace objective (Algorithm 1) projects its
-iterates onto the closed convex set ``{W : W ≥ 0, diag(W) = 0}``; Eq. 11 of
+The ADMM for the multiple-subspace objective (Eq. 9) projects its splitting
+variable onto the closed convex set ``{W : W ≥ 0, diag(W) = 0}``; Eq. 11 of
 the paper defines that projection element-wise.  The simplex projection is
 used by the RMC baseline to keep its learnt candidate-Laplacian weights on the
 probability simplex.

@@ -11,18 +11,16 @@ dense, so per-entry indexing triples the memory — and a dense array wastes
 indices of the surviving rows and one dense ``(k, n)`` value block.
 
 The class implements only the operations the RHCHME update loop and the
-serving stack need (products with skinny dense matrices, row norms, inner
-products with CSR operands), each without materialising the ``(n, n)``
-dense form.  ``to_dense``/``__array__`` exist for interop and tests, not
-for hot paths.
+serving stack need (block slicing, row norms, Frobenius and L2,1 norms),
+each without materialising the ``(n, n)`` dense form.
+``to_dense``/``__array__`` exist for interop and tests, not for hot paths.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = ["RowSparseMatrix", "as_dense_matrix", "as_row_sparse"]
+__all__ = ["RowSparseMatrix", "as_row_sparse"]
 
 
 class RowSparseMatrix:
@@ -132,51 +130,6 @@ class RowSparseMatrix:
                                self.values[lo:hi, col_start:col_stop],
                                (row_stop - row_start, col_stop - col_start))
 
-    # --------------------------------------------------------------- operators
-    def __matmul__(self, other) -> np.ndarray:
-        """``self @ other`` with a dense operand, returning a dense array.
-
-        Only the stored rows contribute, so the cost is ``O(k · n · m)`` for
-        ``k`` stored rows and an ``(n, m)`` operand — the result is skinny
-        whenever the operand is.
-        """
-        other = np.asarray(other, dtype=np.float64)
-        out_shape = ((self.shape[0],) if other.ndim == 1
-                     else (self.shape[0], other.shape[-1]))
-        out = np.zeros(out_shape, dtype=np.float64)
-        if self.rows.size:
-            out[self.rows] = self.values @ other
-        return out
-
-    def t_matmul(self, other) -> np.ndarray:
-        """``self.T @ other`` with a dense operand, returning a dense array.
-
-        Uses only the operand rows the stored rows touch:
-        ``selfᵀ X = valuesᵀ X[rows]``.
-        """
-        other = np.asarray(other, dtype=np.float64)
-        return self.values.T @ other[self.rows]
-
-    def inner(self, other) -> float:
-        """Frobenius inner product ``Σᵢⱼ selfᵢⱼ otherᵢⱼ``.
-
-        ``other`` may be dense, scipy sparse or another row-sparse matrix;
-        only the stored rows are ever touched.
-        """
-        if self.rows.size == 0:
-            return 0.0
-        if isinstance(other, RowSparseMatrix):
-            shared, mine, theirs = np.intersect1d(
-                self.rows, other.rows, assume_unique=True, return_indices=True)
-            if shared.size == 0:
-                return 0.0
-            return float(np.sum(self.values[mine] * other.values[theirs]))
-        if sp.issparse(other):
-            rows_csr = sp.csr_array(other)[self.rows]
-            return float(rows_csr.multiply(self.values).sum())
-        other = np.asarray(other, dtype=np.float64)
-        return float(np.sum(self.values * other[self.rows]))
-
     # ------------------------------------------------------------------- norms
     def stored_row_norms(self) -> np.ndarray:
         """L2 norms of the stored rows (length ``n_stored_rows``)."""
@@ -200,21 +153,6 @@ class RowSparseMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (f"RowSparseMatrix(shape={self.shape}, "
                 f"stored_rows={self.n_stored_rows})")
-
-
-def as_dense_matrix(matrix) -> np.ndarray:
-    """Densify any of the solver's matrix representations.
-
-    Accepts dense arrays (returned as float64 views/copies), scipy sparse
-    matrices and :class:`RowSparseMatrix`.  The explicit escape hatch for
-    code paths that are dense anyway — hot sparse paths should dispatch on
-    the representation instead of calling this.
-    """
-    if isinstance(matrix, RowSparseMatrix):
-        return matrix.to_dense()
-    if sp.issparse(matrix):
-        return matrix.toarray().astype(np.float64, copy=False)
-    return np.asarray(matrix, dtype=np.float64)
 
 
 def as_row_sparse(matrix) -> RowSparseMatrix | None:

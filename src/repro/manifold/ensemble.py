@@ -45,7 +45,7 @@ __all__ = ["HeterogeneousManifoldEnsemble"]
 class _TypeLaplacians:
     """Per-type Laplacian members kept for inspection and ablation.
 
-    ``spg`` is the subspace solve's outcome (see
+    ``outcome`` is the subspace solve's outcome (see
     :meth:`repro.subspace.SubspaceResult.outcome`), ``None`` when the type
     ran no subspace solve.
     """
@@ -54,7 +54,7 @@ class _TypeLaplacians:
     subspace: np.ndarray | sp.csr_array | None
     pnn: np.ndarray | sp.csr_array | None
     combined: np.ndarray | sp.csr_array
-    spg: dict | None = None
+    outcome: dict | None = None
 
 
 @dataclass
@@ -75,7 +75,7 @@ class HeterogeneousManifoldEnsemble:
     laplacian_kind:
         Which Laplacian normalisation to use for both members.
     subspace_max_iter, subspace_tol:
-        SPG budget for the subspace representation solver.
+        Iteration cap and residual tolerance of the subspace solver's ADMM.
     use_subspace, use_pnn:
         Ablation switches disabling one member (the α → {0, ∞} extremes).
     subspace_topk:
@@ -95,8 +95,6 @@ class HeterogeneousManifoldEnsemble:
         ``"dense"`` (seed behaviour), ``"sparse"`` (CSR end to end) or
         ``"auto"`` (sparse once the dataset's total object count crosses
         :data:`repro.linalg.backend.AUTO_SPARSE_THRESHOLD`).
-    random_state:
-        Seed for the subspace solver initialisation.
     """
 
     alpha: float = 1.0
@@ -105,13 +103,12 @@ class HeterogeneousManifoldEnsemble:
     weighting: WeightingScheme | str = WeightingScheme.COSINE
     laplacian_kind: str = "unnormalized"
     subspace_max_iter: int = 150
-    subspace_tol: float = 1e-4
+    subspace_tol: float = 1e-5
     use_subspace: bool = True
     use_pnn: bool = True
     subspace_topk: int | None = None
     scale_by_size: bool = True
     backend: str = "dense"
-    random_state: int | None = None
     members_: list[_TypeLaplacians] = field(default_factory=list, init=False, repr=False)
     resolved_backend_: str | None = field(default=None, init=False, repr=False)
 
@@ -167,17 +164,16 @@ class HeterogeneousManifoldEnsemble:
 
         subspace_laplacian = None
         pnn_laplacian = None
-        spg = None
+        outcome = None
         combined = (sp.csr_array((n_objects, n_objects), dtype=np.float64)
                     if use_sparse else np.zeros((n_objects, n_objects)))
         if self.use_subspace and self.alpha > 0.0:
             model = SubspaceRepresentation(gamma=self.gamma,
                                            max_iter=self.subspace_max_iter,
-                                           tol=self.subspace_tol,
-                                           random_state=self.random_state)
+                                           tol=self.subspace_tol)
             solved = model.fit(features)
             affinity = solved.affinity
-            spg = solved.outcome()
+            outcome = solved.outcome()
             if self.subspace_topk is not None:
                 affinity = topk_rows(affinity, self.subspace_topk)
                 if use_sparse:
@@ -198,7 +194,7 @@ class HeterogeneousManifoldEnsemble:
         if self.scale_by_size and n_objects > 0:
             combined = combined / float(n_objects)
         return _TypeLaplacians(name=name, subspace=subspace_laplacian,
-                               pnn=pnn_laplacian, combined=combined, spg=spg)
+                               pnn=pnn_laplacian, combined=combined, outcome=outcome)
 
     def build_blocks(self, data: MultiTypeRelationalData, *,
                      types=None) -> list:

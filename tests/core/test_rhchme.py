@@ -212,8 +212,9 @@ class TestWarmStart:
 
 class TestSubspaceOutcomes:
     def test_multi5_records_each_types_spg_outcome(self):
-        # The default 150-iteration budget is exhausted on every Multi5 type
-        # before the stationarity step reaches tol=1e-4.
+        # The Eq. 9 ADMM at the default budget (150 iterations, tol=1e-5):
+        # the documents solve meets both residual tolerances at iteration
+        # 143, terms and concepts stop at the cap.
         data = make_dataset("multi5", random_state=0)
         result = RHCHME(max_iter=1, random_state=0).fit(data)
         outcomes = result.extras["subspace"]
@@ -221,12 +222,15 @@ class TestSubspaceOutcomes:
         objectives = {name: outcome["objective"]
                       for name, outcome in outcomes.items()}
         assert objectives == {"documents": pytest.approx(1937.47, rel=1e-5),
-                              "terms": pytest.approx(359.884, rel=1e-5),
-                              "concepts": pytest.approx(164.113, rel=1e-5)}
+                              "terms": pytest.approx(339.240, rel=1e-5),
+                              "concepts": pytest.approx(158.557, rel=1e-5)}
+        stops = {name: (outcome["iterations"], outcome["converged"])
+                 for name, outcome in outcomes.items()}
+        assert stops == {"documents": (143, True), "terms": (150, False),
+                         "concepts": (150, False)}
         for outcome in outcomes.values():
-            assert outcome["iterations"] == 150
-            assert outcome["converged"] is False
-            assert outcome["step_norm"] > 1e-4
+            assert outcome["primal_residual"] > 0.0
+            assert outcome["dual_residual"] > 0.0
 
     def test_no_entries_without_the_subspace_member(self, small_dataset):
         result = RHCHME(max_iter=2, random_state=0,

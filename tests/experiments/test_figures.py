@@ -29,6 +29,14 @@ class TestFigure1:
         assert (metrics["subspace_neighbour_coverage"]
                 > metrics["pnn_neighbour_coverage"])
 
+    def test_admm_covers_fewer_than_algorithm1(self):
+        # Eq. 9's optimum is sparse (at most three non-zeros per column on
+        # 2-D points); the coverage above is Algorithm 1's dense iterate.
+        metrics = figure1_neighbour_completeness(n_per_circle=40, p=4,
+                                                 random_state=0)
+        assert (metrics["admm_neighbour_coverage"]
+                < metrics["subspace_neighbour_coverage"])
+
 
 class TestFigure2:
     def test_paper_grids_defined_for_all_parameters(self):

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.linalg.norms import frobenius_norm, l21_norm, row_l2_norms
-from repro.linalg.rowsparse import RowSparseMatrix, as_dense_matrix
+from repro.linalg.rowsparse import RowSparseMatrix
 
 
 @pytest.fixture
@@ -64,48 +63,6 @@ class TestConstruction:
             RowSparseMatrix([1], np.ones((2, 4)), (5, 4))
 
 
-class TestOperations:
-    def test_matmul_matches_dense(self, example, rng):
-        matrix, dense = example
-        other = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(matrix @ other, dense @ other)
-
-    def test_matmul_vector(self, example, rng):
-        matrix, dense = example
-        vector = rng.normal(size=5)
-        np.testing.assert_allclose(matrix @ vector, dense @ vector)
-
-    def test_t_matmul_matches_dense(self, example, rng):
-        matrix, dense = example
-        other = rng.normal(size=(8, 3))
-        np.testing.assert_allclose(matrix.t_matmul(other), dense.T @ other)
-
-    def test_inner_with_dense(self, example, rng):
-        matrix, dense = example
-        other = rng.normal(size=dense.shape)
-        np.testing.assert_allclose(matrix.inner(other),
-                                   float(np.sum(dense * other)))
-
-    def test_inner_with_csr(self, example, rng):
-        matrix, dense = example
-        other = rng.normal(size=dense.shape)
-        other[other < 0.4] = 0.0
-        np.testing.assert_allclose(matrix.inner(sp.csr_array(other)),
-                                   float(np.sum(dense * other)))
-
-    def test_inner_with_row_sparse(self, example, rng):
-        matrix, dense = example
-        other_dense = np.zeros_like(dense)
-        other_dense[[0, 4]] = rng.normal(size=(2, 5))
-        other = RowSparseMatrix.from_dense(other_dense)
-        np.testing.assert_allclose(matrix.inner(other),
-                                   float(np.sum(dense * other_dense)))
-
-    def test_empty_inner_is_zero(self):
-        empty = RowSparseMatrix.zeros((4, 4))
-        assert empty.inner(np.ones((4, 4))) == 0.0
-
-
 class TestNorms:
     def test_row_norms_match_dense(self, example):
         matrix, dense = example
@@ -120,15 +77,6 @@ class TestNorms:
                                    np.linalg.norm(dense))
         np.testing.assert_allclose(l21_norm(matrix),
                                    float(np.sum(np.linalg.norm(dense, axis=1))))
-
-
-class TestAsDenseMatrix:
-    def test_handles_every_representation(self, example):
-        matrix, dense = example
-        np.testing.assert_array_equal(as_dense_matrix(matrix), dense)
-        np.testing.assert_array_equal(as_dense_matrix(dense), dense)
-        np.testing.assert_array_equal(as_dense_matrix(sp.csr_array(dense)),
-                                      dense)
 
 
 class TestBlockSlicing:

@@ -87,7 +87,7 @@ class TestEnsembleParity:
 
     def test_sparse_ensemble_with_subspace_member(self, multi5_small):
         kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
-                      subspace_max_iter=10, random_state=SEED)
+                      subspace_max_iter=10)
         dense = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
                                               ).build_blocks(multi5_small)
         sparse = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs

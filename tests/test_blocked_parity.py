@@ -58,8 +58,7 @@ def _dense_reference_trace(data, *, backend: str, config) -> dict:
     R, L, E_R and ``(n, c)`` G, driven through the blocked fit's exact
     schedule.
     """
-    ensemble = HeterogeneousManifoldEnsemble(backend=backend,
-                                             random_state=SEED)
+    ensemble = HeterogeneousManifoldEnsemble(backend=backend)
     L = block_diag(*[_dense(block) for block in ensemble.build_blocks(data)])
     R_pairs = data.relation_blocks(normalize=True,
                                    backend=ensemble.resolved_backend_)

@@ -28,6 +28,15 @@ class TestPublicAPI:
     def test_list_datasets_nonempty(self):
         assert len(repro.list_datasets()) >= 8
 
+    def test_subpackage_exports_resolvable(self):
+        import importlib
+        for name in ("baselines", "cluster", "core", "data", "experiments",
+                     "graph", "linalg", "manifold", "metrics", "relational",
+                     "serve", "subspace"):
+            module = importlib.import_module(f"repro.{name}")
+            for export in getattr(module, "__all__", ()):
+                assert hasattr(module, export), f"repro.{name}.{export}"
+
     def test_subpackages_importable(self):
         import repro.baselines
         import repro.cluster

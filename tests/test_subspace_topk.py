@@ -35,7 +35,7 @@ def _largest_type_size(data) -> int:
 class TestEnsembleParityAtTopkNMinusOne:
     def test_sparse_topk_matches_exact_dense_ensemble(self, multi5_small):
         kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
-                      subspace_max_iter=10, random_state=SEED)
+                      subspace_max_iter=10)
         exact = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
                                               ).build_blocks(multi5_small)
         topk = _largest_type_size(multi5_small) - 1
@@ -49,7 +49,7 @@ class TestEnsembleParityAtTopkNMinusOne:
 
     def test_small_topk_actually_sparsifies(self, multi5_small):
         kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
-                      subspace_max_iter=10, random_state=SEED)
+                      subspace_max_iter=10)
         full = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs
                                              ).build_blocks(multi5_small)
         thresholded = HeterogeneousManifoldEnsemble(
