@@ -48,9 +48,9 @@ Subpackages
     CLI.
 ``repro.runtime``
     The async multi-worker serving runtime: dynamic micro-batching of
-    small requests, a pluggable thread/process/serial worker pool with
-    explicit backpressure, and incremental artifact refresh from warm
-    starts.
+    small requests, a thread worker pool (or serial in-line execution)
+    with explicit backpressure, and incremental artifact refresh from
+    warm starts.
 ``repro.net``
     The asyncio HTTP front-end over the runtime: versioned wire schema,
     multi-model routing with admission control, drain lifecycle, the

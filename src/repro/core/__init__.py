@@ -13,9 +13,8 @@ manifold ensemble of Eq. 12.
 
 The solver core is *blocked*: G lives as per-type membership blocks, L as
 per-type Laplacian blocks, R and E_R as per-pair cross-type blocks, and the
-updates run as per-type / per-pair kernels (optionally threaded across a
-``RHCHMEConfig(n_jobs=...)`` worker pool).  No stacked ``(n, n)`` R or L and
-no stacked ``(n, c)`` G is ever assembled.  It is the one solver path: the
+updates run as per-type / per-pair kernels.  No stacked ``(n, n)`` R or L
+and no stacked ``(n, c)`` G is ever assembled.  It is the one solver path: the
 NMTF baselines of :mod:`repro.baselines` run the same kernels.
 
 * :mod:`repro.core.config` — :class:`RHCHMEConfig`, every tunable in one place.
@@ -27,7 +26,6 @@ NMTF baselines of :mod:`repro.baselines` run the same kernels.
 * :mod:`repro.core.state` — blocked factorisation state and initialisation.
 * :mod:`repro.core.schedule` — delta scheduling (:class:`DirtySet`): which
   blocks an incremental refit recomputes and which stay frozen.
-* :mod:`repro.core.parallel` — the per-type/per-pair thread pool.
 * :mod:`repro.core.convergence` — iteration history bookkeeping.
 * :mod:`repro.core.rhchme` — the :class:`RHCHME` estimator (Algorithm 2).
 """
@@ -35,7 +33,6 @@ NMTF baselines of :mod:`repro.baselines` run the same kernels.
 from .config import RHCHMEConfig
 from .convergence import IterationRecord, TraceRecorder
 from .objective import ObjectiveBreakdown, evaluate_objective_blocks
-from .parallel import TypeWorkPool
 from .rhchme import RHCHME, RHCHMEResult
 from .schedule import DeltaSchedule, DirtySet
 from .state import FactorizationState, initialize_state
@@ -52,7 +49,6 @@ __all__ = [
     "RHCHMEConfig",
     "RHCHMEResult",
     "TraceRecorder",
-    "TypeWorkPool",
     "evaluate_objective_blocks",
     "initialize_state",
     "update_association_blocks",

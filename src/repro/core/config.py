@@ -91,23 +91,15 @@ class RHCHMEConfig:
         ``use_subspace_member=True``.  ``None`` (default) keeps the exact
         dense affinity; ``k >= n - 1`` is exact as well (only a zero row
         minimum can be dropped), so parity degrades gracefully.
-    n_jobs:
-        Worker threads for the blocked solver core.  The per-type G updates
-        and the per-pair S / E_R / objective terms are independent given the
-        other factors, so they fan out across a thread pool (numpy/scipy
-        release the GIL inside the underlying kernels).  ``1`` (default)
-        runs serially with zero pool overhead; ``-1`` uses every available
-        CPU.  The value never changes the optimisation — only which thread
-        computes each block — so results are identical for every setting.
     diagnostics:
         Record fit-time health diagnostics (see
         :class:`repro.diagnostics.SpectralMonitor`): per-type spectral
         metrics of the ensemble Laplacian blocks plus per-iteration
         membership-churn trajectories, carried in the fit result's
         ``extras["diagnostics"]`` and persisted into the artifact
-        sidecar.  Off by default; never changes the optimisation.  Like
-        ``n_jobs`` this is a run-time knob, not a model parameter, and is
-        not persisted in artifacts.
+        sidecar.  Off by default; never changes the optimisation.  It is
+        a run-time knob, not a model parameter, and is not persisted in
+        artifacts.
     """
 
     lam: float = 250.0
@@ -131,7 +123,6 @@ class RHCHMEConfig:
     track_metrics_every: int = 1
     backend: str = "auto"
     subspace_topk: int | None = None
-    n_jobs: int = 1
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -151,11 +142,6 @@ class RHCHMEConfig:
         check_backend(self.backend)
         if self.subspace_topk is not None:
             check_positive_int(self.subspace_topk, name="subspace_topk")
-        if not isinstance(self.n_jobs, int) or isinstance(self.n_jobs, bool) \
-                or (self.n_jobs < 1 and self.n_jobs != -1):
-            raise ValueError(
-                f"n_jobs must be a positive int or -1 (all CPUs), got "
-                f"{self.n_jobs!r}")
         if not isinstance(self.diagnostics, bool):
             raise ValueError(
                 f"diagnostics must be a bool, got {self.diagnostics!r}")

@@ -50,7 +50,7 @@ class TraceRecorder:
     hierarchical fit trace (:attr:`span_tree`, a completed
     :class:`repro.obs.Span` root): the flat buckets answer *how much*
     each update family cost in total, the span tree answers *where* —
-    per iteration, per family, per kernel task under ``n_jobs``.
+    per iteration, per family, per kernel task.
     """
 
     def __init__(self) -> None:

@@ -77,7 +77,7 @@ def _type_l21(E_R, object_spec, t: int) -> float:
 
 
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
-                              beta: float, pairs=None, pool=None,
+                              beta: float, pairs=None,
                               schedule=None, sweep: bool = False,
                               cache=None) -> ObjectiveBreakdown:
     """Blockwise evaluation of Eq. 15 — no global matrix is ever assembled.
@@ -87,8 +87,7 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
     (the diagonal blocks are structural zeros), the smoothness a sum of
     per-type traces ``tr(G_tᵀ L_t G_t)``, and the L2,1 term sums the
     stored rows of the row-sparse E_R (``E_R=None``, a state without an
-    error matrix, contributes zero).  Pair and type tasks are
-    independent and fan out across ``pool``.
+    error matrix, contributes zero).
 
     Parameters
     ----------
@@ -133,10 +132,10 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
 
     def evaluate_terms(eval_pairs, eval_types):
         """Per-pair reconstruction and per-type smoothness term values."""
-        pair_values = _map(pool, _pair_error_task,
+        pair_values = _map(_pair_error_task,
                            [pair_item(pair) for pair in eval_pairs],
                            labels=eval_pairs, name="one_pair")
-        type_values = _map(pool, _smoothness_task,
+        type_values = _map(_smoothness_task,
                            [(G[t], L_blocks[t]) for t in eval_types],
                            labels=eval_types, name="one_type")
         return pair_values, type_values

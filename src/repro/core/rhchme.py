@@ -10,8 +10,7 @@ The estimator ties the pieces together:
 3. initialise the per-type membership blocks ``G_t`` (k-means on relational
    profiles) and ``E_R`` (zeros);
 4. iterate the blockwise S / G / E_R updates until the objective stops
-   decreasing, fanning the independent per-type / per-pair tasks across the
-   ``n_jobs`` worker pool;
+   decreasing;
 5. return per-type hard labels, the factor matrices and the full iteration
    trace (objective decomposition, per-update wall-clock accounting, plus
    optional FScore/NMI against ground truth).
@@ -35,7 +34,6 @@ from ..relational.dataset import MultiTypeRelationalData
 from .config import RHCHMEConfig
 from .convergence import TraceRecorder
 from .objective import evaluate_objective_blocks
-from .parallel import TypeWorkPool
 from .schedule import DeltaSchedule, DirtySet
 from .state import FactorizationState, initialize_state, warm_start_state
 from .updates import (active_relation_pairs, update_association_blocks,
@@ -263,7 +261,6 @@ class RHCHME:
             # tree per fit (per-iteration -> per-family -> per-kernel),
             # persisted with the spectral summary in the artifact sidecar.
             fit_span = Span("fit", backend=str(backend),
-                            n_jobs=int(config.n_jobs),
                             max_iter=int(config.max_iter),
                             n_types=len(data.types),
                             warm_start=warm_start is not None,
@@ -272,61 +269,58 @@ class RHCHME:
         trace = TraceRecorder()
         converged = False
         iteration = 0
-        with TypeWorkPool(config.n_jobs) as pool:
-            # This S solve doubles as iteration 1's S step: the state does
-            # not change between recording the initial objective and the
-            # first loop pass, so re-solving there would recompute the
-            # identical matrix (one full wasted S solve per fit).
-            setup_sweep = schedule is not None and schedule.sweep(1)
-            with _span_scope(fit_span, "setup"):
-                state.S = self._timed(
-                    trace, "s_update", update_association_blocks,
-                    R_pairs, state, pairs=pairs, pool=pool,
-                    dirty_pairs=(schedule.dirty_pairs
-                                 if schedule is not None and not setup_sweep
-                                 else None),
-                    S_prev=state.S if schedule is not None else None)
-                self._record(trace, data, R_pairs, L_blocks, state, pairs,
-                             pool, monitor=monitor, schedule=schedule,
-                             sweep=setup_sweep, cache=objective_cache)
+        # This S solve doubles as iteration 1's S step: the state does
+        # not change between recording the initial objective and the
+        # first loop pass, so re-solving there would recompute the
+        # identical matrix (one full wasted S solve per fit).
+        setup_sweep = schedule is not None and schedule.sweep(1)
+        with _span_scope(fit_span, "setup"):
+            state.S = self._timed(
+                trace, "s_update", update_association_blocks,
+                R_pairs, state, pairs=pairs,
+                dirty_pairs=(schedule.dirty_pairs
+                             if schedule is not None and not setup_sweep
+                             else None),
+                S_prev=state.S if schedule is not None else None)
+            self._record(trace, data, R_pairs, L_blocks, state, pairs,
+                         monitor=monitor, schedule=schedule,
+                         sweep=setup_sweep, cache=objective_cache)
 
-            for iteration in range(1, config.max_iter + 1):
-                sweep = schedule is not None and schedule.sweep(iteration)
-                restrict = schedule is not None and not sweep
-                with _span_scope(fit_span, "iteration", iteration=iteration):
-                    if iteration > 1:
-                        state.S = self._timed(
-                            trace, "s_update", update_association_blocks,
-                            R_pairs, state, pairs=pairs, pool=pool,
-                            dirty_pairs=(schedule.dirty_pairs if restrict
-                                         else None),
-                            S_prev=(state.S if schedule is not None
-                                    else None))
-                    state.G_blocks = self._timed(
-                        trace, "g_update", update_membership_blocks,
-                        R_pairs, L_parts, state,
-                        lam=config.lam, pairs=pairs, pool=pool,
-                        dirty_types=(schedule.dirty_types if restrict
+        for iteration in range(1, config.max_iter + 1):
+            sweep = schedule is not None and schedule.sweep(iteration)
+            restrict = schedule is not None and not sweep
+            with _span_scope(fit_span, "iteration", iteration=iteration):
+                if iteration > 1:
+                    state.S = self._timed(
+                        trace, "s_update", update_association_blocks,
+                        R_pairs, state, pairs=pairs,
+                        dirty_pairs=(schedule.dirty_pairs if restrict
                                      else None),
-                        normalize=True)
-                    if config.use_error_matrix:
-                        state.E_R = self._timed(
-                            trace, "e_update", update_error_matrix_blocks,
-                            R_pairs, state,
-                            beta=config.beta,
-                            pairs=pairs, pool=pool,
-                            dirty_types=(schedule.error_types if restrict
-                                         else None),
-                            E_prev=(state.E_R if schedule is not None
-                                    else None))
-                    state.iteration = iteration
-                    self._record(trace, data, R_pairs, L_blocks, state, pairs,
-                                 pool, monitor=monitor, schedule=schedule,
-                                 sweep=sweep, cache=objective_cache)
-                decrease = trace.last_relative_decrease()
-                if 0.0 <= decrease < config.tol:
-                    converged = True
-                    break
+                        S_prev=(state.S if schedule is not None
+                                else None))
+                state.G_blocks = self._timed(
+                    trace, "g_update", update_membership_blocks,
+                    R_pairs, L_parts, state,
+                    lam=config.lam, pairs=pairs,
+                    dirty_types=(schedule.dirty_types if restrict
+                                 else None),
+                    normalize=True)
+                if config.use_error_matrix:
+                    state.E_R = self._timed(
+                        trace, "e_update", update_error_matrix_blocks,
+                        R_pairs, state, beta=config.beta, pairs=pairs,
+                        dirty_types=(schedule.error_types if restrict
+                                     else None),
+                        E_prev=(state.E_R if schedule is not None
+                                else None))
+                state.iteration = iteration
+                self._record(trace, data, R_pairs, L_blocks, state, pairs,
+                             monitor=monitor, schedule=schedule,
+                             sweep=sweep, cache=objective_cache)
+            decrease = trace.last_relative_decrease()
+            if 0.0 <= decrease < config.tol:
+                converged = True
+                break
 
         labels = {object_type.name: state.labels_for_type(index)
                   for index, object_type in enumerate(data.types)}
@@ -339,7 +333,6 @@ class RHCHME:
                               ensemble_seconds=ensemble_seconds,
                               extras={"config": config.describe(),
                                       "backend": backend,
-                                      "n_jobs": config.n_jobs,
                                       "update_seconds": trace.timings,
                                       "warm_start": warm_start is not None,
                                       "subspace": subspace_outcomes})
@@ -414,13 +407,13 @@ class RHCHME:
     # -------------------------------------------------------------- internal
     def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
                 R_pairs, L_blocks, state: FactorizationState, pairs,
-                pool, monitor=None, schedule=None, sweep: bool = False,
+                monitor=None, schedule=None, sweep: bool = False,
                 cache=None) -> None:
         """Record the objective breakdown and optional metrics for one iterate."""
         config = self.config
         breakdown = self._timed(trace, "objective", evaluate_objective_blocks,
                                 R_pairs, state, L_blocks, lam=config.lam,
-                                beta=config.beta, pairs=pairs, pool=pool,
+                                beta=config.beta, pairs=pairs,
                                 schedule=schedule, sweep=sweep, cache=cache)
         metrics: dict[str, float] = {}
         if monitor is not None:

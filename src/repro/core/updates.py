@@ -60,49 +60,32 @@ _EPS = 1e-12
 # live on cross-type blocks, and L only couples objects within a type.  The
 # kernels below solve each update per type / per pair — the stacked
 # matrices' off-block entries are structural zeros, so nothing is lost by
-# never forming them, and every independent task can fan out across a
-# :class:`repro.core.parallel.TypeWorkPool`.
+# never forming them.
 
 
-def _map(pool, fn, items, *, labels=None, name=None):
-    """Ordered map through an optional :class:`TypeWorkPool` (serial if None).
+def _map(fn, items, *, labels, name):
+    """Apply one task kernel to every item, in order.
 
-    When a fit-trace span is active on the calling thread (the solver
-    activates one per update family under ``diagnostics=True``), every
-    kernel invocation is recorded as a completed child of it — with
-    explicit timestamps, because the pool's worker threads do not inherit
-    the caller's contextvar and :meth:`repro.obs.Span.record` is the
-    thread-safe way in.  ``labels`` supplies the per-item span labels
-    (defaulting to ``str(item)``; task items carry operand arrays, whose
-    repr is not a label) and ``name`` the kernel span name.
+    When a fit-trace span is active (the solver activates one per update
+    family under ``diagnostics=True``), every kernel invocation is
+    recorded as a completed ``name`` child of it, labelled by the
+    matching entry of ``labels`` (task items carry operand arrays, whose
+    repr is not a label).
     """
-    items = list(items)
     parent = current_span()
-    if parent is not None:
-        kernel = fn
-        span_name = name if name is not None else getattr(kernel, "__name__",
-                                                          "kernel")
-        item_labels = ([str(label) for label in labels] if labels is not None
-                       else [str(item) for item in items])
-
-        def fn(tagged, _kernel=kernel, _name=span_name):
-            label, item = tagged
-            start = time.perf_counter()
-            result = _kernel(item)
-            parent.record(_name, start, time.perf_counter(), item=label)
-            return result
-
-        items = list(zip(item_labels, items))
-
-    if pool is None:
+    if parent is None:
         return [fn(item) for item in items]
-    return pool.map(fn, items)
+    results = []
+    for label, item in zip(labels, items):
+        start = time.perf_counter()
+        results.append(fn(item))
+        parent.record(name, start, time.perf_counter(), item=str(label))
+    return results
 
 
 # Module-level task kernels: one per update family, taking a single plain
 # tuple of operand arrays.  Every operand a task reads is in its item, so a
-# kernel is a pure function of that tuple and returns identical results on
-# any worker thread, in any order.
+# kernel is a pure function of that tuple.
 
 
 def _association_core_task(item):
@@ -139,7 +122,7 @@ def _error_type_task(item):
     as ``s_i q_i`` with ``s_i = 1 − β / (2 ‖q_i‖) > 0``.  A zero residual
     row never survives, so no division by zero arises.  Returns
     ``(global_rows, values)`` without writing shared state, so the task
-    runs identically on any worker thread.
+    is a pure function of its item.
     """
     G_t, terms, beta, n_total, col_slices, row_offset = item
     factored = {u: G_t @ S_tu for u, _, S_tu, _ in terms}
@@ -188,7 +171,7 @@ def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
 
 
 def update_association_blocks(R_pairs, state: FactorizationState, *,
-                              pairs=None, pool=None, dirty_pairs=None,
+                              pairs=None, dirty_pairs=None,
                               S_prev=None) -> np.ndarray:
     """Blockwise closed-form S update (Eq. 18).
 
@@ -200,9 +183,8 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
     type-index pairs to relation blocks (dense or CSR); pairs absent from
     both ``R_pairs`` and ``pairs`` contribute nothing.
 
-    The per-pair cores fan out across ``pool``; each pair's final
-    ``(k_t, k_u)`` pseudo-inverse sandwich is evaluated as
-    ``P_t (C_tu P_u)``.
+    Each pair's final ``(k_t, k_u)`` pseudo-inverse sandwich is evaluated
+    as ``P_t (C_tu P_u)``.
 
     Under a delta schedule ``dirty_pairs`` restricts the solve to the
     pairs whose factors moved; clean blocks carry over from ``S_prev``
@@ -230,7 +212,7 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         E_tu = _error_block(state.E_R, object_spec, t, u)
         items.append((G[t], R_pairs.get(pair), E_tu, G[u]))
 
-    cores = _map(pool, _association_core_task, items, labels=compute,
+    cores = _map(_association_core_task, items, labels=compute,
                  name="one_pair")
 
     if dirty_pairs is None or S_prev is None:
@@ -247,7 +229,7 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
 
 
 def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
-                             lam: float, pairs=None, pool=None,
+                             lam: float, pairs=None,
                              dirty_types=None,
                              normalize: bool = True) -> list[np.ndarray]:
     """Blockwise multiplicative G update (Eq. 21–22), one task per type.
@@ -257,8 +239,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     ``B_t = Σ_u S_utᵀ (G_uᵀ G_u) S_ut`` — only that type's blocks are ever
     formed, so G stays block diagonal by construction.  ``L_parts``
     supplies the per-type ``(L_t⁺, L_t⁻)`` splits (computed once per
-    regulariser, not per iteration).  Types are independent given the
-    other factors, so they thread across ``pool``.
+    regulariser, not per iteration).
 
     ``normalize`` applies the row-ℓ1 normalisation of Eq. 22 after the
     multiplicative step.  RHCHME always normalises; the NMTF baselines
@@ -300,7 +281,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
         return G[t], L_parts[t], a_terms, b_terms
 
     items = [(*type_item(t), lam, normalize) for t in todo]
-    blocks = _map(pool, _membership_type_task, items, labels=todo,
+    blocks = _map(_membership_type_task, items, labels=todo,
                   name="one_type")
     if dirty_types is None:
         return list(blocks)
@@ -327,7 +308,7 @@ def _carried_error_rows(E_prev, object_spec, t: int, n_total: int):
 
 
 def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
-                               beta: float, pairs=None, pool=None,
+                               beta: float, pairs=None,
                                dirty_types=None,
                                E_prev=None) -> RowSparseMatrix:
     """Blockwise exact E step: the L2,1 prox of the residual, row-sparse.
@@ -369,7 +350,7 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
                   for u in range(object_spec.n_types)}
     items = [(G[t], type_terms(t), beta, n_total, col_slices,
               object_spec.offsets[t]) for t in todo]
-    results = _map(pool, _error_type_task, items, labels=todo,
+    results = _map(_error_type_task, items, labels=todo,
                    name="one_type")
     if dirty_types is None:
         pieces = results

@@ -161,8 +161,7 @@ class QueryIndex:
     -----
     A built index is immutable and safe to share across threads: the KD-tree
     query releases the GIL, so one cached index can serve a whole worker
-    pool (see :mod:`repro.runtime`).  It also pickles cleanly, so process
-    workers can receive a prebuilt index instead of rebuilding their own.
+    pool (see :mod:`repro.runtime`).
     """
 
     def __init__(self, reference: np.ndarray, *, algorithm: str = "auto") -> None:

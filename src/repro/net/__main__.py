@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 picks a free port)")
     serve.add_argument("--workers", default="thread",
-                       choices=["thread", "process", "serial"])
+                       choices=["thread", "serial"])
     serve.add_argument("--n-workers", type=int, default=None)
     serve.add_argument("--max-batch-size", type=int, default=256)
     serve.add_argument("--max-delay-ms", type=float, default=2.0,

@@ -25,11 +25,10 @@ resolution, comparable across threads of one process.  Serialised trees
 (:meth:`Span.to_dict`) report offsets relative to the tree root instead of
 raw counter values, so dumps are meaningful across processes.
 
-Child appends are guarded by one module lock — parallel update kernels
-(``n_jobs > 1``) record children of a shared parent concurrently — and
-everything else on a span is touched by one thread at a time by
-construction (a request's tree moves *between* threads, never into two at
-once).
+Child appends are guarded by one module lock, because the serving
+runtime's threads hand request trees between them; everything else on a
+span is touched by one thread at a time by construction (a request's tree
+moves *between* threads, never into two at once).
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from contextlib import contextmanager
 __all__ = ["Span", "new_trace_id", "new_span_id", "current_span",
            "activate_span"]
 
-# One lock for every child append: contention is bounded by n_jobs and the
-# critical section is a single list.append, so a finer-grained per-span
-# lock would cost more in per-span memory than it saves in contention.
+# One lock for every child append: the critical section is a single
+# list.append, so a finer-grained per-span lock would cost more in
+# per-span memory than it saves in contention.
 _CHILD_LOCK = threading.Lock()
 
 _CURRENT: contextvars.ContextVar[Span | None] = contextvars.ContextVar(

@@ -7,8 +7,8 @@
   requests and flushes on max-batch-size or max-latency deadline, so
   batch-1 traffic rides the ×15 batched hot path;
 * :class:`RuntimeServer` — the async front-end: per-request futures, a
-  pluggable worker pool (``workers="thread" | "process" | "serial"``) and
-  explicit backpressure (bounded queue,
+  thread worker pool (``workers="thread"``, or ``"serial"`` for in-line
+  execution) and explicit backpressure (bounded queue,
   :class:`~repro.exceptions.QueueFullError`);
 * :func:`refresh_model` / :meth:`RuntimeServer.refresh` — incremental
   artifact refresh: when new training objects arrive, a refit warm-starts

@@ -7,11 +7,9 @@ stream can hit:
   (async from the caller's point of view);
 * a :class:`~repro.runtime.batching.MicroBatcher` coalesces requests per
   (model, type) so streams of batch-1 requests ride the batched hot path;
-* coalesced batches fan out across a pluggable worker pool —
-  ``workers="thread"`` (default; the KD-tree query and the BLAS kernels
-  release the GIL), ``"process"`` (fully parallel, each worker loads its
-  own artifact copy from disk), or ``"serial"`` (no pool, deterministic
-  in-line execution for debugging and tests);
+* coalesced batches run on a worker pool — ``workers="thread"`` (default;
+  the KD-tree query and the BLAS kernels release the GIL) or ``"serial"``
+  (no pool, deterministic in-line execution for debugging and tests);
 * backpressure is explicit: a bounded queue rejects overload with
   :class:`~repro.exceptions.QueueFullError` rather than queueing
   unboundedly;
@@ -35,11 +33,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._validation import check_positive_int
 from ..core.schedule import DirtySet
 from ..exceptions import (QueueFullError, ServerClosedError, ValidationError,
                           error_code)
@@ -54,7 +53,7 @@ from .refresh import RefreshOutcome, refresh_model
 
 __all__ = ["RuntimeStats", "RuntimeServer"]
 
-WORKER_MODES = ("thread", "process", "serial")
+WORKER_MODES = ("thread", "serial")
 
 
 @dataclass
@@ -116,41 +115,16 @@ class RuntimeStats:
         }
 
 
-# --------------------------------------------------------------------- workers
-# Process workers keep one predictor per process, loading artifacts from
-# disk on first use.  The parent passes a generation stamp per artifact so a
-# hot-swapped (refreshed) model is re-read instead of served stale from the
-# worker's private cache.
-_WORKER_PREDICTOR: BatchPredictor | None = None
-_WORKER_GENERATIONS: dict[str, int] = {}
-
-
-def _process_predict(path: str, type_name: str, queries: np.ndarray,
-                     batch_size: int, lazy_shards: bool,
-                     generation: int) -> Prediction:
-    global _WORKER_PREDICTOR
-    if _WORKER_PREDICTOR is None:
-        _WORKER_PREDICTOR = BatchPredictor(lazy_shards=lazy_shards)
-    if _WORKER_GENERATIONS.get(path, generation) != generation:
-        _WORKER_PREDICTOR.evict(path)
-    _WORKER_GENERATIONS[path] = generation
-    request = PredictRequest(model=path, type_name=type_name,
-                             queries=queries, batch_size=batch_size)
-    return _WORKER_PREDICTOR.serve(request).to_prediction()
-
-
 class RuntimeServer:
     """Serve predict requests through micro-batching and a worker pool.
 
     Parameters
     ----------
     workers:
-        ``"thread"`` (shared in-process predictor, GIL-releasing kernels),
-        ``"process"`` (one predictor per worker process) or ``"serial"``
-        (execute flushes in-line, no pool).
+        ``"thread"`` (shared in-process predictor, GIL-releasing kernels)
+        or ``"serial"`` (execute flushes in-line, no pool).
     n_workers:
-        Pool size for thread/process workers (default: CPU count capped
-        at 4).
+        Pool size for thread workers (default: CPU count capped at 4).
     max_batch_size, max_delay_seconds, max_pending:
         Micro-batching knobs — see
         :class:`~repro.runtime.batching.MicroBatcher`.  ``max_pending``
@@ -170,9 +144,7 @@ class RuntimeServer:
         Score every served batch for covariate drift against the model's
         training fingerprints (forwarded to
         :class:`~repro.serve.BatchPredictor`; ``True`` or a detector-option
-        dict enables it).  Requires in-process prediction — rejected under
-        ``workers="process"``, whose predictors live in worker processes
-        where the scores would be invisible to this server.
+        dict enables it).
     refresh_policy:
         Optional :class:`~repro.diagnostics.RefreshPolicy` closing the
         control loop: after each served batch the model's drift score is
@@ -231,8 +203,7 @@ class RuntimeServer:
         self.workers = workers
         if n_workers is None:
             n_workers = max(1, min(4, os.cpu_count() or 1))
-        self.n_workers = int(n_workers)
-        self.lazy_shards = bool(lazy_shards)
+        self.n_workers = check_positive_int(n_workers, name="n_workers")
         if refresh_policy is not None:
             if refresh_data is None:
                 raise ValidationError(
@@ -240,11 +211,6 @@ class RuntimeServer:
                     "callable path -> dataset) to refit from")
             if not diagnostics:
                 diagnostics = True  # the policy consumes drift scores
-        if diagnostics and workers == "process":
-            raise ValidationError(
-                "diagnostics/refresh_policy require in-process prediction "
-                "(workers='thread' or 'serial'); process workers score in "
-                "their own processes where this server cannot see it")
         self.refresh_policy = refresh_policy
         self._refresh_data_source = refresh_data
         self._refresh_overrides = dict(refresh_overrides or {})
@@ -265,14 +231,9 @@ class RuntimeServer:
                                         lazy_shards=lazy_shards,
                                         diagnostics=diagnostics,
                                         obs=self.obs)
-        if workers == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_workers,
-                thread_name_prefix="repro-runtime")
-        elif workers == "process":
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-        else:
-            self._executor = None
+        self._executor = (ThreadPoolExecutor(
+            max_workers=self.n_workers, thread_name_prefix="repro-runtime")
+            if workers == "thread" else None)
         self.batch_policy = batch_policy
         self._batcher = MicroBatcher(self._run_batch,
                                      max_batch_size=max_batch_size,
@@ -284,7 +245,6 @@ class RuntimeServer:
         # Raw-path -> resolved cache key; Path.resolve touches the
         # filesystem, which would otherwise be paid per batch-1 request.
         self._resolved: dict[str, str] = {}
-        self._generations: dict[str, int] = {}
         self._closed = False
 
     # -------------------------------------------------------------- submission
@@ -449,36 +409,11 @@ class RuntimeServer:
                 self.obs.finish(batch_span)
             self._observe(key, batch, int(stacked.shape[0]))
             return
-        if self.workers == "process":
-            # The predictor lives in the worker process where this hub is
-            # invisible; close queue.wait at the executor hand-off and let
-            # _finish time compute.predict around the round-trip.
-            self._record_queue_wait(path, batch)
-            compute_start = time.perf_counter()
-            worker_future = self._executor.submit(
-                _process_predict, path, type_name, stacked,
-                self.predictor.default_batch_size, self.lazy_shards,
-                self._generations.get(path, 0))
-        else:
-            compute_start = None
-            worker_future = self._executor.submit(
-                self._execute, key, batch, stacked, batch_span)
+        worker_future = self._executor.submit(
+            self._execute, key, batch, stacked, batch_span)
         worker_future.add_done_callback(
             lambda done: self._finish(key, batch, int(stacked.shape[0]),
-                                      done, batch_span, compute_start))
-
-    def _record_queue_wait(self, path: str,
-                           batch: list[QueuedRequest]) -> None:
-        """Record every member's queue.wait (histogram + trace child)."""
-        now_monotonic = time.monotonic()
-        now = time.perf_counter()
-        for request in batch:
-            self.obs.observe_stage(path, "queue.wait",
-                                   now_monotonic - request.enqueued_at)
-            if request.trace is not None:
-                request.trace.record(
-                    "queue.wait",
-                    request.trace.marks.get("enqueued", now), now)
+                                      done, batch_span))
 
     def _execute(self, key: tuple[str, str], batch: list[QueuedRequest],
                  stacked: np.ndarray, batch_span=None) -> Prediction:
@@ -492,49 +427,35 @@ class RuntimeServer:
         it) can attach children via :func:`repro.obs.current_span`.
         """
         path, type_name = key
-        self._record_queue_wait(path, batch)
+        now_monotonic = time.monotonic()
+        now = time.perf_counter()
+        for request in batch:
+            self.obs.observe_stage(path, "queue.wait",
+                                   now_monotonic - request.enqueued_at)
+            if request.trace is not None:
+                request.trace.record(
+                    "queue.wait",
+                    request.trace.marks.get("enqueued", now), now)
         compute_start = time.perf_counter()
         with activate_span(batch_span):
-            prediction = self._serve_stacked(path, type_name, stacked)
+            prediction = self.predictor.serve(PredictRequest(
+                model=path, type_name=type_name,
+                queries=stacked)).to_prediction()
         compute_end = time.perf_counter()
-        self._record_compute(batch, batch_span, compute_start, compute_end,
-                             int(stacked.shape[0]))
-        return prediction
-
-    @staticmethod
-    def _record_compute(batch: list[QueuedRequest], batch_span,
-                        start: float, end: float, batch_rows: int) -> None:
-        """Copy the batch's compute window onto each member's trace."""
+        # Copy the batch's compute window onto each member's trace.
         for request in batch:
             if request.trace is not None:
                 attributes = {"rows": request.n_rows,
-                              "batch_rows": batch_rows}
+                              "batch_rows": int(stacked.shape[0])}
                 if batch_span is not None:
                     attributes["batch_span_id"] = batch_span.span_id
-                request.trace.record("compute.predict", start, end,
-                                     **attributes)
-
-    def _serve_stacked(self, path: str, type_name: str,
-                       stacked: np.ndarray) -> Prediction:
-        request = PredictRequest(model=path, type_name=type_name,
-                                 queries=stacked)
-        return self.predictor.serve(request).to_prediction()
+                request.trace.record("compute.predict", compute_start,
+                                     compute_end, **attributes)
+        return prediction
 
     def _finish(self, key: tuple[str, str], batch: list[QueuedRequest],
-                rows: int, done: Future, batch_span=None,
-                compute_start: float | None = None) -> None:
+                rows: int, done: Future, batch_span=None) -> None:
         exc = done.exception()
-        if compute_start is not None:
-            # Process workers: the parent-side window (hand-off -> result)
-            # stands in for compute.predict, IPC included.
-            compute_end = time.perf_counter()
-            self.obs.observe_stage(key[0], "compute.predict",
-                                   compute_end - compute_start)
-            if batch_span is not None:
-                batch_span.record("compute.predict", compute_start,
-                                  compute_end, rows=rows)
-            self._record_compute(batch, batch_span, compute_start,
-                                 compute_end, rows)
         if exc is not None:
             self._fail(batch, exc)
         else:
@@ -669,15 +590,8 @@ class RuntimeServer:
         types promoted), ``"full"`` otherwise.
 
         With ``save=False`` the refreshed model is published to the
-        in-process cache only; this is rejected under ``workers="process"``
-        (process workers load artifacts from disk and would keep serving
-        the stale generation while the outcome claimed a completed swap).
+        in-process cache only.
         """
-        if not save and self.workers == "process":
-            raise ValidationError(
-                "refresh(save=False) cannot publish to process workers, "
-                "which load artifacts from disk; use save=True or "
-                "thread/serial workers")
         sidecar = RHCHMEModel.read_metadata(path)
         manifest = sidecar.get("shards") or {}
         layout = manifest.get("layout") if manifest else None
@@ -709,8 +623,6 @@ class RuntimeServer:
                 if isinstance(cached, ShardedModelReader):
                     cached.preload()
                 outcome.model.save(path, shards=layout)
-                self._generations[self._resolve(path)] = (
-                    self._generations.get(self._resolve(path), 0) + 1)
         finally:
             if view is not None:
                 view.close()

@@ -279,20 +279,6 @@ class RHCHMEModel:
         object.__setattr__(self, "_query_indexes", {})
         object.__setattr__(self, "_index_lock", threading.Lock())
 
-    def __getstate__(self) -> dict:
-        # The index cache rebuilds lazily and the lock is process-local;
-        # dropping both keeps the artifact picklable for process workers.
-        state = self.__dict__.copy()
-        state.pop("_query_indexes", None)
-        state.pop("_index_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-        object.__setattr__(self, "_query_indexes", {})
-        object.__setattr__(self, "_index_lock", threading.Lock())
-
     def query_index(self, type_name: str) -> QueryIndex:
         """The cached neighbour-search index of one type (built on first use).
 
@@ -428,8 +414,7 @@ class RHCHMEModel:
 
     # ------------------------------------------------------------- prediction
     def predict(self, type_name: str, X_new, *, batch_size: int = 256,
-                backend: str | None = None,
-                n_jobs: int | None = None) -> Prediction:
+                backend: str | None = None) -> Prediction:
         """Assign new objects of ``type_name`` out of sample.
 
         Computes the queries' p-NN affinities to the type's training objects
@@ -438,10 +423,6 @@ class RHCHMEModel:
         :func:`repro.serve.extension.out_of_sample_predict`.  ``backend``
         overrides the fitted config's knob (useful for benchmarking); by
         default the config's backend is resolved against the training size.
-        ``n_jobs`` threads the micro-batches (``-1`` = all CPUs); it
-        defaults to the in-memory config's knob, which is always ``1`` for
-        loaded artifacts — n_jobs is a runtime knob and is deliberately not
-        persisted, so serving processes opt into parallelism here.
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
@@ -451,21 +432,14 @@ class RHCHMEModel:
         return out_of_sample_predict(
             self.features[type_name], self.membership[type_name], X_new,
             p=self.config.p, weighting=self.config.weighting,
-            backend=resolved, batch_size=batch_size, index=index,
-            n_jobs=self.config.n_jobs if n_jobs is None else n_jobs)
+            backend=resolved, batch_size=batch_size, index=index)
 
     # ------------------------------------------------------------ persistence
     def _config_dict(self) -> dict:
         config = asdict(self.config)
         config["weighting"] = self.config.weighting.value
-        # n_jobs is a runtime execution knob (how many threads compute the
-        # blocks), not a model parameter: it never changes the fitted
-        # factors or predictions.  Keeping it out of the sidecar means the
-        # artifact layout is unchanged and pre-n_jobs readers still load
-        # current artifacts; loaded models default to serial execution.
-        config.pop("n_jobs", None)
-        # diagnostics is the same kind of run-time knob: whether a fit
-        # recorded health metrics never changes the factors, and the
+        # diagnostics is a run-time knob, not a model parameter: whether a
+        # fit recorded health metrics never changes the factors, and the
         # recorded metrics live in the sidecar's own diagnostics section.
         config.pop("diagnostics", None)
         return config

@@ -34,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .._validation import as_float_array, check_positive_int
-from ..core.parallel import TypeWorkPool
 from ..exceptions import ShapeError
 from ..obs import current_span
 from ..graph.neighbors import QueryIndex
@@ -85,8 +84,7 @@ def out_of_sample_predict(reference: np.ndarray, membership_block: np.ndarray,
                           sigma: float = 1.0, backend: str = "auto",
                           batch_size: int = 256,
                           algorithm: str = "auto",
-                          index: QueryIndex | None = None,
-                          n_jobs: int = 1) -> Prediction:
+                          index: QueryIndex | None = None) -> Prediction:
     """Assign new objects of one type using a fitted membership block.
 
     Parameters
@@ -118,12 +116,6 @@ def out_of_sample_predict(reference: np.ndarray, membership_block: np.ndarray,
         serving many requests against the same model (e.g.
         :class:`repro.serve.BatchPredictor`) pass a cached index so the
         KD-tree is not rebuilt per call.
-    n_jobs:
-        Worker threads for the micro-batches.  Batches are independent
-        (each writes its own slice of the score matrix) and the underlying
-        neighbour search and matrix kernels release the GIL, so large query
-        sets fan out across cores; ``1`` (default) keeps the serial loop,
-        ``-1`` uses every CPU.  Results are identical for every setting.
 
     Notes
     -----
@@ -164,8 +156,10 @@ def out_of_sample_predict(reference: np.ndarray, membership_block: np.ndarray,
     scores = np.empty((n_queries, membership_block.shape[1]), dtype=np.float64)
     affinity_mass = np.empty(n_queries, dtype=np.float64)
 
-    def one_batch(span: tuple[int, int]) -> None:
-        start, stop = span
+    starts = range(0, n_queries, batch_size)
+    extension_start = time.perf_counter()
+    for start in starts:
+        stop = min(start + batch_size, n_queries)
         batch = queries[start:stop]
         neighbours = index.query(batch, p)
         n_batch = batch.shape[0]
@@ -188,18 +182,12 @@ def out_of_sample_predict(reference: np.ndarray, membership_block: np.ndarray,
         else:
             scores[start:stop] = np.einsum("qp,qpc->qc", weights,
                                            membership_block[neighbours])
-
-    spans = [(start, min(start + batch_size, n_queries))
-             for start in range(0, n_queries, batch_size)]
-    extension_start = time.perf_counter()
-    with TypeWorkPool(n_jobs) as pool:
-        pool.map(one_batch, spans)
-    n_batches = len(spans)
+    n_batches = len(starts)
     parent = current_span()
     if parent is not None:
         parent.record("compute.extension", extension_start,
                       time.perf_counter(), rows=int(n_queries),
-                      n_batches=n_batches, n_jobs=int(n_jobs), p=int(p))
+                      n_batches=n_batches, p=int(p))
 
     membership = row_normalize_l1(scores, copy=False)
     labels = np.argmax(membership, axis=1).astype(np.int64)

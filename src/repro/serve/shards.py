@@ -437,15 +437,12 @@ class ShardedModelReader:
 
     # ------------------------------------------------------------- prediction
     def predict(self, type_name: str, X_new, *, batch_size: int = 256,
-                backend: str | None = None,
-                n_jobs: int | None = None) -> Prediction:
+                backend: str | None = None) -> Prediction:
         """Assign new objects of ``type_name`` out of sample.
 
         Identical numerics to :meth:`RHCHMEModel.predict` — the same
         blocks feed the same extension — but only ``type_name``'s arrays
-        are ever read from disk.  ``n_jobs`` threads the micro-batches
-        exactly as on the eager model (``None`` = the in-memory config's
-        knob).
+        are ever read from disk.
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
@@ -455,8 +452,7 @@ class ShardedModelReader:
             self.features(type_name), self.membership(type_name), X_new,
             p=self.config.p, weighting=self.config.weighting,
             backend=resolved, batch_size=batch_size,
-            index=self.query_index(type_name),
-            n_jobs=self.config.n_jobs if n_jobs is None else n_jobs)
+            index=self.query_index(type_name))
 
     def to_model(self) -> RHCHMEModel:
         """Load every array and return the equivalent eager model."""

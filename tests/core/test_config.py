@@ -104,25 +104,3 @@ class TestSubspaceTopkKnob:
         assert config.with_overrides(subspace_topk=7).subspace_topk == 7
         with pytest.raises(ValueError):
             config.with_overrides(subspace_topk=0)
-
-
-class TestNJobsKnob:
-    def test_default_is_serial(self):
-        assert RHCHMEConfig().n_jobs == 1
-
-    def test_positive_and_all_cpus_accepted(self):
-        assert RHCHMEConfig(n_jobs=4).n_jobs == 4
-        assert RHCHMEConfig(n_jobs=-1).n_jobs == -1
-
-    def test_invalid_rejected(self):
-        import pytest
-        for bad in (0, -2, 1.5, "2", True):
-            with pytest.raises(ValueError):
-                RHCHMEConfig(n_jobs=bad)
-
-    def test_with_overrides_revalidates(self):
-        import pytest
-        config = RHCHMEConfig()
-        assert config.with_overrides(n_jobs=2).n_jobs == 2
-        with pytest.raises(ValueError):
-            config.with_overrides(n_jobs=0)

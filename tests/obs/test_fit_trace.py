@@ -7,10 +7,10 @@ from repro.obs import Span
 from repro.serve import RHCHMEModel
 
 
-def _fit(dataset, *, diagnostics: bool, n_jobs: int = 1, max_iter: int = 4):
+def _fit(dataset, *, diagnostics: bool, max_iter: int = 4):
     model = RHCHME(max_iter=max_iter, random_state=0,
                    use_subspace_member=False, track_metrics_every=0,
-                   n_jobs=n_jobs, diagnostics=diagnostics)
+                   diagnostics=diagnostics)
     result = model.fit(dataset)
     return model, result
 
@@ -51,11 +51,11 @@ class TestFitSpanTree:
             assert {"s_update", "g_update", "e_update", "objective"} <= {
                 child.name for child in iteration.children}
 
-    def test_parallel_fit_records_kernel_spans(self, obs_dataset):
-        _, result = _fit(obs_dataset, diagnostics=True, n_jobs=2)
+    def test_fit_records_kernel_spans(self, obs_dataset):
+        _, result = _fit(obs_dataset, diagnostics=True)
         kernels = [span for span in result.trace.span_tree.iter_spans()
                    if span.name in ("one_type", "one_pair")]
-        assert kernels, "n_jobs>1 fit recorded no kernel spans"
+        assert kernels, "diagnostics fit recorded no kernel spans"
         assert all(span.end is not None for span in kernels)
         assert all("item" in span.attributes for span in kernels)
         # Kernel spans hang under an update-family span, never the root.

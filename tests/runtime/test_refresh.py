@@ -134,26 +134,6 @@ class TestServerRefresh:
             cached = runtime.predictor.get_model(path)
             assert cached is outcome.model
 
-    def test_process_workers_reload_after_refresh(self, runtime_artifact,
-                                                  grown_dataset, tmp_path):
-        # Process workers cache models in their own address space; the
-        # per-task generation stamp must force them to re-read a refreshed
-        # artifact instead of serving the stale one forever.
-        path = runtime_artifact.save(tmp_path / "model.npz")
-        queries = grown_dataset.get_type("points").features[:8]
-        with RuntimeServer(workers="process", n_workers=2, max_batch_size=8,
-                           max_delay_seconds=0.01) as runtime:
-            runtime.predict(path=path,
-                            type_name="points",
-                            queries=queries, timeout=_WAIT * 2)
-            outcome = runtime.refresh(path, grown_dataset, max_iter=8)
-            served = runtime.predict(path=path,
-                                     type_name="points", queries=queries,
-                                     timeout=_WAIT * 2)
-            direct = outcome.model.predict("points", queries)
-            np.testing.assert_allclose(served.membership, direct.membership,
-                                       rtol=1e-10)
-
     def test_refresh_without_save_keeps_disk_artifact(self, runtime_artifact,
                                                       grown_dataset,
                                                       tmp_path):
@@ -165,16 +145,6 @@ class TestServerRefresh:
             assert meta["types"][0]["n_objects"] == 90  # disk untouched
             cached = runtime.predictor.get_model(path)
             assert cached.type_info("points").n_objects == 120  # cache swapped
-
-    def test_refresh_without_save_rejected_for_process_workers(
-            self, runtime_artifact, grown_dataset, tmp_path):
-        # Process workers serve from disk; a cache-only refresh would leave
-        # them on the stale generation while claiming a completed swap.
-        path = runtime_artifact.save(tmp_path / "model.npz")
-        with RuntimeServer(workers="process", n_workers=1, max_batch_size=8,
-                           max_delay_seconds=0.01) as runtime:
-            with pytest.raises(ValidationError, match="save=False"):
-                runtime.refresh(path, grown_dataset, save=False, max_iter=3)
 
     def test_refresh_preloads_cached_lazy_reader(self, runtime_artifact,
                                                  grown_dataset, tmp_path):

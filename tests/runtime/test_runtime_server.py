@@ -160,21 +160,6 @@ class TestConcurrentSubmitters:
             assert runtime.stats.completed == 4 * len(query_batch)
 
 
-class TestProcessWorkers:
-    def test_process_pool_matches_direct_predict(self, runtime_model_path,
-                                                 runtime_artifact,
-                                                 query_batch):
-        with RuntimeServer(workers="process", n_workers=2, max_batch_size=32,
-                           max_delay_seconds=0.01) as runtime:
-            futures = [runtime.submit(path=runtime_model_path,
-                                      type_name="points", queries=row)
-                       for row in query_batch[:16]]
-            labels = np.array([f.result(timeout=_WAIT * 2).labels[0]
-                               for f in futures])
-        direct = runtime_artifact.predict("points", query_batch[:16])
-        np.testing.assert_array_equal(labels, direct.labels)
-
-
 class TestCancelledFutures:
     def test_cancelled_future_does_not_strand_batchmates(
             self, runtime_model_path, runtime_artifact, query_batch):
@@ -207,5 +192,12 @@ class TestLifecycle:
                            type_name="points", queries=np.zeros((1, 6)))
 
     def test_invalid_worker_mode_rejected(self):
-        with pytest.raises(ValidationError, match="workers"):
-            RuntimeServer(workers="fibers")
+        for workers in ("fibers", "process"):
+            with pytest.raises(ValidationError, match="workers"):
+                RuntimeServer(workers=workers)
+
+    @pytest.mark.parametrize("workers", ["thread", "serial"])
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_non_positive_n_workers_rejected(self, workers, n_workers):
+        with pytest.raises(ValidationError, match="n_workers"):
+            RuntimeServer(workers=workers, n_workers=n_workers)

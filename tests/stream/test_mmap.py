@@ -14,16 +14,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ArtifactError, ValidationError
-from repro.metrics import cluster_alignment
 from repro.runtime import refresh_model
 from repro.serve import (MMAP_LAYOUT, RHCHMEModel, ShardedModelReader,
                          open_model)
 from repro.stream import DirtySet, open_model_view
-
-
-def _agreement(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
-    mapping = cluster_alignment(labels_a, labels_b)
-    return float(np.mean(mapping[labels_b] == labels_a))
 
 
 class TestLayoutParity:
@@ -167,16 +161,3 @@ class TestModelView:
                                        atol=1e-6)
             np.testing.assert_array_equal(lazy.model.labels[name],
                                           eager.model.labels[name])
-
-    def test_warm_start_through_mmap_with_parallel_workers(
-            self, mmap_model_path, stream_grown):
-        dirty = DirtySet(types=frozenset({"docs", "venues"}))
-        with open_model_view(mmap_model_path) as view:
-            serial = refresh_model(view.model, stream_grown, dirty=dirty,
-                                   validate="shapes", max_iter=5, n_jobs=1)
-        with open_model_view(mmap_model_path) as view:
-            threaded = refresh_model(view.model, stream_grown, dirty=dirty,
-                                     validate="shapes", max_iter=5, n_jobs=2)
-        for name in serial.model.labels:
-            assert _agreement(np.asarray(serial.model.labels[name]),
-                              np.asarray(threaded.model.labels[name])) >= 0.9

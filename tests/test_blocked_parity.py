@@ -2,15 +2,17 @@
 
 ``RHCHME.fit`` runs on the blocked solver core: per-type G blocks,
 per-type Laplacians, per-pair relations and blockwise S / G / E_R /
-objective kernels, optionally threaded across ``n_jobs`` workers.  The
-contract is checkable against a test-local dense oracle of Algorithm 2 on
-the stacked numpy matrices: a blocked fit must reproduce it — same
-labels, same per-term objective trajectory — on every ``backend × n_jobs``
-combination, and the thread count must never change a single bit of the
-result.
+objective kernels.  The contract is checkable against a test-local dense
+oracle of Algorithm 2 on the stacked numpy matrices: a blocked fit must
+reproduce it — same labels, same per-term objective trajectory — on both
+backends, and the two backends must agree whether their fits run one after
+the other or at once on two threads.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ SEED = 0
 #: parity below covers stored E_R rows.
 BETA = 0.3
 TERMS = ("reconstruction", "error_sparsity", "graph_smoothness")
+BACKENDS = ("dense", "sparse")
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +41,24 @@ def multi5_small():
     return make_dataset("multi5-small", random_state=SEED)
 
 
+def _fit(data, backend: str):
+    return RHCHME(max_iter=MAX_ITER, random_state=SEED, backend=backend,
+                  beta=BETA).fit(data)
+
+
 @pytest.fixture(scope="module")
 def fits(multi5_small):
-    return {(backend, n_jobs): RHCHME(max_iter=MAX_ITER, random_state=SEED,
-                                      backend=backend, n_jobs=n_jobs,
-                                      beta=BETA).fit(multi5_small)
-            for backend in ("dense", "sparse") for n_jobs in (1, 2)}
+    return {backend: _fit(multi5_small, backend) for backend in BACKENDS}
+
+
+@pytest.fixture(scope="module")
+def fits_by_threads(multi5_small, fits):
+    """Backend-keyed fits run one after the other (1) or at once on two
+    threads (2), as a runtime's thread workers may run them."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = dict(zip(BACKENDS,
+                              pool.map(partial(_fit, multi5_small), BACKENDS)))
+    return {1: fits, 2: concurrent}
 
 
 def _dense(block) -> np.ndarray:
@@ -126,7 +141,7 @@ class TestBlockedGlobalParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_per_term_trajectories_match_global_kernels(self, multi5_small,
                                                         fits, backend):
-        blocked = fits[(backend, 1)]
+        blocked = fits[backend]
         reference = _dense_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER, beta=BETA).config)
@@ -138,7 +153,7 @@ class TestBlockedGlobalParity:
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_labels_match_global_kernels(self, multi5_small, fits, backend):
-        blocked = fits[(backend, 1)]
+        blocked = fits[backend]
         reference = _dense_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER, beta=BETA).config)
@@ -146,48 +161,24 @@ class TestBlockedGlobalParity:
             np.testing.assert_array_equal(blocked.labels[name], labels)
 
 
-class TestNJobsInvariance:
-    """n_jobs only changes which thread computes a block, never the numbers."""
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_trajectories_bit_identical_across_n_jobs(self, fits, backend):
-        serial = fits[(backend, 1)]
-        threaded = fits[(backend, 2)]
-        np.testing.assert_array_equal(serial.trace.objectives,
-                                      threaded.trace.objectives)
-        for term in TERMS:
-            np.testing.assert_array_equal(serial.trace.terms_series(term),
-                                          threaded.trace.terms_series(term))
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_factors_bit_identical_across_n_jobs(self, fits, backend):
-        serial = fits[(backend, 1)]
-        threaded = fits[(backend, 2)]
-        for a, b in zip(serial.state.G_blocks, threaded.state.G_blocks):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(serial.state.S, threaded.state.S)
-        np.testing.assert_array_equal(np.asarray(serial.state.E_R),
-                                      np.asarray(threaded.state.E_R))
-        for name in serial.labels:
-            np.testing.assert_array_equal(serial.labels[name],
-                                          threaded.labels[name])
-
-
 class TestCrossBackendParity:
-    """Dense × n_jobs and sparse × n_jobs all describe one optimisation."""
+    """The dense and sparse backends describe one optimisation, on one
+    thread or two."""
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_labels_identical_across_backends(self, fits, n_jobs):
-        dense = fits[("dense", n_jobs)]
-        sparse = fits[("sparse", n_jobs)]
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_labels_identical_across_backends(self, fits_by_threads,
+                                              n_threads):
+        dense = fits_by_threads[n_threads]["dense"]
+        sparse = fits_by_threads[n_threads]["sparse"]
         for name in dense.labels:
             np.testing.assert_array_equal(sparse.labels[name],
                                           dense.labels[name])
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_per_term_trajectories_across_backends(self, fits, n_jobs):
-        dense = fits[("dense", n_jobs)]
-        sparse = fits[("sparse", n_jobs)]
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_per_term_trajectories_across_backends(self, fits_by_threads,
+                                                   n_threads):
+        dense = fits_by_threads[n_threads]["dense"]
+        sparse = fits_by_threads[n_threads]["sparse"]
         for term in TERMS:
             np.testing.assert_allclose(sparse.trace.terms_series(term),
                                        dense.trace.terms_series(term),
@@ -238,7 +229,7 @@ class TestWarmStartRefreshThroughBlockedState:
                         use_subspace_member=False, track_metrics_every=0)
         result = fitted.fit(fitted_data)
         model = result.to_model(fitted_data, fitted.config)
-        outcome = refresh_model(model, grown_data, max_iter=10, n_jobs=2)
+        outcome = refresh_model(model, grown_data, max_iter=10)
         assert outcome.n_new_objects == 30
         refreshed = outcome.result
         assert refreshed.extras["warm_start"] is True
