@@ -26,10 +26,10 @@ import scipy.sparse as sp
 from .._validation import check_positive_float, check_positive_int
 from ..core.convergence import TraceRecorder
 from ..core.objective import evaluate_objective_blocks
+from ..core.rspace import ProductCache
 from ..core.state import FactorizationState, initialize_state
 from ..core.updates import update_association_blocks, update_membership_blocks
 from ..exceptions import NotFittedError
-from ..linalg.parts import split_parts
 from ..metrics.fscore import clustering_fscore
 from ..metrics.nmi import normalized_mutual_information
 from ..relational.dataset import MultiTypeRelationalData
@@ -137,32 +137,45 @@ class BaseHOCC:
             L_blocks = [sp.csr_array((t.n_objects, t.n_objects), dtype=np.float64)
                         for t in data.types]
             lam = 0.0
-        L_parts = [split_parts(block) for block in L_blocks]
+        # The fit's shared products (see repro.core.rspace), L's split
+        # among them.
+        products = ProductCache()
+        L_parts = [products.laplacian_parts(t, block)
+                   for t, block in enumerate(L_blocks)]
         state = initialize_state(data, R_pairs, init=self.init,
                                  smoothing=self.init_smoothing,
                                  random_state=self.random_state)
         state.E_R = None  # the NMTF baselines have no error matrix
         pairs = sorted(R_pairs)
         trace = TraceRecorder()
-        state.S = update_association_blocks(R_pairs, state, pairs=pairs)
-        self._record(trace, data, R_pairs, L_blocks, state, pairs, lam)
+        # This S solve doubles as iteration 1's S step: nothing changes
+        # between recording the initial objective and the first G step.
+        state.S = update_association_blocks(R_pairs, state, pairs=pairs,
+                                            products=products)
+        self._record(trace, data, R_pairs, L_blocks, state, pairs, lam,
+                     products)
 
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
-            state.S = update_association_blocks(R_pairs, state, pairs=pairs)
+            if iteration > 1:
+                state.S = update_association_blocks(R_pairs, state,
+                                                    pairs=pairs,
+                                                    products=products)
             # Unlike RHCHME, the published baselines do not apply the ℓ1
             # row normalisation; ``row_normalize=True`` re-enables it.
             state.G_blocks = update_membership_blocks(
                 R_pairs, L_parts, state, lam=lam, pairs=pairs,
-                normalize=self.row_normalize)
+                normalize=self.row_normalize, products=products)
             state.iteration = iteration
             updated = self.update_regularizer(L_blocks, state)
             if updated is not L_blocks:
                 # Split L± once per regulariser change, not per iteration.
                 L_blocks = updated
-                L_parts = [split_parts(block) for block in L_blocks]
-            self._record(trace, data, R_pairs, L_blocks, state, pairs, lam)
+                L_parts = [products.laplacian_parts(t, block)
+                           for t, block in enumerate(L_blocks)]
+            self._record(trace, data, R_pairs, L_blocks, state, pairs, lam,
+                         products)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < self.tol:
                 converged = True
@@ -188,9 +201,10 @@ class BaseHOCC:
     # -------------------------------------------------------------- internals
     def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
                 R_pairs, L_blocks, state: FactorizationState, pairs,
-                lam: float) -> None:
+                lam: float, products: ProductCache) -> None:
         breakdown = evaluate_objective_blocks(R_pairs, state, L_blocks,
-                                              lam=lam, beta=0.0, pairs=pairs)
+                                              lam=lam, beta=0.0, pairs=pairs,
+                                              products=products)
         metrics: dict[str, float] = {}
         if self.track_metrics_every and (
                 state.iteration % self.track_metrics_every == 0):

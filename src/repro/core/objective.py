@@ -7,19 +7,22 @@ term (reconstruction, sparsity, graph smoothness).
 
 The evaluation runs on the blocked state: relation blocks may be dense or
 CSR and ``E_R`` is row-sparse or ``None``.  Each pair's reconstruction
-term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` comes from
-:func:`repro.core.rspace.pair_reconstruction_error`: the residual
-row-norm identity for a CSR block (so ``G_t S_tu G_uᵀ`` is never
-materialised against it), the residual itself for a dense one, with the
-rows E_R stores differenced directly.
+term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` comes from the residual
+row-norm identity of :mod:`repro.core.rspace` for dense and CSR blocks
+alike (so ``G_t S_tu G_uᵀ`` is never materialised), with the rows E_R
+stores differenced directly.  Those row norms, and the ``L_t^± G_t``
+products of the smoothness term, are shared through the fit's
+:class:`~repro.core.rspace.ProductCache` with the E step that precedes the
+evaluation and the G step that follows it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..linalg.norms import trace_quadratic
-from . import rspace
+import numpy as np
+
+from .rspace import ProductCache
 
 __all__ = ["ObjectiveBreakdown", "evaluate_objective_blocks"]
 
@@ -48,20 +51,11 @@ class ObjectiveBreakdown:
         return self.reconstruction + self.error_sparsity + self.graph_smoothness
 
 
-# Module-level objective task kernels (pure functions of their item; see
-# repro.core.updates for the convention).  Items are plain operand tuples.
-
-
-def _pair_error_task(item) -> float:
-    """``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` of one relation pair."""
-    R_tu, G_t, S_tu, G_u, E_tu = item
-    return rspace.pair_reconstruction_error(R_tu, G_t, S_tu, G_u, E_tu)
-
-
-def _smoothness_task(item) -> float:
-    """``tr(G_tᵀ L_t G_t)`` of one type."""
-    G_t, L_t = item
-    return trace_quadratic(G_t, L_t)
+def _smoothness(L_pos_G, L_neg_G, G_t) -> float:
+    """``tr(G_tᵀ L_t G_t)`` from ``L_t^± G_t`` (``None``: an all-zero part)."""
+    LG = ((0.0 if L_pos_G is None else L_pos_G)
+          - (0.0 if L_neg_G is None else L_neg_G))
+    return float(np.sum(LG * G_t))
 
 
 def _l21(E_R) -> float:
@@ -79,7 +73,8 @@ def _type_l21(E_R, object_spec, t: int) -> float:
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
                               beta: float, pairs=None,
                               schedule=None, sweep: bool = False,
-                              cache=None) -> ObjectiveBreakdown:
+                              cache=None,
+                              products=None) -> ObjectiveBreakdown:
     """Blockwise evaluation of Eq. 15 — no global matrix is ever assembled.
 
     Every term decomposes over the block structure: the reconstruction is a
@@ -113,32 +108,40 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         summed from the cache.  ``sweep=True`` refreshes every cached
         term.  Either argument ``None`` runs the full evaluation exactly
         as before.
+    products:
+        The fit's :class:`~repro.core.rspace.ProductCache` (a private one
+        when ``None``).  The residual row norms come from it (usually
+        computed by the E step at the same iterate), and the ``L_t^± G_t``
+        products it computes here serve the next G step.
     """
-    from .updates import (_error_block, _map,  # local: avoids an import cycle
+    from .updates import (_map,  # local: avoids an import cycle
                           active_relation_pairs)
 
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
+    if products is None:
+        products = ProductCache()
     G = state.G_blocks
     S = state.S
     object_spec = state.object_spec
     cluster_spec = state.cluster_spec
 
-    def pair_item(pair):
+    def pair_error(pair) -> float:
         t, u = pair
-        S_tu = S[cluster_spec.slice(t), cluster_spec.slice(u)]
-        E_tu = _error_block(state.E_R, object_spec, t, u)
-        return R_pairs.get(pair), G[t], S_tu, G[u], E_tu
+        return products.reconstruction_error(
+            pair, R_pairs.get(pair), G[t],
+            products.association_block(S, cluster_spec, pair), G[u],
+            products.error_block(state.E_R, object_spec, pair))
+
+    def smoothness(t: int) -> float:
+        parts = products.laplacian_parts(t, L_blocks[t])
+        return _smoothness(*products.laplacian_products(t, parts, G[t]),
+                           G[t])
 
     def evaluate_terms(eval_pairs, eval_types):
         """Per-pair reconstruction and per-type smoothness term values."""
-        pair_values = _map(_pair_error_task,
-                           [pair_item(pair) for pair in eval_pairs],
-                           labels=eval_pairs, name="one_pair")
-        type_values = _map(_smoothness_task,
-                           [(G[t], L_blocks[t]) for t in eval_types],
-                           labels=eval_types, name="one_type")
-        return pair_values, type_values
+        return (_map(pair_error, eval_pairs, name="one_pair"),
+                _map(smoothness, eval_types, name="one_type"))
 
     if schedule is None or cache is None:
         pair_values, type_values = evaluate_terms(

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..exceptions import NotFittedError, ValidationError
 from ..obs import Span, activate_span, current_span
-from ..linalg.parts import split_parts
 from ..manifold.ensemble import HeterogeneousManifoldEnsemble
 from ..metrics.fscore import clustering_fscore
 from ..metrics.nmi import normalized_mutual_information
@@ -34,6 +33,7 @@ from ..relational.dataset import MultiTypeRelationalData
 from .config import RHCHMEConfig
 from .convergence import TraceRecorder
 from .objective import evaluate_objective_blocks
+from .rspace import ProductCache
 from .schedule import DeltaSchedule, DirtySet
 from .state import FactorizationState, initialize_state, warm_start_state
 from .updates import (active_relation_pairs, update_association_blocks,
@@ -219,11 +219,16 @@ class RHCHME:
         R_pairs = data.relation_blocks(normalize=config.normalize_relations,
                                        backend=backend)
 
-        # L is fixed for the whole fit; split each type's block into
-        # (L_t⁺, L_t⁻) once instead of re-splitting inside every membership
-        # update.  Types the delta schedule never updates carry no block.
-        L_parts = [None if block is None else split_parts(block)
-                   for block in L_blocks]
+        # Every product the S, G and E_R steps and the objective share is
+        # computed once per iterate in this fit-scoped cache, which dies
+        # with the fit.  L is fixed for the whole fit: each type's block
+        # is split into (L_t⁺, L_t⁻) once, there, for the G step and the
+        # objective alike.  Types the delta schedule never updates carry
+        # no block.
+        products = ProductCache()
+        L_parts = [None if block is None
+                   else products.laplacian_parts(t, block)
+                   for t, block in enumerate(L_blocks)]
         if warm_start is None:
             state = initialize_state(data, R_pairs, init=config.init,
                                      smoothing=config.init_smoothing,
@@ -281,9 +286,10 @@ class RHCHME:
                 dirty_pairs=(schedule.dirty_pairs
                              if schedule is not None and not setup_sweep
                              else None),
-                S_prev=state.S if schedule is not None else None)
+                S_prev=state.S if schedule is not None else None,
+                products=products)
             self._record(trace, data, R_pairs, L_blocks, state, pairs,
-                         monitor=monitor, schedule=schedule,
+                         products, monitor=monitor, schedule=schedule,
                          sweep=setup_sweep, cache=objective_cache)
 
         for iteration in range(1, config.max_iter + 1):
@@ -297,14 +303,15 @@ class RHCHME:
                         dirty_pairs=(schedule.dirty_pairs if restrict
                                      else None),
                         S_prev=(state.S if schedule is not None
-                                else None))
+                                else None),
+                        products=products)
                 state.G_blocks = self._timed(
                     trace, "g_update", update_membership_blocks,
                     R_pairs, L_parts, state,
                     lam=config.lam, pairs=pairs,
                     dirty_types=(schedule.dirty_types if restrict
                                  else None),
-                    normalize=True)
+                    normalize=True, products=products)
                 if config.use_error_matrix:
                     state.E_R = self._timed(
                         trace, "e_update", update_error_matrix_blocks,
@@ -312,10 +319,11 @@ class RHCHME:
                         dirty_types=(schedule.error_types if restrict
                                      else None),
                         E_prev=(state.E_R if schedule is not None
-                                else None))
+                                else None),
+                        products=products)
                 state.iteration = iteration
                 self._record(trace, data, R_pairs, L_blocks, state, pairs,
-                             monitor=monitor, schedule=schedule,
+                             products, monitor=monitor, schedule=schedule,
                              sweep=sweep, cache=objective_cache)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < config.tol:
@@ -407,14 +415,15 @@ class RHCHME:
     # -------------------------------------------------------------- internal
     def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
                 R_pairs, L_blocks, state: FactorizationState, pairs,
-                monitor=None, schedule=None, sweep: bool = False,
-                cache=None) -> None:
+                products: ProductCache, monitor=None, schedule=None,
+                sweep: bool = False, cache=None) -> None:
         """Record the objective breakdown and optional metrics for one iterate."""
         config = self.config
         breakdown = self._timed(trace, "objective", evaluate_objective_blocks,
                                 R_pairs, state, L_blocks, lam=config.lam,
                                 beta=config.beta, pairs=pairs,
-                                schedule=schedule, sweep=sweep, cache=cache)
+                                schedule=schedule, sweep=sweep, cache=cache,
+                                products=products)
         metrics: dict[str, float] = {}
         if monitor is not None:
             metrics.update(monitor.observe(state))

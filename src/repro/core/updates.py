@@ -26,7 +26,10 @@ blocks ``R_tu`` (dense or CSR).  The error matrix ``E_R`` is a
 :class:`repro.linalg.rowsparse.RowSparseMatrix` holding only the rows the
 prox keeps, or ``None`` (no error matrix).  The residual ``R − G S Gᵀ`` is
 never formed: each pair's ``G_t S_tu G_uᵀ`` stays factored (see
-:mod:`repro.core.rspace`), and only the kept rows are materialised.
+:mod:`repro.core.rspace`), and only the kept rows are materialised.  The
+products the rules and the objective share (``R_tu G_u``, the grams, the
+residual row norms, ``L_t^± G_t``) come from the fit's
+:class:`~repro.core.rspace.ProductCache`, once per iterate.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ import numpy as np
 from ..linalg.normalize import row_normalize_l1
 from ..linalg.parts import split_parts
 from ..linalg.rowsparse import RowSparseMatrix
-from ..linalg.safe import gram_pinv, safe_divide
+from ..linalg.safe import safe_divide
 from ..obs import current_span
-from . import rspace
+from .rspace import ProductCache
 from .state import FactorizationState
 
 __all__ = [
@@ -63,91 +66,27 @@ _EPS = 1e-12
 # never forming them.
 
 
-def _map(fn, items, *, labels, name):
-    """Apply one task kernel to every item, in order.
+def _map(fn, keys, *, name):
+    """Apply one task kernel to every pair or type index in ``keys``, in order.
 
     When a fit-trace span is active (the solver activates one per update
     family under ``diagnostics=True``), every kernel invocation is
-    recorded as a completed ``name`` child of it, labelled by the
-    matching entry of ``labels`` (task items carry operand arrays, whose
-    repr is not a label).
+    recorded as a completed ``name`` child of it, labelled by its key.
     """
     parent = current_span()
     if parent is None:
-        return [fn(item) for item in items]
+        return [fn(key) for key in keys]
     results = []
-    for label, item in zip(labels, items):
+    for key in keys:
         start = time.perf_counter()
-        results.append(fn(item))
-        parent.record(name, start, time.perf_counter(), item=str(label))
+        results.append(fn(key))
+        parent.record(name, start, time.perf_counter(), item=str(key))
     return results
 
 
-# Module-level task kernels: one per update family, taking a single plain
-# tuple of operand arrays.  Every operand a task reads is in its item, so a
-# kernel is a pure function of that tuple.
-
-
-def _association_core_task(item):
-    """Core ``G_tᵀ (R_tu − E_tu) G_u`` of one pair's S block (Eq. 18)."""
-    G_t, R_tu, E_tu, G_u = item
-    return G_t.T @ rspace.project_relations(R_tu, E_tu, G_u)
-
-
-def _membership_type_task(item):
-    """Multiplicative update of one type's membership block (Eq. 21–22)."""
-    G_t, L_parts_t, a_terms, b_terms, lam, normalize = item
-    A = np.zeros_like(G_t)
-    for R_tu, E_tu, G_u, S_tu in a_terms:
-        A += rspace.project_relations(R_tu, E_tu, G_u) @ S_tu.T
-    B = np.zeros((G_t.shape[1], G_t.shape[1]))
-    for S_ut, gram_u in b_terms:
-        B += S_ut.T @ gram_u @ S_ut
-    L_pos, L_neg = L_parts_t
-    A_pos, A_neg = split_parts(A)
-    B_pos, B_neg = split_parts(B)
-    numerator = lam * (L_neg @ G_t) + A_pos + G_t @ B_neg
-    denominator = lam * (L_pos @ G_t) + A_neg + G_t @ B_pos
-    ratio = safe_divide(numerator, denominator, eps=_EPS)
-    updated = G_t * np.sqrt(ratio)
-    return row_normalize_l1(updated) if normalize else updated
-
-
-def _error_type_task(item):
-    """Prox rows of one row type (the exact E step).
-
-    ``terms`` lists ``(u, R_tu, S_tu, G_u)`` over the type's outgoing
-    pairs.  The squared residual row norms accumulate across them; a row
-    survives the group soft threshold when ``2 ‖q_i‖ > β`` and is stored
-    as ``s_i q_i`` with ``s_i = 1 − β / (2 ‖q_i‖) > 0``.  A zero residual
-    row never survives, so no division by zero arises.  Returns
-    ``(global_rows, values)`` without writing shared state, so the task
-    is a pure function of its item.
-    """
-    G_t, terms, beta, n_total, col_slices, row_offset = item
-    factored = {u: G_t @ S_tu for u, _, S_tu, _ in terms}
-    sq = np.zeros(G_t.shape[0])
-    for u, R_tu, S_tu, G_u in terms:
-        sq += rspace.pair_residual_sq_row_norms(R_tu, G_t, S_tu, G_u,
-                                                M=factored[u])
-    norms = np.sqrt(np.maximum(sq, 0.0))
-    rows = np.flatnonzero(2.0 * norms > beta)
-    scale = 1.0 - beta / (2.0 * norms[rows])
-    values = np.zeros((rows.size, n_total))
-    for u, R_tu, S_tu, G_u in terms:
-        values[:, col_slices[u]] = scale[:, None] * rspace.pair_residual_rows(
-            R_tu, G_t, S_tu, G_u, rows, M=factored[u])
-    return rows + row_offset, values
-
-
-def _error_block(E_R, object_spec, t: int, u: int):
-    """The ``(t, u)`` block of the row-sparse error matrix, as a view.
-
-    ``None`` stays ``None``; the block shares the value storage.
-    """
-    if E_R is None:
-        return None
-    return E_R.block(object_spec.slice(t), object_spec.slice(u))
+def _graph_term(lam: float, LG, base: np.ndarray) -> np.ndarray:
+    """``λ L_t^± G_t + base``; a part with no non-zero (``None``) adds none."""
+    return base if LG is None else lam * LG + base
 
 
 def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
@@ -160,19 +99,20 @@ def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
     computed once per fit and reused every iteration.
     """
     active = set(R_pairs)
-    if E_R is not None:
+    if E_R is not None and not E_R.is_zero:
         for t in range(object_spec.n_types):
             for u in range(object_spec.n_types):
                 if t == u or (t, u) in active:
                     continue
-                if np.any(_error_block(E_R, object_spec, t, u).values):
+                block = E_R.block(object_spec.slice(t), object_spec.slice(u))
+                if np.any(block.values):
                     active.add((t, u))
     return sorted(active)
 
 
 def update_association_blocks(R_pairs, state: FactorizationState, *,
                               pairs=None, dirty_pairs=None,
-                              S_prev=None) -> np.ndarray:
+                              S_prev=None, products=None) -> np.ndarray:
     """Blockwise closed-form S update (Eq. 18).
 
     ``GᵀG`` is block diagonal, so its pseudo-inverse is the block diagonal
@@ -192,28 +132,30 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
     keep the structural invariant regardless of what the caller stored
     there.  With ``dirty_pairs=None`` (the default) every active pair is
     solved into a fresh zero matrix — the pre-delta behaviour, unchanged.
+
+    ``products`` is the fit's :class:`~repro.core.rspace.ProductCache`
+    (a private one when ``None``): ``R_tu G_u`` and the gram
+    pseudo-inverses come from it.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
+    if products is None:
+        products = ProductCache()
     G = state.G_blocks
     cluster_spec = state.cluster_spec
     object_spec = state.object_spec
-    if dirty_pairs is None:
-        compute = list(pairs)
-        pinvs = [gram_pinv(block.T @ block) for block in G]
-    else:
-        compute = [pair for pair in pairs if pair in dirty_pairs]
-        needed = sorted({index for pair in compute for index in pair})
-        pinvs = {index: gram_pinv(G[index].T @ G[index]) for index in needed}
+    compute = [pair for pair in pairs
+               if dirty_pairs is None or pair in dirty_pairs]
 
-    items = []
-    for pair in compute:
+    def core(pair):
+        """``G_tᵀ (R_tu − E_tu) G_u``; ``None`` when it is zero."""
         t, u = pair
-        E_tu = _error_block(state.E_R, object_spec, t, u)
-        items.append((G[t], R_pairs.get(pair), E_tu, G[u]))
+        projected = products.projected_relation(
+            pair, R_pairs.get(pair),
+            products.error_block(state.E_R, object_spec, pair), G[u])
+        return None if projected is None else G[t].T @ projected
 
-    cores = _map(_association_core_task, items, labels=compute,
-                 name="one_pair")
+    cores = _map(core, compute, name="one_pair")
 
     if dirty_pairs is None or S_prev is None:
         S = np.zeros((cluster_spec.total, cluster_spec.total))
@@ -222,16 +164,19 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         for t in range(cluster_spec.n_types):
             block = cluster_spec.slice(t)
             S[block, block] = 0.0
-    for (t, u), core in zip(compute, cores):
+    for (t, u), C_tu in zip(compute, cores):
         S[cluster_spec.slice(t), cluster_spec.slice(u)] = (
-            pinvs[t] @ (core @ pinvs[u]))
+            0.0 if C_tu is None
+            else products.gram_pinv(t, G[t]) @ (
+                C_tu @ products.gram_pinv(u, G[u])))
     return S
 
 
 def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
                              lam: float, pairs=None,
                              dirty_types=None,
-                             normalize: bool = True) -> list[np.ndarray]:
+                             normalize: bool = True,
+                             products=None) -> list[np.ndarray]:
     """Blockwise multiplicative G update (Eq. 21–22), one task per type.
 
     For type ``t`` the update's A and B terms are
@@ -250,9 +195,16 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     never copied, its ``L_parts`` entry never touched (a delta-scheduled
     fit does not even build clean Laplacians).  ``None`` updates every
     type, exactly as before.
+
+    ``products`` is the fit's :class:`~repro.core.rspace.ProductCache`
+    (a private one when ``None``): ``R_tu G_u``, the grams and
+    ``L_t^± G_t`` come from it, the latter usually computed by the
+    objective at the same ``G_t``.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
+    if products is None:
+        products = ProductCache()
     G = state.G_blocks
     S = state.S
     cluster_spec = state.cluster_spec
@@ -262,27 +214,33 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     for t, u in pairs:
         by_source.setdefault(t, []).append(u)
         by_target.setdefault(u, []).append(t)
-    if dirty_types is None:
-        todo = list(range(object_spec.n_types))
-        grams = [block.T @ block for block in G]
-    else:
-        todo = sorted(dirty_types)
-        needed = sorted({u for t in todo for u in by_target.get(t, ())})
-        grams = {u: G[u].T @ G[u] for u in needed}
+    todo = (list(range(object_spec.n_types)) if dirty_types is None
+            else sorted(dirty_types))
 
-    def s_block(t: int, u: int) -> np.ndarray:
-        return S[cluster_spec.slice(t), cluster_spec.slice(u)]
+    def update_type(t: int) -> np.ndarray:
+        G_t = G[t]
+        A = np.zeros_like(G_t)
+        for u in by_source.get(t, ()):
+            projected = products.projected_relation(
+                (t, u), R_pairs.get((t, u)),
+                products.error_block(state.E_R, object_spec, (t, u)), G[u])
+            if projected is not None:
+                A += projected @ products.association_block(
+                    S, cluster_spec, (t, u)).T
+        B = np.zeros((G_t.shape[1], G_t.shape[1]))
+        for u in by_target.get(t, ()):
+            S_ut = products.association_block(S, cluster_spec, (u, t))
+            B += S_ut.T @ products.gram(u, G[u]) @ S_ut
+        L_pos_G, L_neg_G = products.laplacian_products(t, L_parts[t], G_t)
+        A_pos, A_neg = split_parts(A)
+        B_pos, B_neg = split_parts(B)
+        numerator = _graph_term(lam, L_neg_G, A_pos) + G_t @ B_neg
+        denominator = _graph_term(lam, L_pos_G, A_neg) + G_t @ B_pos
+        ratio = safe_divide(numerator, denominator, eps=_EPS)
+        updated = G_t * np.sqrt(ratio)
+        return row_normalize_l1(updated) if normalize else updated
 
-    def type_item(t: int):
-        a_terms = [(R_pairs.get((t, u)),
-                    _error_block(state.E_R, object_spec, t, u),
-                    G[u], s_block(t, u)) for u in by_source.get(t, ())]
-        b_terms = [(s_block(u, t), grams[u]) for u in by_target.get(t, ())]
-        return G[t], L_parts[t], a_terms, b_terms
-
-    items = [(*type_item(t), lam, normalize) for t in todo]
-    blocks = _map(_membership_type_task, items, labels=todo,
-                  name="one_type")
+    blocks = _map(update_type, todo, name="one_type")
     if dirty_types is None:
         return list(blocks)
     updated = list(G)
@@ -310,25 +268,34 @@ def _carried_error_rows(E_prev, object_spec, t: int, n_total: int):
 def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
                                beta: float, pairs=None,
                                dirty_types=None,
-                               E_prev=None) -> RowSparseMatrix:
+                               E_prev=None, products=None) -> RowSparseMatrix:
     """Blockwise exact E step: the L2,1 prox of the residual, row-sparse.
 
     The L2,1 row norm of object ``i`` of type ``t`` spans every cross-type
     block of its row, so the task unit is a *type*: accumulate the squared
     residual row norms over the type's relation pairs, threshold them, and
-    materialise only the surviving rows.  The global residual
-    ``R − G S Gᵀ`` is never assembled — per pair the reconstruction stays
-    factored as ``(G_t S_tu) G_uᵀ``.  Returns a :class:`RowSparseMatrix`
-    on both backends; at the default β on unit-Frobenius relation blocks
-    it stores no row at all.
+    materialise only the surviving rows.  A row survives the group soft
+    threshold when ``2 ‖q_i‖ > β`` and is stored as ``s_i q_i`` with
+    ``s_i = 1 − β / (2 ‖q_i‖) > 0``; a zero residual row never survives,
+    so no division by zero arises.  The global residual ``R − G S Gᵀ`` is
+    never assembled — per pair the reconstruction stays factored as
+    ``(G_t S_tu) G_uᵀ``.  Returns a :class:`RowSparseMatrix` on both
+    backends; at the default β on unit-Frobenius relation blocks it stores
+    no row at all.
 
     Under a delta schedule ``dirty_types`` restricts the re-solve to those
     row types; every clean row type splices its rows of ``E_prev`` (the
     previous iterate's error matrix) through unchanged.  ``None`` solves
     every type from scratch.
+
+    ``products`` is the fit's :class:`~repro.core.rspace.ProductCache`
+    (a private one when ``None``).  The residual row norms this step
+    computes there are the ones the objective then reads.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
+    if products is None:
+        products = ProductCache()
     G = state.G_blocks
     S = state.S
     object_spec = state.object_spec
@@ -341,17 +308,25 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
     todo = (list(range(object_spec.n_types)) if dirty_types is None
             else sorted(dirty_types))
 
-    def type_terms(t: int):
-        return [(u, R_pairs.get((t, u)),
-                 S[cluster_spec.slice(t), cluster_spec.slice(u)], G[u])
-                for u in by_source.get(t, ())]
+    def solve_type(t: int):
+        """Global ``(rows, values)`` of type ``t``'s kept prox rows."""
+        terms = [((t, u), R_pairs.get((t, u)),
+                  products.association_block(S, cluster_spec, (t, u)), G[u])
+                 for u in by_source.get(t, ())]
+        sq = np.zeros(G[t].shape[0])
+        for pair, R_tu, S_tu, G_u in terms:
+            sq += products.residual_sq_row_norms(pair, R_tu, G[t], S_tu, G_u)
+        norms = np.sqrt(np.maximum(sq, 0.0))
+        rows = np.flatnonzero(2.0 * norms > beta)
+        scale = 1.0 - beta / (2.0 * norms[rows])
+        values = np.zeros((rows.size, n_total))
+        for pair, R_tu, S_tu, G_u in terms:
+            values[:, object_spec.slice(pair[1])] = (
+                scale[:, None]
+                * products.residual_rows(pair, R_tu, G[t], S_tu, G_u, rows))
+        return rows + object_spec.offsets[t], values
 
-    col_slices = {u: object_spec.slice(u)
-                  for u in range(object_spec.n_types)}
-    items = [(G[t], type_terms(t), beta, n_total, col_slices,
-              object_spec.offsets[t]) for t in todo]
-    results = _map(_error_type_task, items, labels=todo,
-                   name="one_type")
+    results = _map(solve_type, todo, name="one_type")
     if dirty_types is None:
         pieces = results
     else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from repro.core.objective import evaluate_objective_blocks
@@ -88,14 +89,19 @@ class TestEvaluateObjective:
         assert breakdown.total != pytest.approx(without.total)
 
     def test_perfect_factorisation_has_zero_reconstruction(self):
+        # The residual row-norm identity cancels to ~1e-16 per row; rows
+        # within rounding of zero are materialised, so dense and CSR
+        # relation blocks both score an exact factorisation exactly zero.
         R_pairs, _, state, L_blocks = _random_problem(2)
         state.E_R = None
         exact = {(t, u): state.G_blocks[t]
                  @ state.S[CLUSTERS.slice(t), CLUSTERS.slice(u)]
                  @ state.G_blocks[u].T for t, u in R_pairs}
-        breakdown = evaluate_objective_blocks(exact, state, L_blocks,
-                                              lam=1.0, beta=1.0)
-        assert breakdown.reconstruction == pytest.approx(0.0, abs=1e-18)
+        for blocks in (exact, {pair: sp.csr_array(block)
+                               for pair, block in exact.items()}):
+            breakdown = evaluate_objective_blocks(blocks, state, L_blocks,
+                                                  lam=1.0, beta=1.0)
+            assert breakdown.reconstruction == pytest.approx(0.0, abs=1e-18)
 
     def test_terms_nonnegative_for_laplacian_regularizer(self):
         from repro.graph.laplacian import unnormalized_laplacian

@@ -93,11 +93,16 @@ class TestProjectRelations:
                                    (dense_R - E_dense) @ G_u)
 
     def test_association_core(self, problem):
-        # The S update's per-pair core G_tᵀ (R_tu − E_tu) G_u (Eq. 18).
-        from repro.core.updates import _association_core_task
+        # The S update's per-pair core G_tᵀ (R_tu − E_tu) G_u (Eq. 18),
+        # from the projection a fit's product cache shares.
         dense_R, R, G_t, _, G_u, E_dense, E = problem
-        np.testing.assert_allclose(_association_core_task((G_t, R, E, G_u)),
+        products = rspace.ProductCache()
+        projected = products.projected_relation((0, 1), R, E, G_u)
+        np.testing.assert_allclose(G_t.T @ projected,
                                    G_t.T @ (dense_R - E_dense) @ G_u)
+        # The E_R rows come off a copy: the shared R_tu G_u is intact.
+        np.testing.assert_allclose(
+            products.relation_product((0, 1), R, G_u), dense_R @ G_u)
 
 
 class TestReconstructionError:

@@ -258,12 +258,44 @@ class TestErrorMatrixUpdate:
                                    rtol=1e-9, atol=1e-14)
 
 
+def _gemm_membership_update(R_pairs, L_blocks, state, *, lam):
+    """Test-local per-type Eq. 21-22 forming every product as a GEMM.
+
+    ``L_t⁺ G_t`` and ``L_t⁻ G_t`` are dense matrix products even when a
+    part is diagonal or all zero, and ``R_tu G_u`` and the grams are
+    recomputed per term.  ``state`` carries no E_R row.
+    """
+    G, S, clusters = state.G_blocks, state.S, state.cluster_spec
+    blocks = []
+    for t, G_t in enumerate(G):
+        A = np.zeros_like(G_t)
+        B = np.zeros((G_t.shape[1], G_t.shape[1]))
+        for source, target in sorted(R_pairs):
+            if source == t:
+                S_tu = S[clusters.slice(t), clusters.slice(target)]
+                A += np.asarray(R_pairs[(t, target)] @ G[target]) @ S_tu.T
+        for source, target in sorted(R_pairs):
+            if target == t:
+                S_ut = S[clusters.slice(source), clusters.slice(t)]
+                B += S_ut.T @ (G[source].T @ G[source]) @ S_ut
+        L_pos, L_neg = split_parts(np.asarray(L_blocks[t]))
+        A_pos, A_neg = split_parts(A)
+        B_pos, B_neg = split_parts(B)
+        numerator = lam * (L_neg @ G_t) + A_pos + G_t @ B_neg
+        denominator = lam * (L_pos @ G_t) + A_neg + G_t @ B_pos
+        ratio = numerator / np.maximum(denominator, 1e-12)
+        blocks.append(row_normalize_l1(G_t * np.sqrt(ratio)))
+    return blocks
+
+
 class TestMembershipUpdateBackends:
     def test_precomputed_parts_match_unsplit_path(self, prepared):
         # Test-local dense Eq. 21-22 on the stacked matrices, splitting the
         # stacked L on the fly: the kernel's per-type precomputed parts must
-        # give the same blocks.
+        # give the same blocks.  The terms are a featureless type here: its
+        # ensemble Laplacian is all zero.
         R_pairs, L_blocks, state = prepared
+        L_blocks = [L_blocks[0], np.zeros_like(L_blocks[1])]
         lam = 250.0
         R = _stacked_relations(R_pairs, state.object_spec)
         G = block_diag(*state.G_blocks)
@@ -278,6 +310,12 @@ class TestMembershipUpdateBackends:
                                           lam=lam)
         np.testing.assert_allclose(block_diag(*blocks), expected,
                                    rtol=1e-12, atol=1e-15)
+        # The kernel applies the documents' L⁺ (diagonal) as its diagonal
+        # and skips the terms' zero L; both equal the GEMMs bit for bit.
+        assert state.E_R.is_zero
+        for block, reference in zip(blocks, _gemm_membership_update(
+                R_pairs, L_blocks, state, lam=lam)):
+            np.testing.assert_array_equal(block, reference)
 
     def test_sparse_laplacian_matches_dense(self, prepared):
         R_pairs, L_blocks, state = prepared
