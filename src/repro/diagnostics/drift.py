@@ -258,15 +258,9 @@ def fingerprint_features(features, *, p: int = 5,
     sample = features[sample_indices]
 
     grid = np.linspace(0.0, 1.0, bins + 1)
-    feature_edges = np.empty((d, bins + 1), dtype=np.float64)
-    feature_proportions = np.empty((d, bins), dtype=np.float64)
-    m = max(sample.shape[0], 1)
-    for j in range(d):
-        edges = np.quantile(sample[:, j], grid) if sample.size else grid
-        counts = (_bin_counts(sample[:, j], edges) if sample.size
-                  else np.zeros(bins))
-        feature_edges[j] = edges
-        feature_proportions[j] = counts / m
+    m = sample.shape[0]
+    feature_edges = np.ascontiguousarray(np.quantile(sample, grid, axis=0).T)
+    feature_proportions = _bin_counts_matrix(sample, feature_edges) / m
 
     masses = _affinity_masses(features, sample, sample_indices, p,
                               WeightingScheme.coerce(weighting))

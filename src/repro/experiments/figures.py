@@ -131,8 +131,8 @@ def figure1_neighbour_completeness(n_per_circle: int = 60, *, p: int = 5,
     * ``pnn`` — the binary p-NN graph;
     * ``subspace`` — Eq. 9 as the paper computes it, 150 steps of
       Algorithm 1 (SPG), the affinity the paper's Figure 1 argument is about;
-    * ``admm`` — Eq. 9 by the library's ADMM under the same 150-iteration
-      cap, as the ensemble builds it.
+    * ``admm`` — Eq. 9 by the library's over-relaxed ADMM under the same
+      150-iteration cap (the ensemble's default cap is 84).
 
     The paper expects the subspace affinity to cover more within-manifold
     neighbours than the small-p graph, and Algorithm 1's iterate does.  The

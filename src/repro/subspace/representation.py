@@ -20,16 +20,20 @@ learnt affinity is symmetrised afterwards.
 J2 is a convex quadratic whose columns separate and all share one Hessian,
 ``H = 2(γ·gram + 11ᵀ)``.  The paper minimises it with SPG; this module uses
 the self-expressive ADMM splitting of SSC (Elhamifar & Vidal, TPAMI 2013)
-instead, which reaches a lower J2 in the same iteration budget:
+instead, over-relaxed (Eckstein & Bertsekas, Math. Programming 1992; Boyd
+et al., 2011, §3.4.3), which reaches a lower J2 in fewer iterations:
 
     W ← (H + ρI)⁻¹ (2γ·gram + ρ(Z − U))      (the unconstrained quadratic)
-    Z ← Π(W + U)                             (Eq. 11 projection)
-    U ← U + W − Z
+    Ŵ ← αW + (1 − α)Z                        (α = RELAXATION = 1.8)
+    Z ← Π(Ŵ + U)                             (Eq. 11 projection)
+    U ← U + Ŵ − Z
 
 from ``Z = U = 0`` with ``ρ = tr(H)/n``.  ``H + ρI`` is factored once per
 type, so an iteration is one product and needs no line search.  It stops
-when the primal and dual residuals meet ``tol`` (Boyd et al., 2011, §3.3.1,
-with ``ε_abs = ε_rel = tol``) and returns the feasible ``Z``.
+when the primal and dual residuals ``‖W − Z‖_F`` and ``ρ‖Z − Z_prev‖_F``
+meet ``tol`` (Boyd et al., 2011, §3.3.1, with ``ε_abs = ε_rel = tol``) and
+returns the feasible ``Z``, or the start ``W = 0`` when ``Z`` does not
+score a lower J2.
 
 :func:`subspace_objective` and :func:`subspace_objective_gradient` state the
 math of J2; the ADMM never calls them, Figure 1's Algorithm 1 does.
@@ -52,6 +56,9 @@ __all__ = [
     "SubspaceRepresentation",
     "learn_subspace_affinity",
 ]
+
+#: Relaxation factor α of the Z and U updates; α = 1 is plain ADMM.
+RELAXATION = 1.8
 
 #: ``operator(D, out)`` writes ``ρ (H + ρI)⁻¹ D`` into ``out`` (``out`` is
 #: not ``D``); a W-step ``step(D, out)`` writes the whole W update.
@@ -165,7 +172,8 @@ class SubspaceResult:
         Symmetrised non-negative subspace affinity ``(|W| + |Wᵀ|) / 2``.
     coefficients:
         Raw (asymmetric) coefficient matrix ``W`` solving Eq. 9; exactly
-        feasible (the ADMM's projected iterate ``Z``).
+        feasible (the ADMM's projected iterate ``Z``, or zero when ``Z``
+        scores no lower).
     objective:
         J2 at ``coefficients``.
     n_iterations:
@@ -239,25 +247,36 @@ class SubspaceRepresentation:
         for iteration in range(1, self.max_iter + 1):
             step(np.subtract(Z, U, out=spare), W)
             w_norm = np.linalg.norm(W)
-            V = np.add(W, U, out=W)
-            Z_next = project_nonnegative_zero_diagonal(V, out=spare)
+            # V = αW + (1 − α)Z + U: the relaxed iterate, fed to Z and U.
+            V = np.subtract(W, Z, out=spare)
+            V *= RELAXATION
+            V += Z
+            V += U
+            Z_next = project_nonnegative_zero_diagonal(V, out=U)
             U_next = np.subtract(V, Z_next, out=V)
-            # r = W − Z_next = U_next − U and s = ρ(Z_next − Z) overwrite
-            # the old U and Z, whose buffers become the next W and spare.
-            primal = float(np.linalg.norm(np.subtract(U_next, U, out=U)))
+            # r = W − Z_next and s = ρ(Z_next − Z) overwrite W and the old
+            # Z, whose buffers become the next W and spare.
+            primal = float(np.linalg.norm(np.subtract(W, Z_next, out=W)))
             dual = rho * float(np.linalg.norm(np.subtract(Z_next, Z, out=Z)))
-            Z, spare, U, W = Z_next, Z, U_next, U
+            Z, spare, U = Z_next, Z, U_next
             if (primal <= absolute + tol * max(w_norm, np.linalg.norm(Z))
                     and dual <= absolute + tol * rho * np.linalg.norm(U)):
                 converged = True
                 break
         del U, W, step
+        objective = _objective(X, scale, Z, gamma)
+        # W = 0 is feasible with J2 = γ‖X‖²/scale; keep it unless the
+        # iterate beats it (a tiny iterate near that optimum need not).
+        zero_objective = gamma / scale * float(np.vdot(X, X))
+        if objective >= zero_objective:
+            Z.fill(0.0)
+            objective = zero_objective
         affinity = np.add(Z, Z.T, out=spare)
         affinity /= 2.0
 
         return SubspaceResult(affinity=affinity,
                               coefficients=Z,
-                              objective=_objective(X, scale, Z, gamma),
+                              objective=objective,
                               n_iterations=iteration,
                               converged=converged,
                               primal_residual=primal,

@@ -46,7 +46,37 @@ class TestPopulationStabilityIndex:
         assert np.isfinite(value) and value > 0.0
 
 
+def per_column_histograms(sample: np.ndarray, bins: int):
+    """Quantile edges and bin proportions, one feature column at a time."""
+    grid = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.empty((sample.shape[1], bins + 1))
+    proportions = np.empty((sample.shape[1], bins))
+    for j, column in enumerate(sample.T):
+        edges[j] = np.quantile(column, grid)
+        index = np.searchsorted(edges[j, 1:-1], column, side="right")
+        proportions[j] = np.bincount(index, minlength=bins) / sample.shape[0]
+    return edges, proportions
+
+
 class TestFingerprint:
+    @pytest.mark.parametrize("bins", [1, 3, 10])
+    @pytest.mark.parametrize("case", ["normal", "constant-columns", "ties",
+                                      "fewer-rows-than-bins", "one-row"])
+    def test_histograms_match_a_per_column_reference(self, case, bins):
+        rng = np.random.default_rng(3)
+        features = {
+            "normal": rng.normal(size=(300, 4)),
+            "constant-columns": np.hstack([np.ones((30, 2)),
+                                           rng.normal(size=(30, 3))]),
+            "ties": rng.integers(0, 3, size=(50, 5)).astype(float),
+            "fewer-rows-than-bins": rng.normal(size=(4, 6)),
+            "one-row": rng.normal(size=(1, 3)),
+        }[case]
+        fp = fingerprint_features(features, bins=bins)
+        edges, proportions = per_column_histograms(features, bins)
+        np.testing.assert_array_equal(fp.feature_edges, edges)
+        np.testing.assert_array_equal(fp.feature_proportions, proportions)
+
     def test_shapes_and_moments(self, reference, fingerprint):
         d = reference.shape[1]
         assert fingerprint.n_features == d
