@@ -39,17 +39,17 @@ def neighbour_analysis() -> None:
           f"{metrics['pnn_within_manifold_mass']:.3f},  "
           f"coverage = {metrics['pnn_neighbour_coverage']:.3f}")
     for name, key in [("subspace, Algorithm 1:", "subspace"),
-                      ("subspace, ADMM:", "admm")]:
+                      ("subspace, exact optimum:", "exact")]:
         print(f"    {name:25s}within-manifold mass = "
               f"{metrics[f'{key}_within_manifold_mass']:.3f},  "
               f"coverage = {metrics[f'{key}_neighbour_coverage']:.3f}")
-    spg, admm = (metrics[f"{key}_neighbour_coverage"]
-                 / metrics["pnn_neighbour_coverage"] for key in ("subspace", "admm"))
+    spg, exact = (metrics[f"{key}_neighbour_coverage"]
+                  / metrics["pnn_neighbour_coverage"] for key in ("subspace", "exact"))
     print("  A small-p graph can reach at most ~p/n of the within-manifold")
     print(f"  neighbours. Algorithm 1's 150-step iterate reaches {spg:.2f}x as many;")
-    print(f"  the ADMM, nearer Eq. 9's optimum, reaches {admm:.2f}x as many. An")
-    print("  optimal Eq. 9 column has at most three non-zeros on 2-D points:")
-    print("  circles are not the linear subspaces Eq. 9 models (Part 2 is).\n")
+    print(f"  Eq. 9's optimum reaches {exact:.2f}x as many: an optimal column has")
+    print("  at most three non-zeros on 2-D points, because circles are not the")
+    print("  linear subspaces Eq. 9 models (Part 2 is).\n")
 
 
 def clustering_demo() -> None:
@@ -63,7 +63,7 @@ def clustering_demo() -> None:
           " near it have nearest neighbours on the wrong manifold")
 
     pnn = pnn_affinity(points, p=5, scheme="binary")
-    subspace = learn_subspace_affinity(points, gamma=25.0, max_iter=200)
+    subspace = learn_subspace_affinity(points, gamma=25.0)
     combined = subspace + 0.5 * pnn   # a miniature heterogeneous ensemble
 
     print("  spectral clustering NMI against the true manifolds:")

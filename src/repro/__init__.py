@@ -30,7 +30,8 @@ Subpackages
     The multi-type relational data model (object types, relations, block
     matrices).
 ``repro.subspace``
-    Multiple-subspace representation learning (Eq. 9, solved by ADMM).
+    Multiple-subspace representation learning (Eq. 9, solved exactly by
+    an active-set NNLS).
 ``repro.graph`` / ``repro.manifold``
     p-NN graphs, Laplacians and the manifold ensembles.
 ``repro.cluster`` / ``repro.metrics``

@@ -61,13 +61,9 @@ class RHCHMEConfig:
     init_smoothing:
         Positive mass added to the one-hot k-means initialisation so the
         multiplicative updates can move every entry.
-    subspace_max_iter, subspace_tol:
-        Iteration cap of the subspace representation's over-relaxed ADMM
-        (84 = ⌈150/1.8⌉ relaxed iterations reach the J2 of 150 plain ones),
-        and the absolute and relative tolerance of both its residuals.
     random_state:
-        Seed of the k-means initialisation (the subspace solve is
-        deterministic).
+        Seed of the k-means initialisation (the subspace solve is exact and
+        needs no seed).
     track_metrics_every:
         Record FScore/NMI against ground truth every this many iterations
         when labels are available (0 disables tracking); used to reproduce
@@ -118,8 +114,6 @@ class RHCHMEConfig:
     normalize_relations: bool = True
     init: str = "kmeans"
     init_smoothing: float = 0.2
-    subspace_max_iter: int = 84
-    subspace_tol: float = 1e-5
     random_state: int | None = None
     track_metrics_every: int = 1
     backend: str = "auto"

@@ -87,8 +87,8 @@ class RHCHMEResult:
         loop's wall clock down by update family (``s_update`` /
         ``g_update`` / ``e_update`` / ``objective``), and
         ``extras["subspace"]`` maps each type that ran the Eq. 9 solve to
-        its ADMM outcome (``iterations``, ``converged``, ``objective``,
-        ``primal_residual``, ``dual_residual``).
+        its active-set outcome: ``iterations`` (the passes), ``converged``,
+        ``objective`` and ``kkt_residual``.
     """
 
     labels: dict[str, np.ndarray]
@@ -195,8 +195,6 @@ class RHCHME:
             p=config.p,
             weighting=config.weighting,
             laplacian_kind=config.laplacian_kind,
-            subspace_max_iter=config.subspace_max_iter,
-            subspace_tol=config.subspace_tol,
             use_subspace=config.use_subspace_member and config.alpha > 0,
             use_pnn=config.use_pnn_member,
             subspace_topk=config.subspace_topk,

@@ -131,14 +131,12 @@ def figure1_neighbour_completeness(n_per_circle: int = 60, *, p: int = 5,
     * ``pnn`` — the binary p-NN graph;
     * ``subspace`` — Eq. 9 as the paper computes it, 150 steps of
       Algorithm 1 (SPG), the affinity the paper's Figure 1 argument is about;
-    * ``admm`` — Eq. 9 by the library's over-relaxed ADMM under the same
-      150-iteration cap (the ensemble's default cap is 84).
+    * ``exact`` — Eq. 9's optimum, the library's active-set solve.
 
     The paper expects the subspace affinity to cover more within-manifold
     neighbours than the small-p graph, and Algorithm 1's iterate does.  The
-    ADMM gets closer to Eq. 9's optimum, and covers fewer: on 2-D points an
-    optimal column has at most three non-zeros, because circles are not the
-    linear subspaces Eq. 9 models.
+    optimum covers fewer: on 2-D points an optimal column has at most three
+    non-zeros, because circles are not the linear subspaces Eq. 9 models.
     """
     points, labels = sample_intersecting_circles(
         n_per_circle, separation=separation, noise=noise,
@@ -164,7 +162,7 @@ def figure1_neighbour_completeness(n_per_circle: int = 60, *, p: int = 5,
     affinities = {
         "pnn": pnn_affinity(points, p=p, scheme="binary"),
         "subspace": _algorithm1_affinity(points, gamma, max_iter=150),
-        "admm": learn_subspace_affinity(points, gamma=gamma, max_iter=150),
+        "exact": learn_subspace_affinity(points, gamma=gamma),
     }
     metrics: dict[str, float] = {}
     for name, affinity in affinities.items():

@@ -1,10 +1,10 @@
 """Projection operators onto the feasible sets used by the solvers.
 
-The ADMM for the multiple-subspace objective (Eq. 9) projects its splitting
-variable onto the closed convex set ``{W : W ≥ 0, diag(W) = 0}``; Eq. 11 of
-the paper defines that projection element-wise.  The simplex projection is
-used by the RMC baseline to keep its learnt candidate-Laplacian weights on the
-probability simplex.
+The paper's Algorithm 1 (SPG) for the multiple-subspace objective (Eq. 9)
+projects its iterate onto the closed convex set ``{W : W ≥ 0, diag(W) = 0}``;
+Eq. 11 of the paper defines that projection element-wise.  The simplex
+projection is used by the RMC baseline to keep its learnt candidate-Laplacian
+weights on the probability simplex.
 """
 
 from __future__ import annotations

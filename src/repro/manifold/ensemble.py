@@ -67,17 +67,14 @@ class HeterogeneousManifoldEnsemble:
         Trade-off between the subspace member ``L_S`` and the p-NN member
         ``L_E`` (Eq. 12); the paper finds α ∈ [0.25, 2] stable with α = 1 best.
     gamma:
-        Noise-tolerance weight of the multiple-subspace objective (Eq. 9).
+        Noise-tolerance weight of the multiple-subspace objective (Eq. 9),
+        which each type solves exactly (no cap, no tolerance knob).
     p:
         Neighbour size of the p-NN graph (the paper uses p = 5).
     weighting:
         p-NN edge weighting scheme; RHCHME uses cosine similarity.
     laplacian_kind:
         Which Laplacian normalisation to use for both members.
-    subspace_max_iter, subspace_tol:
-        Iteration cap and residual tolerance of the subspace solver's
-        over-relaxed ADMM (84 = ⌈150/1.8⌉ relaxed iterations reach the J2
-        of 150 plain ones).
     use_subspace, use_pnn:
         Ablation switches disabling one member (the α → {0, ∞} extremes).
     subspace_topk:
@@ -104,8 +101,6 @@ class HeterogeneousManifoldEnsemble:
     p: int = 5
     weighting: WeightingScheme | str = WeightingScheme.COSINE
     laplacian_kind: str = "unnormalized"
-    subspace_max_iter: int = 84
-    subspace_tol: float = 1e-5
     use_subspace: bool = True
     use_pnn: bool = True
     subspace_topk: int | None = None
@@ -172,10 +167,7 @@ class HeterogeneousManifoldEnsemble:
         combined = (sp.csr_array((n_objects, n_objects), dtype=np.float64)
                     if use_sparse else np.zeros((n_objects, n_objects)))
         if self.use_subspace and self.alpha > 0.0:
-            model = SubspaceRepresentation(gamma=self.gamma,
-                                           max_iter=self.subspace_max_iter,
-                                           tol=self.subspace_tol)
-            solved = model.fit(features)
+            solved = SubspaceRepresentation(gamma=self.gamma).fit(features)
             affinity = solved.affinity
             outcome = solved.outcome()
             if self.subspace_topk is not None:

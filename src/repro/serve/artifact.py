@@ -98,9 +98,11 @@ GLOBAL_SHARD = "global"
 #: artifacts, which are all dense).  Saves write only ``row-sparse``.
 ERROR_MATRIX_LAYOUTS = ("dense", "row-sparse")
 
-#: Config keys of the retired one-step E update, dropped when a sidecar is
-#: read: the exact prox needs neither.
-_RETIRED_CONFIG_KEYS = ("zeta", "error_row_tol")
+#: Config keys dropped when a sidecar is read: the retired one-step E
+#: update's (the exact prox needs neither) and the retired Eq. 9 ADMM's
+#: (the exact active set needs neither).
+_RETIRED_CONFIG_KEYS = ("zeta", "error_row_tol", "subspace_max_iter",
+                        "subspace_tol")
 
 
 def error_matrix_npz_keys(sidecar: dict) -> list[str]:

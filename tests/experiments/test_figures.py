@@ -34,7 +34,7 @@ class TestFigure1:
         # 2-D points); the coverage above is Algorithm 1's dense iterate.
         metrics = figure1_neighbour_completeness(n_per_circle=40, p=4,
                                                  random_state=0)
-        assert (metrics["admm_neighbour_coverage"]
+        assert (metrics["exact_neighbour_coverage"]
                 < metrics["subspace_neighbour_coverage"])
 
 

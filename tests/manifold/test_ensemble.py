@@ -12,23 +12,20 @@ class TestHeterogeneousEnsemble:
     def test_block_diagonal_structure(self, tiny_dataset):
         # L is block diagonal by type: one (n_t, n_t) block per type, the
         # off-diagonal blocks never exist.
-        ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3,
-                                                 subspace_max_iter=30)
+        ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3)
         L_blocks = ensemble.build_blocks(tiny_dataset)
         assert [L.shape for L in L_blocks] == [
             (t.n_objects, t.n_objects) for t in tiny_dataset.types]
 
     def test_symmetric_and_psd_blocks(self, tiny_dataset):
-        ensemble = HeterogeneousManifoldEnsemble(alpha=0.5, gamma=10.0, p=3,
-                                                 subspace_max_iter=30)
+        ensemble = HeterogeneousManifoldEnsemble(alpha=0.5, gamma=10.0, p=3)
         for L in ensemble.build_blocks(tiny_dataset):
             np.testing.assert_allclose(L, L.T, atol=1e-8)
             eigenvalues = np.linalg.eigvalsh((L + L.T) / 2)
             assert eigenvalues.min() >= -1e-6
 
     def test_members_recorded_per_type(self, tiny_dataset):
-        ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3,
-                                                 subspace_max_iter=20)
+        ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3)
         ensemble.build_blocks(tiny_dataset)
         assert len(ensemble.members_) == tiny_dataset.n_types
         for member in ensemble.members_:
@@ -45,10 +42,8 @@ class TestHeterogeneousEnsemble:
             np.testing.assert_allclose(alpha_zero, pnn, atol=1e-10)
 
     def test_alpha_scales_subspace_member(self, tiny_dataset):
-        small = HeterogeneousManifoldEnsemble(alpha=0.5, gamma=10.0, p=3,
-                                              subspace_max_iter=20)
-        large = HeterogeneousManifoldEnsemble(alpha=2.0, gamma=10.0, p=3,
-                                              subspace_max_iter=20)
+        small = HeterogeneousManifoldEnsemble(alpha=0.5, gamma=10.0, p=3)
+        large = HeterogeneousManifoldEnsemble(alpha=2.0, gamma=10.0, p=3)
         # The pNN member is shared; the difference is (2.0 - 0.5) * L_S per type.
         for L_small, L_large in zip(small.build_blocks(tiny_dataset),
                                     large.build_blocks(tiny_dataset)):
@@ -64,8 +59,7 @@ class TestHeterogeneousEnsemble:
         terms = ObjectType("terms", n_objects=5, n_clusters=2)  # no features
         data = MultiTypeRelationalData(
             [docs, terms], [Relation("documents", "terms", rng.random((8, 5)))])
-        ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3,
-                                                 subspace_max_iter=20)
+        ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3)
         L_blocks = ensemble.build_blocks(data)
         np.testing.assert_allclose(L_blocks[1], 0.0)
         assert L_blocks[1].shape == (5, 5)

@@ -122,19 +122,33 @@ class TestRetiredTorchBackend:
 
 
 class TestRetiredErrorKnobs:
-    """Sidecars carrying the one-step E update's knobs still load."""
+    """Sidecars carrying retired config keys still load and predict."""
+
+    @staticmethod
+    def check(artifact, tmp_path, **retired):
+        path = artifact.save(tmp_path / "model.npz", shards="per-type-mmap")
+        sidecar_path = path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["config"].update(retired)
+        sidecar_path.write_text(json.dumps(sidecar))
+        loaded = RHCHMEModel.load(path)
+        assert loaded.config == artifact.config
+        with open_model(path, lazy=True) as reader:
+            assert reader.config == artifact.config
+        for name, queries in artifact.features.items():
+            expected = artifact.predict(name, queries)
+            actual = loaded.predict(name, queries)
+            np.testing.assert_array_equal(actual.labels, expected.labels)
+            np.testing.assert_array_equal(actual.membership,
+                                          expected.membership)
 
     def test_zeta_and_error_row_tol_are_dropped(self, blob_artifact,
                                                 tmp_path):
-        path = blob_artifact.save(tmp_path / "model.npz",
-                                  shards="per-type-mmap")
-        sidecar_path = path.with_suffix(".json")
-        sidecar = json.loads(sidecar_path.read_text())
-        sidecar["config"].update(zeta=1e-10, error_row_tol=1e-8)
-        sidecar_path.write_text(json.dumps(sidecar))
-        assert RHCHMEModel.load(path).config == blob_artifact.config
-        with open_model(path, lazy=True) as reader:
-            assert reader.config == blob_artifact.config
+        self.check(blob_artifact, tmp_path, zeta=1e-10, error_row_tol=1e-8)
+
+    def test_subspace_admm_knobs_are_dropped(self, blob_artifact, tmp_path):
+        self.check(blob_artifact, tmp_path, subspace_max_iter=84,
+                   subspace_tol=1e-5)
 
 
 class TestSchemaRefusal:

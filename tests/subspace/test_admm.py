@@ -1,13 +1,14 @@
-"""The Eq. 9 ADMM: J2 against two oracles, its two factor paths, memory.
+"""The exact Eq. 9 solve: J2 against two oracles, KKT, properties, memory.
 
-``plain_admm`` is the unrelaxed loop (α = 1) the solver ran before its Z
-and U updates were over-relaxed.  ``reference_spg`` is the non-monotone
-spectral projected gradient of Birgin, Martínez & Raydan that solved Eq. 9
-before the ADMM (the paper's Algorithm 1), driven by the reference math
-:func:`subspace_objective` / :func:`subspace_objective_gradient` from the
-random start it used to draw.  Both are kept as J2 oracles at a budget of
-150 iterations: at its default cap the relaxed ADMM must end no higher than
-either on every featured type.
+``plain_admm`` is the self-expressive ADMM splitting of SSC that solved
+Eq. 9 before the active set, unrelaxed (α = 1).  ``reference_spg`` is the
+non-monotone spectral projected gradient of Birgin, Martínez & Raydan that
+solved it before the ADMM (the paper's Algorithm 1), driven by the
+reference math :func:`subspace_objective` / :func:`subspace_objective_gradient`
+from the random start it used to draw.  Both are kept as J2 oracles at a
+budget of 150 iterations: the active set reaches the optimum, so it must
+end no higher than either on every featured type, at a KKT residual of at
+most 1e-10.
 """
 
 from __future__ import annotations
@@ -17,22 +18,23 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
-import repro.subspace.representation as representation
-from repro.core import RHCHMEConfig
 from repro.data import make_dataset
 from repro.linalg.projections import project_nonnegative_zero_diagonal
 from repro.subspace import (SubspaceRepresentation, subspace_objective,
                             subspace_objective_gradient)
 
 GAMMA = 25.0
-#: The oracles' budget, the old ``subspace_max_iter``; SPG ran it at
-#: ``tol=1e-4``.
+#: The oracles' budget, the ADMM's old ``subspace_max_iter``; SPG ran it
+#: at ``tol=1e-4``.
 BUDGET = 150
-#: The relaxed ADMM's default cap.
-DEFAULT_CAP = RHCHMEConfig().subspace_max_iter
-#: The ADMM's J2 may exceed an oracle's by at most this relative amount.
-J2_RTOL = 1e-5
+#: The exact J2 may exceed an oracle's by at most this relative amount.
+J2_RTOL = 1e-10
+#: Largest KKT residual (relative to max|∇J2(0)|) an exact solve may leave.
+KKT_TOL = 1e-10
 PRESETS = ("multi5", "multi5-small", "multi10-small", "r-min20max200-small",
            "r-top10-small")
 
@@ -101,17 +103,21 @@ def spg_150(X: np.ndarray) -> np.ndarray:
 
 
 def plain_admm(X: np.ndarray) -> np.ndarray:
-    """Plain ADMM-150 at ``tol=1e-5``: ``Z ← Π(W + U)``, ``U ← U + W − Z``."""
+    """Plain ADMM-150 at ``tol=1e-5`` from ``Z = U = 0``.
+
+    ``W ← (H + ρI)⁻¹(2γ·gram + ρ(Z − U))``, ``Z ← Π(W + U)``,
+    ``U ← U + W − Z`` with ``H = 2(γ·gram + 11ᵀ)`` and ``ρ = tr(H)/n``.
+    """
     n, tol = X.shape[0], 1e-5
-    gram = X @ X.T
-    scale = float(np.trace(gram)) / n or 1.0
-    gram /= scale
-    rho = 2.0 * (GAMMA * float(np.trace(gram)) / n + 1.0)
-    step = representation._w_step(X, scale, gram, GAMMA, rho)
-    Z, U, W = (np.zeros((n, n)) for _ in range(3))
+    gram = normalised_gram(X)
+    H = 2.0 * (GAMMA * gram + 1.0)
+    rho = float(np.trace(H)) / n
+    inverse = np.linalg.inv(H + rho * np.eye(n))
+    constant = inverse @ (2.0 * GAMMA * gram)
+    Z, U = np.zeros((n, n)), np.zeros((n, n))
     absolute = n * tol
     for _ in range(BUDGET):
-        step(Z - U, W)
+        W = constant + rho * (inverse @ (Z - U))
         V = W + U
         Z_next = project_nonnegative_zero_diagonal(V)
         U_next = V - Z_next
@@ -125,82 +131,44 @@ def plain_admm(X: np.ndarray) -> np.ndarray:
     return Z
 
 
+def check_against(X: np.ndarray, oracle) -> None:
+    """The exact solve converges, is KKT-optimal and ends at or below ``oracle``."""
+    gram = normalised_gram(X)
+    result = SubspaceRepresentation(GAMMA).fit(X)
+    assert result.converged
+    assert result.kkt_residual <= KKT_TOL
+    exact = subspace_objective(result.coefficients, gram, GAMMA)
+    np.testing.assert_allclose(result.objective, exact, rtol=1e-10)
+    assert exact <= subspace_objective(oracle(X), gram, GAMMA) * (1.0 + J2_RTOL)
+
+
 @pytest.fixture(scope="module")
 def presets():
     return {preset: make_dataset(preset, random_state=0) for preset in PRESETS}
 
 
 class TestObjectiveAgainstPlainADMM:
-    @staticmethod
-    def check(X: np.ndarray) -> None:
-        gram = normalised_gram(X)
-        result = SubspaceRepresentation(GAMMA, max_iter=DEFAULT_CAP).fit(X)
-        relaxed = subspace_objective(result.coefficients, gram, GAMMA)
-        plain = subspace_objective(plain_admm(X), gram, GAMMA)
-        assert relaxed <= plain * (1.0 + J2_RTOL)
-
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("type_name", ["documents", "terms", "concepts"])
     def test_j2_no_higher_than_plain_admm_150(self, presets, preset,
                                               type_name):
-        self.check(presets[preset].get_type(type_name).features)
+        check_against(presets[preset].get_type(type_name).features, plain_admm)
 
     def test_j2_no_higher_on_the_woodbury_path(self):
+        # Four blobs with d + 1 < n/2, the input the ADMM once solved
+        # through Woodbury.
         rng = np.random.default_rng(9)
         centers = rng.normal(scale=6.0, size=(4, 16))
         X = centers[np.arange(160) % 4] + rng.normal(size=(160, 16))
-        assert X.shape[1] + 1 < X.shape[0] / 2
-        self.check(X)
+        check_against(X, plain_admm)
+        check_against(X, spg_150)
 
 
 class TestObjectiveAgainstSPG:
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("type_name", ["documents", "terms", "concepts"])
     def test_j2_no_higher_than_spg_150(self, presets, preset, type_name):
-        X = presets[preset].get_type(type_name).features
-        gram = normalised_gram(X)
-        result = SubspaceRepresentation(GAMMA, max_iter=DEFAULT_CAP).fit(X)
-        admm = subspace_objective(result.coefficients, gram, GAMMA)
-        spg = subspace_objective(spg_150(X), gram, GAMMA)
-        assert admm <= spg * (1.0 + J2_RTOL)
-        np.testing.assert_allclose(result.objective, admm, rtol=1e-10)
-
-
-def normalised(X: np.ndarray) -> np.ndarray:
-    """``X`` scaled so that ``X Xᵀ`` is the trace-normalised Gram matrix."""
-    return X / np.sqrt(np.sum(X * X) / X.shape[0])
-
-
-class TestFactorPaths:
-    def test_dense_and_woodbury_operators_agree(self):
-        rng = np.random.default_rng(3)
-        X = normalised(rng.normal(size=(60, 9)))
-        gram = X @ X.T
-        rho = 2.0 * (GAMMA + 1.0)
-        dense = representation._dense_operator(gram, GAMMA, rho)
-        woodbury = representation._woodbury_operator(X, GAMMA, rho)
-        for operand in (rng.normal(size=(60, 60)), gram):
-            expected, actual = np.empty_like(operand), np.empty_like(operand)
-            dense(operand, expected)
-            woodbury(operand, actual)
-            error = np.linalg.norm(actual - expected) / np.linalg.norm(expected)
-            assert error <= 1e-10
-
-    def test_solves_agree_down_both_paths(self, monkeypatch):
-        # d + 1 >= n/2 picks the explicit inverse; the second fit sends the
-        # same input through Woodbury instead.
-        X = np.random.default_rng(4).normal(size=(50, 30))
-        dense = SubspaceRepresentation(GAMMA, max_iter=BUDGET).fit(X)
-        scaled = normalised(X)
-        monkeypatch.setattr(
-            representation, "_dense_operator",
-            lambda gram, gamma, rho:
-                representation._woodbury_operator(scaled, gamma, rho))
-        woodbury = SubspaceRepresentation(GAMMA, max_iter=BUDGET).fit(X)
-        assert dense.n_iterations == woodbury.n_iterations
-        error = (np.linalg.norm(woodbury.coefficients - dense.coefficients)
-                 / np.linalg.norm(dense.coefficients))
-        assert error <= 1e-10
+        check_against(presets[preset].get_type(type_name).features, spg_150)
 
 
 class TestSolution:
@@ -208,45 +176,95 @@ class TestSolution:
                              ids=["40x12", "24x90", "2x3", "90x6"])
     def test_coefficients_are_exactly_feasible(self, n, d):
         X = np.random.default_rng(n + d).normal(size=(n, d))
-        result = SubspaceRepresentation(GAMMA, max_iter=BUDGET).fit(X)
+        result = SubspaceRepresentation(GAMMA).fit(X)
+        assert result.converged and result.kkt_residual <= KKT_TOL
         assert np.all(result.coefficients >= 0.0)
         assert np.all(np.diag(result.coefficients) == 0.0)
         assert np.array_equal(result.affinity, result.affinity.T)
 
     def test_orthogonal_objects_converge_to_zero(self):
         # Objects that cannot reconstruct one another have W = 0 as the
-        # minimiser, where J2 is γ·tr(gram) = γ·n.
+        # minimiser, where J2 is γ·tr(gram) = γ·n: no index ever enters.
         result = SubspaceRepresentation(GAMMA).fit(np.diag([1.0, 2.0, 3.0, 0.5]))
-        assert result.converged
+        assert result.converged and result.n_iterations == 0
         assert not result.coefficients.any()
         assert result.objective == GAMMA * 4.0
+        assert result.kkt_residual == 0.0
 
-    def test_outcome_records_both_residuals(self):
+    def test_outcome_records_the_kkt_residual(self):
         X = np.random.default_rng(5).normal(size=(30, 8))
-        outcome = SubspaceRepresentation(GAMMA, max_iter=3).fit(X).outcome()
+        result = SubspaceRepresentation(GAMMA).fit(X)
+        outcome = result.outcome()
         assert set(outcome) == {"iterations", "converged", "objective",
-                                "primal_residual", "dual_residual"}
-        assert outcome["iterations"] == 3 and outcome["converged"] is False
-        assert outcome["primal_residual"] > 0 and outcome["dual_residual"] > 0
+                                "kkt_residual"}
+        assert outcome["iterations"] == result.n_iterations > 0
+        assert outcome["converged"] is True
+        assert 0.0 <= outcome["kkt_residual"] <= KKT_TOL
+
+    def test_matches_an_independent_nnls_per_column(self):
+        # Column j is an NNLS in factor form: ‖F w − f_j‖² with
+        # F = [√γ·Xᵀ/√scale; 1ᵀ] and f_j = [√γ·x_j/√scale; 0].
+        X = np.random.default_rng(6).normal(size=(36, 10))
+        X[7] = X[3]
+        n = X.shape[0]
+        gram = normalised_gram(X)
+        weight = np.sqrt(GAMMA * n / np.vdot(X, X))
+        F = np.vstack([weight * X.T, np.ones((1, n))])
+        expected = np.zeros((n, n))
+        for j in range(n):
+            others = np.r_[0:j, j + 1:n]
+            expected[others, j] = nnls(F[:, others],
+                                       np.r_[weight * X[j], 0.0])[0]
+        result = SubspaceRepresentation(GAMMA).fit(X)
+        np.testing.assert_allclose(
+            result.objective, subspace_objective(expected, gram, GAMMA),
+            rtol=1e-10)
 
 
-def peak_bytes(X: np.ndarray, max_iter: int) -> int:
-    """tracemalloc peak of one capped solve of ``X``."""
+@st.composite
+def degenerate_inputs(draw) -> np.ndarray:
+    """Small inputs with duplicated rows, all-zero rows, low rank and
+    feature scales from 1e-3 to 1e3."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 60))
+    rank = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    X *= 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    duplicates = draw(st.integers(0, n // 2))
+    X[rng.integers(0, n, duplicates)] = X[rng.integers(0, n, duplicates)]
+    X[rng.integers(0, n, draw(st.integers(0, 2)))] = 0.0
+    return X
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_inputs())
+    def test_exact_feasible_and_below_the_zero_start(self, X):
+        result = SubspaceRepresentation(GAMMA).fit(X)
+        assert result.converged
+        assert result.kkt_residual <= KKT_TOL
+        assert np.all(result.coefficients >= 0.0)
+        assert np.all(np.diag(result.coefficients) == 0.0)
+        assert np.array_equal(result.affinity, result.affinity.T)
+        # J2(0) = γ‖X‖²/scale, with scale = ‖X‖²/n (1 for X = 0).
+        scale = float(np.vdot(X, X)) / X.shape[0] or 1.0
+        assert result.objective <= GAMMA * float(np.vdot(X, X)) / scale * (1.0 + 1e-12)
+
+
+def peak_bytes(X: np.ndarray) -> int:
+    """tracemalloc peak of one solve of ``X``."""
     tracemalloc.start()
     try:
-        result = SubspaceRepresentation(max_iter=max_iter, tol=1e-12).fit(X)
-        assert result.n_iterations == max_iter
+        assert SubspaceRepresentation().fit(X).converged
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 class TestWorkspace:
-    def test_peak_memory_does_not_grow_with_iterations(self):
-        n = 96
-        X = np.random.default_rng(7).normal(size=(n, 20))
-        assert peak_bytes(X, 60) - peak_bytes(X, 5) < n * n * 8
-
+    # The ids name the factor paths the ADMM took for d + 1 below and
+    # above n/2.
     @pytest.mark.parametrize("d", [20, 60], ids=["woodbury", "dense"])
     def test_peak_within_the_spg_workspace(self, d):
         # The SPG held nine n×n arrays: its iterate, trial point, direction,
@@ -254,4 +272,4 @@ class TestWorkspace:
         # the Gram matrix.
         n = 96
         X = np.random.default_rng(8).normal(size=(n, d))
-        assert peak_bytes(X, 20) <= 9 * n * n * 8
+        assert peak_bytes(X) <= 9 * n * n * 8

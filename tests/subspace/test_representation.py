@@ -58,7 +58,7 @@ class TestObjectiveAndGradient:
 class TestSubspaceRepresentation:
     def test_output_is_symmetric_nonnegative_zero_diagonal(self, line_data):
         X, _ = line_data
-        result = SubspaceRepresentation(gamma=25.0, max_iter=100).fit(X)
+        result = SubspaceRepresentation(gamma=25.0).fit(X)
         W = result.affinity
         np.testing.assert_allclose(W, W.T, atol=1e-10)
         assert np.all(W >= 0)
@@ -66,7 +66,7 @@ class TestSubspaceRepresentation:
 
     def test_within_subspace_mass_dominates(self, line_data):
         X, labels = line_data
-        W = learn_subspace_affinity(X, gamma=25.0, max_iter=150)
+        W = learn_subspace_affinity(X, gamma=25.0)
         same = labels[:, None] == labels[None, :]
         np.fill_diagonal(same, False)
         within = float(W[same].sum())
@@ -79,7 +79,7 @@ class TestSubspaceRepresentation:
         # whose coefficients are non-negative.
         X, labels = sample_union_of_rays(n_per_ray=30, n_rays=2, ambient_dim=5,
                                          noise=0.01, random_state=1)
-        W = learn_subspace_affinity(X, gamma=50.0, max_iter=200)
+        W = learn_subspace_affinity(X, gamma=50.0)
         predicted = spectral_clustering(W + 1e-6, 2, random_state=0)
         assert normalized_mutual_information(labels, predicted) > 0.7
 
@@ -90,7 +90,7 @@ class TestSubspaceRepresentation:
                                          noise=0.005,
                                          coefficient_range=(0.2, 3.0),
                                          random_state=3)
-        W = learn_subspace_affinity(X, gamma=50.0, max_iter=200)
+        W = learn_subspace_affinity(X, gamma=50.0)
         # Pick the two most distant points of ray 0.
         members = np.nonzero(labels == 0)[0]
         sub = X[members]
@@ -106,15 +106,15 @@ class TestSubspaceRepresentation:
     def test_two_fits_are_bit_identical(self, line_data):
         # The solve starts from zero, so it needs no seed.
         X, _ = line_data
-        a = SubspaceRepresentation(gamma=25.0, max_iter=50).fit(X)
-        b = SubspaceRepresentation(gamma=25.0, max_iter=50).fit(X)
+        a = SubspaceRepresentation(gamma=25.0).fit(X)
+        b = SubspaceRepresentation(gamma=25.0).fit(X)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert a.outcome() == b.outcome()
 
     def test_gamma_controls_reconstruction_pressure(self, line_data):
         X, _ = line_data
-        loose = SubspaceRepresentation(gamma=0.1, max_iter=100).fit(X)
-        tight = SubspaceRepresentation(gamma=100.0, max_iter=100).fit(X)
+        loose = SubspaceRepresentation(gamma=0.1).fit(X)
+        tight = SubspaceRepresentation(gamma=100.0).fit(X)
         # With a larger gamma the solver works harder on reconstruction, so
         # the affinity should carry at least as much total mass.
         assert tight.affinity.sum() >= loose.affinity.sum() * 0.5

@@ -86,8 +86,7 @@ class TestEnsembleParity:
             np.testing.assert_allclose(sparse_L.toarray(), dense_L, atol=1e-12)
 
     def test_sparse_ensemble_with_subspace_member(self, multi5_small):
-        kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
-                      subspace_max_iter=10)
+        kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3)
         dense = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
                                               ).build_blocks(multi5_small)
         sparse = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs

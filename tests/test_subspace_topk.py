@@ -34,8 +34,7 @@ def _largest_type_size(data) -> int:
 
 class TestEnsembleParityAtTopkNMinusOne:
     def test_sparse_topk_matches_exact_dense_ensemble(self, multi5_small):
-        kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
-                      subspace_max_iter=10)
+        kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3)
         exact = HeterogeneousManifoldEnsemble(backend="dense", **kwargs
                                               ).build_blocks(multi5_small)
         topk = _largest_type_size(multi5_small) - 1
@@ -48,8 +47,7 @@ class TestEnsembleParityAtTopkNMinusOne:
                                        rtol=1e-10, atol=1e-12)
 
     def test_small_topk_actually_sparsifies(self, multi5_small):
-        kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3,
-                      subspace_max_iter=10)
+        kwargs = dict(alpha=1.0, use_subspace=True, use_pnn=True, p=3)
         full = HeterogeneousManifoldEnsemble(backend="sparse", **kwargs
                                              ).build_blocks(multi5_small)
         thresholded = HeterogeneousManifoldEnsemble(
@@ -82,8 +80,7 @@ class TestAutoResolution:
 class TestFitParityWithTopk:
     def test_sparse_topk_fit_matches_dense_fit(self, multi5_small):
         topk = _largest_type_size(multi5_small) - 1
-        common = dict(max_iter=10, random_state=SEED, subspace_max_iter=10,
-                      track_metrics_every=0)
+        common = dict(max_iter=10, random_state=SEED, track_metrics_every=0)
         dense = RHCHME(backend="dense", **common).fit(multi5_small)
         sparse = RHCHME(backend="sparse", subspace_topk=topk,
                         **common).fit(multi5_small)
@@ -97,7 +94,7 @@ class TestFitParityWithTopk:
 
     def test_aggressive_topk_still_fits(self, multi5_small):
         result = RHCHME(backend="sparse", subspace_topk=4, max_iter=5,
-                        random_state=SEED, subspace_max_iter=10,
-                        track_metrics_every=0).fit(multi5_small)
+                        random_state=SEED, track_metrics_every=0
+                        ).fit(multi5_small)
         assert result.extras["backend"] == "sparse"
         assert set(result.labels) == {"documents", "terms", "concepts"}
