@@ -1,29 +1,20 @@
-"""Network serving benchmark: HTTP concurrency and adaptive micro-batching.
+"""Network serving benchmark: what micro-batching buys over HTTP.
 
 Fits one RHCHME model per training size N, boots the asyncio HTTP
-front-end (:class:`repro.net.NetServer`) on a loopback port and replays
-batch-1 predict traffic through four configurations:
+front-end (:class:`repro.net.NetServer`) on a loopback port with the
+runtime's default micro-batching knobs and replays batch-1 predict
+traffic through two configurations:
 
 * **serial-http-batch1** — one keep-alive client issuing one request at a
   time: what a naive service integration does, paying the micro-batch
   deadline on every request;
-* **concurrent-static** — the closed-loop multi-client generator against
-  the tuned static knobs: concurrent requests coalesce per flush window,
-  which is the throughput case the tier is built for;
-* **concurrent-mistuned** — the same load against a deliberately bad
-  static configuration (10x the flush deadline): the latency an operator
-  eats when the knobs don't match the traffic;
-* **concurrent-adaptive** — starts from the *same mistuned knobs* but
-  with the AIMD :class:`~repro.runtime.AdaptiveBatchController` closing
-  the loop on observed batch latency: the controller must walk the
-  configuration back to its latency target within the run.
+* **concurrent-static** — the closed-loop multi-client generator:
+  concurrent requests coalesce per flush window, which is the throughput
+  case the tier is built for.
 
-Headline metrics (gated by ``--check``):
-
-* ``http_concurrency_ratio`` — concurrent-static throughput over the
-  serial batch-1 HTTP loop, must be ≥ 3x at the largest N;
-* ``adaptive_p99_improvement`` — adaptive p99 vs the mistuned static p99
-  it started from, must show improvement (or parity within 5%).
+Headline metric (gated by ``--check``): ``http_concurrency_ratio`` —
+concurrent-static throughput over the serial batch-1 HTTP loop, must be
+≥ 3x at the largest N.
 
 Usage::
 
@@ -40,22 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
-from common import (bootstrap_sys_path, emit_report, environment_metadata,
-                    gate, make_parser, resolve_workdir, select_sizes)
+from common import (QUERY_TYPE, bootstrap_sys_path, emit_report,
+                    environment_metadata, fit_and_save, gate, make_parser,
+                    make_queries, make_synthetic, resolve_workdir,
+                    select_sizes)
 
 bootstrap_sys_path()
 
-from bench_backend import make_synthetic  # noqa: E402
-from bench_serve import QUERY_TYPE, fit_and_save, make_queries  # noqa: E402
 from repro.net import NetClient, NetServer, run_closed_loop  # noqa: E402
-from repro.runtime import AdaptiveBatchController  # noqa: E402
 
 DEFAULT_SIZES = (1000, 3000)
 SMOKE_SIZES = (300,)
 
 MODEL_ID = "bench"
-TUNED_DELAY_SECONDS = 0.002
-MISTUNED_DELAY_SECONDS = 0.020
 
 
 def time_serial_http(handle, queries: np.ndarray, n_requests: int) -> dict:
@@ -80,14 +68,13 @@ def time_serial_http(handle, queries: np.ndarray, n_requests: int) -> dict:
     }
 
 
-def time_concurrent(handle, queries: np.ndarray, *, label: str,
-                    n_clients: int, n_requests: int) -> dict:
-    """Closed-loop multi-client load against one server configuration.
+def time_concurrent(handle, queries: np.ndarray, *, n_clients: int,
+                    n_requests: int) -> dict:
+    """Closed-loop multi-client load against one server.
 
-    Every configuration gets the same unmeasured warm-up loop first —
-    cache warm, worker threads spun up, and (for the adaptive config) the
-    controller converged — so the measured numbers are steady state, not
-    start-up transients.
+    An unmeasured warm-up loop runs first — cache warm, worker threads
+    spun up — so the measured numbers are steady state, not start-up
+    transients.
     """
     with NetClient(handle.host, handle.port) as client:
         client.predict(MODEL_ID, QUERY_TYPE, queries[:1])  # warm the cache
@@ -102,47 +89,27 @@ def time_concurrent(handle, queries: np.ndarray, *, label: str,
         requests_per_client=max(1, n_requests // n_clients),
         rows_per_request=1)
     if report.errors:
-        raise RuntimeError(f"{label}: {report.errors} requests errored")
+        raise RuntimeError(f"{report.errors} concurrent requests errored")
     stats = handle.server.runtime.stats
     summary = report.as_dict()
     summary.update({
-        "frontend": label,
+        "frontend": "concurrent-static",
         "mean_batch_rows": round(stats.mean_batch_rows, 3),
         "batches": stats.batches,
     })
     return summary
 
 
-def launch_server(model_path: Path, *, n_workers: int,
-                  max_batch_size: int, max_delay_seconds: float,
-                  policy=None):
+def launch_server(model_path: Path, *, n_workers: int, max_batch_size: int):
     return NetServer.launch(
         models={MODEL_ID: str(model_path)}, workers="thread",
         n_workers=n_workers, max_batch_size=max_batch_size,
-        max_delay_seconds=max_delay_seconds, batch_policy=policy,
         max_pending=1_000_000)
 
 
-def make_adaptive_controller(target_p99_ms: float,
-                             max_batch_size: int) -> AdaptiveBatchController:
-    """AIMD controller starting from the *mistuned* knobs.
-
-    A small window makes it adjust every few batches, so it must recover
-    the configuration within the run rather than over hours of traffic.
-    """
-    return AdaptiveBatchController(
-        target_p99_seconds=target_p99_ms / 1000.0,
-        min_batch_size=8, max_batch_size=max(max_batch_size, 8),
-        initial_batch_size=max(max_batch_size, 8),
-        min_delay_seconds=0.0005, max_delay_seconds=MISTUNED_DELAY_SECONDS,
-        initial_delay_seconds=MISTUNED_DELAY_SECONDS,
-        increase_step=16, delay_increase_seconds=0.0005,
-        decrease_factor=0.5, window=8)
-
-
 def run(sizes, *, n_requests: int, n_clients: int, n_workers: int,
-        max_batch_size: int, target_p99_ms: float, seed: int,
-        fit_max_iter: int, workdir: Path) -> dict:
+        max_batch_size: int, seed: int, fit_max_iter: int,
+        workdir: Path) -> dict:
     results = []
     for n_total in sizes:
         data = make_synthetic(n_total, seed=seed)
@@ -155,26 +122,16 @@ def run(sizes, *, n_requests: int, n_clients: int, n_workers: int,
         entry = {"n_total": int(n_total), "n_requests": int(n_requests),
                  "n_clients": int(n_clients), **fit_info, "frontends": []}
 
-        configs = [
-            ("serial", TUNED_DELAY_SECONDS, None),
-            ("concurrent-static", TUNED_DELAY_SECONDS, None),
-            ("concurrent-mistuned", MISTUNED_DELAY_SECONDS, None),
-            ("concurrent-adaptive", MISTUNED_DELAY_SECONDS,
-             make_adaptive_controller(target_p99_ms, max_batch_size)),
-        ]
-        for label, delay, policy in configs:
+        frontends = (
+            lambda handle: time_serial_http(handle, queries, n_serial),
+            lambda handle: time_concurrent(handle, queries,
+                                           n_clients=n_clients,
+                                           n_requests=n_requests))
+        for measure in frontends:
             handle = launch_server(model_path, n_workers=n_workers,
-                                   max_batch_size=max_batch_size,
-                                   max_delay_seconds=delay, policy=policy)
+                                   max_batch_size=max_batch_size)
             try:
-                if label == "serial":
-                    timing = time_serial_http(handle, queries, n_serial)
-                else:
-                    timing = time_concurrent(handle, queries, label=label,
-                                             n_clients=n_clients,
-                                             n_requests=n_requests)
-                if policy is not None:
-                    timing["controller"] = policy.snapshot()
+                timing = measure(handle)
             finally:
                 handle.close(drain=True)
             entry["frontends"].append(timing)
@@ -187,8 +144,6 @@ def run(sizes, *, n_requests: int, n_clients: int, n_workers: int,
     by_frontend = {t["frontend"]: t for t in largest["frontends"]}
     serial_rps = by_frontend["serial-http-batch1"]["requests_per_second"]
     static = by_frontend["concurrent-static"]
-    mistuned = by_frontend["concurrent-mistuned"]
-    adaptive = by_frontend["concurrent-adaptive"]
     return {
         "benchmark": "rhchme-net",
         **environment_metadata(),
@@ -202,16 +157,6 @@ def run(sizes, *, n_requests: int, n_clients: int, n_workers: int,
             "http_concurrency_ratio": round(
                 static["requests_per_second"] / serial_rps, 3),
             "static_p99_ms": static["p99_ms"],
-            "mistuned_p99_ms": mistuned["p99_ms"],
-            "adaptive_p99_ms": adaptive["p99_ms"],
-            # < 1.0 = the controller beat the mistuned configuration it
-            # started from; ~1.0 = parity.
-            "adaptive_p99_improvement": round(
-                adaptive["p99_ms"] / mistuned["p99_ms"], 3)
-                if mistuned["p99_ms"] else None,
-            "adaptive_vs_static_p99_ratio": round(
-                adaptive["p99_ms"] / static["p99_ms"], 3)
-                if static["p99_ms"] else None,
         },
     }
 
@@ -221,18 +166,15 @@ def main(argv=None) -> int:
         __doc__, "BENCH_net.json",
         sizes_help=f"training object counts (default {DEFAULT_SIZES})",
         with_check="gate: concurrent HTTP throughput >= 3x the serial "
-                   "batch-1 loop, and adaptive p99 improves on (or matches) "
-                   "the mistuned configuration it starts from",
+                   "batch-1 loop",
         with_workdir=True)
     parser.add_argument("--requests", type=int, default=600,
-                        help="requests per concurrent configuration")
+                        help="requests of the concurrent run")
     parser.add_argument("--clients", type=int, default=8,
                         help="closed-loop client threads")
     parser.add_argument("--workers", type=int, default=4,
                         help="thread-pool size of the runtime behind HTTP")
     parser.add_argument("--max-batch-size", type=int, default=256)
-    parser.add_argument("--target-p99-ms", type=float, default=15.0,
-                        help="latency target of the adaptive controller")
     parser.add_argument("--fit-max-iter", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -241,28 +183,17 @@ def main(argv=None) -> int:
                   and args.requests == 600 else args.requests)
     report = run(sizes, n_requests=n_requests, n_clients=args.clients,
                  n_workers=args.workers, max_batch_size=args.max_batch_size,
-                 target_p99_ms=args.target_p99_ms, seed=args.seed,
-                 fit_max_iter=args.fit_max_iter,
+                 seed=args.seed, fit_max_iter=args.fit_max_iter,
                  workdir=resolve_workdir(args))
     emit_report(report, args)
     summary = report["summary"]
     print(f"[bench] largest N={summary['largest_n']}: concurrent HTTP "
-          f"x{summary['http_concurrency_ratio']} the serial batch-1 loop; "
-          f"adaptive p99 {summary['adaptive_p99_ms']:.1f} ms vs mistuned "
-          f"{summary['mistuned_p99_ms']:.1f} ms "
-          f"(improvement ratio {summary['adaptive_p99_improvement']})")
+          f"x{summary['http_concurrency_ratio']} the serial batch-1 loop "
+          f"(static p99 {summary['static_p99_ms']:.1f} ms)")
     if getattr(args, "check", False):
-        failures = []
-        if summary["http_concurrency_ratio"] < 3.0:
-            failures.append(
-                f"concurrent/serial HTTP throughput ratio "
-                f"{summary['http_concurrency_ratio']} < 3.0")
-        if summary["adaptive_p99_improvement"] is not None \
-                and summary["adaptive_p99_improvement"] > 1.05:
-            failures.append(
-                f"adaptive p99 did not improve on the mistuned start "
-                f"(ratio {summary['adaptive_p99_improvement']} > 1.05)")
-        return gate(not failures, "; ".join(failures))
+        return gate(summary["http_concurrency_ratio"] >= 3.0,
+                    f"concurrent/serial HTTP throughput ratio "
+                    f"{summary['http_concurrency_ratio']} < 3.0")
     return 0
 
 

@@ -32,13 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from common import (bootstrap_sys_path, emit_report, environment_metadata,
-                    gate, make_parser, resolve_workdir, select_sizes)
+from common import (QUERY_TYPE, bootstrap_sys_path, emit_report,
+                    environment_metadata, fit_and_save, gate, make_parser,
+                    make_queries, make_synthetic, resolve_workdir,
+                    select_sizes)
 
 bootstrap_sys_path()
 
-from bench_backend import make_synthetic  # noqa: E402
-from bench_serve import QUERY_TYPE, fit_and_save, make_queries  # noqa: E402
 from repro.net import NetClient, NetServer  # noqa: E402
 from repro.runtime import RuntimeServer  # noqa: E402
 

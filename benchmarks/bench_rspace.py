@@ -147,8 +147,8 @@ def measure_rspace_memory(data: MultiTypeRelationalData, *, backend: str,
     state = initialize_state(data, R_pairs, init="random", random_state=seed)
     state.S = update_association_blocks(R_pairs, state)
     state.E_R = update_error_matrix_blocks(R_pairs, state, beta=BETA)
-    # Zero sparse Laplacian blocks for both backends: the graph side has its
-    # own benchmark (bench_backend.py); only R-space allocations count here.
+    # Zero sparse Laplacian blocks for both backends: only R-space
+    # allocations count here.
     zero_L = [sp.csr_array((n, n), dtype=np.float64)
               for n in state.object_spec.sizes]
     evaluate_objective_blocks(R_pairs, state, zero_L, lam=LAM, beta=BETA)

@@ -5,8 +5,10 @@ set (``--sizes`` / ``--seed`` / ``--smoke`` / ``--output``, optionally
 ``--check`` and ``--workdir``), a ``src`` tree inserted on ``sys.path`` so
 the scripts run straight from a checkout, environment metadata stamped into
 the report, and a JSON report written next to the repository root.  That
-boilerplate lives here once; the runners keep only their measurement code
-and their runner-specific flags.
+boilerplate lives here once, with the synthetic workload the serving
+runners share (:func:`make_synthetic`, :func:`make_queries`,
+:func:`fit_and_save`); the runners keep only their measurement code and
+their runner-specific flags.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ import argparse
 import json
 import platform
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The object type the serving runners query.
+QUERY_TYPE = "rows"
 
 
 def bootstrap_sys_path() -> None:
@@ -103,3 +111,60 @@ def gate(passed: bool, message: str) -> int:
         return 0
     print(f"[bench] FAIL: {message}", file=sys.stderr)
     return 1
+
+
+# ``repro`` is imported inside the workload helpers: runners import this
+# module before ``bootstrap_sys_path`` has put the src tree on the path.
+def make_synthetic(n_total: int, *, n_features: int = 10, n_clusters: int = 5,
+                   relation_density: float = 0.05, seed: int = 0):
+    """Two-type dataset (2:1 split) with Gaussian blob features.
+
+    The inter-type relation is a sparse non-negative co-occurrence matrix;
+    features carry the cluster structure so the p-NN graph is meaningful.
+    """
+    from repro.relational.dataset import MultiTypeRelationalData
+    from repro.relational.types import ObjectType, Relation
+
+    rng = np.random.default_rng(seed)
+    n_a = max((2 * n_total) // 3, 2)
+    n_b = max(n_total - n_a, 2)
+    n_clusters = max(1, min(n_clusters, n_b, n_a))
+    types = []
+    assignments = {}
+    for name, n_objects in (("rows", n_a), ("cols", n_b)):
+        centers = rng.normal(scale=4.0, size=(n_clusters, n_features))
+        labels = rng.integers(0, n_clusters, size=n_objects)
+        features = centers[labels] + rng.normal(size=(n_objects, n_features))
+        assignments[name] = labels
+        types.append(ObjectType(name, n_objects=n_objects, n_clusters=n_clusters,
+                                features=features, labels=labels))
+    co_cluster = (assignments["rows"][:, None] == assignments["cols"][None, :])
+    matrix = np.where(co_cluster & (rng.random((n_a, n_b)) < 4 * relation_density),
+                      rng.random((n_a, n_b)), 0.0)
+    background = rng.random((n_a, n_b)) < relation_density
+    matrix = np.maximum(matrix, np.where(background, rng.random((n_a, n_b)), 0.0))
+    return MultiTypeRelationalData(types, [Relation("rows", "cols", matrix)])
+
+
+def make_queries(data, n_queries: int, *, seed: int) -> np.ndarray:
+    """Perturbed resamples of the training features (realistic query traffic)."""
+    rng = np.random.default_rng(seed)
+    reference = data.get_type(QUERY_TYPE).features
+    picks = rng.integers(0, reference.shape[0], size=n_queries)
+    return reference[picks] + 0.1 * rng.normal(size=(n_queries,
+                                                     reference.shape[1]))
+
+
+def fit_and_save(data, path: Path, *, seed: int, fit_max_iter: int) -> dict:
+    from repro.core import RHCHME
+
+    model = RHCHME(use_subspace_member=False, max_iter=fit_max_iter,
+                   init="random", track_metrics_every=0, random_state=seed)
+    start = time.perf_counter()
+    result = model.fit(data)
+    fit_seconds = time.perf_counter() - start
+    artifact = model.export_model(data)
+    artifact.save(path)
+    return {"fit_seconds": round(fit_seconds, 6),
+            "n_iterations": result.n_iterations,
+            "backend_fit": result.extras["backend"]}

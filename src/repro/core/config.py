@@ -76,17 +76,19 @@ class RHCHMEConfig:
         ``"auto"`` (default) selects by dataset size — see
         :func:`repro.linalg.backend.resolve_backend` — except that it stays
         dense while the subspace member is active with ``subspace_topk``
-        unset, whose affinity is then dense in substance.  Both backends
+        unset.  The exact subspace affinity is sparse (11–30 non-zeros per
+        row on average on the paper presets), but the solve returns it as a
+        dense array and the sparse path has not been measured against it at
+        the default config, so that rule stays.  Both backends
         produce the same labels and objective trace up to floating-point
         noise (dense/sparse parity is test-enforced at 1e-8).
     subspace_topk:
-        Optional top-k thresholding of the (inherently dense) subspace-member
-        affinity: keep only the k strongest similarities per row, united
-        symmetrically like the p-NN edges of Eq. 3.  This bounds the subspace
-        member at ``2k`` non-zeros per row so ``backend="sparse"`` (and the
-        ``"auto"`` choice) is no longer forced dense when
-        ``use_subspace_member=True``.  ``None`` (default) keeps the exact
-        dense affinity; ``k >= n - 1`` is exact as well (only a zero row
+        Optional top-k thresholding of the subspace-member affinity: keep
+        only the k strongest similarities per row, united symmetrically like
+        the p-NN edges of Eq. 3.  This bounds the subspace member at ``2k``
+        non-zeros per row so the ``"auto"`` choice is no longer forced dense
+        when ``use_subspace_member=True``.  ``None`` (default) keeps the
+        exact affinity; ``k >= n - 1`` is exact as well (only a zero row
         minimum can be dropped), so parity degrades gracefully.
     diagnostics:
         Record fit-time health diagnostics (see

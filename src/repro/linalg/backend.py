@@ -103,13 +103,14 @@ def to_backend(matrix, backend: str):
 def topk_rows(matrix, k: int, *, symmetrize: bool = True) -> np.ndarray:
     """Threshold a dense affinity to its k largest entries per row.
 
-    This is what lets inherently dense affinities — the subspace member's
-    complete within-subspace connectivity — participate in the sparse
-    backend: keeping only the k strongest similarities per row bounds the
-    non-zero count at ``2k`` per row after symmetrisation, the same budget as
-    a p-NN graph.  With ``symmetrize=True`` the row-wise selections are
-    united by an element-wise maximum (the Eq. 3 rule for p-NN edges), so the
-    result stays symmetric whenever the input is.
+    This is what lets a dense affinity array — the subspace member's, which
+    the Eq. 9 solve returns dense although its exact optimum is sparse —
+    participate in the sparse backend with a fixed budget: keeping only the
+    k strongest similarities per row bounds the non-zero count at ``2k`` per
+    row after symmetrisation, the same budget as a p-NN graph.  With
+    ``symmetrize=True`` the row-wise selections are united by an
+    element-wise maximum (the Eq. 3 rule for p-NN edges), so the result
+    stays symmetric whenever the input is.
 
     ``k >= n - 1`` keeps every off-diagonal entry of a zero-diagonal affinity
     (the only droppable entry per row is then a row minimum, which for a

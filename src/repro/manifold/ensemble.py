@@ -3,7 +3,8 @@
 For each object type with features, two intra-type affinities are learnt:
 
 * ``W^S`` — subspace-membership affinity from multiple-subspace learning
-  (complete: any within-subspace pair is connected, however distant);
+  (links objects that reconstruct each other within a subspace, however
+  distant);
 * ``W^E`` — cosine-weighted p-NN affinity (accurate for close neighbours).
 
 Their graph Laplacians are combined per type as ``L_k = α L_k^S + L_k^E``;
@@ -17,10 +18,13 @@ The ensemble supports two compute backends.  With ``backend="sparse"`` the
 p-NN member is assembled directly as a CSR matrix (≤ 2p non-zeros per row)
 and every ``L_k`` block stays sparse end to end, so no dense
 ``(n_k, n_k)`` array is ever allocated for the graph pipeline.
-``backend="auto"`` picks per dataset size (see :mod:`repro.linalg.backend`).  The subspace member —
-inherently dense, since any within-subspace pair is connected — is converted
-to CSR when it participates in a sparse ensemble so the combined operator
-keeps a single representation.
+``backend="auto"`` picks per dataset size (see :mod:`repro.linalg.backend`).
+The subspace member is solved as a dense array and converted to CSR when it
+participates in a sparse ensemble, so the combined operator keeps a single
+representation.
+Its exact optimum is itself sparse: on the paper presets each coefficient
+column keeps at most 42 non-zeros (7–25 on average), and the symmetrised
+affinity 11–30 per row on average.
 """
 
 from __future__ import annotations
@@ -125,11 +129,12 @@ class HeterogeneousManifoldEnsemble:
         """Resolve the instance's backend knob for ``n_objects`` total objects.
 
         ``"auto"`` never picks sparse while the subspace member is active
-        *without* top-k thresholding: the exact subspace affinity connects
-        every within-subspace pair, so the combined Laplacian is dense in
-        substance and CSR storage would cost more memory and slower products
-        than a plain array.  With ``subspace_topk`` set the member is bounded
-        at 2k non-zeros per row and the usual size-based choice applies.
+        *without* top-k thresholding.  The exact subspace affinity is sparse
+        (see the module docstring), but the solve returns it as a dense
+        array and the sparse path has not been measured against the dense
+        one at the default config, so the rule stays until it is.  With
+        ``subspace_topk`` set the member is bounded at 2k non-zeros per row
+        and the usual size-based choice applies.
         """
         resolved = resolve_backend(self.backend, n_objects=n_objects)
         if (resolved == "sparse" and self.backend == "auto"
@@ -176,9 +181,9 @@ class HeterogeneousManifoldEnsemble:
                     affinity = as_csr(affinity)
             subspace_laplacian = laplacian(affinity, kind=self.laplacian_kind)
             if use_sparse and not sp.issparse(subspace_laplacian):
-                # Without top-k thresholding the subspace affinity connects
-                # every within-subspace pair, so this block is dense in
-                # substance; converting keeps the combined operator in one
+                # Without top-k thresholding the solve returns a dense
+                # array (sparse in value, a few non-zeros per row);
+                # converting keeps the combined operator in one
                 # representation.
                 subspace_laplacian = as_csr(subspace_laplacian)
             combined = combined + self.alpha * subspace_laplacian

@@ -3,8 +3,7 @@
 Four subcommands::
 
     python -m repro.net serve   --model docs=model.npz [--model ...] \\
-                                --host 127.0.0.1 --port 8080 --adaptive \\
-                                --tracing
+                                --host 127.0.0.1 --port 8080 --tracing
     python -m repro.net predict --host 127.0.0.1 --port 8080 \\
                                 --model docs --type documents \\
                                 --queries queries.npy [--json]
@@ -36,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ReproError, ValidationError
-from ..runtime.adaptive import AdaptiveBatchController, PolicyRouter
 from .client import NetClient
 from .loadgen import run_closed_loop
 from .server import NetServer
@@ -88,11 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="micro-batch flush deadline in milliseconds")
     serve.add_argument("--max-inflight-per-model", type=int, default=None,
                        help="per-model admission quota (sheds HTTP 429)")
-    serve.add_argument("--adaptive", action="store_true",
-                       help="tune batch size/delay per (model, type) from "
-                            "observed batch latency (AIMD controller)")
-    serve.add_argument("--target-p99-ms", type=float, default=50.0,
-                       help="adaptive controller latency target")
     serve.add_argument("--diagnostics", action="store_true",
                        help="score served batches for covariate drift "
                             "against the models' training fingerprints "
@@ -150,24 +143,15 @@ def _add_client_args(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     models = dict(_parse_model_spec(spec) for spec in args.models)
-    policy = None
-    if args.adaptive:
-        # One AIMD controller per model (PolicyRouter), so a hot model's
-        # sawtooth never drags other models' batching parameters along.
-        policy = PolicyRouter(lambda: AdaptiveBatchController(
-            target_p99_seconds=args.target_p99_ms / 1000.0,
-            max_batch_size=args.max_batch_size,
-            max_delay_seconds=args.max_delay_ms / 1000.0))
     server = NetServer(models=models, host=args.host, port=args.port,
                        max_inflight_per_model=args.max_inflight_per_model,
                        workers=args.workers, n_workers=args.n_workers,
                        max_batch_size=args.max_batch_size,
                        max_delay_seconds=args.max_delay_ms / 1000.0,
-                       batch_policy=policy,
                        diagnostics=args.diagnostics,
                        tracing=args.tracing)
     print(f"[net] serving {sorted(models)} on {args.host}:{args.port} "
-          f"(workers={args.workers}, adaptive={bool(policy)}, "
+          f"(workers={args.workers}, "
           f"diagnostics={args.diagnostics}, tracing={args.tracing}); "
           "SIGTERM drains and exits")
     server.serve_forever()

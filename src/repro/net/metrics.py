@@ -2,7 +2,7 @@
 
 :func:`render_prometheus` flattens one :class:`~repro.net.NetServer`'s
 state — runtime counters, predictor counters, per-model routing/admission
-state, adaptive batch-controller state, drift scores and the fitted
+state, stage latencies, drift scores, refresh telemetry and the fitted
 models' spectral diagnostics — into the Prometheus text format
 (``text/plain; version=0.0.4``), served by ``GET /v1/metrics``.
 
@@ -162,26 +162,6 @@ def _routes_section(out: _Exposition, routes) -> None:
                    route.rejected, labels)
 
 
-def _batch_policy_section(out: _Exposition, snapshot: dict,
-                          routes_by_path: dict[str, str]) -> None:
-    for key, entry in (snapshot or {}).items():
-        path = entry.get("model", key)
-        labels = {"model": _model_label(routes_by_path, path),
-                  "type": entry.get("type", "")}
-        out.sample("repro_batch_size", "gauge",
-                   "Adaptive micro-batch size per (model, type).",
-                   entry.get("batch_size"), labels)
-        out.sample("repro_batch_delay_seconds", "gauge",
-                   "Adaptive micro-batch delay per (model, type).",
-                   entry.get("delay_seconds"), labels)
-        out.sample("repro_batch_p50_seconds", "gauge",
-                   "Windowed p50 batch latency.", entry.get("p50_seconds"),
-                   labels)
-        out.sample("repro_batch_p99_seconds", "gauge",
-                   "Windowed p99 batch latency.", entry.get("p99_seconds"),
-                   labels)
-
-
 def _stages_section(out: _Exposition, stages: dict,
                     routes_by_path: dict[str, str]) -> None:
     # Runtime-recorded stages are keyed by resolved artifact path, the
@@ -321,7 +301,6 @@ def render_prometheus(server) -> str:
     _routes_section(out, routes)
     _stages_section(out, runtime_stats.stages, routes_by_path)
     _errors_section(out, runtime_stats.errors)
-    _batch_policy_section(out, runtime_stats.batch_policy, routes_by_path)
     _drift_section(out, runtime_stats.drift, routes_by_path)
     _refresh_section(out, runtime_stats.refresh, routes_by_path)
     _policy_section(out, getattr(server.runtime, "refresh_policy", None),

@@ -7,8 +7,8 @@ dependency-free HTTP/1.1 implementation on asyncio streams:
   JSON document in, a :class:`~repro.net.schema.PredictResponse` (or
   :class:`~repro.net.schema.ErrorResponse`) document out;
 * ``GET /v1/models`` / ``GET /v1/stats`` / ``GET /v1/health`` —
-  routing table, cumulative counters (runtime, predictor, per-model,
-  adaptive-controller snapshot) and liveness;
+  routing table, cumulative counters (runtime, predictor, per-model)
+  and liveness;
 * ``POST /v1/drain`` — stop admitting, wait for in-flight requests to
   settle, respond when drained.
 
@@ -44,6 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
+from .._validation import check_positive_int
 from ..exceptions import (ModelNotFoundError, QuotaExceededError,
                           ServerDrainingError, ValidationError)
 from ..runtime.server import RuntimeServer
@@ -96,16 +97,16 @@ class NetServer:
     runtime:
         The :class:`~repro.runtime.RuntimeServer` to serve through.  When
         omitted, one is constructed from ``runtime_kwargs`` (e.g.
-        ``workers=\"thread\"``, ``batch_policy=AdaptiveBatchController()``)
-        and owned — closed when the server shuts down.
+        ``workers=\"thread\"``, ``max_delay_seconds=0.002``) and owned —
+        closed when the server shuts down.
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
     models:
         Initial routing table, ``{model_id: artifact_path}``.
     max_inflight_per_model:
-        Default per-model admission quota (``None`` = unlimited);
-        overridable per model via :meth:`register_model`.
+        Default per-model admission quota, a positive integer (``None`` =
+        unlimited); overridable per model via :meth:`register_model`.
     max_body_bytes:
         Upper bound on accepted request bodies (HTTP 413 beyond it).
     """
@@ -116,6 +117,12 @@ class NetServer:
                  max_inflight_per_model: int | None = None,
                  max_body_bytes: int = 64 * 1024 * 1024,
                  **runtime_kwargs) -> None:
+        # A quota below one would shed every request as retryable, forever.
+        # Check it before the runtime exists: its threads would outlive a
+        # constructor that raises.
+        if max_inflight_per_model is not None:
+            check_positive_int(max_inflight_per_model,
+                               name="max_inflight_per_model")
         if runtime is None:
             runtime = RuntimeServer(**runtime_kwargs)
             self._owns_runtime = True
@@ -146,11 +153,14 @@ class NetServer:
 
         Validates the id and resolves the artifact (missing/corrupt
         artifacts fail here, not on the first request).  ``max_inflight``
-        defaults to the server-wide ``max_inflight_per_model``.
+        must be a positive integer; it defaults to the server-wide
+        ``max_inflight_per_model``.
         """
         if not isinstance(model_id, str) or not _MODEL_ID.match(model_id):
             raise ValidationError(
                 f"model id must match {_MODEL_ID.pattern}, got {model_id!r}")
+        if max_inflight is not None:
+            check_positive_int(max_inflight, name="max_inflight")
         resolved = str(RHCHMEModel.resolve_path(path))
         sidecar = RHCHMEModel.read_metadata(resolved)
         if max_inflight is None:
@@ -433,27 +443,14 @@ class NetServer:
             None
 
     def _stats_document(self) -> dict:
-        policy = self.runtime.batch_policy
-        snapshot = getattr(policy, "snapshot", None)
-        document = {
+        return {
             "schema_version": WIRE_SCHEMA_VERSION,
             "draining": self._draining,
             "runtime": self.runtime.stats.as_dict(),
             "predictor": self.runtime.predictor.stats.as_dict(),
             "models": {route.model_id: route.as_dict()
                        for route in self._routes.values()},
-            "batch_policy": snapshot() if callable(snapshot) else None,
         }
-        by_model = getattr(policy, "snapshot_by_model", None)
-        if callable(by_model):
-            # PolicyRouter labels policies by resolved artifact path; key
-            # the public section by registered model ids where routed.
-            ids = {route.path: route.model_id
-                   for route in self._routes.values()}
-            document["batch_policy_by_model"] = {
-                ids.get(label, label): entry
-                for label, entry in by_model().items()}
-        return document
 
     async def _handle_drain(self, body: bytes):
         timeout = 30.0

@@ -5,7 +5,7 @@
 
 * :class:`MicroBatcher` — coalesces streams of small per-type predict
   requests and flushes on max-batch-size or max-latency deadline, so
-  batch-1 traffic rides the ×15 batched hot path;
+  concurrent batch-1 traffic shares one batched predict;
 * :class:`RuntimeServer` — the async front-end: per-request futures, a
   thread worker pool (``workers="thread"``, or ``"serial"`` for in-line
   execution) and explicit backpressure (bounded queue,
@@ -20,15 +20,11 @@ shards="per-type")`` + :class:`repro.serve.ShardedModelReader`): a runtime
 serving queries for one object type lazily reads only that type's shard.
 """
 
-from .adaptive import AdaptiveBatchController, BatchPolicy, PolicyRouter
 from .batching import MicroBatcher, QueuedRequest
 from .refresh import RefreshOutcome, refresh_model, warm_start_blocks
 from .server import RuntimeServer, RuntimeStats
 
 __all__ = [
-    "AdaptiveBatchController",
-    "BatchPolicy",
-    "PolicyRouter",
     "MicroBatcher",
     "QueuedRequest",
     "RefreshOutcome",

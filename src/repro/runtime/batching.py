@@ -1,10 +1,10 @@
 """Dynamic micro-batching: coalesce small predict requests into big ones.
 
-``BENCH_serve.json`` puts the batched out-of-sample path at roughly 15× the
-throughput of batch-1 requests — but a real request stream arrives as
-batch-1 requests.  :class:`MicroBatcher` closes that gap: incoming requests
-for the same (model, type) queue up and are flushed as one coalesced batch
-when either
+A real request stream arrives as batch-1 requests, and each predict pays a
+fixed per-call cost (validation, neighbour-search setup) on top of its
+rows.  :class:`MicroBatcher` shares that cost: incoming requests for the
+same (model, type) queue up and are flushed as one coalesced batch when
+either
 
 * the queued rows reach ``max_batch_size`` (size trigger — flushed
   immediately, on the submitting thread, for minimum latency), or
@@ -20,12 +20,9 @@ Backpressure is explicit: the batcher bounds the total queued rows and
 rejects further submissions with
 :class:`~repro.exceptions.QueueFullError` instead of queueing unboundedly —
 callers shed load or retry, and a stalled worker pool cannot take the
-submitting process down with it.
-
-The static ``max_batch_size`` / ``max_delay_seconds`` knobs can be
-overridden per key by a pluggable :class:`~repro.runtime.adaptive.BatchPolicy`
-(e.g. :class:`~repro.runtime.adaptive.AdaptiveBatchController`), which
-tunes the thresholds from the observed batch latency distribution.
+submitting process down with it.  A single request larger than the whole
+bound can never be admitted, so it is refused with a
+:class:`~repro.exceptions.ValidationError` instead of a retryable error.
 
 Shutdown never orphans a request: requests still queued when the batcher
 closes (or left behind by a stalled drain) have their futures settled with
@@ -47,7 +44,7 @@ from typing import Any, Callable, Hashable
 import numpy as np
 
 from .._validation import check_positive_float, check_positive_int
-from ..exceptions import QueueFullError, ServerClosedError
+from ..exceptions import QueueFullError, ServerClosedError, ValidationError
 
 __all__ = ["QueuedRequest", "MicroBatcher"]
 
@@ -94,25 +91,18 @@ class MicroBatcher:
     max_pending:
         Upper bound on queued rows across all keys; beyond it ``submit``
         raises :class:`~repro.exceptions.QueueFullError`.
-    policy:
-        Optional :class:`~repro.runtime.adaptive.BatchPolicy` supplying
-        per-key ``batch_size`` / ``delay_seconds`` thresholds that
-        override the static knobs (which remain the fallback when no
-        policy is set).
     """
 
     def __init__(self, on_batch: Callable[[Hashable, list[QueuedRequest]], Any],
                  *, max_batch_size: int = 256,
                  max_delay_seconds: float = 0.002,
-                 max_pending: int = 65536,
-                 policy=None) -> None:
+                 max_pending: int = 65536) -> None:
         self._on_batch = on_batch
         self.max_batch_size = check_positive_int(max_batch_size,
                                                  name="max_batch_size")
         self.max_delay_seconds = check_positive_float(
             max_delay_seconds, name="max_delay_seconds")
         self.max_pending = check_positive_int(max_pending, name="max_pending")
-        self.policy = policy
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queues: dict[Hashable, list[QueuedRequest]] = {}
@@ -125,15 +115,6 @@ class MicroBatcher:
                                         name="repro-microbatcher", daemon=True)
         self._thread.start()
 
-    # ------------------------------------------------------------ thresholds
-    def _batch_limit(self, key: Hashable) -> int:
-        return (self.max_batch_size if self.policy is None
-                else max(1, int(self.policy.batch_size(key))))
-
-    def _delay_limit(self, key: Hashable) -> float:
-        return (self.max_delay_seconds if self.policy is None
-                else max(0.0, float(self.policy.delay_seconds(key))))
-
     # ------------------------------------------------------------- submission
     def submit(self, key: Hashable, queries: np.ndarray,
                future: Future | None = None, *,
@@ -141,12 +122,20 @@ class MicroBatcher:
         """Queue one request and return its future.
 
         Raises :class:`~repro.exceptions.QueueFullError` when accepting the
-        request would exceed ``max_pending`` queued rows, and
-        :class:`~repro.exceptions.ServerClosedError` after :meth:`close`.
+        request would exceed ``max_pending`` queued rows,
+        :class:`~repro.exceptions.ValidationError` when the request alone
+        has more than ``max_pending`` rows (no amount of waiting admits
+        it), and :class:`~repro.exceptions.ServerClosedError` after
+        :meth:`close`.
         """
         if future is None:
             future = Future()
         n_rows = int(queries.shape[0])
+        if n_rows > self.max_pending:
+            raise ValidationError(
+                f"request has {n_rows} rows, more than the micro-batch "
+                f"queue's limit of {self.max_pending}; split it into "
+                "smaller requests")
         batch = None
         with self._wakeup:
             if self._closed:
@@ -160,7 +149,7 @@ class MicroBatcher:
                 QueuedRequest(queries, future, time.monotonic(), trace))
             self._rows[key] = self._rows.get(key, 0) + n_rows
             self._pending_rows += n_rows
-            if self._rows[key] >= self._batch_limit(key):
+            if self._rows[key] >= self.max_batch_size:
                 batch = self._pop_locked(key)
                 self._flush_counts["size"] += 1
             else:
@@ -202,7 +191,7 @@ class MicroBatcher:
                 next_deadline = None
                 for key in list(self._queues):
                     deadline = (self._queues[key][0].enqueued_at
-                                + self._delay_limit(key))
+                                + self.max_delay_seconds)
                     if self._closed or deadline <= now:
                         due.append((key, self._pop_locked(key)))
                         self._flush_counts[

@@ -71,10 +71,8 @@ class RuntimeStats:
     auto_refreshes: int = 0
     auto_refresh_failures: int = 0
     flush_counts: dict[str, int] = field(default_factory=dict)
-    # Snapshot-only sections, filled by ``RuntimeServer.stats``: the
-    # adaptive batch controller's per-(model, type) state and the drift
-    # detector's per-model windows.  Empty when the feature is off.
-    batch_policy: dict = field(default_factory=dict)
+    # Snapshot-only section, filled by ``RuntimeServer.stats``: the drift
+    # detector's per-model windows.  Empty when diagnostics are off.
     drift: dict = field(default_factory=dict)
     # Observability snapshot: per-(model, stage) latency histograms and
     # per-code error counters (always collected), plus whether span
@@ -106,7 +104,6 @@ class RuntimeStats:
             "auto_refreshes": self.auto_refreshes,
             "auto_refresh_failures": self.auto_refresh_failures,
             "flush_counts": dict(self.flush_counts),
-            "batch_policy": dict(self.batch_policy),
             "drift": dict(self.drift),
             "tracing": self.tracing,
             "stages": dict(self.stages),
@@ -129,17 +126,12 @@ class RuntimeServer:
         Micro-batching knobs — see
         :class:`~repro.runtime.batching.MicroBatcher`.  ``max_pending``
         bounds queued rows; beyond it ``submit`` raises
-        :class:`~repro.exceptions.QueueFullError`.
+        :class:`~repro.exceptions.QueueFullError`, and a single request
+        with more rows raises :class:`~repro.exceptions.ValidationError`.
     cache_size, default_batch_size, lazy_shards:
         Forwarded to the underlying :class:`~repro.serve.BatchPredictor`;
         ``lazy_shards=True`` (default here) serves per-type sharded
         artifacts by reading only the shards of the queried types.
-    batch_policy:
-        Optional :class:`~repro.runtime.adaptive.BatchPolicy` (e.g. an
-        :class:`~repro.runtime.adaptive.AdaptiveBatchController`) that
-        tunes ``max_batch_size`` / ``max_delay_seconds`` per (model, type)
-        from the observed batch latency.  ``None`` (default) keeps the
-        static knobs.
     diagnostics:
         Score every served batch for covariate drift against the model's
         training fingerprints (forwarded to
@@ -189,7 +181,6 @@ class RuntimeServer:
                  max_pending: int = 65536, cache_size: int = 4,
                  default_batch_size: int = 256,
                  lazy_shards: bool = True,
-                 batch_policy=None,
                  diagnostics: bool | dict = False,
                  refresh_policy=None,
                  refresh_data=None,
@@ -234,12 +225,10 @@ class RuntimeServer:
         self._executor = (ThreadPoolExecutor(
             max_workers=self.n_workers, thread_name_prefix="repro-runtime")
             if workers == "thread" else None)
-        self.batch_policy = batch_policy
         self._batcher = MicroBatcher(self._run_batch,
                                      max_batch_size=max_batch_size,
                                      max_delay_seconds=max_delay_seconds,
-                                     max_pending=max_pending,
-                                     policy=batch_policy)
+                                     max_pending=max_pending)
         self._lock = threading.Lock()
         self._stats = RuntimeStats()
         # Raw-path -> resolved cache key; Path.resolve touches the
@@ -260,13 +249,15 @@ class RuntimeServer:
         """Queue one schema request; returns a future of its `Prediction`.
 
         Raises :class:`~repro.exceptions.ServerClosedError` after
-        :meth:`close` and :class:`~repro.exceptions.QueueFullError`
-        (backpressure) when the bounded queue is at capacity.  Shape and
-        type-name validation against the artifact happens on the coalesced
-        batch, so a model/type mismatch surfaces through the future, not
-        the submit call.  ``trace`` is the request's open root span when
-        tracing is on — it rides the queue so the dispatch path can record
-        queue-wait and compute children against the right tree.
+        :meth:`close`, :class:`~repro.exceptions.QueueFullError`
+        (backpressure) when the bounded queue is at capacity and
+        :class:`~repro.exceptions.ValidationError` when the request alone
+        exceeds that capacity.  Shape and type-name validation against the
+        artifact happens on the coalesced batch, so a model/type mismatch
+        surfaces through the future, not the submit call.  ``trace`` is the
+        request's open root span when tracing is on — it rides the queue so
+        the dispatch path can record queue-wait and compute children
+        against the right tree.
         """
         if self._closed:
             self.obs.count_error("server_closed")
@@ -283,6 +274,9 @@ class RuntimeServer:
             with self._lock:
                 self._stats.rejected += 1
             self.obs.count_error("queue_full")
+            raise
+        except ValidationError:
+            self.obs.count_error("invalid_request")
             raise
         with self._lock:
             self._stats.submitted += 1
@@ -407,13 +401,12 @@ class RuntimeServer:
             else:
                 self._settle(batch, prediction)
                 self.obs.finish(batch_span)
-            self._observe(key, batch, int(stacked.shape[0]))
+            self._maybe_auto_refresh(key)
             return
         worker_future = self._executor.submit(
             self._execute, key, batch, stacked, batch_span)
         worker_future.add_done_callback(
-            lambda done: self._finish(key, batch, int(stacked.shape[0]),
-                                      done, batch_span))
+            lambda done: self._finish(key, batch, done, batch_span))
 
     def _execute(self, key: tuple[str, str], batch: list[QueuedRequest],
                  stacked: np.ndarray, batch_span=None) -> Prediction:
@@ -454,25 +447,14 @@ class RuntimeServer:
         return prediction
 
     def _finish(self, key: tuple[str, str], batch: list[QueuedRequest],
-                rows: int, done: Future, batch_span=None) -> None:
+                done: Future, batch_span=None) -> None:
         exc = done.exception()
         if exc is not None:
             self._fail(batch, exc)
         else:
             self._settle(batch, done.result())
         self.obs.finish(batch_span, error=exc)
-        self._observe(key, batch, rows)
-
-    def _observe(self, key: tuple[str, str], batch: list[QueuedRequest],
-                 rows: int) -> None:
-        # Feed the adaptive controller the latency a caller experienced:
-        # oldest queued request -> futures settled (queueing included).
-        if self.batch_policy is not None:
-            self.batch_policy.observe(
-                key, rows=rows,
-                seconds=time.monotonic() - batch[0].enqueued_at)
-        if self.refresh_policy is not None:
-            self._maybe_auto_refresh(key)
+        self._maybe_auto_refresh(key)
 
     # ------------------------------------------------------ drift control loop
     def _maybe_auto_refresh(self, key: tuple[str, str]) -> None:
@@ -482,8 +464,10 @@ class RuntimeServer:
         detector's cached score and one policy update.  The refit itself
         (when triggered) runs on a daemon thread — in-flight and future
         requests keep being served against the current model until the
-        hot-swap publishes the refreshed one.
+        hot-swap publishes the refreshed one.  A no-op without a policy.
         """
+        if self.refresh_policy is None:
+            return
         path, type_name = key
         score = self.predictor.drift_score(path, type_name)
         if score is None or not self.refresh_policy.update(path, score):
@@ -668,11 +652,9 @@ class RuntimeServer:
     def stats(self) -> RuntimeStats:
         """Snapshot of the runtime counters.
 
-        Flush counts, the adaptive batch controller's per-(model, type)
-        state (when a policy with ``snapshot()`` is installed) and the
-        drift detector's per-model windows (when diagnostics are on) are
-        folded into the snapshot's ``flush_counts`` / ``batch_policy`` /
-        ``drift`` sections.
+        Flush counts and the drift detector's per-model windows (when
+        diagnostics are on) are folded into the snapshot's
+        ``flush_counts`` / ``drift`` sections.
         """
         with self._lock:
             snapshot = RuntimeStats(**{
@@ -682,9 +664,6 @@ class RuntimeServer:
                              "refreshes", "auto_refreshes",
                              "auto_refresh_failures")})
         snapshot.flush_counts = self._batcher.flush_counts
-        policy_snapshot = getattr(self.batch_policy, "snapshot", None)
-        if callable(policy_snapshot):
-            snapshot.batch_policy = policy_snapshot()
         if self.predictor.diagnostics:
             snapshot.drift = self.predictor.drift_snapshot()
         snapshot.tracing = self.obs.tracing

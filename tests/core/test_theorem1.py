@@ -3,8 +3,10 @@
 The E step used to scale each residual row by 2‖q_i‖/(β + 2‖q_i‖), the
 first step of the L2,1 reweighting rather than its minimiser, and the
 objective could rise under it.  The exact prox makes the E block an exact
-minimiser, so the block-coordinate argument of Theorem 1 covers it.  Both
-cases below rose under the one-step rule.
+minimiser, so the block-coordinate argument of Theorem 1 covers it.  The
+first two tests below rose under the one-step rule.  The last still rises:
+at small β the G and S steps themselves are not descent steps, and it is
+recorded as a strict xfail until they are.
 """
 
 from __future__ import annotations
@@ -48,5 +50,22 @@ def test_corrupted_multi5_never_rises_at_small_beta():
     # first rose at record 40.
     data = make_dataset("corrupted-multi5", random_state=3)
     result = RHCHME(beta=0.3, max_iter=50, random_state=3).fit(data)
+    assert result.state.E_R.n_stored_rows > 0
+    assert _rises(result.trace.objectives).size == 0
+
+
+# Strict: once the G and S steps descend at small β this XPASSes and fails
+# the suite, and the marker comes off.
+@pytest.mark.xfail(strict=True, reason=(
+    "Theorem 1 fails at beta = 0.1. Measured at 1 BLAS thread: multi5 seed 0 "
+    "rises at 37 records (the first is record 19), keeps 325 E_R rows and "
+    "fits in 0.55-0.7 s; seeds 1 and 2 rise 37 and 35 times. The G step "
+    "(Eq. 21-22) is not a descent step once R - E has negative parts, and "
+    "the S step is exact only while cond(G'G) stays under gram_pinv's "
+    "rcond."))
+def test_multi5_never_rises_at_beta_0_1():
+    data = make_dataset("multi5", random_state=0)
+    result = RHCHME(beta=0.1, track_metrics_every=0,
+                    random_state=0).fit(data)
     assert result.state.E_R.n_stored_rows > 0
     assert _rises(result.trace.objectives).size == 0

@@ -20,8 +20,8 @@ import pytest
 from repro.exceptions import (ModelNotFoundError, QueueFullError,
                               QuotaExceededError, ServerDrainingError,
                               ValidationError)
-from repro.net import (NetClient, PredictRequest, WIRE_SCHEMA_VERSION,
-                       run_closed_loop)
+from repro.net import (NetClient, NetServer, PredictRequest,
+                       WIRE_SCHEMA_VERSION, run_closed_loop)
 from repro.serve.predictor import BatchPredictor
 
 
@@ -239,6 +239,38 @@ def test_queue_full_503_from_backpressure(launch, net_queries):
     finally:
         thread.join()
     assert results["response"].n_queries == 1
+
+
+def test_request_larger_than_queue_400_not_retryable(launch, net_queries):
+    # max_pending=1 row: a two-row request can never be admitted, so it
+    # is refused as invalid instead of shed with a retry hint.
+    handle = launch(max_pending=1)
+    status, document, headers = _raw(
+        handle.host, handle.port, "POST", "/v1/predict",
+        {"model": "docs", "type": "points",
+         "queries": net_queries[:2].tolist()})
+    assert status == 400
+    assert document["code"] == "invalid_request"
+    assert document["retryable"] is False
+    assert "Retry-After" not in headers
+    runtime = _raw(handle.host, handle.port, "GET", "/v1/stats")[1]["runtime"]
+    assert runtime["rejected"] == 0
+    assert runtime["errors"] == {"invalid_request": 1}
+
+
+@pytest.mark.parametrize("quota", [0, -1])
+def test_non_positive_quota_refused(launch, net_model_path, quota):
+    before = set(threading.enumerate())
+    with pytest.raises(ValidationError, match="max_inflight_per_model"):
+        NetServer(models={"docs": str(net_model_path)}, workers="serial",
+                  max_inflight_per_model=quota)
+    # Refused before the runtime (and its batcher thread) was built.
+    assert set(threading.enumerate()) <= before
+    handle = launch()
+    with pytest.raises(ValidationError, match="max_inflight"):
+        handle.server.register_model("other", net_model_path,
+                                     max_inflight=quota)
+    assert handle.server.models == ["docs"]
 
 
 # --------------------------------------------------------- drain lifecycle

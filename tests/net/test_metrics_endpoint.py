@@ -131,8 +131,7 @@ class TestMetricsEndpoint:
         (route,) = json.loads(payload)["models"]
         assert route["has_diagnostics"] is True
 
-    def test_stats_endpoint_carries_drift_and_batch_policy(self, launch,
-                                                           net_queries):
+    def test_stats_endpoint_carries_drift(self, launch, net_queries):
         handle = launch(diagnostics={"min_rows": 16})
         with NetClient(handle.host, handle.port) as client:
             client.predict("docs", "points", net_queries)
@@ -140,7 +139,6 @@ class TestMetricsEndpoint:
         runtime = stats["runtime"]
         (per_type,) = runtime["drift"].values()
         assert per_type["points"]["rows"] >= len(net_queries)
-        assert "batch_policy" in runtime
 
 
 class TestLoadgenReport:

@@ -127,6 +127,22 @@ class TestBackpressure:
             runtime.flush()
             assert runtime.pending_rows == 0
 
+    def test_request_larger_than_queue_is_invalid_not_retryable(
+            self, runtime_model_path):
+        # No amount of waiting admits 9 rows into an 8-row queue, so the
+        # request is refused as invalid rather than shed as backpressure.
+        with RuntimeServer(workers="serial", max_pending=8) as runtime:
+            with pytest.raises(ValidationError,
+                               match="9 rows.*limit of 8") as excinfo:
+                runtime.submit(path=runtime_model_path, type_name="points",
+                               queries=np.zeros((9, 6)))
+            assert excinfo.value.retryable is False
+            assert runtime.pending_rows == 0
+            stats = runtime.stats
+            assert stats.rejected == 0
+            assert stats.submitted == 0
+            assert stats.errors == {"invalid_request": 1}
+
 
 class TestConcurrentSubmitters:
     def test_parallel_clients_all_get_answers(self, runtime_model_path,

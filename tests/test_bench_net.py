@@ -24,16 +24,12 @@ def test_runner_produces_report(tmp_path):
     assert report["sizes"] == [120]
     entry = report["results"][0]
     frontends = {t["frontend"]: t for t in entry["frontends"]}
-    assert set(frontends) == {"serial-http-batch1", "concurrent-static",
-                              "concurrent-mistuned", "concurrent-adaptive"}
+    assert set(frontends) == {"serial-http-batch1", "concurrent-static"}
     for timing in frontends.values():
         assert timing["requests_per_second"] > 0
         assert timing["p99_ms"] > 0
-    # the adaptive configuration records its controller trajectory
-    assert "controller" in frontends["concurrent-adaptive"]
     summary = report["summary"]
     assert summary["largest_n"] == 120
     assert summary["http_concurrency_ratio"] > 0
-    assert summary["adaptive_p99_improvement"] is not None
     # the exported artifact really landed in the workdir
     assert (tmp_path / "bench_net_model_120.npz").exists()
