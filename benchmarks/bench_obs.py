@@ -3,11 +3,13 @@
 Three questions, one number each:
 
 * **Tracing overhead** — what does ``tracing=True`` cost the serving
-  runtime?  The same batched query stream is replayed through a
-  serial-worker :class:`repro.runtime.RuntimeServer` with tracing off
-  and on (interleaved best-of-``--repeats``); the gate holds the
-  throughput loss at ≤ 2% (≤ 10% under ``--smoke``, where the short run
-  puts timing noise on the same order as the effect being measured).
+  runtime?  The same batched query stream is replayed through two
+  serial-worker :class:`repro.runtime.RuntimeServer` instances, tracing
+  off and on, in ``PAIRS`` pairs whose first side alternates; each side
+  of a pair replays the stream for at least ``MIN_SIDE_SECONDS``.  The
+  gate holds the median per-pair throughput loss at ≤ 2% (≤ 10% under
+  ``--smoke``, where the smaller model puts timing noise closer to the
+  effect being measured).
 * **Trace fidelity** — does the span tree actually explain a request's
   latency?  A traced HTTP server is driven with real traffic, the
   slowest retained trace is pulled from ``GET /v1/traces``, and its
@@ -27,6 +29,7 @@ Writes ``BENCH_obs.json`` (see ``--output``).
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -49,48 +52,69 @@ MODEL_ID = "bench"
 TRACING_GATE = 0.02        # serving throughput loss ceiling (fraction)
 SMOKE_TRACING_GATE = 0.10  # ceiling on short smoke runs (timing noise)
 FIDELITY_GATE = 0.10       # |1 - stage_sum/wall_clock| ceiling
+PAIRS = 10                 # alternating untraced/traced timing pairs
+MIN_SIDE_SECONDS = 0.25    # each side of a pair replays at least this long
 STAGE_NAMES = ("http.parse", "queue.wait", "compute.predict", "wire.encode")
 
 
-def time_stream(model_path: Path, queries: np.ndarray, *, tracing: bool,
-                batch_rows: int, repeats: int) -> dict:
-    """Best-of-``repeats`` throughput of a batched serial predict stream."""
+def replay(runtime: RuntimeServer, model_path: Path, batches: list, *,
+           passes: int) -> float:
+    """Seconds ``runtime`` takes to serve ``passes`` replays of ``batches``."""
+    start = time.perf_counter()
+    for _ in range(passes):
+        for batch in batches:
+            runtime.predict(path=model_path, type_name=QUERY_TYPE,
+                            queries=batch, timeout=600)
+    return time.perf_counter() - start
+
+
+def time_tracing(model_path: Path, queries: np.ndarray, *,
+                 batch_rows: int) -> dict:
+    """Median per-pair throughput loss of tracing over ``PAIRS`` pairs.
+
+    One untimed calibration pass sizes the pass count so that a side runs
+    for at least ``MIN_SIDE_SECONDS``; both sides replay that many passes.
+    The side that runs first alternates from pair to pair, so drift within
+    a pair (CPU frequency, page cache) favours neither, and the median of
+    the per-pair losses discards the pairs an outside burst hit.
+    """
     batches = [queries[start:start + batch_rows]
                for start in range(0, queries.shape[0], batch_rows)]
-    best = float("inf")
-    with RuntimeServer(workers="serial", max_batch_size=batch_rows,
-                       max_delay_seconds=0.0005, tracing=tracing) as runtime:
-        runtime.predict(path=model_path, type_name=QUERY_TYPE,
-                        queries=queries[:1])  # warm the model cache
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for batch in batches:
-                runtime.predict(path=model_path, type_name=QUERY_TYPE,
-                                queries=batch, timeout=600)
-            best = min(best, time.perf_counter() - start)
-    return {"tracing": bool(tracing),
-            "best_seconds": round(best, 6),
-            "objects_per_second": round(queries.shape[0] / best, 3),
-            "n_batches": len(batches)}
+    runtimes = {tracing: RuntimeServer(workers="serial",
+                                       max_batch_size=batch_rows,
+                                       max_delay_seconds=0.0005,
+                                       tracing=tracing)
+                for tracing in (False, True)}
+    try:
+        for runtime in runtimes.values():  # warm the model caches
+            runtime.predict(path=model_path, type_name=QUERY_TYPE,
+                            queries=queries[:1])
+        calibration = replay(runtimes[False], model_path, batches, passes=1)
+        passes = max(1, math.ceil(MIN_SIDE_SECONDS / calibration))
+        seconds = {False: [], True: []}
+        for pair in range(PAIRS):
+            order = (False, True) if pair % 2 == 0 else (True, False)
+            for tracing in order:
+                seconds[tracing].append(replay(runtimes[tracing], model_path,
+                                               batches, passes=passes))
+    finally:
+        for runtime in runtimes.values():
+            runtime.close()
+    # Both sides serve the same rows, so the throughput ratio of a pair is
+    # the inverse ratio of its seconds.
+    losses = [1.0 - off / on for off, on in zip(seconds[False], seconds[True])]
+    n_objects = queries.shape[0] * passes
 
+    def side(tracing: bool) -> dict:
+        median = float(np.median(seconds[tracing]))
+        return {"tracing": tracing,
+                "median_seconds": round(median, 6),
+                "objects_per_second": round(n_objects / median, 3)}
 
-def time_tracing(model_path: Path, queries: np.ndarray, *, batch_rows: int,
-                 repeats: int) -> tuple:
-    """Interleaved best-of-``repeats`` timings of untraced vs traced streams.
-
-    Alternating the two sides inside one loop decorrelates environmental
-    drift (CPU frequency, page cache) from the comparison — the same
-    reason ``bench_diagnostics`` interleaves its fit timings.
-    """
-    best = {False: None, True: None}
-    for _ in range(repeats):
-        for tracing in (False, True):
-            timing = time_stream(model_path, queries, tracing=tracing,
-                                 batch_rows=batch_rows, repeats=1)
-            if (best[tracing] is None
-                    or timing["best_seconds"] < best[tracing]["best_seconds"]):
-                best[tracing] = timing
-    return best[False], best[True]
+    return {"off": side(False), "on": side(True),
+            "n_batches": len(batches), "passes": passes, "pairs": PAIRS,
+            "pair_losses": [round(loss, 4) for loss in losses],
+            "tracing_loss_fraction": round(float(np.median(losses)), 4)}
 
 
 def stage_sum_seconds(trace: dict) -> float:
@@ -155,7 +179,7 @@ def check_trace_fidelity(model_path: Path, queries: np.ndarray, *,
 
 
 def run(sizes, *, n_queries: int, batch_rows: int, n_requests: int,
-        rows_per_request: int, seed: int, fit_max_iter: int, repeats: int,
+        rows_per_request: int, seed: int, fit_max_iter: int,
         workdir: Path) -> dict:
     results = []
     for n_total in sizes:
@@ -167,15 +191,13 @@ def run(sizes, *, n_queries: int, batch_rows: int, n_requests: int,
         queries = make_queries(data, n_queries, seed=seed + 1)
 
         print(f"[bench] N={n_total}: timing streams "
-              f"(best of {repeats}, interleaved) ...", flush=True)
-        off, on = time_tracing(model_path, queries, batch_rows=batch_rows,
-                               repeats=repeats)
-        tracing_loss = 1.0 - (on["objects_per_second"]
-                              / off["objects_per_second"])
+              f"({PAIRS} alternating pairs) ...", flush=True)
+        stream = time_tracing(model_path, queries, batch_rows=batch_rows)
         print(f"[bench] N={n_total} stream: off "
-              f"{off['objects_per_second']:,.0f} objects/s, on "
-              f"{on['objects_per_second']:,.0f} objects/s "
-              f"(loss {tracing_loss:+.1%})", flush=True)
+              f"{stream['off']['objects_per_second']:,.0f} objects/s, on "
+              f"{stream['on']['objects_per_second']:,.0f} objects/s "
+              f"({stream['passes']} passes per side; median pair loss "
+              f"{stream['tracing_loss_fraction']:+.1%})", flush=True)
 
         fidelity = check_trace_fidelity(model_path, queries,
                                         n_requests=n_requests,
@@ -188,8 +210,7 @@ def run(sizes, *, n_queries: int, batch_rows: int, n_requests: int,
               flush=True)
         results.append({
             "n_total": int(n_total), **fit_info,
-            "stream": {"off": off, "on": on,
-                       "tracing_loss_fraction": round(tracing_loss, 4)},
+            "stream": stream,
             "fidelity": fidelity,
         })
 
@@ -218,9 +239,9 @@ def main(argv=None) -> int:
     parser = make_parser(
         __doc__, "BENCH_obs.json",
         sizes_help=f"training object counts (default {DEFAULT_SIZES})",
-        with_check="gate: tracing throughput loss ≤ 2% (10% under --smoke) "
-                   "and the slowest retained trace's stage durations sum to "
-                   "within 10% of its wall clock",
+        with_check="gate: median per-pair tracing throughput loss ≤ 2% "
+                   "(10% under --smoke) and the slowest retained trace's "
+                   "stage durations sum to within 10% of its wall clock",
         with_workdir=True)
     parser.add_argument("--queries", type=int, default=4096,
                         help="rows replayed through the serving stream")
@@ -232,8 +253,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rows-per-request", type=int, default=64,
                         help="rows per HTTP request in the fidelity check "
                              "(large enough that compute dominates)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of repeats for each timed side")
     parser.add_argument("--fit-max-iter", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -245,7 +264,7 @@ def main(argv=None) -> int:
     report = run(sizes, n_queries=n_queries, batch_rows=args.batch_rows,
                  n_requests=n_requests,
                  rows_per_request=args.rows_per_request, seed=args.seed,
-                 fit_max_iter=args.fit_max_iter, repeats=args.repeats,
+                 fit_max_iter=args.fit_max_iter,
                  workdir=resolve_workdir(args))
     emit_report(report, args)
     summary = report["summary"]

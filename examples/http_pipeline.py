@@ -5,7 +5,8 @@ tier adds on top of ``repro.runtime``:
 
 1. generate a two-type synthetic dataset and fit RHCHME on its first 90
    "points";
-2. export the fitted model as a **per-type sharded** artifact;
+2. export the fitted model as a **per-type-mmap** artifact (one raw
+   ``.npy`` per array, served lazily through memory maps);
 3. boot the asyncio HTTP front-end (:class:`repro.net.NetServer`) on a
    loopback port, routing the model id ``points-model`` onto a shared
    micro-batching worker pool;
@@ -76,7 +77,7 @@ def main() -> None:
 
     # ------------------------------------------------- 2. sharded export
     artifact = model.export_model(initial)
-    path = artifact.save(workdir / "model.npz", shards="per-type")
+    path = artifact.save(workdir / "model.npz", shards="per-type-mmap")
     print(f"2. exported {sorted(p.name for p in workdir.iterdir())}")
 
     # ------------------------------------------------------ 3. serve HTTP
@@ -94,7 +95,7 @@ def main() -> None:
     # ------------------------------------- 4. concurrent clients + parity
     over_http = NetClient(handle.host, handle.port).predict(
         "points-model", "points", stream[:32])
-    in_process = BatchPredictor(lazy_shards=True).serve(PredictRequest(
+    in_process = BatchPredictor().serve(PredictRequest(
         model=str(path), type_name="points", queries=stream[:32]))
     np.testing.assert_array_equal(over_http.labels, in_process.labels)
     np.testing.assert_array_equal(over_http.membership,

@@ -5,11 +5,12 @@ subsystem adds on top of ``repro.serve``:
 
 1. generate a two-type synthetic dataset and fit RHCHME on its first 90
    "points" (new objects will arrive later);
-2. export the fitted model as a **per-type sharded** artifact — one npz per
-   object type plus a manifest sidecar;
+2. export the fitted model as a **per-type-mmap** artifact — one raw
+   ``.npy`` per array, grouped per object type in a manifest sidecar;
 3. serve a stream of batch-1 predict requests through a
    :class:`RuntimeServer` (micro-batching + thread worker pool) and show
-   with manifest accounting that only the queried type's shard was read;
+   with manifest accounting that only the queried type's arrays were
+   mapped;
 4. compare against the serial batch-1 loop the runtime replaces;
 5. **refresh**: 30 new points arrive — warm-start a refit from the fitted
    G/S/E_R blocks, hot-swap the refreshed model into the serving cache, and
@@ -78,9 +79,9 @@ def main() -> None:
 
     # ------------------------------------------------- 2. sharded export
     artifact = model.export_model(initial)
-    path = artifact.save(workdir / "model.npz", shards="per-type")
+    path = artifact.save(workdir / "model.npz", shards="per-type-mmap")
     shard_names = sorted(p.name for p in workdir.iterdir())
-    print(f"2. exported per-type shards: {shard_names}")
+    print(f"2. exported per-type-mmap arrays: {shard_names}")
 
     # --------------------------------------- 3. concurrent micro-batching
     rng = np.random.default_rng(1)

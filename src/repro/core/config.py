@@ -75,21 +75,14 @@ class RHCHMEConfig:
         (≤ 2p non-zeros per p-NN row, no ``O(n²)`` intermediates), and
         ``"auto"`` (default) selects by dataset size — see
         :func:`repro.linalg.backend.resolve_backend` — except that it stays
-        dense while the subspace member is active with ``subspace_topk``
-        unset.  The exact subspace affinity is sparse (11–30 non-zeros per
-        row on average on the paper presets), but the solve returns it as a
-        dense array and the sparse path has not been measured against it at
-        the default config, so that rule stays.  Both backends
-        produce the same labels and objective trace up to floating-point
-        noise (dense/sparse parity is test-enforced at 1e-8).
-    subspace_topk:
-        Optional top-k thresholding of the subspace-member affinity: keep
-        only the k strongest similarities per row, united symmetrically like
-        the p-NN edges of Eq. 3.  This bounds the subspace member at ``2k``
-        non-zeros per row so the ``"auto"`` choice is no longer forced dense
-        when ``use_subspace_member=True``.  ``None`` (default) keeps the
-        exact affinity; ``k >= n - 1`` is exact as well (only a zero row
-        minimum can be dropped), so parity degrades gracefully.
+        dense while the subspace member is active.  The exact subspace
+        affinity is already sparse (11–30 non-zeros per row on average on
+        the paper presets), and ``"sparse"`` runs it as CSR, but the solve
+        returns it as a dense array and the sparse path has not been
+        measured against the dense one at the default config, so that rule
+        stays.  Both backends produce the same labels and objective trace up
+        to floating-point noise (dense/sparse parity is test-enforced at
+        1e-8).
     diagnostics:
         Record fit-time health diagnostics (see
         :class:`repro.diagnostics.SpectralMonitor`): per-type spectral
@@ -119,7 +112,6 @@ class RHCHMEConfig:
     random_state: int | None = None
     track_metrics_every: int = 1
     backend: str = "auto"
-    subspace_topk: int | None = None
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -137,8 +129,6 @@ class RHCHMEConfig:
         if self.track_metrics_every < 0:
             raise ValueError("track_metrics_every must be >= 0")
         check_backend(self.backend)
-        if self.subspace_topk is not None:
-            check_positive_int(self.subspace_topk, name="subspace_topk")
         if not isinstance(self.diagnostics, bool):
             raise ValueError(
                 f"diagnostics must be a bool, got {self.diagnostics!r}")

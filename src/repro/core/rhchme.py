@@ -197,7 +197,6 @@ class RHCHME:
             laplacian_kind=config.laplacian_kind,
             use_subspace=config.use_subspace_member and config.alpha > 0,
             use_pnn=config.use_pnn_member,
-            subspace_topk=config.subspace_topk,
             backend=config.backend,
         )
         # Without sweeps only dirty types ever run a G update, so only

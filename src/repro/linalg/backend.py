@@ -34,7 +34,6 @@ __all__ = [
     "as_csr",
     "to_dense",
     "to_backend",
-    "topk_rows",
 ]
 
 #: Valid values of the ``backend`` knob on :class:`repro.core.RHCHMEConfig`
@@ -98,37 +97,3 @@ def to_backend(matrix, backend: str):
     if backend == "auto":
         raise ValueError("resolve 'auto' with resolve_backend() before converting")
     return as_csr(matrix) if backend == "sparse" else to_dense(matrix)
-
-
-def topk_rows(matrix, k: int, *, symmetrize: bool = True) -> np.ndarray:
-    """Threshold a dense affinity to its k largest entries per row.
-
-    This is what lets a dense affinity array — the subspace member's, which
-    the Eq. 9 solve returns dense although its exact optimum is sparse —
-    participate in the sparse backend with a fixed budget: keeping only the
-    k strongest similarities per row bounds the non-zero count at ``2k`` per
-    row after symmetrisation, the same budget as a p-NN graph.  With
-    ``symmetrize=True`` the row-wise selections are united by an
-    element-wise maximum (the Eq. 3 rule for p-NN edges), so the result
-    stays symmetric whenever the input is.
-
-    ``k >= n - 1`` keeps every off-diagonal entry of a zero-diagonal affinity
-    (the only droppable entry per row is then a row minimum, which for a
-    non-negative zero-diagonal matrix is always a zero), so the thresholding
-    degrades gracefully into an exact representation.
-    """
-    dense = to_dense(matrix)
-    if dense.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {dense.shape}")
-    n_rows, n_cols = dense.shape
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k >= n_cols:
-        return dense.copy()
-    keep = np.argpartition(dense, n_cols - k, axis=1)[:, n_cols - k:]
-    thresholded = np.zeros_like(dense)
-    row_index = np.repeat(np.arange(n_rows), k)
-    thresholded[row_index, keep.ravel()] = dense[row_index, keep.ravel()]
-    if symmetrize and n_rows == n_cols:
-        thresholded = np.maximum(thresholded, thresholded.T)
-    return thresholded

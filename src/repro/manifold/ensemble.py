@@ -21,10 +21,10 @@ and every ``L_k`` block stays sparse end to end, so no dense
 ``backend="auto"`` picks per dataset size (see :mod:`repro.linalg.backend`).
 The subspace member is solved as a dense array and converted to CSR when it
 participates in a sparse ensemble, so the combined operator keeps a single
-representation.
-Its exact optimum is itself sparse: on the paper presets each coefficient
-column keeps at most 42 non-zeros (7–25 on average), and the symmetrised
-affinity 11–30 per row on average.
+representation.  That conversion loses nothing: the exact optimum is itself
+sparse — on the paper presets each coefficient column keeps at most 42
+non-zeros (7–25 on average), and the symmetrised affinity 11–30 per row on
+average — so no thresholding is needed for the sparse backend.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .._validation import check_positive_float, check_positive_int
 from ..graph.laplacian import laplacian
 from ..graph.pnn import pnn_affinity
 from ..graph.weights import WeightingScheme
-from ..linalg.backend import as_csr, check_backend, resolve_backend, topk_rows
+from ..linalg.backend import as_csr, check_backend, resolve_backend
 from ..relational.dataset import MultiTypeRelationalData
 from ..subspace.representation import SubspaceRepresentation
 
@@ -81,12 +81,6 @@ class HeterogeneousManifoldEnsemble:
         Which Laplacian normalisation to use for both members.
     use_subspace, use_pnn:
         Ablation switches disabling one member (the α → {0, ∞} extremes).
-    subspace_topk:
-        Optional top-k thresholding of the subspace member's affinity (keep
-        the k strongest similarities per row, united symmetrically like the
-        Eq. 3 p-NN edges).  Bounds the subspace member at 2k non-zeros per
-        row, which is what allows a genuinely sparse ensemble even with the
-        subspace member active; ``None`` keeps the exact dense affinity.
     scale_by_size:
         Divide each type's Laplacian by its object count so that
         ``tr(Gᵀ L G)`` measures *average* label smoothness per object rather
@@ -107,7 +101,6 @@ class HeterogeneousManifoldEnsemble:
     laplacian_kind: str = "unnormalized"
     use_subspace: bool = True
     use_pnn: bool = True
-    subspace_topk: int | None = None
     scale_by_size: bool = True
     backend: str = "dense"
     members_: list[_TypeLaplacians] = field(default_factory=list, init=False, repr=False)
@@ -119,27 +112,21 @@ class HeterogeneousManifoldEnsemble:
         self.gamma = check_positive_float(self.gamma, name="gamma")
         self.p = check_positive_int(self.p, name="p")
         check_backend(self.backend)
-        if self.subspace_topk is not None:
-            self.subspace_topk = check_positive_int(self.subspace_topk,
-                                                    name="subspace_topk")
         if not (self.use_subspace or self.use_pnn):
             raise ValueError("at least one ensemble member must be enabled")
 
     def resolve(self, n_objects: int) -> str:
         """Resolve the instance's backend knob for ``n_objects`` total objects.
 
-        ``"auto"`` never picks sparse while the subspace member is active
-        *without* top-k thresholding.  The exact subspace affinity is sparse
-        (see the module docstring), but the solve returns it as a dense
-        array and the sparse path has not been measured against the dense
-        one at the default config, so the rule stays until it is.  With
-        ``subspace_topk`` set the member is bounded at 2k non-zeros per row
-        and the usual size-based choice applies.
+        ``"auto"`` never picks sparse while the subspace member is active.
+        The exact subspace affinity is sparse (see the module docstring),
+        but the solve returns it as a dense array and the sparse path has
+        not been measured against the dense one at the default config, so
+        the rule stays until it is.
         """
         resolved = resolve_backend(self.backend, n_objects=n_objects)
         if (resolved == "sparse" and self.backend == "auto"
-                and self.use_subspace and self.alpha > 0.0
-                and self.subspace_topk is None):
+                and self.use_subspace and self.alpha > 0.0):
             return "dense"
         return resolved
 
@@ -175,16 +162,11 @@ class HeterogeneousManifoldEnsemble:
             solved = SubspaceRepresentation(gamma=self.gamma).fit(features)
             affinity = solved.affinity
             outcome = solved.outcome()
-            if self.subspace_topk is not None:
-                affinity = topk_rows(affinity, self.subspace_topk)
-                if use_sparse:
-                    affinity = as_csr(affinity)
             subspace_laplacian = laplacian(affinity, kind=self.laplacian_kind)
-            if use_sparse and not sp.issparse(subspace_laplacian):
-                # Without top-k thresholding the solve returns a dense
-                # array (sparse in value, a few non-zeros per row);
-                # converting keeps the combined operator in one
-                # representation.
+            if use_sparse:
+                # The solve returns a dense array (sparse in value, a few
+                # non-zeros per row); converting keeps the combined
+                # operator in one representation.
                 subspace_laplacian = as_csr(subspace_laplacian)
             combined = combined + self.alpha * subspace_laplacian
         if self.use_pnn:

@@ -143,8 +143,15 @@ class NetServer:
         self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._bound_port: int | None = None
-        for model_id, path in (models or {}).items():
-            self.register_model(model_id, path)
+        try:
+            for model_id, path in (models or {}).items():
+                self.register_model(model_id, path)
+        except BaseException:
+            # Nothing is left to close an owned runtime whose batcher
+            # thread is already running once the constructor raises.
+            if self._owns_runtime:
+                runtime.close()
+            raise
 
     # ---------------------------------------------------------------- routing
     def register_model(self, model_id: str, path, *,

@@ -16,8 +16,10 @@
   into the predictor cache without dropping in-flight requests.
 
 Pairs with per-type sharded artifacts (``RHCHMEModel.save(path,
-shards="per-type")`` + :class:`repro.serve.ShardedModelReader`): a runtime
-serving queries for one object type lazily reads only that type's shard.
+shards="per-type-mmap")``): the runtime serves them through
+:class:`repro.serve.ShardedModelReader`, so a runtime serving queries for
+one object type memory-maps only that type's arrays.  Other layouts are
+loaded eagerly.
 """
 
 from .batching import MicroBatcher, QueuedRequest

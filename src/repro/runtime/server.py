@@ -44,7 +44,7 @@ from ..exceptions import (QueueFullError, ServerClosedError, ValidationError,
                           error_code)
 from ..net.schema import PredictRequest, PredictResponse
 from ..obs import Observability, activate_span
-from ..serve.artifact import MMAP_LAYOUT, RHCHMEModel
+from ..serve.artifact import MMAP_LAYOUT, RHCHMEModel, artifact_layout
 from ..serve.extension import Prediction
 from ..serve.predictor import BatchPredictor
 from ..serve.shards import ShardedModelReader
@@ -128,10 +128,11 @@ class RuntimeServer:
         bounds queued rows; beyond it ``submit`` raises
         :class:`~repro.exceptions.QueueFullError`, and a single request
         with more rows raises :class:`~repro.exceptions.ValidationError`.
-    cache_size, default_batch_size, lazy_shards:
-        Forwarded to the underlying :class:`~repro.serve.BatchPredictor`;
-        ``lazy_shards=True`` (default here) serves per-type sharded
-        artifacts by reading only the shards of the queried types.
+    cache_size, default_batch_size:
+        Forwarded to the underlying :class:`~repro.serve.BatchPredictor`,
+        which serves each artifact the way its layout says: a
+        ``per-type-mmap`` artifact lazily (only the queried types' arrays
+        are mapped), any other layout eagerly.
     diagnostics:
         Score every served batch for covariate drift against the model's
         training fingerprints (forwarded to
@@ -180,7 +181,6 @@ class RuntimeServer:
                  max_batch_size: int = 256, max_delay_seconds: float = 0.002,
                  max_pending: int = 65536, cache_size: int = 4,
                  default_batch_size: int = 256,
-                 lazy_shards: bool = True,
                  diagnostics: bool | dict = False,
                  refresh_policy=None,
                  refresh_data=None,
@@ -219,7 +219,6 @@ class RuntimeServer:
         self.obs = Observability(tracing=tracing)
         self.predictor = BatchPredictor(cache_size=cache_size,
                                         default_batch_size=default_batch_size,
-                                        lazy_shards=lazy_shards,
                                         diagnostics=diagnostics,
                                         obs=self.obs)
         self._executor = (ThreadPoolExecutor(
@@ -557,7 +556,9 @@ class RuntimeServer:
 
         Warm-starts a refit from the artifact's current G/S/E_R blocks (see
         :func:`repro.runtime.refresh.refresh_model`), optionally saves the
-        refreshed artifact back to ``path`` preserving its shard layout, and
+        refreshed artifact back to ``path`` — a monolithic artifact as
+        monolithic, any sharded one (legacy ``per-type`` npz included) as
+        ``per-type-mmap``, whose save deletes the old shard files — and
         hot-swaps the model in the predictor cache.  In-flight requests are
         not dropped: they hold a reference to the old immutable model and
         complete against it; requests dispatched after the swap see the new
@@ -577,8 +578,7 @@ class RuntimeServer:
         in-process cache only.
         """
         sidecar = RHCHMEModel.read_metadata(path)
-        manifest = sidecar.get("shards") or {}
-        layout = manifest.get("layout") if manifest else None
+        layout = artifact_layout(sidecar)
         if validate is None:
             validate = "shapes" if layout == MMAP_LAYOUT else "full"
         if dirty is None and self.delta_refresh:
@@ -606,7 +606,8 @@ class RuntimeServer:
                 cached = self.predictor.peek_model(path)
                 if isinstance(cached, ShardedModelReader):
                     cached.preload()
-                outcome.model.save(path, shards=layout)
+                outcome.model.save(path, shards=(
+                    "monolithic" if layout == "monolithic" else MMAP_LAYOUT))
         finally:
             if view is not None:
                 view.close()

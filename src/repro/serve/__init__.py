@@ -13,10 +13,12 @@ package turns one fit into a *servable model*:
   micro-batches with bounded memory;
 * :class:`BatchPredictor` — the thread-safe serving front-end with an LRU
   model cache, per-type input validation and latency/throughput counters;
-* per-type **sharded artifacts** — ``save(path, shards="per-type")`` writes
-  one npz per object type plus a manifest sidecar, and
-  :class:`ShardedModelReader` / :func:`open_model` serve from them lazily,
-  reading only the shards of the types actually queried;
+* per-type **sharded artifacts** — ``save(path, shards="per-type-mmap")``
+  writes one raw ``.npy`` per array plus a manifest sidecar;
+  :func:`open_model` serves such an artifact lazily through
+  :class:`ShardedModelReader`, memory-mapping only the arrays of the types
+  actually queried, and loads every other layout (monolithic, legacy
+  ``per-type`` npz) eagerly;
 * :func:`holdout_split` — train/query splits of relational datasets for
   evaluating served predictions against full refits;
 * ``python -m repro.serve`` — ``fit-save`` / ``predict`` / ``info`` CLI.

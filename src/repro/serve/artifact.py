@@ -14,27 +14,26 @@ artifact whose schema version does not match, raising
 :class:`~repro.exceptions.ArtifactError` instead of silently misreading a
 foreign layout.
 
-Three on-disk layouts share one schema version and one artifact *handle*
-(the ``model.npz`` path a caller passes around):
+Two on-disk layouts are written, and share one schema version and one
+artifact *handle* (the ``model.npz`` path a caller passes around):
 
 * **monolithic** (default) — every array in one compressed ``model.npz``;
-* **per-type shards** (``save(path, shards="per-type")``) — one
-  ``model.<type>.npz`` per object type (its membership block, labels and
-  features) plus ``model.global.npz`` (the association and error matrices),
-  described by a ``shards`` manifest inside the JSON sidecar.  ``load``
-  reassembles the exact same model from either layout; a serving process
-  that only ever answers queries for one type can instead go through
-  :class:`repro.serve.shards.ShardedModelReader` and read just that type's
-  shard.
+  it is the small file, and :meth:`RHCHMEModel.load` reads it eagerly;
 * **per-type mmap shards** (``save(path, shards="per-type-mmap")``) — one
   *raw* ``.npy`` file per array (compressed npz members cannot be
-  memory-mapped), grouped per type in the manifest.  A reader can open any
-  individual array with ``mmap_mode="r"`` and page in only the bytes it
-  touches; a streaming refresh promotes just the dirty types' arrays to
-  in-memory copies and never reads the clean types' features at all.  Every
-  array file is written via temp-file + atomic rename, so an open memory
-  map in another process keeps reading the old inode while a refresh
-  replaces the file.
+  memory-mapped), grouped per type in a ``shards`` manifest inside the JSON
+  sidecar.  :class:`repro.serve.shards.ShardedModelReader` serves it
+  lazily: it opens any individual array with ``mmap_mode="r"`` and pages
+  in only the bytes it touches, and a streaming refresh promotes just the
+  dirty types' arrays to in-memory copies and never reads the clean types'
+  features at all.  Every array file is written via temp-file + atomic
+  rename, so an open memory map in another process keeps reading the old
+  inode while a refresh replaces the file.
+
+A third, legacy layout is only read: **per-type npz shards** (one
+compressed ``model.<type>.npz`` per object type plus ``model.global.npz``).
+:meth:`RHCHMEModel.load` reassembles it into the same model a monolithic
+save round-trips to; ``save`` no longer writes it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .extension import Prediction, out_of_sample_predict
 
 __all__ = ["SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS", "SHARD_LAYOUTS",
            "MMAP_LAYOUT", "TypeInfo", "RHCHMEModel", "load_model",
-           "error_matrix_npz_keys", "read_error_matrix"]
+           "artifact_layout", "error_matrix_npz_keys", "read_error_matrix"]
 
 #: Version stamp of the on-disk artifact layout.  Bump whenever the npz key
 #: set or the sidecar structure changes incompatibly; ``load`` refuses
@@ -85,8 +84,9 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 _FORMAT = "rhchme-model"
 
-#: Supported on-disk array layouts (``save(..., shards=...)``).
-SHARD_LAYOUTS = ("monolithic", "per-type", "per-type-mmap")
+#: The array layouts ``save(..., shards=...)`` writes.  Legacy
+#: ``"per-type"`` npz artifacts are read, never written.
+SHARD_LAYOUTS = ("monolithic", "per-type-mmap")
 
 #: The raw-``.npy``-per-array layout readable through ``mmap_mode="r"``.
 MMAP_LAYOUT = "per-type-mmap"
@@ -99,10 +99,17 @@ GLOBAL_SHARD = "global"
 ERROR_MATRIX_LAYOUTS = ("dense", "row-sparse")
 
 #: Config keys dropped when a sidecar is read: the retired one-step E
-#: update's (the exact prox needs neither) and the retired Eq. 9 ADMM's
-#: (the exact active set needs neither).
+#: update's (the exact prox needs neither), the retired Eq. 9 ADMM's (the
+#: exact active set needs neither) and the retired top-k thresholding of
+#: the subspace affinity (the exact affinity is already sparse).  Serving
+#: never read any of them.
 _RETIRED_CONFIG_KEYS = ("zeta", "error_row_tol", "subspace_max_iter",
-                        "subspace_tol")
+                        "subspace_tol", "subspace_topk")
+
+
+def artifact_layout(sidecar: dict) -> str:
+    """Array layout named by a validated sidecar (``"monolithic"`` if none)."""
+    return (sidecar.get("shards") or {}).get("layout", "monolithic")
 
 
 def error_matrix_npz_keys(sidecar: dict) -> list[str]:
@@ -145,18 +152,13 @@ def _safe_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "-", label).strip("-") or "type"
 
 
-def _shard_stem(stem: str, label: str) -> str:
-    """Filesystem-safe shard file name component for a type label."""
-    return f"{stem}.{_safe_label(label)}.npz"
-
-
 def _write_npz_atomic(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """Write a compressed npz via a temp file + atomic rename.
 
-    A concurrent reader (lazy shard reader in another process, a process
-    worker cold-loading during a refresh) sees either the complete old file
-    or the complete new file, never a truncated one.  The temp file is
-    opened explicitly so numpy does not append a second ``.npz`` suffix.
+    A concurrent reader (another process cold-loading during a refresh)
+    sees either the complete old file or the complete new file, never a
+    truncated one.  The temp file is opened explicitly so numpy does not
+    append a second ``.npz`` suffix.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -415,21 +417,20 @@ class RHCHMEModel:
         return info
 
     # ------------------------------------------------------------- prediction
-    def predict(self, type_name: str, X_new, *, batch_size: int = 256,
-                backend: str | None = None) -> Prediction:
+    def predict(self, type_name: str, X_new, *,
+                batch_size: int = 256) -> Prediction:
         """Assign new objects of ``type_name`` out of sample.
 
         Computes the queries' p-NN affinities to the type's training objects
         (same ``p``/``weighting`` as the fit) and smooths them onto the
         fitted membership block; see
-        :func:`repro.serve.extension.out_of_sample_predict`.  ``backend``
-        overrides the fitted config's knob (useful for benchmarking); by
-        default the config's backend is resolved against the training size.
+        :func:`repro.serve.extension.out_of_sample_predict`.  The config's
+        backend is resolved against the training size.
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
-        resolved = resolve_backend(self.config.backend if backend is None
-                                   else backend, n_objects=info.n_objects)
+        resolved = resolve_backend(self.config.backend,
+                                   n_objects=info.n_objects)
         index = self.query_index(type_name)
         return out_of_sample_predict(
             self.features[type_name], self.membership[type_name], X_new,
@@ -505,8 +506,8 @@ class RHCHMEModel:
     def shard_paths(cls, path, sidecar: dict) -> dict[str, Path]:
         """Map each array file of an artifact to its absolute path.
 
-        Keys are type names plus :data:`GLOBAL_SHARD` for a per-type sharded
-        artifact, npz array keys (``membership::<type>``, ``association``, …)
+        Keys are type names plus :data:`GLOBAL_SHARD` for a legacy
+        ``per-type`` npz artifact, npz array keys (``membership::<type>``, ``association``, …)
         for the mmap layout (one file per array), or the single key
         ``"monolithic"`` for the default layout.  Shard file names in the
         manifest are relative to the sidecar.
@@ -524,7 +525,7 @@ class RHCHMEModel:
         if layout != "per-type":
             raise ArtifactError(
                 f"unknown shard layout {layout!r} "
-                f"(this library reads {list(SHARD_LAYOUTS[1:])})")
+                f"(this library reads ['per-type', {MMAP_LAYOUT!r}])")
         directory = sidecar_path.parent
         paths = {GLOBAL_SHARD: directory / manifest[GLOBAL_SHARD]}
         for name, filename in manifest["types"].items():
@@ -599,7 +600,7 @@ class RHCHMEModel:
                 stale.unlink(missing_ok=True)
 
     def save(self, path, *, shards: str | None = None) -> Path:
-        """Write the artifact to ``path`` (compressed npz + JSON sidecar).
+        """Write the artifact to ``path`` (array files + JSON sidecar).
 
         ``path`` may omit the ``.npz`` suffix; the sidecar lands next to the
         npz with a ``.json`` suffix.  Returns the artifact handle (the npz
@@ -609,21 +610,18 @@ class RHCHMEModel:
         Parameters
         ----------
         shards:
-            ``None``/``"monolithic"`` writes every array into one npz.
-            ``"per-type"`` writes one ``<stem>.<type>.npz`` per object type
-            (membership, labels, features) plus ``<stem>.global.npz``
-            (association + error matrix) and records the file map in the
-            sidecar's ``shards`` manifest, so a reader serving queries for
-            one type can load just that type's blocks (see
-            :class:`repro.serve.shards.ShardedModelReader`).
-            ``"per-type-mmap"`` writes one *raw* ``.npy`` per array
+            ``None``/``"monolithic"`` writes every array into one compressed
+            npz.  ``"per-type-mmap"`` writes one *raw* ``.npy`` per array
             (``<stem>.<type>.<kind>.npy``) so readers can memory-map
-            individual arrays and page in only the bytes they touch.
+            individual arrays and page in only the bytes they touch (see
+            :class:`repro.serve.shards.ShardedModelReader`).  The legacy
+            ``"per-type"`` npz layout is read-only and is refused here.
         """
         layout = shards or "monolithic"
         if layout not in SHARD_LAYOUTS:
             raise ValidationError(
-                f"unknown shard layout {shards!r}; expected one of {SHARD_LAYOUTS}")
+                f"cannot write shard layout {shards!r}; save writes one of "
+                f"{SHARD_LAYOUTS} (legacy 'per-type' artifacts are read-only)")
         npz_path, sidecar_path = self._paths(path)
         npz_path.parent.mkdir(parents=True, exist_ok=True)
         sidecar = self.info()
@@ -633,34 +631,10 @@ class RHCHMEModel:
             for info in self.types:
                 arrays.update(self._type_arrays(info))
             _write_npz_atomic(npz_path, arrays)
-        elif layout == "per-type":
+        else:  # MMAP_LAYOUT: one raw .npy per array
             if GLOBAL_SHARD in self.type_names:
                 # The flat shard-key namespace (type names + the global
                 # shard) cannot represent this artifact unambiguously.
-                raise ValidationError(
-                    f"cannot shard per type: a type is named "
-                    f"{GLOBAL_SHARD!r}, which is the reserved key of the "
-                    "cross-type shard; rename the type or save "
-                    "monolithically")
-            stem = npz_path.stem
-            manifest: dict = {"layout": "per-type",
-                              GLOBAL_SHARD: _shard_stem(stem, GLOBAL_SHARD),
-                              "types": {}}
-            files = {manifest[GLOBAL_SHARD]: self._global_arrays()}
-            for info in self.types:
-                filename = _shard_stem(stem, info.name)
-                if filename in files:  # names collide after sanitisation
-                    filename = _shard_stem(stem, f"type{len(files)}")
-                manifest["types"][info.name] = filename
-                files[filename] = self._type_arrays(info)
-            self._remove_stale_layout(
-                path, keep={npz_path.with_name(name) for name in files})
-            npz_path.unlink(missing_ok=True)  # stale monolithic arrays
-            for filename, arrays in files.items():
-                _write_npz_atomic(npz_path.with_name(filename), arrays)
-            sidecar["shards"] = manifest
-        else:  # MMAP_LAYOUT: one raw .npy per array
-            if GLOBAL_SHARD in self.type_names:
                 raise ValidationError(
                     f"cannot shard per type: a type is named "
                     f"{GLOBAL_SHARD!r}, which is the reserved key of the "
@@ -758,15 +732,15 @@ class RHCHMEModel:
 
     @classmethod
     def load(cls, path) -> "RHCHMEModel":
-        """Read an artifact written by :meth:`save` (either layout).
+        """Read an artifact in any layout, legacy ``per-type`` included.
 
         Raises :class:`~repro.exceptions.ArtifactError` when an array file
         or the sidecar is missing, the sidecar does not describe an RHCHME
         model, the artifact's schema version differs from
         :data:`SCHEMA_VERSION`, or an npz does not hold the arrays the
         sidecar promises (a sidecar paired with the wrong or truncated npz).
-        A per-type sharded artifact is reassembled into the exact same model
-        a monolithic save round-trips to.
+        A sharded artifact is reassembled into the exact same model a
+        monolithic save round-trips to.
         """
         sidecar = cls.read_metadata(path)
         config, types = cls.parse_sidecar(sidecar)

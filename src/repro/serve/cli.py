@@ -8,8 +8,9 @@ Three subcommands cover the fit→persist→serve lifecycle::
     python -m repro.serve info     --model model.npz
 
 ``fit-save`` fits RHCHME on a registered synthetic dataset preset and writes
-the artifact (``--shards per-type`` for the sharded layout); ``predict``
-loads an artifact and batch-predicts a ``.npy`` / ``.npz`` query matrix,
+the artifact (``--shards per-type-mmap`` for one raw ``.npy`` per array,
+served lazily through memory maps); ``predict`` opens an artifact the way
+its layout says and batch-predicts a ``.npy`` / ``.npz`` query matrix,
 writing hard labels and soft membership scores (``--json`` for a
 machine-readable result document on stdout); ``info`` prints the artifact's
 sidecar metadata — including its shard layout — without loading the arrays.
@@ -43,7 +44,7 @@ from ..core.rhchme import RHCHME
 from ..data.datasets import list_datasets, make_dataset
 from ..exceptions import ReproError
 from ..net.schema import PredictRequest
-from .artifact import RHCHMEModel, SHARD_LAYOUTS
+from .artifact import MMAP_LAYOUT, RHCHMEModel, SHARD_LAYOUTS, artifact_layout
 from .predictor import BatchPredictor
 
 __all__ = ["main"]
@@ -65,14 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-iter", type=int, default=30)
     fit.add_argument("--backend", default="auto",
                      choices=["auto", "dense", "sparse"])
-    fit.add_argument("--subspace-topk", type=int, default=None,
-                     help="top-k sparsification of the subspace member affinity")
     fit.add_argument("--no-subspace", action="store_true",
                      help="disable the subspace ensemble member (faster fits)")
     fit.add_argument("--shards", default="monolithic",
                      choices=list(SHARD_LAYOUTS),
-                     help="artifact layout: one npz, or one npz per object "
-                          "type (enables lazy partial loads when serving)")
+                     help="artifact layout: one npz, or one raw .npy per "
+                          "array grouped per object type (served lazily "
+                          "through memory maps)")
     fit.add_argument("--diagnostics", action="store_true",
                      help="record fit-time health diagnostics (per-type "
                           "spectral metrics + membership churn) into the "
@@ -113,7 +113,7 @@ def _load_queries(path: Path) -> np.ndarray:
 
 def _cmd_fit_save(args: argparse.Namespace) -> int:
     config = RHCHMEConfig(max_iter=args.max_iter, random_state=args.random_state,
-                          backend=args.backend, subspace_topk=args.subspace_topk,
+                          backend=args.backend,
                           use_subspace_member=not args.no_subspace,
                           diagnostics=args.diagnostics)
     data = make_dataset(args.dataset, random_state=args.random_state)
@@ -133,11 +133,11 @@ def _cmd_fit_save(args: argparse.Namespace) -> int:
                   f"laplacian_energy={entry['laplacian_energy']:.4g} "
                   f"connected={entry['connected']}")
     written = artifact.save(args.output, shards=args.shards)
-    if args.shards == "per-type":
-        shard_files = RHCHMEModel.shard_paths(
+    if args.shards == MMAP_LAYOUT:
+        array_files = RHCHMEModel.shard_paths(
             written, RHCHMEModel.read_metadata(written))
-        print(f"[serve] wrote {len(shard_files)} per-type shards "
-              f"({', '.join(sorted(p.name for p in shard_files.values()))}) "
+        print(f"[serve] wrote {len(array_files)} array files "
+              f"({', '.join(sorted(p.name for p in array_files.values()))}) "
               f"+ {written.with_suffix('.json').name}")
     else:
         print(f"[serve] wrote {written} (+ {written.with_suffix('.json').name})")
@@ -148,8 +148,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     request = PredictRequest(model=str(args.model), type_name=args.type_name,
                              queries=_load_queries(args.queries),
                              batch_size=args.batch_size)
-    predictor = BatchPredictor(default_batch_size=args.batch_size,
-                               lazy_shards=True)
+    predictor = BatchPredictor(default_batch_size=args.batch_size)
     response = predictor.serve(request)
     stats = predictor.stats
     counts = np.bincount(response.labels,
@@ -187,10 +186,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # Metadata lives in the JSON sidecar; validating and printing it never
     # decompresses the (potentially huge) arrays.
     metadata = RHCHMEModel.read_metadata(args.model)
-    shards = metadata.get("shards")
     # Computed convenience keys so scripts need not infer the layout from
     # the manifest or walk the diagnostics section for availability.
-    metadata["layout"] = shards["layout"] if shards else "monolithic"
+    metadata["layout"] = artifact_layout(metadata)
     diagnostics = metadata.get("diagnostics") or {}
     metadata["diagnostics_available"] = sorted(
         key for key in ("fingerprints", "fit") if diagnostics.get(key))

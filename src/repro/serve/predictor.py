@@ -12,9 +12,10 @@ The predictor is thread-safe: the model cache and the counters are guarded
 by one lock, so it can sit behind the :mod:`repro.runtime` worker pool —
 the numerical predict itself runs outside the lock and the underlying
 artifacts are immutable, so concurrent predicts against the same model do
-not serialise.  With ``lazy_shards=True`` a per-type sharded artifact is
-opened through :class:`repro.serve.shards.ShardedModelReader`, so a process
-serving one type never decompresses the other types' blocks.
+not serialise.  Each artifact is opened the way its layout says
+(:func:`repro.serve.shards.open_model`): a ``per-type-mmap`` artifact
+through :class:`repro.serve.shards.ShardedModelReader`, so a process serving
+one type only maps that type's arrays; any other layout eagerly.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class BatchPredictor:
         used artifact is evicted when a new one would exceed the bound.
     default_batch_size:
         Micro-batch size used when a request does not specify one.
-    lazy_shards:
-        Open per-type sharded artifacts lazily (only queried types' shards
-        are read from disk); monolithic artifacts always load eagerly.
     diagnostics:
         Score every served batch against the model's training fingerprints
         with a :class:`repro.diagnostics.DriftDetector` (one per cached
@@ -106,13 +104,11 @@ class BatchPredictor:
 
     def __init__(self, *, cache_size: int = 4,
                  default_batch_size: int = 256,
-                 lazy_shards: bool = False,
                  diagnostics: bool | dict = False,
                  obs=None) -> None:
         self.cache_size = check_positive_int(cache_size, name="cache_size")
         self.default_batch_size = check_positive_int(default_batch_size,
                                                      name="default_batch_size")
-        self.lazy_shards = bool(lazy_shards)
         self.obs = obs
         self.diagnostics = isinstance(diagnostics, dict) or bool(diagnostics)
         self._detector_options: dict = (dict(diagnostics)
@@ -130,13 +126,15 @@ class BatchPredictor:
 
     # ------------------------------------------------------------ model cache
     def get_model(self, path):
-        """Return the artifact at ``path``, loading it on first use (LRU).
+        """Return the artifact at ``path``, opening it on first use (LRU).
 
-        Cache keys are canonical resolved paths, so different spellings of
-        the same artifact (``model``, ``model.npz``, ``./model.npz``) share
-        one cache entry.  Cold loads are single-flight per key and do not
-        hold the global cache lock, so a multi-second load of one model
-        never stalls cache hits for the models already resident.
+        The artifact is opened by :func:`~repro.serve.shards.open_model`:
+        lazily for ``per-type-mmap``, eagerly otherwise.  Cache keys are
+        canonical resolved paths, so different spellings of the same
+        artifact (``model``, ``model.npz``, ``./model.npz``) share one
+        cache entry.  Cold loads are single-flight per key and do not hold
+        the global cache lock, so a multi-second load of one model never
+        stalls cache hits for the models already resident.
         """
         key = str(RHCHMEModel.resolve_path(path))
         with self._lock:
@@ -153,7 +151,7 @@ class BatchPredictor:
                     self._models.move_to_end(key)
                     self.stats.cache_hits += 1
                     return model
-            model = open_model(path, lazy=self.lazy_shards)
+            model = open_model(path)
             with self._lock:
                 self.stats.cache_misses += 1
                 self._store_locked(key, model)

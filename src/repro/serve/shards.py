@@ -1,4 +1,4 @@
-"""Lazy, per-type access to sharded model artifacts.
+"""Lazy, per-type access to ``per-type-mmap`` model artifacts.
 
 A monolithic :class:`~repro.serve.artifact.RHCHMEModel` load decompresses
 every array of every type.  For a serving process that only ever answers
@@ -7,23 +7,25 @@ needs nothing beyond that type's training features and membership block —
 not the association matrix, not the error matrix, not any other type.
 
 :class:`ShardedModelReader` fronts an artifact written with
-``save(path, shards="per-type")`` or ``shards="per-type-mmap"`` and loads
-arrays *on demand*: the first predict for a type reads exactly that type's
-shard; the global shard (S and E_R) is never touched by prediction at all.
-On the mmap layout each array is its own raw ``.npy`` file opened with
-``mmap_mode="r"`` — the OS pages in only the bytes actually touched, and
-:meth:`promote` upgrades chosen shards to in-memory copies (the
-copy-on-write boundary a delta-scheduled refresh needs before the artifact
-is rewritten underneath the maps).  Every file open is recorded in
-:attr:`shard_loads` and :meth:`cache_info` reports byte-level residency, so
-tests and benchmarks can assert partial-load claims with manifest
-accounting instead of trusting timings.
+``save(path, shards="per-type-mmap")`` and loads arrays *on demand*: each
+array is its own raw ``.npy`` file opened with ``mmap_mode="r"`` on first
+touch, so the OS pages in only the bytes a predict reads, and the global
+shard (S and E_R) is never touched by prediction at all.  :meth:`promote`
+upgrades chosen shards to in-memory copies (the copy-on-write boundary a
+delta-scheduled refresh needs before the artifact is rewritten underneath
+the maps).  Every file open is recorded in :attr:`shard_loads` and
+:meth:`cache_info` reports byte-level residency, so tests and benchmarks
+can assert partial-load claims with manifest accounting instead of trusting
+timings.
 
-The reader is thread-safe (shard loads and index builds are single-flight
-under a lock), is a context manager (``close()`` releases every open memory
-map deterministically), and exposes the same ``predict``/``type_info``
-surface as the eager model, so :class:`repro.serve.BatchPredictor` and the
-runtime serve through either interchangeably.
+:func:`open_model` dispatches on the artifact's layout alone: a
+``per-type-mmap`` artifact is served through this reader, any other layout
+(monolithic, legacy ``per-type`` npz) is loaded eagerly.  Both objects
+expose the same ``predict``/``type_info`` surface, so
+:class:`repro.serve.BatchPredictor` and the runtime serve through either
+interchangeably.  The reader is thread-safe (array loads and index builds
+are single-flight under a lock) and a context manager (``close()`` releases
+every open memory map deterministically).
 """
 
 from __future__ import annotations
@@ -37,56 +39,46 @@ from ..graph.neighbors import QueryIndex
 from ..linalg.backend import resolve_backend
 from ..linalg.rowsparse import RowSparseMatrix
 from .artifact import (GLOBAL_SHARD, MMAP_LAYOUT, RHCHMEModel, TypeInfo,
-                       check_query_features, error_matrix_npz_keys,
-                       read_error_matrix)
+                       artifact_layout, check_query_features,
+                       error_matrix_npz_keys, read_error_matrix)
 from .extension import Prediction, out_of_sample_predict
 
 __all__ = ["ShardedModelReader", "open_model"]
 
 
 class ShardedModelReader:
-    """Serve out-of-sample predictions from a per-type sharded artifact.
+    """Serve out-of-sample predictions from a ``per-type-mmap`` artifact.
 
     Parameters
     ----------
     path:
         The artifact handle (the same ``model.npz`` path the monolithic API
-        uses); its sidecar must carry a ``per-type`` or ``per-type-mmap``
-        shards manifest — a monolithic artifact is refused with
-        :class:`~repro.exceptions.ArtifactError` (load it eagerly instead).
-    mmap:
-        On a ``per-type-mmap`` artifact, ``True`` (default) opens arrays as
-        read-only memory maps; ``False`` reads each array eagerly into
-        memory on first touch (still per array, never the whole artifact).
-        Ignored on the npz layout, which cannot be mapped.
+        uses); its sidecar must carry a ``per-type-mmap`` shards manifest.
+        Any other layout — monolithic, or a legacy ``per-type`` npz
+        artifact — is refused with :class:`~repro.exceptions.ArtifactError`
+        (load it eagerly with :meth:`RHCHMEModel.load` instead).  Arrays
+        are opened as read-only memory maps until they are promoted.
 
     Attributes
     ----------
     shard_loads:
         Mapping from shard key (type name or ``"global"``) to how many
-        array files were opened for it; on the npz layout that is one per
-        shard for the lifetime of the reader unless :meth:`evict` drops it,
-        on the mmap layout one per array file.
+        array files were opened for it: one per array file for the lifetime
+        of the reader unless :meth:`evict` drops it.
     """
 
-    def __init__(self, path, *, mmap: bool = True) -> None:
+    def __init__(self, path) -> None:
         self._sidecar = RHCHMEModel.read_metadata(path)
-        if not self._sidecar.get("shards"):
+        layout = artifact_layout(self._sidecar)
+        if layout != MMAP_LAYOUT:
             raise ArtifactError(
-                f"artifact at {path} is monolithic, not sharded; load it with "
-                "RHCHMEModel.load or re-export with save(shards='per-type')")
+                f"artifact at {path} uses the {layout!r} layout; "
+                f"ShardedModelReader reads only {MMAP_LAYOUT!r} artifacts — "
+                "load it with RHCHMEModel.load")
         self._path = RHCHMEModel.resolve_path(path)
-        self._layout = self._sidecar["shards"].get("layout")
-        self._shard_paths = RHCHMEModel.shard_paths(path, self._sidecar)
-        if self._layout == MMAP_LAYOUT:
-            self._array_paths = RHCHMEModel.mmap_array_paths(path, self._sidecar)
-        else:
-            self._array_paths = {}
-        self._mmap = bool(mmap) and self._layout == MMAP_LAYOUT
+        self._array_paths = RHCHMEModel.mmap_array_paths(path, self._sidecar)
         self.config, self.types = RHCHMEModel.parse_sidecar(self._sidecar)
         self._lock = threading.Lock()
-        self._type_arrays: dict[str, dict[str, np.ndarray]] = {}
-        self._global_arrays: dict[str, np.ndarray] | None = None
         self._array_cache: dict[tuple[str, str], np.ndarray] = {}
         self._memmaps: list[np.ndarray] = []
         self._promoted: set[str] = set()
@@ -102,8 +94,8 @@ class ShardedModelReader:
 
     @property
     def layout(self) -> str:
-        """On-disk shard layout (``"per-type"`` or ``"per-type-mmap"``)."""
-        return self._layout
+        """On-disk shard layout (always ``"per-type-mmap"``)."""
+        return MMAP_LAYOUT
 
     def type_info(self, name: str) -> TypeInfo:
         """Return the :class:`TypeInfo` of the named type (metadata only)."""
@@ -116,28 +108,21 @@ class ShardedModelReader:
     @property
     def loaded_types(self) -> list[str]:
         """Type names with at least one resident array, in load order."""
-        if self._layout == MMAP_LAYOUT:
-            seen: list[str] = []
-            for shard, _key in self._array_cache:
-                if shard != GLOBAL_SHARD and shard not in seen:
-                    seen.append(shard)
-            return seen
-        return list(self._type_arrays)
+        seen: list[str] = []
+        for shard, _key in self._array_cache:
+            if shard != GLOBAL_SHARD and shard not in seen:
+                seen.append(shard)
+        return seen
 
     def accounting(self) -> dict:
         """Manifest accounting snapshot for partial-load assertions."""
-        if self._layout == MMAP_LAYOUT:
-            global_loaded = any(shard == GLOBAL_SHARD
-                                for shard, _key in self._array_cache)
-            n_files = sum(len(entries) for entries in self._array_paths.values())
-        else:
-            global_loaded = self._global_arrays is not None
-            n_files = len(self._shard_paths)
         return {
             "n_types": len(self.types),
-            "n_shards_on_disk": n_files,
+            "n_shards_on_disk": sum(len(entries) for entries
+                                    in self._array_paths.values()),
             "loaded_types": self.loaded_types,
-            "global_loaded": global_loaded,
+            "global_loaded": any(shard == GLOBAL_SHARD
+                                 for shard, _key in self._array_cache),
             "shard_loads": dict(self.shard_loads),
         }
 
@@ -165,8 +150,8 @@ class ShardedModelReader:
     def _count_load(self, key: str) -> None:
         self.shard_loads[key] = self.shard_loads.get(key, 0) + 1
 
-    def _mmap_get(self, shard: str, key: str) -> np.ndarray:
-        """One array of the mmap layout, loaded lazily and single-flight."""
+    def _get(self, shard: str, key: str) -> np.ndarray:
+        """One array, memory-mapped (or read, once promoted) single-flight."""
         self._check_open()
         cached = self._array_cache.get((shard, key))
         if cached is not None:
@@ -183,7 +168,7 @@ class ShardedModelReader:
                     f"model arrays at {self._path} do not match the sidecar "
                     f"(no file for {key!r} in shard {shard!r}); the array "
                     "files and json do not describe the same model") from None
-            mode = "r" if self._mmap and shard not in self._promoted else None
+            mode = None if shard in self._promoted else "r"
             array = RHCHMEModel.read_npy(array_path, mmap_mode=mode)
             if isinstance(array, np.memmap):
                 self._memmaps.append(array)
@@ -191,67 +176,29 @@ class ShardedModelReader:
             self._count_load(shard)
         return array
 
-    def _arrays_for(self, info: TypeInfo) -> dict[str, np.ndarray]:
-        self._check_open()
-        arrays = self._type_arrays.get(info.name)
-        if arrays is None:
-            with self._lock:
-                self._check_open()
-                arrays = self._type_arrays.get(info.name)
-                if arrays is None:
-                    keys = [f"membership::{info.name}", f"labels::{info.name}"]
-                    if info.n_features is not None:
-                        keys.append(f"features::{info.name}")
-                    arrays = RHCHMEModel.read_shard(
-                        self._shard_paths[info.name], keys)
-                    self._type_arrays[info.name] = arrays
-                    self._count_load(info.name)
-        return arrays
-
-    def _global(self) -> dict[str, np.ndarray]:
-        self._check_open()
-        if self._global_arrays is None:
-            with self._lock:
-                self._check_open()
-                if self._global_arrays is None:
-                    keys = ["association"] + error_matrix_npz_keys(self._sidecar)
-                    self._global_arrays = RHCHMEModel.read_shard(
-                        self._shard_paths[GLOBAL_SHARD], keys)
-                    self._count_load(GLOBAL_SHARD)
-        return self._global_arrays
-
     def features(self, type_name: str) -> np.ndarray:
         """Training features of one type (loads/maps that type's array)."""
         info = self.type_info(type_name)
         if info.n_features is None:
             raise ValidationError(
                 f"type {type_name!r} was fitted without features")
-        if self._layout == MMAP_LAYOUT:
-            return self._mmap_get(info.name, f"features::{type_name}")
-        return self._arrays_for(info)[f"features::{type_name}"]
+        return self._get(info.name, f"features::{type_name}")
 
     def membership(self, type_name: str) -> np.ndarray:
         """Fitted membership block of one type (loads that type's array)."""
-        info = self.type_info(type_name)
-        if self._layout == MMAP_LAYOUT:
-            return self._mmap_get(info.name, f"membership::{type_name}")
-        return self._arrays_for(info)[f"membership::{type_name}"]
+        return self._get(self.type_info(type_name).name,
+                         f"membership::{type_name}")
 
     def labels(self, type_name: str) -> np.ndarray:
         """Fitted hard labels of one type (loads that type's array)."""
-        info = self.type_info(type_name)
-        if self._layout == MMAP_LAYOUT:
-            raw = self._mmap_get(info.name, f"labels::{type_name}")
-        else:
-            raw = self._arrays_for(info)[f"labels::{type_name}"]
+        raw = self._get(self.type_info(type_name).name,
+                        f"labels::{type_name}")
         return np.asarray(raw, dtype=np.int64)
 
     @property
     def association(self) -> np.ndarray:
         """The fitted association matrix ``S`` (loads the global shard)."""
-        if self._layout == MMAP_LAYOUT:
-            return self._mmap_get(GLOBAL_SHARD, "association")
-        return self._global()["association"]
+        return self._get(GLOBAL_SHARD, "association")
 
     @property
     def error_matrix(self) -> RowSparseMatrix | None:
@@ -262,10 +209,7 @@ class ShardedModelReader:
         keys = error_matrix_npz_keys(self._sidecar)
         if not keys:
             return None
-        if self._layout == MMAP_LAYOUT:
-            arrays = {key: self._mmap_get(GLOBAL_SHARD, key) for key in keys}
-        else:
-            arrays = self._global()
+        arrays = {key: self._get(GLOBAL_SHARD, key) for key in keys}
         return read_error_matrix(
             arrays, sum(info.n_objects for info in self.types))
 
@@ -291,10 +235,7 @@ class ShardedModelReader:
         plain in-memory copies, the artifact files can be rewritten
         underneath the reader without the maps observing torn state.  Future
         lazy loads of a promoted shard read eagerly instead of mapping.
-        No-op on the npz layout, whose arrays are always resident copies.
         """
-        if self._layout != MMAP_LAYOUT:
-            return
         self._check_open()
         if type_name is None:
             shards = [GLOBAL_SHARD] + self.type_names
@@ -312,20 +253,16 @@ class ShardedModelReader:
 
         Used before an in-place artifact rewrite (e.g. a runtime refresh):
         once resident, the reader never touches the disk again, so the
-        rewrite cannot race its remaining lazy loads.  On the mmap layout
-        this promotes everything first, so no memory map remains backed by
-        the files about to be replaced.
+        rewrite cannot race its remaining lazy loads.  Everything is
+        promoted first, so no memory map remains backed by the files about
+        to be replaced.
         """
         self.promote(None)
         for info in self.types:
-            if self._layout == MMAP_LAYOUT:
-                self.membership(info.name)
-                self.labels(info.name)
-                if info.n_features is not None:
-                    self.features(info.name)
-            else:
-                self._arrays_for(info)
+            self.membership(info.name)
+            self.labels(info.name)
             if info.n_features is not None:
+                self.features(info.name)
                 self.query_index(info.name)
         _ = self.association
         _ = self.error_matrix
@@ -339,12 +276,9 @@ class ShardedModelReader:
         """
         with self._lock:
             if type_name is None:
-                self._type_arrays.clear()
                 self._array_cache.clear()
                 self._query_indexes.clear()
-                self._global_arrays = None
             else:
-                self._type_arrays.pop(type_name, None)
                 self._query_indexes.pop(type_name, None)
                 for shard, key in list(self._array_cache):
                     if shard == type_name:
@@ -360,10 +294,8 @@ class ShardedModelReader:
         garbage collector rather than invalidated under the caller's feet.
         """
         with self._lock:
-            self._type_arrays.clear()
             self._array_cache.clear()
             self._query_indexes.clear()
-            self._global_arrays = None
             maps, self._memmaps = self._memmaps, []
             self._closed = True
         for array in maps:
@@ -401,43 +333,28 @@ class ShardedModelReader:
         """
         arrays: dict[str, dict] = {}
         total = resident = mapped = 0
-        if self._layout == MMAP_LAYOUT:
-            for shard, entries in self._array_paths.items():
-                for key, array_path in entries.items():
-                    nbytes = (array_path.stat().st_size
-                              if array_path.exists() else 0)
-                    total += nbytes
-                    cached = self._array_cache.get((shard, key))
-                    if cached is None:
-                        mode = "cold"
-                    elif isinstance(cached, np.memmap):
-                        mode = "mapped"
-                        mapped += nbytes
-                    else:
-                        mode = "resident"
-                        resident += nbytes
-                    arrays[key] = {"shard": shard, "bytes": nbytes,
-                                   "mode": mode}
-        else:
-            for shard, shard_path in self._shard_paths.items():
-                nbytes = shard_path.stat().st_size if shard_path.exists() else 0
+        for shard, entries in self._array_paths.items():
+            for key, array_path in entries.items():
+                nbytes = array_path.stat().st_size if array_path.exists() else 0
                 total += nbytes
-                loaded = (self._global_arrays is not None
-                          if shard == GLOBAL_SHARD
-                          else shard in self._type_arrays)
-                mode = "resident" if loaded else "cold"
-                if loaded:
+                cached = self._array_cache.get((shard, key))
+                if cached is None:
+                    mode = "cold"
+                elif isinstance(cached, np.memmap):
+                    mode = "mapped"
+                    mapped += nbytes
+                else:
+                    mode = "resident"
                     resident += nbytes
-                arrays[shard] = {"shard": shard, "bytes": nbytes,
-                                 "mode": mode}
-        return {"layout": self._layout, "arrays": arrays,
+                arrays[key] = {"shard": shard, "bytes": nbytes, "mode": mode}
+        return {"layout": MMAP_LAYOUT, "arrays": arrays,
                 "total_bytes": total, "resident_bytes": resident,
                 "mapped_bytes": mapped, "loads": dict(self.shard_loads),
                 "promoted": sorted(self._promoted), "closed": self._closed}
 
     # ------------------------------------------------------------- prediction
-    def predict(self, type_name: str, X_new, *, batch_size: int = 256,
-                backend: str | None = None) -> Prediction:
+    def predict(self, type_name: str, X_new, *,
+                batch_size: int = 256) -> Prediction:
         """Assign new objects of ``type_name`` out of sample.
 
         Identical numerics to :meth:`RHCHMEModel.predict` — the same
@@ -446,8 +363,8 @@ class ShardedModelReader:
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
-        resolved = resolve_backend(self.config.backend if backend is None
-                                   else backend, n_objects=info.n_objects)
+        resolved = resolve_backend(self.config.backend,
+                                   n_objects=info.n_objects)
         return out_of_sample_predict(
             self.features(type_name), self.membership(type_name), X_new,
             p=self.config.p, weighting=self.config.weighting,
@@ -459,16 +376,15 @@ class ShardedModelReader:
         return RHCHMEModel.load(self._path)
 
 
-def open_model(path, *, lazy: bool = False):
-    """Open an artifact as an eager model or, when possible, a lazy reader.
+def open_model(path):
+    """Open an artifact the way its layout says it is served.
 
-    With ``lazy=True`` a sharded artifact (``per-type`` or
-    ``per-type-mmap``) is opened as a :class:`ShardedModelReader` (only
-    queried types' arrays are read); a monolithic artifact falls back to
-    the eager :class:`~repro.serve.artifact.RHCHMEModel`.  Both returned
-    objects share the ``predict``/``type_info``/``type_names`` serving
-    surface.
+    A ``per-type-mmap`` artifact is opened as a :class:`ShardedModelReader`
+    (only queried types' arrays are mapped); any other layout — monolithic
+    or legacy ``per-type`` npz — is loaded eagerly as an
+    :class:`~repro.serve.artifact.RHCHMEModel`.  Both returned objects
+    share the ``predict``/``type_info``/``type_names`` serving surface.
     """
-    if lazy and RHCHMEModel.read_metadata(path).get("shards"):
+    if artifact_layout(RHCHMEModel.read_metadata(path)) == MMAP_LAYOUT:
         return ShardedModelReader(path)
     return RHCHMEModel.load(path)

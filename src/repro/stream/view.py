@@ -2,13 +2,13 @@
 
 A streaming refresh wants the eager-model API (``refresh_model`` takes an
 :class:`~repro.serve.artifact.RHCHMEModel`) without the eager-model cost of
-loading every array up front.  :func:`open_model_view` opens a sharded
-artifact through :class:`~repro.serve.shards.ShardedModelReader` and wraps
-it in a model whose ``features``/``membership``/``labels`` mappings fetch
-arrays from the reader on first access — on the ``per-type-mmap`` layout
-that means a refresh touching one dirty type reads (and optionally
-promotes) only that type's arrays, while the clean types' features never
-leave the page cache they were never read into.
+loading every array up front.  :func:`open_model_view` opens a
+``per-type-mmap`` artifact through
+:class:`~repro.serve.shards.ShardedModelReader` and wraps it in a model
+whose ``features``/``membership``/``labels`` mappings fetch arrays from the
+reader on first access — a refresh touching one dirty type maps (and
+optionally promotes) only that type's arrays, while the clean types'
+features never leave the page cache they were never read into.
 """
 
 from __future__ import annotations
@@ -80,24 +80,20 @@ class ModelView:
         self.close()
 
 
-def open_model_view(path, *, promote=(), mmap: bool = True) -> ModelView:
-    """Open a sharded artifact as a lazily-backed eager-model facade.
+def open_model_view(path, *, promote=()) -> ModelView:
+    """Open a ``per-type-mmap`` artifact as a lazily-backed model facade.
 
     Parameters
     ----------
     path:
-        The artifact handle; must be sharded (``per-type`` or
-        ``per-type-mmap``).
+        The artifact handle; any other layout is refused by
+        :class:`ShardedModelReader` (load it with :meth:`RHCHMEModel.load`).
     promote:
         Type names whose arrays should be promoted to in-memory copies up
         front (the dirty types of an impending refresh) — promoted arrays
-        survive the artifact being rewritten underneath the view.  Only
-        meaningful on the mmap layout; a no-op otherwise.
-    mmap:
-        Forwarded to :class:`ShardedModelReader`: ``False`` reads arrays
-        eagerly per access instead of memory-mapping them.
+        survive the artifact being rewritten underneath the view.
     """
-    reader = ShardedModelReader(path, mmap=mmap)
+    reader = ShardedModelReader(path)
     for name in promote:
         reader.promote(name)
     type_names = reader.type_names

@@ -80,27 +80,3 @@ class TestBackendKnob:
         assert config.with_overrides(backend="dense").backend == "dense"
         with pytest.raises(ValueError):
             config.with_overrides(backend="bogus")
-
-
-class TestSubspaceTopkKnob:
-    def test_default_is_none(self):
-        assert RHCHMEConfig().subspace_topk is None
-
-    def test_positive_value_accepted(self):
-        assert RHCHMEConfig(subspace_topk=10).subspace_topk == 10
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            RHCHMEConfig(subspace_topk=0)
-        with pytest.raises(ValueError):
-            RHCHMEConfig(subspace_topk=-3)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            RHCHMEConfig(subspace_topk=2.5)
-
-    def test_with_overrides_revalidates(self):
-        config = RHCHMEConfig()
-        assert config.with_overrides(subspace_topk=7).subspace_topk == 7
-        with pytest.raises(ValueError):
-            config.with_overrides(subspace_topk=0)

@@ -49,7 +49,8 @@ class TestSidecarRoundTrip:
 
     def test_sharded_reader_exposes_diagnostics_without_loading_shards(
             self, diag_artifact, tmp_path):
-        path = diag_artifact.save(tmp_path / "model.npz", shards="per-type")
+        path = diag_artifact.save(tmp_path / "model.npz",
+                                  shards="per-type-mmap")
         reader = ShardedModelReader(path)
         document = reader.diagnostics
         assert document["version"] == DIAGNOSTICS_SCHEMA_VERSION
@@ -60,7 +61,8 @@ class TestSidecarRoundTrip:
             self, diag_artifact, tmp_path):
         mono = RHCHMEModel.load(diag_artifact.save(tmp_path / "mono.npz"))
         sharded = ShardedModelReader(
-            diag_artifact.save(tmp_path / "sharded.npz", shards="per-type"))
+            diag_artifact.save(tmp_path / "sharded.npz",
+                               shards="per-type-mmap"))
         for model in (mono, sharded):
             detector = DriftDetector.from_model(model, min_rows=8)
             assert detector is not None

@@ -15,7 +15,6 @@ from repro.linalg.backend import (
     resolve_backend,
     to_backend,
     to_dense,
-    topk_rows,
 )
 
 
@@ -72,59 +71,3 @@ class TestConversions:
     def test_to_backend_rejects_auto(self):
         with pytest.raises(ValueError):
             to_backend(np.eye(2), "auto")
-
-
-class TestTopkRows:
-    def test_keeps_k_largest_per_row(self):
-        matrix = np.array([[0.0, 3.0, 1.0, 2.0],
-                           [3.0, 0.0, 5.0, 4.0],
-                           [1.0, 5.0, 0.0, 6.0],
-                           [2.0, 4.0, 6.0, 0.0]])
-        result = topk_rows(matrix, 1, symmetrize=False)
-        expected = np.zeros_like(matrix)
-        expected[0, 1] = 3.0
-        expected[1, 2] = 5.0
-        expected[2, 3] = 6.0
-        expected[3, 2] = 6.0
-        np.testing.assert_array_equal(result, expected)
-
-    def test_symmetrize_unions_row_selections(self):
-        matrix = np.array([[0.0, 3.0, 1.0],
-                           [3.0, 0.0, 5.0],
-                           [1.0, 5.0, 0.0]])
-        result = topk_rows(matrix, 1)
-        np.testing.assert_array_equal(result, result.T)
-        # row 0 keeps (0,1); row 1 keeps (1,2); the union keeps both edges
-        assert result[0, 1] == 3.0
-        assert result[1, 2] == 5.0
-
-    def test_k_at_least_n_returns_exact_copy(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.random((5, 5))
-        result = topk_rows(matrix, 5)
-        np.testing.assert_array_equal(result, matrix)
-        result[0, 0] = -1.0  # a copy, not a view
-        assert matrix[0, 0] != -1.0
-
-    def test_k_equals_n_minus_one_exact_on_zero_diagonal(self):
-        rng = np.random.default_rng(1)
-        affinity = rng.random((8, 8))
-        affinity = (affinity + affinity.T) / 2.0
-        np.fill_diagonal(affinity, 0.0)
-        np.testing.assert_array_equal(topk_rows(affinity, 7), affinity)
-
-    def test_nnz_bounded_by_2k_per_row(self):
-        rng = np.random.default_rng(2)
-        affinity = rng.random((30, 30))
-        affinity = (affinity + affinity.T) / 2.0
-        np.fill_diagonal(affinity, 0.0)
-        result = topk_rows(affinity, 4)
-        assert (result > 0).sum(axis=1).max() <= 8
-
-    def test_accepts_sparse_input(self):
-        dense = np.array([[0.0, 2.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(topk_rows(sp.csr_array(dense), 1), dense)
-
-    def test_invalid_k_rejected(self):
-        with pytest.raises(ValueError):
-            topk_rows(np.eye(3), 0)

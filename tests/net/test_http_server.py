@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import (ModelNotFoundError, QueueFullError,
-                              QuotaExceededError, ServerDrainingError,
-                              ValidationError)
+from repro.exceptions import (ArtifactError, ModelNotFoundError,
+                              QueueFullError, QuotaExceededError,
+                              ServerDrainingError, ValidationError)
 from repro.net import (NetClient, NetServer, PredictRequest,
                        WIRE_SCHEMA_VERSION, run_closed_loop)
 from repro.serve.predictor import BatchPredictor
@@ -271,6 +271,17 @@ def test_non_positive_quota_refused(launch, net_model_path, quota):
         handle.server.register_model("other", net_model_path,
                                      max_inflight=quota)
     assert handle.server.models == ["docs"]
+
+
+def test_failed_initial_registration_closes_owned_runtime(tmp_path):
+    before = set(threading.enumerate())
+    with pytest.raises(ArtifactError, match="not found"):
+        NetServer(models={"docs": str(tmp_path / "missing.npz")},
+                  workers="thread")
+    # The runtime the constructor built is closed, batcher thread included.
+    leaked = [thread.name for thread in set(threading.enumerate()) - before
+              if thread.name == "repro-microbatcher"]
+    assert leaked == []
 
 
 # --------------------------------------------------------- drain lifecycle

@@ -1,6 +1,6 @@
 """Fixtures for the runtime test suite.
 
-Builds one small fitted artifact on disk (both layouts) plus a grown
+Builds one small fitted artifact on disk (both written layouts) plus a grown
 variant of its training set for refresh tests.  The grown dataset shares
 the fitted features as an exact prefix — the contract ``refresh_model``
 validates — so the generator draws one feature pool and slices it.
@@ -83,7 +83,7 @@ def runtime_model_path(runtime_artifact, tmp_path_factory):
 def sharded_model_path(runtime_artifact, tmp_path_factory):
     return runtime_artifact.save(
         tmp_path_factory.mktemp("runtime-sharded") / "model.npz",
-        shards="per-type")
+        shards="per-type-mmap")
 
 
 @pytest.fixture(scope="session")

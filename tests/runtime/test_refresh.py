@@ -113,7 +113,7 @@ class TestServerRefresh:
     def test_hot_swap_serves_new_model_and_keeps_old_futures(
             self, runtime_artifact, grown_dataset, tmp_path):
         path = runtime_artifact.save(tmp_path / "model.npz",
-                                     shards="per-type")
+                                     shards="per-type-mmap")
         queries = grown_dataset.get_type("points").features[90:]
         with RuntimeServer(workers="thread", n_workers=2, max_batch_size=8,
                            max_delay_seconds=0.002) as runtime:
@@ -128,7 +128,7 @@ class TestServerRefresh:
             assert runtime.stats.refreshes == 1
             # the refreshed artifact was persisted in the same shard layout
             meta = outcome.model.read_metadata(path)
-            assert meta["shards"]["layout"] == "per-type"
+            assert meta["shards"]["layout"] == "per-type-mmap"
             assert meta["types"][0]["n_objects"] == 120
             # the swapped-in cached model is the refreshed one
             cached = runtime.predictor.get_model(path)
@@ -151,7 +151,7 @@ class TestServerRefresh:
         # The cached reader must become fully resident before the files are
         # rewritten, so in-flight requests never read mid-rewrite shards.
         path = runtime_artifact.save(tmp_path / "model.npz",
-                                     shards="per-type")
+                                     shards="per-type-mmap")
         with RuntimeServer(workers="serial", max_batch_size=8,
                            max_delay_seconds=0.002) as runtime:
             queries = grown_dataset.get_type("points").features[:4]

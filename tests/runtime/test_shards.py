@@ -1,7 +1,10 @@
 """Tests for per-type sharded artifacts and the lazy reader.
 
-Partial-load claims are asserted with manifest accounting (which shard
-files were actually opened), not timings.
+Saves write the ``per-type-mmap`` layout (one raw ``.npy`` per array);
+partial-load claims are asserted with manifest accounting (which array
+files were actually opened), not timings.  Legacy ``per-type`` npz
+artifacts are still read: :func:`save_legacy_per_type` writes one the way
+that layout's writer did, so the read side stays covered.
 """
 
 from __future__ import annotations
@@ -12,8 +15,50 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ArtifactError, ValidationError
+from repro.runtime import RuntimeServer
 from repro.serve import (BatchPredictor, RHCHMEModel, ShardedModelReader,
                          open_model)
+
+#: Array files of the two-type runtime artifact in the mmap layout.
+MMAP_FILES = ["anchors.features.npy", "anchors.labels.npy",
+              "anchors.membership.npy", "global.association.npy",
+              "global.error_matrix_rows.npy", "global.error_matrix_values.npy",
+              "points.features.npy", "points.labels.npy",
+              "points.membership.npy"]
+
+
+def save_legacy_per_type(model: RHCHMEModel, path):
+    """Write ``model`` in the legacy ``per-type`` npz layout; return the handle.
+
+    One compressed ``<stem>.<type>.npz`` per type (membership, labels,
+    features) plus ``<stem>.global.npz`` (association and row-sparse error
+    matrix), with the file map in the sidecar's ``shards`` manifest — the
+    files that layout's writer produced.
+    """
+    npz_path = model.save(path)  # its sidecar; the npz is replaced below
+    stem = npz_path.stem
+    global_arrays = {"association": model.association}
+    if model.error_matrix is not None:
+        global_arrays["error_matrix_rows"] = model.error_matrix.rows
+        global_arrays["error_matrix_values"] = model.error_matrix.values
+    manifest = {"layout": "per-type", "global": f"{stem}.global.npz",
+                "types": {}}
+    files = {manifest["global"]: global_arrays}
+    for info in model.types:
+        arrays = {f"membership::{info.name}": model.membership[info.name],
+                  f"labels::{info.name}": model.labels[info.name]}
+        if info.name in model.features:
+            arrays[f"features::{info.name}"] = model.features[info.name]
+        manifest["types"][info.name] = f"{stem}.{info.name}.npz"
+        files[f"{stem}.{info.name}.npz"] = arrays
+    npz_path.unlink()
+    for filename, arrays in files.items():
+        np.savez_compressed(npz_path.with_name(filename), **arrays)
+    sidecar_path = npz_path.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["shards"] = manifest
+    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    return npz_path
 
 
 class TestRoundTripParity:
@@ -38,16 +83,17 @@ class TestRoundTripParity:
     def test_shard_files_and_manifest_on_disk(self, sharded_model_path):
         directory = sharded_model_path.parent
         names = sorted(f.name for f in directory.iterdir())
-        assert names == ["model.anchors.npz", "model.global.npz",
-                         "model.json", "model.points.npz"]
+        assert names == sorted(["model.json"]
+                               + [f"model.{name}" for name in MMAP_FILES])
         sidecar = json.loads((directory / "model.json").read_text())
-        assert sidecar["shards"]["layout"] == "per-type"
+        assert sidecar["shards"]["layout"] == "per-type-mmap"
         assert sorted(sidecar["shards"]["types"]) == ["anchors", "points"]
         # the monolithic npz handle is not written in this layout
         assert not sharded_model_path.exists()
 
     def test_relayout_removes_stale_files(self, runtime_artifact, tmp_path):
-        path = runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
+        path = runtime_artifact.save(tmp_path / "m.npz",
+                                     shards="per-type-mmap")
         runtime_artifact.save(tmp_path / "m.npz")  # back to monolithic
         names = sorted(f.name for f in tmp_path.iterdir())
         assert names == ["m.json", "m.npz"]
@@ -60,7 +106,7 @@ class TestRoundTripParity:
 
     def test_type_named_global_cannot_shard(self, tmp_path):
         # "global" is the reserved shard key; a type by that name would be
-        # unreadable after a per-type save, so the save must refuse it.
+        # unreadable after a sharded save, so the save must refuse it.
         from repro.core import RHCHME
         from repro.relational.dataset import MultiTypeRelationalData
         from repro.relational.types import ObjectType, Relation
@@ -77,16 +123,18 @@ class TestRoundTripParity:
         model.fit(data)
         artifact = model.export_model(data)
         with pytest.raises(ValidationError, match="reserved"):
-            artifact.save(tmp_path / "m.npz", shards="per-type")
+            artifact.save(tmp_path / "m.npz", shards="per-type-mmap")
         artifact.save(tmp_path / "m.npz")  # monolithic still fine
 
     def test_resave_same_layout_leaves_no_window_and_no_stale_files(
             self, runtime_artifact, tmp_path):
-        path = runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
-        runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
+        path = runtime_artifact.save(tmp_path / "m.npz",
+                                     shards="per-type-mmap")
+        runtime_artifact.save(tmp_path / "m.npz", shards="per-type-mmap")
         names = sorted(f.name for f in tmp_path.iterdir())
-        assert names == ["m.anchors.npz", "m.global.npz", "m.json",
-                         "m.points.npz"]  # no .tmp leftovers, no duplicates
+        # no .tmp leftovers, no duplicates
+        assert names == sorted(["m.json"]
+                               + [f"m.{name}" for name in MMAP_FILES])
         loaded = RHCHMEModel.load(path)
         np.testing.assert_array_equal(loaded.association,
                                       runtime_artifact.association)
@@ -94,19 +142,19 @@ class TestRoundTripParity:
 
 class TestMissingAndCorrupt:
     def test_missing_shard_refused(self, runtime_artifact, tmp_path):
-        path = runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
+        path = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
         (tmp_path / "m.anchors.npz").unlink()
         with pytest.raises(ArtifactError, match="not found"):
             RHCHMEModel.load(path)
 
     def test_wrong_shard_content_refused(self, runtime_artifact, tmp_path):
-        path = runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
+        path = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
         np.savez_compressed(tmp_path / "m.points.npz", junk=np.zeros(3))
         with pytest.raises(ArtifactError, match="do not match the sidecar"):
             RHCHMEModel.load(path)
 
     def test_corrupt_shard_refused(self, runtime_artifact, tmp_path):
-        path = runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
+        path = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
         (tmp_path / "m.global.npz").write_bytes(b"not an npz")
         with pytest.raises(ArtifactError, match="corrupt"):
             RHCHMEModel.load(path)
@@ -120,9 +168,10 @@ class TestLazyReader:
         reader.predict("points", query_batch[:5])
         accounting = reader.accounting()
         assert accounting["loaded_types"] == ["points"]
-        assert accounting["shard_loads"] == {"points": 1}  # opened once
+        # features and membership, each opened once; labels stay cold
+        assert accounting["shard_loads"] == {"points": 2}
         assert not accounting["global_loaded"]
-        assert accounting["n_shards_on_disk"] == 3
+        assert accounting["n_shards_on_disk"] == len(MMAP_FILES)
 
     def test_lazy_prediction_matches_eager(self, sharded_model_path,
                                            runtime_artifact, query_batch):
@@ -138,12 +187,12 @@ class TestLazyReader:
             ShardedModelReader(runtime_model_path)
 
     def test_open_model_dispatches_by_layout(self, runtime_model_path,
-                                             sharded_model_path):
-        assert isinstance(open_model(sharded_model_path, lazy=True),
-                          ShardedModelReader)
-        assert isinstance(open_model(sharded_model_path), RHCHMEModel)
-        assert isinstance(open_model(runtime_model_path, lazy=True),
-                          RHCHMEModel)
+                                             sharded_model_path,
+                                             runtime_artifact, tmp_path):
+        legacy = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
+        assert isinstance(open_model(sharded_model_path), ShardedModelReader)
+        assert isinstance(open_model(runtime_model_path), RHCHMEModel)
+        assert isinstance(open_model(legacy), RHCHMEModel)
 
     def test_global_shard_loads_on_association_access(self,
                                                       sharded_model_path,
@@ -168,7 +217,8 @@ class TestLazyReader:
         reader.predict("points", query_batch[:3])
         reader.evict("points")
         reader.predict("points", query_batch[:3])
-        assert reader.accounting()["shard_loads"] == {"points": 2}
+        # features + membership, opened again after the eviction
+        assert reader.accounting()["shard_loads"] == {"points": 4}
 
     def test_to_model_loads_everything(self, sharded_model_path,
                                        runtime_artifact):
@@ -191,7 +241,7 @@ class TestPredictorIntegration:
     def test_lazy_predictor_serves_sharded_artifact(self, sharded_model_path,
                                                     runtime_artifact,
                                                     query_batch):
-        predictor = BatchPredictor(lazy_shards=True)
+        predictor = BatchPredictor()
         prediction = predictor.predict(path=sharded_model_path,
                                        type_name="points", X_new=query_batch)
         direct = runtime_artifact.predict("points", query_batch)
@@ -200,7 +250,63 @@ class TestPredictorIntegration:
         assert isinstance(model, ShardedModelReader)
         assert model.accounting()["loaded_types"] == ["points"]
 
-    def test_eager_predictor_still_loads_fully(self, sharded_model_path):
-        predictor = BatchPredictor(lazy_shards=False)
-        assert isinstance(predictor.get_model(sharded_model_path),
-                          RHCHMEModel)
+    def test_eager_predictor_still_loads_fully(self, runtime_artifact,
+                                               tmp_path):
+        # A legacy per-type npz artifact cannot be mapped: it is loaded
+        # eagerly, whole.
+        legacy = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
+        predictor = BatchPredictor()
+        assert isinstance(predictor.get_model(legacy), RHCHMEModel)
+
+
+class TestLegacyPerTypeArtifacts:
+    """Legacy ``per-type`` npz artifacts are read eagerly and never written."""
+
+    @pytest.fixture
+    def legacy_path(self, runtime_artifact, tmp_path):
+        return save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
+
+    def test_load_matches_monolithic_bit_for_bit(self, legacy_path,
+                                                 runtime_model_path,
+                                                 query_batch):
+        mono = RHCHMEModel.load(runtime_model_path)
+        legacy = RHCHMEModel.load(legacy_path)
+        assert legacy.types == mono.types
+        assert legacy.config == mono.config
+        for name in mono.type_names:
+            np.testing.assert_array_equal(legacy.membership[name],
+                                          mono.membership[name])
+            np.testing.assert_array_equal(legacy.labels[name],
+                                          mono.labels[name])
+            np.testing.assert_array_equal(legacy.features[name],
+                                          mono.features[name])
+        np.testing.assert_array_equal(legacy.association, mono.association)
+        np.testing.assert_array_equal(legacy.error_matrix.rows,
+                                      mono.error_matrix.rows)
+        np.testing.assert_array_equal(legacy.error_matrix.values,
+                                      mono.error_matrix.values)
+        expected = mono.predict("points", query_batch)
+        actual = legacy.predict("points", query_batch)
+        np.testing.assert_array_equal(actual.labels, expected.labels)
+        np.testing.assert_array_equal(actual.membership, expected.membership)
+
+    def test_open_model_returns_eager_model(self, legacy_path):
+        assert isinstance(open_model(legacy_path), RHCHMEModel)
+
+    def test_reader_refuses_legacy_layout(self, legacy_path):
+        with pytest.raises(ArtifactError, match="'per-type' layout"):
+            ShardedModelReader(legacy_path)
+
+    def test_refresh_resaves_as_mmap(self, legacy_path, grown_dataset):
+        with RuntimeServer(workers="serial") as runtime:
+            runtime.refresh(legacy_path, grown_dataset, max_iter=3)
+        sidecar = RHCHMEModel.read_metadata(legacy_path)
+        assert sidecar["shards"]["layout"] == "per-type-mmap"
+        assert sidecar["types"][0]["n_objects"] == 120
+        assert not list(legacy_path.parent.glob("*.npz"))
+        assert isinstance(open_model(legacy_path), ShardedModelReader)
+
+    def test_save_refuses_per_type(self, runtime_artifact, tmp_path):
+        with pytest.raises(ValidationError, match="per-type-mmap"):
+            runtime_artifact.save(tmp_path / "m.npz", shards="per-type")
+        assert list(tmp_path.iterdir()) == []

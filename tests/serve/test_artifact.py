@@ -112,8 +112,8 @@ class TestRetiredTorchBackend:
         edited = blob_artifact.save(tmp_path / "torch.npz",
                                     shards="per-type-mmap")
         self._mark_torch(edited)
-        with open_model(reference, lazy=True) as expected_reader, \
-                open_model(edited, lazy=True) as reader:
+        with open_model(reference) as expected_reader, \
+                open_model(edited) as reader:
             assert reader.config.backend == "auto"
             expected = expected_reader.predict("points", queries)
             actual = reader.predict("points", queries)
@@ -133,7 +133,7 @@ class TestRetiredErrorKnobs:
         sidecar_path.write_text(json.dumps(sidecar))
         loaded = RHCHMEModel.load(path)
         assert loaded.config == artifact.config
-        with open_model(path, lazy=True) as reader:
+        with open_model(path) as reader:
             assert reader.config == artifact.config
         for name, queries in artifact.features.items():
             expected = artifact.predict(name, queries)
@@ -149,6 +149,12 @@ class TestRetiredErrorKnobs:
     def test_subspace_admm_knobs_are_dropped(self, blob_artifact, tmp_path):
         self.check(blob_artifact, tmp_path, subspace_max_iter=84,
                    subspace_tol=1e-5)
+
+    def test_subspace_topk_is_dropped(self, blob_artifact, tmp_path):
+        # Every sidecar written while the knob existed stores it, unset
+        # (null) or set.
+        for value in (None, 10):
+            self.check(blob_artifact, tmp_path, subspace_topk=value)
 
 
 class TestSchemaRefusal:
@@ -372,7 +378,7 @@ class TestErrorMatrixPersistence:
                                                   tmp_path):
         from repro.linalg.rowsparse import RowSparseMatrix
         path = sparse_fit_artifact.save(tmp_path / "model.npz",
-                                        shards="per-type")
+                                        shards="per-type-mmap")
         loaded = RHCHMEModel.load(path)
         assert isinstance(loaded.error_matrix, RowSparseMatrix)
         np.testing.assert_array_equal(
@@ -385,13 +391,15 @@ class TestErrorMatrixPersistence:
         # with use_error_matrix=True, keeping single-type partial reads
         # cheap relative to the whole.
         path = sparse_fit_artifact.save(tmp_path / "model.npz",
-                                        shards="per-type")
+                                        shards="per-type-mmap")
         sidecar = json.loads(path.with_suffix(".json").read_text())
         manifest = sidecar["shards"]
         directory = path.parent
-        global_bytes = (directory / manifest["global"]).stat().st_size
+        global_bytes = sum((directory / name).stat().st_size
+                           for name in manifest["global"].values())
         type_bytes = sum((directory / name).stat().st_size
-                         for name in manifest["types"].values())
+                         for entries in manifest["types"].values()
+                         for name in entries.values())
         assert global_bytes < 0.5 * type_bytes
 
     def test_lazy_reader_reads_row_sparse_global_shard(self,
@@ -399,7 +407,7 @@ class TestErrorMatrixPersistence:
                                                        tmp_path):
         from repro.serve.shards import ShardedModelReader
         path = sparse_fit_artifact.save(tmp_path / "model.npz",
-                                        shards="per-type")
+                                        shards="per-type-mmap")
         reader = ShardedModelReader(path)
         np.testing.assert_array_equal(reader.association,
                                       sparse_fit_artifact.association)

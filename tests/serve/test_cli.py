@@ -141,22 +141,27 @@ class TestShardedCli:
         model_path = tmp / "model.npz"
         completed = run_cli("fit-save", "--dataset", "multi5-small",
                             "--output", model_path, "--max-iter", "3",
-                            "--no-subspace", "--shards", "per-type")
+                            "--no-subspace", "--shards", "per-type-mmap")
         assert completed.returncode == 0, completed.stderr
         return tmp, model_path
 
     def test_fit_save_writes_per_type_shards(self, sharded_artifact):
         tmp, model_path = sharded_artifact
         names = sorted(f.name for f in tmp.iterdir())
-        assert names == ["model.concepts.npz", "model.documents.npz",
-                         "model.global.npz", "model.json", "model.terms.npz"]
+        assert names == sorted(
+            ["model.json", "model.global.association.npy",
+             "model.global.error_matrix_rows.npy",
+             "model.global.error_matrix_values.npy"]
+            + [f"model.{name}.{kind}.npy"
+               for name in ("concepts", "documents", "terms")
+               for kind in ("features", "labels", "membership")])
 
     def test_info_reports_shard_layout(self, sharded_artifact):
         _, model_path = sharded_artifact
         completed = run_cli("info", "--model", model_path)
         assert completed.returncode == 0, completed.stderr
         info = json.loads(completed.stdout)
-        assert info["layout"] == "per-type"
+        assert info["layout"] == "per-type-mmap"
         assert sorted(info["shards"]["types"]) == ["concepts", "documents",
                                                    "terms"]
 

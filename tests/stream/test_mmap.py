@@ -37,7 +37,7 @@ class TestLayoutParity:
         np.testing.assert_array_equal(mapped.association, mono.association)
 
     def test_open_model_lazy_returns_reader(self, mmap_model_path):
-        with open_model(mmap_model_path, lazy=True) as reader:
+        with open_model(mmap_model_path) as reader:
             assert isinstance(reader, ShardedModelReader)
             assert reader.layout == MMAP_LAYOUT
 
