@@ -29,21 +29,19 @@ Writes ``BENCH_obs.json`` (see ``--output``).
 
 from __future__ import annotations
 
-import math
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import (QUERY_TYPE, bootstrap_sys_path, emit_report,
+from common import (PAIRS, QUERY_TYPE, bootstrap_sys_path, emit_report,
                     environment_metadata, fit_and_save, gate, make_parser,
-                    make_queries, make_synthetic, resolve_workdir,
-                    select_sizes)
+                    make_queries, make_synthetic, paired_stream_loss,
+                    resolve_workdir, select_sizes)
 
 bootstrap_sys_path()
 
 from repro.net import NetClient, NetServer  # noqa: E402
-from repro.runtime import RuntimeServer  # noqa: E402
 
 DEFAULT_SIZES = (1000, 3000)
 SMOKE_SIZES = (300,)
@@ -52,69 +50,7 @@ MODEL_ID = "bench"
 TRACING_GATE = 0.02        # serving throughput loss ceiling (fraction)
 SMOKE_TRACING_GATE = 0.10  # ceiling on short smoke runs (timing noise)
 FIDELITY_GATE = 0.10       # |1 - stage_sum/wall_clock| ceiling
-PAIRS = 10                 # alternating untraced/traced timing pairs
-MIN_SIDE_SECONDS = 0.25    # each side of a pair replays at least this long
 STAGE_NAMES = ("http.parse", "queue.wait", "compute.predict", "wire.encode")
-
-
-def replay(runtime: RuntimeServer, model_path: Path, batches: list, *,
-           passes: int) -> float:
-    """Seconds ``runtime`` takes to serve ``passes`` replays of ``batches``."""
-    start = time.perf_counter()
-    for _ in range(passes):
-        for batch in batches:
-            runtime.predict(path=model_path, type_name=QUERY_TYPE,
-                            queries=batch, timeout=600)
-    return time.perf_counter() - start
-
-
-def time_tracing(model_path: Path, queries: np.ndarray, *,
-                 batch_rows: int) -> dict:
-    """Median per-pair throughput loss of tracing over ``PAIRS`` pairs.
-
-    One untimed calibration pass sizes the pass count so that a side runs
-    for at least ``MIN_SIDE_SECONDS``; both sides replay that many passes.
-    The side that runs first alternates from pair to pair, so drift within
-    a pair (CPU frequency, page cache) favours neither, and the median of
-    the per-pair losses discards the pairs an outside burst hit.
-    """
-    batches = [queries[start:start + batch_rows]
-               for start in range(0, queries.shape[0], batch_rows)]
-    runtimes = {tracing: RuntimeServer(workers="serial",
-                                       max_batch_size=batch_rows,
-                                       max_delay_seconds=0.0005,
-                                       tracing=tracing)
-                for tracing in (False, True)}
-    try:
-        for runtime in runtimes.values():  # warm the model caches
-            runtime.predict(path=model_path, type_name=QUERY_TYPE,
-                            queries=queries[:1])
-        calibration = replay(runtimes[False], model_path, batches, passes=1)
-        passes = max(1, math.ceil(MIN_SIDE_SECONDS / calibration))
-        seconds = {False: [], True: []}
-        for pair in range(PAIRS):
-            order = (False, True) if pair % 2 == 0 else (True, False)
-            for tracing in order:
-                seconds[tracing].append(replay(runtimes[tracing], model_path,
-                                               batches, passes=passes))
-    finally:
-        for runtime in runtimes.values():
-            runtime.close()
-    # Both sides serve the same rows, so the throughput ratio of a pair is
-    # the inverse ratio of its seconds.
-    losses = [1.0 - off / on for off, on in zip(seconds[False], seconds[True])]
-    n_objects = queries.shape[0] * passes
-
-    def side(tracing: bool) -> dict:
-        median = float(np.median(seconds[tracing]))
-        return {"tracing": tracing,
-                "median_seconds": round(median, 6),
-                "objects_per_second": round(n_objects / median, 3)}
-
-    return {"off": side(False), "on": side(True),
-            "n_batches": len(batches), "passes": passes, "pairs": PAIRS,
-            "pair_losses": [round(loss, 4) for loss in losses],
-            "tracing_loss_fraction": round(float(np.median(losses)), 4)}
 
 
 def stage_sum_seconds(trace: dict) -> float:
@@ -192,7 +128,9 @@ def run(sizes, *, n_queries: int, batch_rows: int, n_requests: int,
 
         print(f"[bench] N={n_total}: timing streams "
               f"({PAIRS} alternating pairs) ...", flush=True)
-        stream = time_tracing(model_path, queries, batch_rows=batch_rows)
+        stream = paired_stream_loss(model_path, queries,
+                                    batch_rows=batch_rows, feature="tracing")
+        stream["tracing_loss_fraction"] = stream.pop("loss_fraction")
         print(f"[bench] N={n_total} stream: off "
               f"{stream['off']['objects_per_second']:,.0f} objects/s, on "
               f"{stream['on']['objects_per_second']:,.0f} objects/s "

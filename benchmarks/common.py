@@ -7,14 +7,17 @@ the scripts run straight from a checkout, environment metadata stamped into
 the report, and a JSON report written next to the repository root.  That
 boilerplate lives here once, with the synthetic workload the serving
 runners share (:func:`make_synthetic`, :func:`make_queries`,
-:func:`fit_and_save`); the runners keep only their measurement code and
-their runner-specific flags.
+:func:`fit_and_save`) and the alternating off/on timing pairs the
+overhead runners share (:func:`paired_seconds`,
+:func:`paired_stream_loss`); the runners keep only their measurement code
+and their runner-specific flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -26,6 +29,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The object type the serving runners query.
 QUERY_TYPE = "rows"
+
+#: Alternating off/on timing pairs of an overhead measurement.
+PAIRS = 10
+#: Each side of a pair runs for at least this long.
+MIN_SIDE_SECONDS = 0.25
 
 
 def bootstrap_sys_path() -> None:
@@ -103,6 +111,78 @@ def resolve_workdir(args: argparse.Namespace) -> Path:
     workdir = args.workdir if args.workdir else args.output.parent
     workdir.mkdir(parents=True, exist_ok=True)
     return workdir
+
+
+def paired_seconds(run) -> tuple[dict[bool, list[float]], int]:
+    """Seconds of ``PAIRS`` alternating off/on sides of one workload.
+
+    ``run(on, passes)`` performs ``passes`` repetitions of the workload
+    with the measured feature off (``False``) or on (``True``) and returns
+    the seconds they took.  One untimed calibration pass of the off side
+    sizes ``passes`` so that a side runs for at least ``MIN_SIDE_SECONDS``;
+    both sides run that many.  The side that runs first alternates from
+    pair to pair, so drift within a pair (CPU frequency, page cache)
+    favours neither, and a median over the pairs discards the pairs an
+    outside burst hit.  Returns the per-side seconds, pair by pair, and
+    ``passes``.
+    """
+    calibration = run(False, 1)
+    passes = max(1, math.ceil(MIN_SIDE_SECONDS / calibration))
+    seconds: dict[bool, list[float]] = {False: [], True: []}
+    for pair in range(PAIRS):
+        for on in ((False, True) if pair % 2 == 0 else (True, False)):
+            seconds[on].append(run(on, passes))
+    return seconds, passes
+
+
+def paired_stream_loss(model_path: Path, queries: np.ndarray, *,
+                       batch_rows: int, feature: str) -> dict:
+    """Median per-pair throughput loss of one ``RuntimeServer`` feature.
+
+    The batched query stream is replayed through two serial-worker
+    runtimes with the boolean ``RuntimeServer`` keyword ``feature``
+    (``tracing``, ``diagnostics``) off and on, in the alternating pairs of
+    :func:`paired_seconds`.  Returns the per-side medians, the pass count,
+    the per-pair losses and their median, ``loss_fraction``.
+    """
+    from repro.runtime import RuntimeServer
+
+    batches = [queries[start:start + batch_rows]
+               for start in range(0, queries.shape[0], batch_rows)]
+    runtimes = {on: RuntimeServer(workers="serial", max_batch_size=batch_rows,
+                                  max_delay_seconds=0.0005, **{feature: on})
+                for on in (False, True)}
+
+    def replay(on: bool, passes: int) -> float:
+        start = time.perf_counter()
+        for _ in range(passes):
+            for batch in batches:
+                runtimes[on].predict(path=model_path, type_name=QUERY_TYPE,
+                                     queries=batch, timeout=600)
+        return time.perf_counter() - start
+
+    try:
+        for runtime in runtimes.values():  # warm the model caches
+            runtime.predict(path=model_path, type_name=QUERY_TYPE,
+                            queries=queries[:1])
+        seconds, passes = paired_seconds(replay)
+    finally:
+        for runtime in runtimes.values():
+            runtime.close()
+    # Both sides serve the same rows, so the throughput ratio of a pair is
+    # the inverse ratio of its seconds.
+    losses = [1.0 - off / on for off, on in zip(seconds[False], seconds[True])]
+    n_objects = queries.shape[0] * passes
+
+    def side(on: bool) -> dict:
+        median = float(np.median(seconds[on]))
+        return {feature: on, "median_seconds": round(median, 6),
+                "objects_per_second": round(n_objects / median, 3)}
+
+    return {"off": side(False), "on": side(True),
+            "n_batches": len(batches), "passes": passes, "pairs": PAIRS,
+            "pair_losses": [round(loss, 4) for loss in losses],
+            "loss_fraction": round(float(np.median(losses)), 4)}
 
 
 def gate(passed: bool, message: str) -> int:

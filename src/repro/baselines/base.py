@@ -26,12 +26,11 @@ import scipy.sparse as sp
 from .._validation import check_positive_float, check_positive_int
 from ..core.convergence import TraceRecorder
 from ..core.objective import evaluate_objective_blocks
+from ..core.rhchme import LabelScores
 from ..core.rspace import ProductCache
 from ..core.state import FactorizationState, initialize_state
 from ..core.updates import update_association_blocks, update_membership_blocks
 from ..exceptions import NotFittedError
-from ..metrics.fscore import clustering_fscore
-from ..metrics.nmi import normalized_mutual_information
 from ..relational.dataset import MultiTypeRelationalData
 
 __all__ = ["HOCCResult", "BaseHOCC"]
@@ -148,12 +147,13 @@ class BaseHOCC:
         state.E_R = None  # the NMTF baselines have no error matrix
         pairs = sorted(R_pairs)
         trace = TraceRecorder()
+        scores = LabelScores()
         # This S solve doubles as iteration 1's S step: nothing changes
         # between recording the initial objective and the first G step.
         state.S = update_association_blocks(R_pairs, state, pairs=pairs,
                                             products=products)
-        self._record(trace, data, R_pairs, L_blocks, state, pairs, lam,
-                     products)
+        self._record(trace, scores, data, R_pairs, L_blocks, state, pairs,
+                     lam, products)
 
         converged = False
         iteration = 0
@@ -174,8 +174,8 @@ class BaseHOCC:
                 L_blocks = updated
                 L_parts = [products.laplacian_parts(t, block)
                            for t, block in enumerate(L_blocks)]
-            self._record(trace, data, R_pairs, L_blocks, state, pairs, lam,
-                         products)
+            self._record(trace, scores, data, R_pairs, L_blocks, state,
+                         pairs, lam, products)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < self.tol:
                 converged = True
@@ -199,23 +199,17 @@ class BaseHOCC:
         return result.labels[type_name]
 
     # -------------------------------------------------------------- internals
-    def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
-                R_pairs, L_blocks, state: FactorizationState, pairs,
-                lam: float, products: ProductCache) -> None:
+    def _record(self, trace: TraceRecorder, scores: LabelScores,
+                data: MultiTypeRelationalData, R_pairs, L_blocks,
+                state: FactorizationState, pairs, lam: float,
+                products: ProductCache) -> None:
         breakdown = evaluate_objective_blocks(R_pairs, state, L_blocks,
                                               lam=lam, beta=0.0, pairs=pairs,
                                               products=products)
         metrics: dict[str, float] = {}
         if self.track_metrics_every and (
                 state.iteration % self.track_metrics_every == 0):
-            for index, object_type in enumerate(data.types):
-                if not object_type.has_labels:
-                    continue
-                predicted = state.labels_for_type(index)
-                metrics[f"fscore/{object_type.name}"] = clustering_fscore(
-                    object_type.labels, predicted)
-                metrics[f"nmi/{object_type.name}"] = normalized_mutual_information(
-                    object_type.labels, predicted)
+            scores.record(metrics, data, state)
         trace.record(state.iteration, breakdown.total,
                      terms={
                          "reconstruction": breakdown.reconstruction,

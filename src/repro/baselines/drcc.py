@@ -30,13 +30,12 @@ from .._validation import check_positive_float, check_positive_int, check_random
 from ..cluster.assignments import labels_to_membership
 from ..cluster.kmeans import KMeans
 from ..core.convergence import TraceRecorder
+from ..core.rhchme import LabelScores
 from ..graph.laplacian import laplacian
 from ..graph.pnn import pnn_affinity
 from ..graph.weights import WeightingScheme
 from ..linalg.parts import split_parts
 from ..linalg.safe import safe_divide, safe_inverse
-from ..metrics.fscore import clustering_fscore
-from ..metrics.nmi import normalized_mutual_information
 from ..relational.dataset import MultiTypeRelationalData
 
 __all__ = ["DRCCVariant", "DRCCResult", "DRCC"]
@@ -168,13 +167,16 @@ class DRCC:
 
     @staticmethod
     def _graph_update(factor: np.ndarray, positive: np.ndarray,
-                      negative: np.ndarray, L: np.ndarray | None,
+                      negative: np.ndarray, L_parts: tuple | None,
                       weight: float) -> np.ndarray:
-        """Shared multiplicative update for G and F with optional graph term."""
+        """Shared multiplicative update for G and F with optional graph term.
+
+        ``L_parts`` is the graph Laplacian's ``(L⁺, L⁻)`` split.
+        """
         numerator = positive
         denominator = negative
-        if L is not None and weight > 0:
-            L_pos, L_neg = split_parts(L)
+        if L_parts is not None and weight > 0:
+            L_pos, L_neg = L_parts
             numerator = numerator + weight * (L_neg @ factor)
             denominator = denominator + weight * (L_pos @ factor)
         ratio = safe_divide(numerator, denominator)
@@ -193,12 +195,17 @@ class DRCC:
         G = self._init_membership(X, n_row_clusters, rng)
         F = self._init_membership(X.T, n_col_clusters, rng)
 
-        L_rows = laplacian(pnn_affinity(X, p=min(self.p, X.shape[0] - 1),
-                                        scheme=self.weighting)) if self.lam > 0 else None
-        L_cols = laplacian(pnn_affinity(X.T, p=min(self.p, X.shape[1] - 1),
-                                        scheme=self.weighting)) if self.mu > 0 else None
+        # Both Laplacians are fixed for the whole fit: each is split into
+        # (L⁺, L⁻) once, not at every update.
+        L_rows = split_parts(laplacian(pnn_affinity(
+            X, p=min(self.p, X.shape[0] - 1),
+            scheme=self.weighting))) if self.lam > 0 else None
+        L_cols = split_parts(laplacian(pnn_affinity(
+            X.T, p=min(self.p, X.shape[1] - 1),
+            scheme=self.weighting))) if self.mu > 0 else None
 
         trace = TraceRecorder()
+        scores = LabelScores()
         converged = False
         iteration = 0
         S = np.zeros((n_row_clusters, n_col_clusters))
@@ -221,11 +228,9 @@ class DRCC:
             metrics: dict[str, float] = {}
             if self.track_metrics_every and documents.has_labels and (
                     iteration % self.track_metrics_every == 0):
-                predicted = np.argmax(G, axis=1)
-                metrics["fscore/documents"] = clustering_fscore(documents.labels,
-                                                                predicted)
-                metrics["nmi/documents"] = normalized_mutual_information(
-                    documents.labels, predicted)
+                metrics["fscore/documents"], metrics["nmi/documents"] = (
+                    scores.score("documents", documents.labels,
+                                 np.argmax(G, axis=1)))
             trace.record(iteration, objective, metrics=metrics)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < self.tol:

@@ -66,7 +66,11 @@ def relabel_consecutive(labels: np.ndarray) -> np.ndarray:
     The mapping preserves the order of first appearance, which keeps the
     relabelling deterministic for reproducible tests.
     """
-    labels = check_labels(labels, name="labels")
+    return _first_appearance_codes(check_labels(labels, name="labels"))
+
+
+def _first_appearance_codes(labels: np.ndarray) -> np.ndarray:
+    """:func:`relabel_consecutive` of an already checked int64 label vector."""
     _, first, inverse = np.unique(labels, return_index=True,
                                   return_inverse=True)
     # ``np.unique`` numbers the values in sorted order; rank them by where

@@ -5,13 +5,16 @@ Used to initialise the cluster membership matrix ``G`` of the HOCC methods
 assignment step of spectral clustering and of the DRCC baseline.  Implemented
 here because the execution environment has no scikit-learn.
 
-``X`` may be a dense array or a scipy CSR matrix.  The sparse path never
-densifies the sample matrix: distances are evaluated through the expansion
-``‖x − c‖² = ‖x‖² − 2 x·c + ‖c‖²`` (the same formula the dense assignment
-step uses), so one Lloyd iteration costs ``O(nnz·k)`` time and ``O(n + k·d)``
-additional memory — this is what keeps the RHCHME ``init="kmeans"``
-initialisation ``O(nnz)`` under the sparse backend, where each type's
-relational profile is a CSR row block.
+``X`` may be a dense array or a scipy CSR matrix, and both take the same
+path.  Every distance — the k-means++ seeding's and the assignment
+step's — is evaluated through the expansion
+``‖x − c‖² = ‖x‖² − 2 x·c + ‖c‖²``, and each Lloyd step forms all centre
+sums as one product of the ``(k, n)`` CSR one-hot assignment matrix with
+``X``, which adds each cluster's rows in row order.  The sparse path never
+densifies the sample matrix, so one Lloyd iteration costs ``O(nnz·k)``
+time and ``O(n + k·d)`` additional memory — this is what keeps the RHCHME
+``init="kmeans"`` initialisation ``O(nnz)`` under the sparse backend, where
+each type's relational profile is a CSR row block.
 """
 
 from __future__ import annotations
@@ -68,20 +71,20 @@ def _dense_row(X, index: int) -> np.ndarray:
     return np.asarray(X[index], dtype=np.float64)
 
 
+def _sq_distances(X, x_sq: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``‖x − c‖²`` of every sample to one centroid, by the expansion."""
+    return np.maximum(x_sq - 2.0 * np.asarray(X @ center).ravel()
+                      + float(center @ center), 0.0)
+
+
 def _plus_plus_init(X, x_sq: np.ndarray, n_clusters: int,
                     rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids proportionally to D²."""
     n_samples = X.shape[0]
-    sparse = sp.issparse(X)
     centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(n_samples))
     centers[0] = _dense_row(X, first)
-    if sparse:
-        closest_sq = np.maximum(
-            x_sq - 2.0 * np.asarray(X @ centers[0]).ravel()
-            + float(centers[0] @ centers[0]), 0.0)
-    else:
-        closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
+    closest_sq = _sq_distances(X, x_sq, centers[0])
     for index in range(1, n_clusters):
         total = float(closest_sq.sum())
         if total <= 0.0:
@@ -92,13 +95,8 @@ def _plus_plus_init(X, x_sq: np.ndarray, n_clusters: int,
             probabilities = closest_sq / total
             choice = int(rng.choice(n_samples, p=probabilities))
         centers[index] = _dense_row(X, choice)
-        if sparse:
-            distance_sq = np.maximum(
-                x_sq - 2.0 * np.asarray(X @ centers[index]).ravel()
-                + float(centers[index] @ centers[index]), 0.0)
-        else:
-            distance_sq = np.sum((X - centers[index]) ** 2, axis=1)
-        np.minimum(closest_sq, distance_sq, out=closest_sq)
+        np.minimum(closest_sq, _sq_distances(X, x_sq, centers[index]),
+                   out=closest_sq)
     return centers
 
 
@@ -115,16 +113,27 @@ def _assign(X, x_sq: np.ndarray,
     return labels, distances[np.arange(X.shape[0]), labels]
 
 
-def _cluster_mean(X, member_mask: np.ndarray) -> np.ndarray:
-    """Mean of the masked rows (dense vector), without densifying sparse X."""
-    if sp.issparse(X):
-        total = np.asarray(X[member_mask].sum(axis=0)).ravel()
-        return total / float(np.count_nonzero(member_mask))
-    return X[member_mask].mean(axis=0)
+def _cluster_sums(X, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``(k, d)`` dense sums of each cluster's rows, added in row order.
+
+    One product of the CSR one-hot matrix (row ``l`` holds cluster ``l``'s
+    members in increasing order) with dense or CSR ``X``.
+    """
+    n_samples = labels.size
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    one_hot = sp.csr_array(
+        (np.ones(n_samples), np.argsort(labels, kind="stable"), indptr),
+        shape=(counts.size, n_samples))
+    sums = one_hot @ X
+    return sums.toarray() if sp.issparse(sums) else sums
 
 
 class KMeans:
     """Lloyd's algorithm with k-means++ initialisation and restarts.
+
+    ``X`` may be dense or CSR.  Each Lloyd step computes every centroid
+    from one one-hot product with ``X`` and re-seeds an emptied cluster at
+    the sample farthest from its centroid.
 
     Parameters
     ----------
@@ -180,17 +189,15 @@ class KMeans:
         labels, distances = _assign(X, x_sq, centers)
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
-            new_centers = np.empty_like(centers)
-            for cluster in range(self.n_clusters):
-                members = labels == cluster
-                if not np.any(members):
-                    # Re-seed an empty cluster at the point farthest from its
-                    # centroid to keep exactly n_clusters non-empty groups.
-                    farthest = int(np.argmax(distances))
-                    new_centers[cluster] = _dense_row(X, farthest)
-                    distances[farthest] = 0.0
-                else:
-                    new_centers[cluster] = _cluster_mean(X, members)
+            counts = np.bincount(labels, minlength=self.n_clusters)
+            new_centers = (_cluster_sums(X, labels, counts)
+                           / np.maximum(counts, 1)[:, None])
+            for cluster in np.flatnonzero(counts == 0):
+                # Re-seed an empty cluster at the point farthest from its
+                # centroid to keep exactly n_clusters non-empty groups.
+                farthest = int(np.argmax(distances))
+                new_centers[cluster] = _dense_row(X, farthest)
+                distances[farthest] = 0.0
             shift = float(np.linalg.norm(new_centers - centers))
             scale = max(float(np.linalg.norm(centers)), 1e-12)
             centers = new_centers

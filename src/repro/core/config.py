@@ -67,7 +67,9 @@ class RHCHMEConfig:
     track_metrics_every:
         Record FScore/NMI against ground truth every this many iterations
         when labels are available (0 disables tracking); used to reproduce
-        the convergence curves of Figure 3.
+        the convergence curves of Figure 3.  A type's values are recomputed
+        only when its hard labels changed since they were last scored, and
+        are identical to a recompute either way.
     backend:
         Compute backend for the graph pipeline: ``"dense"`` materialises the
         affinities and the ensemble Laplacian as numpy arrays (seed

@@ -61,6 +61,49 @@ def _span_scope(parent, name: str, **attributes):
         span.finish()
 
 
+class LabelScores:
+    """Each labelled type's F-score and NMI over one fit's records.
+
+    Both scores are functions of a type's hard labels alone, and those
+    labels are unchanged from the previous record in most records, so a
+    type is scored again only when its labels differ from the ones it was
+    last scored on; otherwise the stored values, which that recompute
+    would reproduce bit for bit, are reused.  A recompute calls this
+    module's ``clustering_fscore`` and ``normalized_mutual_information``.
+    One instance serves one fit (RHCHME and the NMTF baselines alike).
+    """
+
+    def __init__(self) -> None:
+        self._last: dict[str, tuple[np.ndarray, float, float]] = {}
+
+    @staticmethod
+    def unchanged(previous: np.ndarray, labels: np.ndarray) -> bool:
+        """Whether ``labels`` equal the labels last scored."""
+        return np.array_equal(previous, labels)
+
+    def score(self, name: str, labels_true, labels: np.ndarray
+              ) -> tuple[float, float]:
+        """``(fscore, nmi)`` of type ``name``'s predicted ``labels``."""
+        last = self._last.get(name)
+        if last is not None and self.unchanged(last[0], labels):
+            return last[1], last[2]
+        fscore = clustering_fscore(labels_true, labels)
+        nmi = normalized_mutual_information(labels_true, labels)
+        self._last[name] = (labels, fscore, nmi)
+        return fscore, nmi
+
+    def record(self, metrics: dict, data: MultiTypeRelationalData,
+               state: FactorizationState) -> None:
+        """Add ``fscore/<type>`` and ``nmi/<type>`` of every labelled type."""
+        for index, object_type in enumerate(data.types):
+            if not object_type.has_labels:
+                continue
+            fscore, nmi = self.score(object_type.name, object_type.labels,
+                                     state.labels_for_type(index))
+            metrics[f"fscore/{object_type.name}"] = fscore
+            metrics[f"nmi/{object_type.name}"] = nmi
+
+
 @dataclass
 class RHCHMEResult:
     """Outcome of one RHCHME fit.
@@ -269,6 +312,7 @@ class RHCHME:
                             start=start)
 
         trace = TraceRecorder()
+        scores = LabelScores()
         converged = False
         iteration = 0
         # This S solve doubles as iteration 1's S step: the state does
@@ -285,8 +329,8 @@ class RHCHME:
                              else None),
                 S_prev=state.S if schedule is not None else None,
                 products=products)
-            self._record(trace, data, R_pairs, L_blocks, state, pairs,
-                         products, monitor=monitor, schedule=schedule,
+            self._record(trace, scores, data, R_pairs, L_blocks, state,
+                         pairs, products, monitor=monitor, schedule=schedule,
                          sweep=setup_sweep, cache=objective_cache)
 
         for iteration in range(1, config.max_iter + 1):
@@ -319,9 +363,10 @@ class RHCHME:
                                 else None),
                         products=products)
                 state.iteration = iteration
-                self._record(trace, data, R_pairs, L_blocks, state, pairs,
-                             products, monitor=monitor, schedule=schedule,
-                             sweep=sweep, cache=objective_cache)
+                self._record(trace, scores, data, R_pairs, L_blocks, state,
+                             pairs, products, monitor=monitor,
+                             schedule=schedule, sweep=sweep,
+                             cache=objective_cache)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < config.tol:
                 converged = True
@@ -410,10 +455,11 @@ class RHCHME:
         return self.result_.to_model(data, self.config)
 
     # -------------------------------------------------------------- internal
-    def _record(self, trace: TraceRecorder, data: MultiTypeRelationalData,
-                R_pairs, L_blocks, state: FactorizationState, pairs,
-                products: ProductCache, monitor=None, schedule=None,
-                sweep: bool = False, cache=None) -> None:
+    def _record(self, trace: TraceRecorder, scores: LabelScores,
+                data: MultiTypeRelationalData, R_pairs, L_blocks,
+                state: FactorizationState, pairs, products: ProductCache,
+                monitor=None, schedule=None, sweep: bool = False,
+                cache=None) -> None:
         """Record the objective breakdown and optional metrics for one iterate."""
         config = self.config
         breakdown = self._timed(trace, "objective", evaluate_objective_blocks,
@@ -426,14 +472,7 @@ class RHCHME:
             metrics.update(monitor.observe(state))
         if config.track_metrics_every and (
                 state.iteration % config.track_metrics_every == 0):
-            for index, object_type in enumerate(data.types):
-                if not object_type.has_labels:
-                    continue
-                predicted = state.labels_for_type(index)
-                metrics[f"fscore/{object_type.name}"] = clustering_fscore(
-                    object_type.labels, predicted)
-                metrics[f"nmi/{object_type.name}"] = normalized_mutual_information(
-                    object_type.labels, predicted)
+            scores.record(metrics, data, state)
         trace.record(state.iteration, breakdown.total,
                      terms={
                          "reconstruction": breakdown.reconstruction,

@@ -80,9 +80,12 @@ class ProductCache:
 
     def _memo(self, slot, operands: tuple, compute):
         entry = self._slots.get(slot)
-        if entry is not None and all(
-                held is given for held, given in zip(entry[0], operands)):
-            return entry[1]
+        if entry is not None:
+            for held, given in zip(entry[0], operands):
+                if held is not given:
+                    break
+            else:
+                return entry[1]
         value = compute()
         self._slots[slot] = (operands, value)
         return value

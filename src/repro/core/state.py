@@ -109,23 +109,20 @@ class FactorizationState:
 
 def _relational_profile(R_pairs: Mapping, object_spec: BlockSpec,
                         index: int):
-    """Type ``index``'s rows of R (its relational profile), dense or CSR.
+    """Type ``index``'s observed relation blocks side by side, dense or CSR.
 
-    The profile is stitched from the type's per-pair relation blocks
-    (keyed by ordered type-index pairs) without ever assembling the global
-    matrix; unrelated pairs contribute zero columns.
+    These are the type's rows of R without R's zero columns: the type's
+    own ``(t, t)`` block and every unrelated pair are structurally zero,
+    and zero columns change no distance k-means measures.  The blocks are
+    keyed by ordered type-index pairs and the global matrix is never
+    assembled.  A type with no relation block gets one zero column, so its
+    objects all coincide, as they do on their all-zero rows of R.
     """
-    use_sparse = any(sp.issparse(block) for block in R_pairs.values())
-    pieces = []
-    for other in range(object_spec.n_types):
-        block = R_pairs.get((index, other))
-        if block is None:
-            shape = (object_spec.sizes[index], object_spec.sizes[other])
-            pieces.append(sp.csr_array(shape, dtype=np.float64) if use_sparse
-                          else np.zeros(shape))
-        else:
-            pieces.append(block)
-    if use_sparse:
+    pieces = [R_pairs[(index, other)] for other in range(object_spec.n_types)
+              if (index, other) in R_pairs]
+    if not pieces:
+        return np.zeros((object_spec.sizes[index], 1))
+    if any(sp.issparse(block) for block in pieces):
         return sp.csr_array(sp.hstack(pieces, format="csr"))
     return np.hstack(pieces)
 

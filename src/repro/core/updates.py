@@ -238,7 +238,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
         denominator = _graph_term(lam, L_pos_G, A_neg) + G_t @ B_pos
         ratio = safe_divide(numerator, denominator, eps=_EPS)
         updated = G_t * np.sqrt(ratio)
-        return row_normalize_l1(updated) if normalize else updated
+        return row_normalize_l1(updated, copy=False) if normalize else updated
 
     blocks = _map(update_type, todo, name="one_type")
     if dirty_types is None:
@@ -249,15 +249,15 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     return updated
 
 
-def _carried_error_rows(E_prev, object_spec, t: int, n_total: int):
+def _carried_error_rows(E_prev, object_spec, t: int):
     """Type ``t``'s stored rows of the previous E_R, in global coordinates.
 
     The splice path of a delta-scheduled E update: clean row types carry
     their previous rows through unchanged instead of re-solving them.
-    Returns ``(rows, values)`` with values of global width ``n_total``.
+    Returns its ``(rows, values)``, or ``None`` without a previous E_R.
     """
     if E_prev is None:
-        return np.empty(0, dtype=np.int64), np.empty((0, n_total))
+        return None
     lo = object_spec.offsets[t]
     start = int(np.searchsorted(E_prev.rows, lo))
     stop = int(np.searchsorted(E_prev.rows, lo + object_spec.sizes[t]))
@@ -309,7 +309,10 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
             else sorted(dirty_types))
 
     def solve_type(t: int):
-        """Global ``(rows, values)`` of type ``t``'s kept prox rows."""
+        """Global ``(rows, values)`` of type ``t``'s kept prox rows.
+
+        ``None`` when the threshold keeps no row: nothing is materialised.
+        """
         terms = [((t, u), R_pairs.get((t, u)),
                   products.association_block(S, cluster_spec, (t, u)), G[u])
                  for u in by_source.get(t, ())]
@@ -318,6 +321,8 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
             sq += products.residual_sq_row_norms(pair, R_tu, G[t], S_tu, G_u)
         norms = np.sqrt(np.maximum(sq, 0.0))
         rows = np.flatnonzero(2.0 * norms > beta)
+        if not rows.size:
+            return None
         scale = 1.0 - beta / (2.0 * norms[rows])
         values = np.zeros((rows.size, n_total))
         for pair, R_tu, S_tu, G_u in terms:
@@ -335,9 +340,12 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
         # keeps the global row index strictly increasing.
         solved = dict(zip(todo, results))
         pieces = [solved[t] if t in solved
-                  else _carried_error_rows(E_prev, object_spec, t, n_total)
+                  else _carried_error_rows(E_prev, object_spec, t)
                   for t in range(object_spec.n_types)]
-    rows = np.concatenate([piece[0] for piece in pieces])
-    values = (np.vstack([piece[1] for piece in pieces])
-              if rows.size else np.empty((0, n_total)))
-    return RowSparseMatrix(rows, values, (n_total, n_total))
+    pieces = [piece for piece in pieces
+              if piece is not None and piece[0].size]
+    if not pieces:
+        return RowSparseMatrix.zeros((n_total, n_total))
+    return RowSparseMatrix(np.concatenate([piece[0] for piece in pieces]),
+                           np.vstack([piece[1] for piece in pieces]),
+                           (n_total, n_total))

@@ -295,3 +295,95 @@ class TestUpdateTimers:
         timings = result.extras["update_seconds"]
         assert "e_update" not in timings
         assert {"s_update", "g_update", "objective"} <= set(timings)
+
+
+class TestLabelScores:
+    """F/NMI are scored again only when a type's labels change."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count the calls through the module names the tracer wraps."""
+        import repro.core.rhchme as rhchme
+        calls = {"fscore": 0, "nmi": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rhchme, "clustering_fscore",
+                            counting("fscore", clustering_fscore))
+        monkeypatch.setattr(rhchme, "normalized_mutual_information",
+                            counting("nmi", normalized_mutual_information))
+        return calls
+
+    def test_reuses_recomputes_and_recomputes_on_change_back(self, counted):
+        from repro.core.rhchme import LabelScores
+        truth = np.array([0, 0, 1, 1, 2, 2])
+        first = np.array([0, 0, 1, 1, 1, 2])
+        moved = np.array([0, 0, 1, 1, 2, 2])
+        scores = LabelScores()
+        expected_first = (clustering_fscore(truth, first),
+                          normalized_mutual_information(truth, first))
+        expected_moved = (clustering_fscore(truth, moved),
+                          normalized_mutual_information(truth, moved))
+        assert scores.score("docs", truth, first) == expected_first
+        assert counted == {"fscore": 1, "nmi": 1}
+        # Equal labels in a fresh array: reused, no call.
+        assert scores.score("docs", truth, first.copy()) == expected_first
+        assert counted == {"fscore": 1, "nmi": 1}
+        assert scores.score("docs", truth, moved) == expected_moved
+        assert counted == {"fscore": 2, "nmi": 2}
+        # Back to the first labels: recomputed, not the stale pair.
+        assert scores.score("docs", truth, first) == expected_first
+        assert counted == {"fscore": 3, "nmi": 3}
+
+    def test_types_are_tracked_separately(self, counted):
+        from repro.core.rhchme import LabelScores
+        truth = np.array([0, 1, 0, 1])
+        labels = np.array([1, 0, 1, 0])
+        scores = LabelScores()
+        scores.score("a", truth, labels)
+        scores.score("b", truth, labels)
+        assert counted == {"fscore": 2, "nmi": 2}
+
+    def test_default_fit_calls_far_fewer_than_two_per_type_and_record(
+            self, small_dataset, counted):
+        result = RHCHME(max_iter=30, random_state=0).fit(small_dataset)
+        labelled = sum(t.has_labels for t in small_dataset.types)
+        per_record = 2 * labelled * len(result.trace.records)
+        assert 0 < counted["fscore"] + counted["nmi"] < per_record
+
+
+class TestMetricReuseParity:
+    """Reused F/NMI values are the values a recompute gives, bit for bit."""
+
+    @staticmethod
+    def _metric_trace(fit):
+        return [record.metrics for record in fit().trace.records]
+
+    def _assert_identical_with_and_without_reuse(self, monkeypatch, fit):
+        from repro.core.rhchme import LabelScores
+        reused = self._metric_trace(fit)
+        with monkeypatch.context() as patch:
+            patch.setattr(LabelScores, "unchanged",
+                          staticmethod(lambda previous, labels: False))
+            recomputed = self._metric_trace(fit)
+        assert len(reused) == len(recomputed)
+        for a, b in zip(reused, recomputed):
+            assert a.keys() == b.keys()
+            for name in a:
+                assert np.float64(a[name]).tobytes() == \
+                    np.float64(b[name]).tobytes(), name
+
+    def test_default_fit(self, monkeypatch):
+        data = make_dataset("multi5-small", random_state=0)
+        self._assert_identical_with_and_without_reuse(
+            monkeypatch, lambda: RHCHME(random_state=0).fit(data))
+
+    def test_nmtf_baseline_fit(self, monkeypatch):
+        from repro.baselines import SNMTF
+        data = make_dataset("multi5-small", random_state=1)
+        self._assert_identical_with_and_without_reuse(
+            monkeypatch, lambda: SNMTF(random_state=1, max_iter=40).fit(data))

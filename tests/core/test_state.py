@@ -120,3 +120,87 @@ class TestRowSparseErrorMatrix:
         state.E_R = None
         assert state.E_R is None
 
+
+
+def zero_padded_profile(R_pairs, object_spec, index):
+    """The relational profile with R's zero columns, as the reference."""
+    import scipy.sparse as sp
+    use_sparse = any(sp.issparse(block) for block in R_pairs.values())
+    pieces = []
+    for other in range(object_spec.n_types):
+        block = R_pairs.get((index, other))
+        if block is None:
+            shape = (object_spec.sizes[index], object_spec.sizes[other])
+            pieces.append(sp.csr_array(shape, dtype=np.float64) if use_sparse
+                          else np.zeros(shape))
+        else:
+            pieces.append(block)
+    if use_sparse:
+        return sp.csr_array(sp.hstack(pieces, format="csr"))
+    return np.hstack(pieces)
+
+
+def _lonely_type_dataset(seed):
+    """Two related types plus one with no relation block at all."""
+    from repro.relational import MultiTypeRelationalData, ObjectType, Relation
+    rng = np.random.default_rng(seed)
+    types = [ObjectType("a", n_objects=30, n_clusters=3),
+             ObjectType("b", n_objects=20, n_clusters=2),
+             ObjectType("lonely", n_objects=12, n_clusters=3)]
+    matrix = rng.random((30, 20)) * (rng.random((30, 20)) < 0.3)
+    return MultiTypeRelationalData(types, [Relation("a", "b", matrix)])
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+class TestProfileWithoutZeroBlocks:
+    """k-means G0 is the G0 of the zero-padded profile, bit for bit."""
+
+    def _assert_same_G0(self, data, backend, seed, monkeypatch):
+        import repro.core.state as state_module
+        R_pairs = data.relation_blocks(normalize=True, backend=backend)
+        blocks = initialize_state(data, R_pairs, random_state=seed).G_blocks
+        with monkeypatch.context() as patch:
+            patch.setattr(state_module, "_relational_profile",
+                          zero_padded_profile)
+            reference = initialize_state(data, R_pairs,
+                                         random_state=seed).G_blocks
+        for block, expected in zip(blocks, reference):
+            assert block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("preset", ["multi5-small", "r-top10-small"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_presets(self, preset, seed, backend, monkeypatch):
+        from repro.data import make_dataset
+        self._assert_same_G0(make_dataset(preset, random_state=seed),
+                             backend, seed, monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_type_with_no_relation_block(self, seed, backend, monkeypatch):
+        self._assert_same_G0(_lonely_type_dataset(seed), backend, seed,
+                             monkeypatch)
+
+    def test_profile_drops_exactly_the_zero_columns(self, backend):
+        import scipy.sparse as sp
+        from repro.core.state import _relational_profile
+        from repro.data import make_dataset
+        data = make_dataset("multi5-small", random_state=0)
+        R_pairs = data.relation_blocks(normalize=True, backend=backend)
+        spec = data.object_block_spec()
+        for index in range(spec.n_types):
+            profile = _relational_profile(R_pairs, spec, index)
+            assert sp.issparse(profile) == (backend == "sparse")
+            padded = zero_padded_profile(R_pairs, spec, index)
+            if backend == "sparse":
+                profile, padded = profile.toarray(), padded.toarray()
+            keep = np.concatenate([
+                np.full(size, (index, other) in R_pairs)
+                for other, size in enumerate(spec.sizes)])
+            np.testing.assert_array_equal(profile, padded[:, keep])
+            assert not padded[:, ~keep].any()
+
+    def test_type_with_no_relation_block_has_one_zero_column(self, backend):
+        from repro.core.state import _relational_profile
+        data = _lonely_type_dataset(0)
+        R_pairs = data.relation_blocks(normalize=True, backend=backend)
+        profile = _relational_profile(R_pairs, data.object_block_spec(), 2)
+        np.testing.assert_array_equal(profile, np.zeros((12, 1)))

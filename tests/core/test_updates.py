@@ -570,3 +570,75 @@ class TestBlockwiseDefaultPairs:
                  - G @ state.S @ G.T - state.E_R.to_dense())
         assert default.reconstruction == pytest.approx(float(np.sum(dense ** 2)),
                                                        rel=1e-12)
+
+
+def error_matrix_by_full_assembly(R_pairs, state, *, beta):
+    """The E step before its early exit, as the reference.
+
+    Every type builds its value block, zero-row or not, runs
+    ``residual_rows`` on every pair and all blocks are concatenated.
+    """
+    from repro.core.rspace import ProductCache
+    products = ProductCache()
+    spec, cluster_spec = state.object_spec, state.cluster_spec
+    n_total = spec.total
+    pieces = []
+    for t in range(spec.n_types):
+        terms = [((t, u), R_pairs[(t, u)],
+                  products.association_block(state.S, cluster_spec, (t, u)),
+                  state.G_blocks[u])
+                 for u in range(spec.n_types) if (t, u) in R_pairs]
+        sq = np.zeros(spec.sizes[t])
+        for pair, R_tu, S_tu, G_u in terms:
+            sq += products.residual_sq_row_norms(pair, R_tu, state.G_blocks[t],
+                                                 S_tu, G_u)
+        norms = np.sqrt(np.maximum(sq, 0.0))
+        rows = np.flatnonzero(2.0 * norms > beta)
+        scale = 1.0 - beta / (2.0 * norms[rows])
+        values = np.zeros((rows.size, n_total))
+        for pair, R_tu, S_tu, G_u in terms:
+            values[:, spec.slice(pair[1])] = scale[:, None] * \
+                products.residual_rows(pair, R_tu, state.G_blocks[t], S_tu,
+                                       G_u, rows)
+        pieces.append((rows + spec.offsets[t], values))
+    rows = np.concatenate([piece[0] for piece in pieces])
+    values = (np.vstack([piece[1] for piece in pieces])
+              if rows.size else np.empty((0, n_total)))
+    return RowSparseMatrix(rows, values, (n_total, n_total))
+
+
+class TestErrorStepEarlyExit:
+    """No row survives: nothing is built; rows survive: nothing changes."""
+
+    @pytest.fixture(scope="class")
+    def corrupted_fit(self):
+        from repro.core import RHCHME
+        from repro.data import make_dataset
+        data = make_dataset("corrupted-multi5", random_state=0)
+        result = RHCHME(beta=0.3, max_iter=15, random_state=0).fit(data)
+        return data, result
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_surviving_rows_match_full_assembly(self, corrupted_fit, backend):
+        data, result = corrupted_fit
+        R_pairs = data.relation_blocks(normalize=True, backend=backend)
+        E = update_error_matrix_blocks(R_pairs, result.state, beta=0.3)
+        reference = error_matrix_by_full_assembly(R_pairs, result.state,
+                                                  beta=0.3)
+        assert E.rows.size > 0
+        np.testing.assert_array_equal(E.rows, reference.rows)
+        assert E.values.tobytes() == reference.values.tobytes()
+
+    def test_default_beta_builds_no_rows(self, corrupted_fit, monkeypatch):
+        from repro.core.rspace import ProductCache
+        data, result = corrupted_fit
+        R_pairs = data.relation_blocks(normalize=True)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("residual rows built with no row kept")
+
+        monkeypatch.setattr(ProductCache, "residual_rows", forbidden)
+        E = update_error_matrix_blocks(R_pairs, result.state, beta=50.0)
+        n_total = data.n_objects_total
+        assert E.is_zero and E.shape == (n_total, n_total)
+        assert E.values.shape == (0, n_total)
