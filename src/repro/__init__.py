@@ -59,9 +59,8 @@ Subpackages
     closed-loop load generator.
 ``repro.diagnostics``
     Model health monitoring: fit-time spectral metrics of the ensemble
-    Laplacian blocks, serving-time covariate-drift detection against
-    training fingerprints, and the threshold/hysteresis/cooldown refresh
-    policy that closes the loop into automatic ``refresh()``.
+    Laplacian blocks and serving-time covariate-drift detection against
+    training fingerprints.
 """
 
 from .core.config import RHCHMEConfig

@@ -72,8 +72,7 @@ def _type_l21(E_R, object_spec, t: int) -> float:
 
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
                               beta: float, pairs=None,
-                              schedule=None, sweep: bool = False,
-                              cache=None,
+                              schedule=None, cache=None,
                               products=None) -> ObjectiveBreakdown:
     """Blockwise evaluation of Eq. 15 — no global matrix is ever assembled.
 
@@ -93,21 +92,20 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
     L_blocks:
         Per-type ensemble Laplacian blocks (dense or CSR).  A
         delta-scheduled fit passes ``None`` for types it never smooths
-        over (clean types without sweeps) — their constant smoothness
-        contribution is omitted from the trace.
+        over (clean types) — their constant smoothness contribution is
+        omitted from the trace.
     pairs:
         Active ordered pairs (defaults to
         :func:`~repro.core.updates.active_relation_pairs`, the set the
         update kernels visit: every relation block plus any block a
         warm-start E_R carries mass on).
-    schedule, sweep, cache:
+    schedule, cache:
         Delta-evaluation mode: with a
         :class:`~repro.core.schedule.DeltaSchedule` and a (mutable) term
         cache, only the terms the schedule marks as moving — or that the
         cache has never seen — are recomputed; frozen blocks' terms are
-        summed from the cache.  ``sweep=True`` refreshes every cached
-        term.  Either argument ``None`` runs the full evaluation exactly
-        as before.
+        summed from the cache.  Either argument ``None`` runs the full
+        evaluation exactly as before.
     products:
         The fit's :class:`~repro.core.rspace.ProductCache` (a private one
         when ``None``).  The residual row norms come from it (usually
@@ -153,25 +151,21 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
                                   error_sparsity=float(error_sparsity),
                                   graph_smoothness=lam * smoothness)
 
-    # Delta evaluation: recompute the moving (or never-seen) terms, sum
-    # the frozen ones from the cache.
+    # Delta evaluation: recompute the moving (or never-seen) pair terms,
+    # sum the frozen ones from the cache.  Only dirty types carry a
+    # Laplacian block, and each of them moves, so every smoothness term
+    # is recomputed.
     moving_pairs = schedule.objective_pairs
-    smooth_over = schedule.laplacian_types
     eval_pairs = [pair for pair in pairs
-                  if sweep or pair in moving_pairs
-                  or ("pair", pair) not in cache]
-    eval_types = [t for t in smooth_over
-                  if sweep or t in schedule.dirty_types
-                  or ("smooth", t) not in cache]
-    pair_values, type_values = evaluate_terms(eval_pairs, eval_types)
+                  if pair in moving_pairs or ("pair", pair) not in cache]
+    pair_values, type_values = evaluate_terms(eval_pairs,
+                                              schedule.laplacian_types)
     for pair, value in zip(eval_pairs, pair_values):
         cache[("pair", pair)] = float(value)
-    for t, value in zip(eval_types, type_values):
-        cache[("smooth", t)] = float(value)
     reconstruction = float(sum(cache[("pair", pair)] for pair in pairs))
-    smoothness = float(sum(cache[("smooth", t)] for t in smooth_over))
+    smoothness = float(sum(type_values))
     source_types = {pair[0] for pair in pairs}
-    if sweep or schedule.error_types >= source_types:
+    if schedule.error_types >= source_types:
         # No row type with E_R mass is frozen (stored rows only exist on
         # source types of active pairs) — the one-shot global L2,1
         # reduction is both cheaper and bit-identical to the unscheduled

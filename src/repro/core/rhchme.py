@@ -211,9 +211,8 @@ class RHCHME:
             their S/E_R kernels, clean Laplacians are never built, and the
             objective reuses cached terms for frozen blocks — turning the
             refit's per-iteration cost into ``O(dirty neighbourhood)``.
-            ``dirty.full_sweep_every=k`` runs every k-th iteration
-            unrestricted.  ``None`` (default) is the full refit,
-            bit-identical to the behaviour without delta scheduling.
+            ``None`` (default) is the full refit, bit-identical to the
+            behaviour without delta scheduling.
         """
         config = self.config
         start = time.perf_counter()
@@ -242,12 +241,9 @@ class RHCHME:
             use_pnn=config.use_pnn_member,
             backend=config.backend,
         )
-        # Without sweeps only dirty types ever run a G update, so only
-        # their Laplacian blocks are built; sweep iterations need them all.
-        build_types = None
-        if dirty is not None and dirty.full_sweep_every <= 0:
-            build_types = dirty_indices
-        L_blocks = ensemble.build_blocks(data, types=build_types)
+        # Only dirty types ever run a G update, so only their Laplacian
+        # blocks are built.
+        L_blocks = ensemble.build_blocks(data, types=dirty_indices)
         backend = ensemble.resolved_backend_
         ensemble_seconds = time.perf_counter() - ensemble_start
 
@@ -315,27 +311,23 @@ class RHCHME:
         scores = LabelScores()
         converged = False
         iteration = 0
+        restrict = schedule is not None
         # This S solve doubles as iteration 1's S step: the state does
         # not change between recording the initial objective and the
         # first loop pass, so re-solving there would recompute the
         # identical matrix (one full wasted S solve per fit).
-        setup_sweep = schedule is not None and schedule.sweep(1)
         with _span_scope(fit_span, "setup"):
             state.S = self._timed(
                 trace, "s_update", update_association_blocks,
                 R_pairs, state, pairs=pairs,
-                dirty_pairs=(schedule.dirty_pairs
-                             if schedule is not None and not setup_sweep
-                             else None),
-                S_prev=state.S if schedule is not None else None,
+                dirty_pairs=schedule.dirty_pairs if restrict else None,
+                S_prev=state.S if restrict else None,
                 products=products)
             self._record(trace, scores, data, R_pairs, L_blocks, state,
                          pairs, products, monitor=monitor, schedule=schedule,
-                         sweep=setup_sweep, cache=objective_cache)
+                         cache=objective_cache)
 
         for iteration in range(1, config.max_iter + 1):
-            sweep = schedule is not None and schedule.sweep(iteration)
-            restrict = schedule is not None and not sweep
             with _span_scope(fit_span, "iteration", iteration=iteration):
                 if iteration > 1:
                     state.S = self._timed(
@@ -343,8 +335,7 @@ class RHCHME:
                         R_pairs, state, pairs=pairs,
                         dirty_pairs=(schedule.dirty_pairs if restrict
                                      else None),
-                        S_prev=(state.S if schedule is not None
-                                else None),
+                        S_prev=state.S if restrict else None,
                         products=products)
                 state.G_blocks = self._timed(
                     trace, "g_update", update_membership_blocks,
@@ -359,14 +350,12 @@ class RHCHME:
                         R_pairs, state, beta=config.beta, pairs=pairs,
                         dirty_types=(schedule.error_types if restrict
                                      else None),
-                        E_prev=(state.E_R if schedule is not None
-                                else None),
+                        E_prev=state.E_R if restrict else None,
                         products=products)
                 state.iteration = iteration
                 self._record(trace, scores, data, R_pairs, L_blocks, state,
                              pairs, products, monitor=monitor,
-                             schedule=schedule, sweep=sweep,
-                             cache=objective_cache)
+                             schedule=schedule, cache=objective_cache)
             decrease = trace.last_relative_decrease()
             if 0.0 <= decrease < config.tol:
                 converged = True
@@ -458,14 +447,13 @@ class RHCHME:
     def _record(self, trace: TraceRecorder, scores: LabelScores,
                 data: MultiTypeRelationalData, R_pairs, L_blocks,
                 state: FactorizationState, pairs, products: ProductCache,
-                monitor=None, schedule=None, sweep: bool = False,
-                cache=None) -> None:
+                monitor=None, schedule=None, cache=None) -> None:
         """Record the objective breakdown and optional metrics for one iterate."""
         config = self.config
         breakdown = self._timed(trace, "objective", evaluate_objective_blocks,
                                 R_pairs, state, L_blocks, lam=config.lam,
                                 beta=config.beta, pairs=pairs,
-                                schedule=schedule, sweep=sweep, cache=cache,
+                                schedule=schedule, cache=cache,
                                 products=products)
         metrics: dict[str, float] = {}
         if monitor is not None:

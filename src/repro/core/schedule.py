@@ -7,10 +7,9 @@ pairs among them and their ``E_R`` rows are already at (or within noise
 of) their fixed point, so recomputing them every iteration buys nothing.
 
 :class:`DirtySet` is the caller-facing declaration — the *names* of the
-object types whose data changed (new rows appended, relations touched,
-drift detected).  :class:`DeltaSchedule` resolves it against a concrete
-fit (type order plus the active relation pairs) into the index sets the
-kernels consume:
+object types whose data changed (new rows appended, relations touched).
+:class:`DeltaSchedule` resolves it against a concrete fit (type order
+plus the active relation pairs) into the index sets the kernels consume:
 
 ``dirty_types``
     Types whose ``G_t`` block is re-optimised.  Every other block is
@@ -29,10 +28,7 @@ kernels consume:
 Freezing clean blocks turns the refit's per-iteration cost from
 ``O(all types + all pairs)`` into ``O(dirty neighbourhood)``.  The
 trade-off is explicit: frozen blocks stop tracking the moving factors of
-their dirty neighbours within the refresh, which is exactly the
-approximation a periodic ``full_sweep_every`` iteration repairs — on a
-sweep iteration every kernel runs unrestricted, pulling the whole state
-back onto the joint optimisation path.
+their dirty neighbours within the refresh.
 
 ``dirty=None`` remains the correctness escape hatch throughout the
 stack: without a schedule every code path is byte-for-byte the full
@@ -55,55 +51,27 @@ class DirtySet:
     Attributes
     ----------
     types:
-        Names of the dirty object types.  May be empty — an empty dirty
-        set makes the refit a (cheap) no-op that re-records the objective
-        and converges immediately.
-    full_sweep_every:
-        Every k-th iteration runs unrestricted (all types, all pairs),
-        bounding the drift frozen blocks can accumulate against their
-        moving neighbours.  ``0`` (default) never sweeps.
+        Names of the dirty object types, as a set (``{"docs"}``; a bare
+        string is rejected rather than split into characters).  May be
+        empty — an empty dirty set makes the refit a (cheap) no-op that
+        re-records the objective and converges immediately.
     """
 
     types: frozenset[str] = field(default_factory=frozenset)
-    full_sweep_every: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.types, str):
+            raise ValidationError(
+                f"DirtySet types must be a set of type names, got the "
+                f"string {self.types!r}; pass types={{{self.types!r}}}")
         object.__setattr__(self, "types",
                            frozenset(str(name) for name in self.types))
-        if self.full_sweep_every < 0:
-            raise ValidationError(
-                f"full_sweep_every must be >= 0, got {self.full_sweep_every}")
 
-    # ------------------------------------------------------------ builders
     @classmethod
-    def from_growth(cls, grown, *, full_sweep_every: int = 0) -> "DirtySet":
+    def from_growth(cls, grown) -> "DirtySet":
         """Dirty set from a per-type growth delta (``{name: n_new}``)."""
         return cls(types=frozenset(name for name, count in dict(grown).items()
-                                   if count > 0),
-                   full_sweep_every=full_sweep_every)
-
-    @classmethod
-    def from_drift(cls, scores, *, threshold: float,
-                   full_sweep_every: int = 0) -> "DirtySet":
-        """Dirty set from per-type drift scores (``{name: score}``).
-
-        Types whose score is ``None`` or below ``threshold`` stay clean.
-        """
-        dirty = frozenset(name for name, score in dict(scores).items()
-                          if score is not None and score >= threshold)
-        return cls(types=dirty, full_sweep_every=full_sweep_every)
-
-    # ------------------------------------------------------------- algebra
-    def __or__(self, other: "DirtySet") -> "DirtySet":
-        if not isinstance(other, DirtySet):
-            return NotImplemented
-        return DirtySet(types=self.types | other.types,
-                        full_sweep_every=max(self.full_sweep_every,
-                                             other.full_sweep_every))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.types
+                                   if count > 0))
 
     def resolve(self, type_names) -> frozenset[int]:
         """Map the dirty names onto a fit's type order (validating them)."""
@@ -117,8 +85,7 @@ class DirtySet:
 
     def describe(self) -> dict:
         """JSON-safe summary recorded in fit extras and refresh telemetry."""
-        return {"types": sorted(self.types),
-                "full_sweep_every": int(self.full_sweep_every)}
+        return {"types": sorted(self.types)}
 
 
 class DeltaSchedule:
@@ -152,25 +119,15 @@ class DeltaSchedule:
         # shares a row type with the dirty neighbourhood.
         self.error_types = (frozenset(pair[0] for pair in self.dirty_pairs)
                             if track_errors else frozenset())
-        self.full_sweep_every = int(dirty.full_sweep_every)
-
-    # ----------------------------------------------------------- iteration
-    def sweep(self, iteration: int) -> bool:
-        """Whether ``iteration`` is an unrestricted full-sweep iteration."""
-        return (self.full_sweep_every > 0
-                and iteration % self.full_sweep_every == 0)
 
     @property
     def laplacian_types(self) -> tuple[int, ...]:
         """Types whose Laplacian block the fit builds (and smooths over).
 
-        Without sweeps only dirty types ever run a G update, so only their
-        ``L_t`` blocks are built — the clean types' smoothness terms are a
-        constant the trace simply omits.  With sweeps every block is
-        needed.
+        Only dirty types ever run a G update, so only their ``L_t`` blocks
+        are built — the clean types' smoothness terms are a constant the
+        trace simply omits.
         """
-        if self.full_sweep_every > 0:
-            return tuple(range(self.n_types))
         return tuple(sorted(self.dirty_types))
 
     @property
@@ -195,5 +152,4 @@ class DeltaSchedule:
             "error_types": sorted(self.type_names[t]
                                   for t in self.error_types),
             "n_dirty_pairs": len(self.dirty_pairs),
-            "full_sweep_every": self.full_sweep_every,
         }

@@ -1,6 +1,6 @@
-"""Model health diagnostics: spectral monitors, drift detection, refresh policy.
+"""Model health diagnostics: spectral monitors and drift detection.
 
-Three layers watch a model from fit to serving:
+Two layers watch a model from fit to serving:
 
 ``repro.diagnostics.spectral``
     Fit-time health of the per-type Laplacian blocks ``L_t`` — spectral
@@ -15,16 +15,13 @@ Three layers watch a model from fit to serving:
     :class:`DriftDetector` scores incoming query batches against them
     with population-stability-index (PSI) statistics at O(features ·
     bins) per batch, independent of batch size.
-``repro.diagnostics.policy``
-    The control loop: a :class:`RefreshPolicy` (threshold + hysteresis +
-    cooldown) that :class:`repro.runtime.RuntimeServer` consults to
-    trigger :meth:`~repro.runtime.RuntimeServer.refresh` automatically
-    when drift crosses the bar.
+
+Both only report: acting on a drift score (refreshing the model with
+:meth:`repro.runtime.RuntimeServer.refresh`) is left to the caller.
 """
 
 from .drift import (DriftDetector, DriftScore, FeatureFingerprint,
                     fingerprint_features, population_stability_index)
-from .policy import RefreshPolicy
 from .spectral import (DIAGNOSTICS_SCHEMA_VERSION, SpectralBlockMetrics,
                        SpectralMonitor, spectral_block_metrics)
 
@@ -38,5 +35,4 @@ __all__ = [
     "population_stability_index",
     "DriftDetector",
     "DriftScore",
-    "RefreshPolicy",
 ]

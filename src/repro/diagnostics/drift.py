@@ -50,6 +50,18 @@ DEFAULT_BINS = 10
 #: Default cap on the number of training rows a fingerprint is built from.
 DEFAULT_SAMPLE_SIZE = 512
 
+#: At most this many rows of a served batch are folded into the drift
+#: histograms (an even stride sample, counts scaled back up to the batch's
+#: mass), capping the per-batch binning cost for large batches without
+#: biasing the proportions.
+MAX_BINNED_ROWS = 64
+
+#: The PSI evaluation reruns at most every this many batches (and always on
+#: the first batch past ``min_rows``); in between, :meth:`DriftDetector.observe`
+#: returns the cached statistics with the row accounting updated.  Bounds
+#: the hot-path cost; the detection delay it adds is at most three batches.
+SCORE_EVERY_BATCHES = 4
+
 
 def _bin_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Histogram ``values`` over quantile ``edges`` (open outer bins).
@@ -292,7 +304,7 @@ class DriftScore:
 
     @property
     def score(self) -> float:
-        """The scalar the refresh policy consumes: worst of the signals."""
+        """The scalar drift score: worst of the signals."""
         return max(self.feature_psi_mean, self.mass_psi)
 
     def as_dict(self) -> dict:
@@ -343,31 +355,17 @@ class DriftDetector:
         Exponential forgetting horizon: previously accumulated counts are
         halved every this many newly observed rows, so the window tracks
         the *recent* stream and recovers after a drift episode ends.
-    max_binned_rows:
-        At most this many rows of a batch are folded into the histograms
-        (an even stride sample, counts scaled back up to the batch's
-        mass), capping the per-batch binning cost for large batches
-        without biasing the proportions.
-    score_every_batches:
-        The PSI evaluation reruns at most every this many batches (and
-        always on the first batch past ``min_rows``); between reruns
-        :meth:`observe` returns the cached statistics with the row
-        accounting updated.  Bounds the hot-path cost; the detection
-        delay it adds is at most ``score_every_batches - 1`` batches.
+
+    Per batch, at most :data:`MAX_BINNED_ROWS` rows are binned, and the PSI
+    is re-evaluated at most every :data:`SCORE_EVERY_BATCHES` batches.
     """
 
     def __init__(self, fingerprints: dict[str, FeatureFingerprint], *,
-                 min_rows: int = 64, half_life_rows: int = 4096,
-                 max_binned_rows: int = 64,
-                 score_every_batches: int = 4) -> None:
+                 min_rows: int = 64, half_life_rows: int = 4096) -> None:
         self.fingerprints = dict(fingerprints)
         self.min_rows = check_positive_int(min_rows, name="min_rows")
         self.half_life_rows = check_positive_int(half_life_rows,
                                                  name="half_life_rows")
-        self.max_binned_rows = check_positive_int(max_binned_rows,
-                                                  name="max_binned_rows")
-        self.score_every_batches = check_positive_int(
-            score_every_batches, name="score_every_batches")
         self._lock = threading.Lock()
         self._windows: dict[str, _TypeWindow] = {}
 
@@ -422,7 +420,7 @@ class DriftDetector:
                 or queries.shape[0] == 0:
             return None
         rows = queries.shape[0]
-        stride = -(-rows // self.max_binned_rows)  # ceil division
+        stride = -(-rows // MAX_BINNED_ROWS)  # ceil division
         sample = queries[::stride] if stride > 1 else queries
         batch_counts = _bin_counts_matrix(sample, fingerprint.feature_edges)
         if stride > 1:
@@ -449,7 +447,7 @@ class DriftDetector:
                 return None
             if window.last is not None and (
                     window.batches - window.scored_at_batch
-                    < self.score_every_batches):
+                    < SCORE_EVERY_BATCHES):
                 # cached statistics, fresh accounting — the PSI rerun is
                 # throttled to bound the per-batch serving overhead
                 score = DriftScore(

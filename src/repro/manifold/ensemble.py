@@ -81,13 +81,6 @@ class HeterogeneousManifoldEnsemble:
         Which Laplacian normalisation to use for both members.
     use_subspace, use_pnn:
         Ablation switches disabling one member (the α → {0, ∞} extremes).
-    scale_by_size:
-        Divide each type's Laplacian by its object count so that
-        ``tr(Gᵀ L G)`` measures *average* label smoothness per object rather
-        than a sum that grows with the dataset.  This keeps the λ grid of the
-        paper meaningful on datasets of different sizes and balances the
-        regulariser against the (block-normalised) reconstruction term; it is
-        an implementation deviation from the paper.
     backend:
         ``"dense"`` (seed behaviour), ``"sparse"`` (CSR end to end) or
         ``"auto"`` (sparse once the dataset's total object count crosses
@@ -101,7 +94,6 @@ class HeterogeneousManifoldEnsemble:
     laplacian_kind: str = "unnormalized"
     use_subspace: bool = True
     use_pnn: bool = True
-    scale_by_size: bool = True
     backend: str = "dense"
     members_: list[_TypeLaplacians] = field(default_factory=list, init=False, repr=False)
     resolved_backend_: str | None = field(default=None, init=False, repr=False)
@@ -174,8 +166,13 @@ class HeterogeneousManifoldEnsemble:
                                     sparse=use_sparse)
             pnn_laplacian = laplacian(affinity, kind=self.laplacian_kind)
             combined = combined + pnn_laplacian
-        if self.scale_by_size and n_objects > 0:
-            combined = combined / float(n_objects)
+        # Each type's Laplacian is divided by its object count, so that
+        # tr(Gᵀ L G) measures *average* label smoothness per object rather
+        # than a sum that grows with the dataset.  This keeps the paper's λ
+        # grid meaningful across dataset sizes and balances the regulariser
+        # against the (block-normalised) reconstruction term; it is an
+        # implementation deviation from the paper.
+        combined = combined / float(n_objects)
         return _TypeLaplacians(name=name, subspace=subspace_laplacian,
                                pnn=pnn_laplacian, combined=combined, outcome=outcome)
 

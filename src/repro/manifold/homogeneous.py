@@ -43,16 +43,15 @@ class HomogeneousCandidateEnsemble:
     smoothing:
         Ridge term μ of the weight-refit subproblem; keeps the learnt weights
         away from a degenerate single-candidate solution.
-    scale_by_size:
-        Divide each type's candidate Laplacian by its object count (same
-        convention as the heterogeneous ensemble, see
-        :class:`~repro.manifold.ensemble.HeterogeneousManifoldEnsemble`).
+
+    Each type's candidate Laplacians are divided by its object count, the
+    same convention as
+    :class:`~repro.manifold.ensemble.HeterogeneousManifoldEnsemble`.
     """
 
     specs: Sequence[CandidateSpec] | None = None
     laplacian_kind: str = "unnormalized"
     smoothing: float = 1.0
-    scale_by_size: bool = True
     weights_: np.ndarray | None = field(default=None, init=False, repr=False)
     candidates_: list[list[np.ndarray]] = field(default_factory=list, init=False, repr=False)
 
@@ -85,8 +84,7 @@ class HomogeneousCandidateEnsemble:
                 continue
             laplacians = candidate_laplacians(object_type.features, self.specs,
                                               kind=self.laplacian_kind)
-            scale = (1.0 / float(object_type.n_objects)
-                     if self.scale_by_size else 1.0)
+            scale = 1.0 / float(object_type.n_objects)
             for blocks, candidate in zip(per_candidate_blocks, laplacians):
                 blocks.append(candidate * scale)
         self.candidates_ = per_candidate_blocks

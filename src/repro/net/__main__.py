@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ReproError, ValidationError
+from ..serve.cli import load_queries
 from .client import NetClient
 from .loadgen import run_closed_loop
 from .server import NetServer
@@ -48,20 +49,6 @@ def _parse_model_spec(spec: str) -> tuple[str, str]:
         raise ValidationError(
             f"--model expects <id>=<artifact-path>, got {spec!r}")
     return model_id, path
-
-
-def _load_queries(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise ReproError(f"query file not found: {path}")
-    loaded = np.load(path)
-    if isinstance(loaded, np.lib.npyio.NpzFile):
-        names = loaded.files
-        if len(names) != 1:
-            raise ReproError(
-                f"{path} holds {len(names)} arrays ({names}); store the "
-                "query matrix alone or pass a .npy file")
-        return np.asarray(loaded[names[0]])
-    return np.asarray(loaded)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,7 +147,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    queries = _load_queries(args.queries)
+    queries = load_queries(args.queries)
     with NetClient(args.host, args.port, timeout=args.timeout) as client:
         response = client.predict(args.model, args.type_name, queries,
                                   batch_size=args.batch_size)
@@ -191,7 +178,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    queries = _load_queries(args.queries)
+    queries = load_queries(args.queries)
     report = run_closed_loop(
         args.host, args.port, model=args.model, type_name=args.type_name,
         queries=queries, n_clients=args.clients,

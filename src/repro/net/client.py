@@ -154,7 +154,7 @@ class NetClient:
         return self._get("/v1/models")
 
     def stats(self) -> dict:
-        """``GET /v1/stats`` — runtime/predictor/per-model/policy counters."""
+        """``GET /v1/stats`` — runtime/predictor/per-model counters."""
         return self._get("/v1/stats")
 
     def traces(self) -> dict:

@@ -107,9 +107,7 @@ def _runtime_section(out: _Exposition, stats: dict) -> None:
         ("rejected", "Requests shed by queue backpressure."),
         ("batches", "Coalesced micro-batches dispatched."),
         ("objects", "Query rows served through dispatched batches."),
-        ("refreshes", "Model refreshes (manual and automatic)."),
-        ("auto_refreshes", "Refreshes triggered by the drift policy."),
-        ("auto_refresh_failures", "Automatic refresh attempts that failed."),
+        ("refreshes", "Model refreshes."),
     )
     for name, help_text in counters:
         out.sample(f"repro_runtime_{name}_total", "counter", help_text,
@@ -196,8 +194,8 @@ def _drift_section(out: _Exposition, drift: dict,
                        "Query rows accumulated in the drift window.",
                        entry.get("rows"), labels)
             out.sample("repro_drift_score", "gauge",
-                       "Scalar drift score the refresh policy consumes "
-                       "(max of feature-PSI mean and affinity-mass PSI).",
+                       "Scalar drift score (max of feature-PSI mean and "
+                       "affinity-mass PSI).",
                        entry.get("score"), labels)
             out.sample("repro_drift_feature_psi_max", "gauge",
                        "Worst single-feature population stability index.",
@@ -232,27 +230,6 @@ def _refresh_section(out: _Exposition, refresh: dict,
                    "1 when the most recent refresh ran under a delta "
                    "schedule (clean types frozen).",
                    entry.get("delta"), labels)
-
-
-def _policy_section(out: _Exposition, policy,
-                    routes_by_path: dict[str, str]) -> None:
-    snapshot = getattr(policy, "snapshot", None)
-    if not callable(snapshot):
-        return
-    for path, entry in snapshot().items():
-        labels = {"model": _model_label(routes_by_path, path)}
-        out.sample("repro_refresh_policy_armed", "gauge",
-                   "1 while the refresh policy can trigger for the model.",
-                   entry.get("armed"), labels)
-        out.sample("repro_refresh_policy_observations_total", "counter",
-                   "Drift scores the policy has consumed.",
-                   entry.get("observations"), labels)
-        out.sample("repro_refresh_policy_triggers_total", "counter",
-                   "Automatic refreshes the policy has triggered.",
-                   entry.get("triggers"), labels)
-        out.sample("repro_refresh_policy_last_score", "gauge",
-                   "Most recent drift score the policy saw.",
-                   entry.get("last_score"), labels)
 
 
 def _spectral_section(out: _Exposition, server) -> None:
@@ -303,7 +280,5 @@ def render_prometheus(server) -> str:
     _errors_section(out, runtime_stats.errors)
     _drift_section(out, runtime_stats.drift, routes_by_path)
     _refresh_section(out, runtime_stats.refresh, routes_by_path)
-    _policy_section(out, getattr(server.runtime, "refresh_policy", None),
-                    routes_by_path)
     _spectral_section(out, server)
     return out.render()

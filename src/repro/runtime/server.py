@@ -68,8 +68,6 @@ class RuntimeStats:
     objects: int = 0
     max_batch_rows: int = 0
     refreshes: int = 0
-    auto_refreshes: int = 0
-    auto_refresh_failures: int = 0
     flush_counts: dict[str, int] = field(default_factory=dict)
     # Snapshot-only section, filled by ``RuntimeServer.stats``: the drift
     # detector's per-model windows.  Empty when diagnostics are off.
@@ -101,8 +99,6 @@ class RuntimeStats:
             "max_batch_rows": self.max_batch_rows,
             "mean_batch_rows": round(self.mean_batch_rows, 3),
             "refreshes": self.refreshes,
-            "auto_refreshes": self.auto_refreshes,
-            "auto_refresh_failures": self.auto_refresh_failures,
             "flush_counts": dict(self.flush_counts),
             "drift": dict(self.drift),
             "tracing": self.tracing,
@@ -128,43 +124,12 @@ class RuntimeServer:
         bounds queued rows; beyond it ``submit`` raises
         :class:`~repro.exceptions.QueueFullError`, and a single request
         with more rows raises :class:`~repro.exceptions.ValidationError`.
-    cache_size, default_batch_size:
-        Forwarded to the underlying :class:`~repro.serve.BatchPredictor`,
-        which serves each artifact the way its layout says: a
-        ``per-type-mmap`` artifact lazily (only the queried types' arrays
-        are mapped), any other layout eagerly.
     diagnostics:
         Score every served batch for covariate drift against the model's
         training fingerprints (forwarded to
         :class:`~repro.serve.BatchPredictor`; ``True`` or a detector-option
-        dict enables it).
-    refresh_policy:
-        Optional :class:`~repro.diagnostics.RefreshPolicy` closing the
-        control loop: after each served batch the model's drift score is
-        fed to the policy, and when it triggers the server refits the
-        model via :meth:`refresh` on a background thread — no timer
-        involved.  Implies ``diagnostics`` and requires ``refresh_data``.
-    refresh_data:
-        Where an automatic refresh gets its grown dataset: either a
-        dataset object (single-model deployments) or a callable
-        ``(resolved_path) -> dataset`` (the callable is invoked on the
-        refresh thread, so it may do real ingestion work).
-    refresh_overrides:
-        Config overrides forwarded to :meth:`refresh` by the automatic
-        path (e.g. ``{"max_iter": 10}`` to bound refit cost).
-    delta_refresh:
-        When ``True``, :meth:`refresh` calls that pass no explicit
-        ``dirty`` derive a :class:`~repro.core.schedule.DirtySet`
-        automatically: types that grew in the refresh dataset plus types
-        whose serving-time drift score is at or above
-        ``drift_dirty_threshold`` — the clean remainder of the model stays
-        frozen through the refit.  ``False`` (default) keeps every
-        refresh a full warm-start refit unless the caller passes
-        ``dirty`` explicitly.
-    drift_dirty_threshold:
-        Drift score at which a non-growing type is still marked dirty by
-        the automatic delta schedule (only consulted when diagnostics are
-        on; see :meth:`~repro.serve.BatchPredictor.drift_score`).
+        dict enables it).  Scores are reported, never acted on: a model is
+        refreshed only when a caller invokes :meth:`refresh`.
     tracing:
         Span tracing for the request path (see :mod:`repro.obs`).
         ``False`` (default) keeps only the always-on stage histograms;
@@ -175,18 +140,18 @@ class RuntimeServer:
         (``server.obs.dump_traces()``, or ``GET /v1/traces`` behind
         :class:`repro.net.NetServer`).  Tracing only reads clocks —
         predictions are bit-identical with it on or off.
+
+    Every model is served through one :class:`~repro.serve.BatchPredictor`
+    at its defaults (four cached models, 256-row compute batches), which
+    serves each artifact the way its layout says: a ``per-type-mmap``
+    artifact lazily (only the queried types' arrays are mapped), any
+    other layout eagerly.
     """
 
     def __init__(self, *, workers: str = "thread", n_workers: int | None = None,
                  max_batch_size: int = 256, max_delay_seconds: float = 0.002,
-                 max_pending: int = 65536, cache_size: int = 4,
-                 default_batch_size: int = 256,
+                 max_pending: int = 65536,
                  diagnostics: bool | dict = False,
-                 refresh_policy=None,
-                 refresh_data=None,
-                 refresh_overrides: dict | None = None,
-                 delta_refresh: bool = False,
-                 drift_dirty_threshold: float = 0.25,
                  tracing: bool | dict = False) -> None:
         if workers not in WORKER_MODES:
             raise ValidationError(
@@ -195,32 +160,10 @@ class RuntimeServer:
         if n_workers is None:
             n_workers = max(1, min(4, os.cpu_count() or 1))
         self.n_workers = check_positive_int(n_workers, name="n_workers")
-        if refresh_policy is not None:
-            if refresh_data is None:
-                raise ValidationError(
-                    "refresh_policy needs refresh_data (a dataset or a "
-                    "callable path -> dataset) to refit from")
-            if not diagnostics:
-                diagnostics = True  # the policy consumes drift scores
-        self.refresh_policy = refresh_policy
-        self._refresh_data_source = refresh_data
-        self._refresh_overrides = dict(refresh_overrides or {})
-        self.delta_refresh = bool(delta_refresh)
-        self.drift_dirty_threshold = float(drift_dirty_threshold)
-        if self.drift_dirty_threshold < 0:
-            raise ValidationError(
-                f"drift_dirty_threshold must be non-negative, got "
-                f"{drift_dirty_threshold!r}")
         self._refresh_meta: dict[str, dict] = {}
         self._last_refresh: dict | None = None
-        self._auto_lock = threading.Lock()
-        self._auto_refreshing: set[str] = set()
-        self.last_auto_refresh_error: str | None = None
         self.obs = Observability(tracing=tracing)
-        self.predictor = BatchPredictor(cache_size=cache_size,
-                                        default_batch_size=default_batch_size,
-                                        diagnostics=diagnostics,
-                                        obs=self.obs)
+        self.predictor = BatchPredictor(diagnostics=diagnostics, obs=self.obs)
         self._executor = (ThreadPoolExecutor(
             max_workers=self.n_workers, thread_name_prefix="repro-runtime")
             if workers == "thread" else None)
@@ -288,9 +231,9 @@ class RuntimeServer:
         The canonical asynchronous entry point.  The response echoes the
         request's ``model`` and ``request_id`` and stamps the end-to-end
         ``seconds`` (submit → futures settled).  ``request.batch_size`` is
-        ignored here — coalesced batches share the server's
-        ``default_batch_size`` (use :class:`~repro.serve.BatchPredictor`
-        directly for per-request batch sizing).
+        ignored here — coalesced batches run at the predictor's default
+        batch size (use :class:`~repro.serve.BatchPredictor` directly for
+        per-request batch sizing).
 
         When tracing is enabled and no ``trace`` is passed, this call owns
         the request's span tree: it opens the root here, finishes it when
@@ -400,12 +343,11 @@ class RuntimeServer:
             else:
                 self._settle(batch, prediction)
                 self.obs.finish(batch_span)
-            self._maybe_auto_refresh(key)
             return
         worker_future = self._executor.submit(
             self._execute, key, batch, stacked, batch_span)
         worker_future.add_done_callback(
-            lambda done: self._finish(key, batch, done, batch_span))
+            lambda done: self._finish(batch, done, batch_span))
 
     def _execute(self, key: tuple[str, str], batch: list[QueuedRequest],
                  stacked: np.ndarray, batch_span=None) -> Prediction:
@@ -445,57 +387,14 @@ class RuntimeServer:
                                      compute_end, **attributes)
         return prediction
 
-    def _finish(self, key: tuple[str, str], batch: list[QueuedRequest],
-                done: Future, batch_span=None) -> None:
+    def _finish(self, batch: list[QueuedRequest], done: Future,
+                batch_span=None) -> None:
         exc = done.exception()
         if exc is not None:
             self._fail(batch, exc)
         else:
             self._settle(batch, done.result())
         self.obs.finish(batch_span, error=exc)
-        self._maybe_auto_refresh(key)
-
-    # ------------------------------------------------------ drift control loop
-    def _maybe_auto_refresh(self, key: tuple[str, str]) -> None:
-        """Consult the refresh policy with the batch's drift score.
-
-        Runs on the serving path, so it must stay O(1): reading the
-        detector's cached score and one policy update.  The refit itself
-        (when triggered) runs on a daemon thread — in-flight and future
-        requests keep being served against the current model until the
-        hot-swap publishes the refreshed one.  A no-op without a policy.
-        """
-        if self.refresh_policy is None:
-            return
-        path, type_name = key
-        score = self.predictor.drift_score(path, type_name)
-        if score is None or not self.refresh_policy.update(path, score):
-            return
-        with self._auto_lock:
-            if path in self._auto_refreshing:  # single-flight per model
-                return
-            self._auto_refreshing.add(path)
-        threading.Thread(target=self._auto_refresh, args=(path,),
-                         name="repro-auto-refresh", daemon=True).start()
-
-    def _refresh_dataset(self, path: str):
-        source = self._refresh_data_source
-        return source(path) if callable(source) else source
-
-    def _auto_refresh(self, path: str) -> None:
-        try:
-            self.refresh(path, self._refresh_dataset(path),
-                         **self._refresh_overrides)
-        except Exception as exc:  # noqa: BLE001 - background thread boundary
-            self.last_auto_refresh_error = repr(exc)
-            with self._lock:
-                self._stats.auto_refresh_failures += 1
-        else:
-            with self._lock:
-                self._stats.auto_refreshes += 1
-        finally:
-            with self._auto_lock:
-                self._auto_refreshing.discard(path)
 
     def _settle(self, batch: list[QueuedRequest],
                 prediction: Prediction) -> None:
@@ -527,29 +426,6 @@ class RuntimeServer:
             self._stats.failed += len(batch)
 
     # --------------------------------------------------------------- refreshing
-    def _dirty_set_for(self, path, data, sidecar: dict) -> DirtySet:
-        """Automatic dirty set: grown types plus drift-flagged types.
-
-        Growth is read from the sidecar's shape metadata against the
-        refresh dataset (no arrays touched); drift scores come from the
-        predictor's serving-time detector when diagnostics are on.  Types
-        unknown to either side are left for the refresh validation to
-        reject with its own message.
-        """
-        names: set[str] = set()
-        known = {name for name in data.type_names}
-        for entry in sidecar.get("types", []):
-            name = entry["name"]
-            if name not in known:
-                continue
-            if data.get_type(name).n_objects > int(entry["n_objects"]):
-                names.add(name)
-            if self.predictor.diagnostics:
-                score = self.predictor.drift_score(path, name)
-                if score is not None and score >= self.drift_dirty_threshold:
-                    names.add(name)
-        return DirtySet(types=frozenset(names))
-
     def refresh(self, path, data, *, save: bool = True, dirty=None,
                 validate: str | None = None, **overrides) -> RefreshOutcome:
         """Incrementally refit the artifact at ``path`` on a grown dataset.
@@ -565,14 +441,13 @@ class RuntimeServer:
         model.  ``overrides`` are config overrides for the refit (e.g.
         ``max_iter=10``).
 
-        ``dirty`` schedules a delta refit (a
-        :class:`~repro.core.schedule.DirtySet`, ``"auto"``, or ``None``
-        for full; with the server's ``delta_refresh=True`` an omitted
-        ``dirty`` is derived from growth + drift via automatic
-        scheduling).  ``validate`` defaults per layout: ``"shapes"`` on a
+        ``dirty`` schedules a delta refit: a
+        :class:`~repro.core.schedule.DirtySet`, ``"auto"`` (the types
+        that grew in ``data``) or ``None`` (default) for a full warm-start
+        refit.  ``validate`` defaults per layout: ``"shapes"`` on a
         ``per-type-mmap`` artifact (whose clean feature arrays must stay
-        unpaged — the model is opened as a lazy view with only the dirty
-        types promoted), ``"full"`` otherwise.
+        unpaged — the model is opened as a lazy view, with the types of
+        an explicit ``DirtySet`` promoted), ``"full"`` otherwise.
 
         With ``save=False`` the refreshed model is published to the
         in-process cache only.
@@ -581,8 +456,6 @@ class RuntimeServer:
         layout = artifact_layout(sidecar)
         if validate is None:
             validate = "shapes" if layout == MMAP_LAYOUT else "full"
-        if dirty is None and self.delta_refresh:
-            dirty = self._dirty_set_for(path, data, sidecar)
         view = None
         if layout == MMAP_LAYOUT:
             # Lazy import: the streaming layer is optional for servers
@@ -612,11 +485,6 @@ class RuntimeServer:
             if view is not None:
                 view.close()
         self.predictor.put_model(path, outcome.model)
-        if self.refresh_policy is not None:
-            # Manual and automatic refreshes alike restart the policy's
-            # cooldown, so a just-refreshed model is not re-triggered by
-            # the stale pre-refresh window.
-            self.refresh_policy.notify_refresh(self._resolve(path))
         telemetry = outcome.telemetry()
         with self._lock:
             self._stats.refreshes += 1
@@ -662,8 +530,7 @@ class RuntimeServer:
                 name: getattr(self._stats, name)
                 for name in ("submitted", "completed", "failed", "rejected",
                              "batches", "objects", "max_batch_rows",
-                             "refreshes", "auto_refreshes",
-                             "auto_refresh_failures")})
+                             "refreshes")})
         snapshot.flush_counts = self._batcher.flush_counts
         if self.predictor.diagnostics:
             snapshot.drift = self.predictor.drift_snapshot()

@@ -97,7 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_queries(path: Path) -> np.ndarray:
+def load_queries(path: Path) -> np.ndarray:
+    """Read a query matrix from a ``.npy`` or single-array ``.npz`` file.
+
+    Shared by the ``python -m repro.serve`` and ``python -m repro.net``
+    CLIs; a missing file or a multi-array ``.npz`` raises
+    :class:`~repro.exceptions.ReproError`.
+    """
     if not path.exists():
         raise ReproError(f"query file not found: {path}")
     loaded = np.load(path)
@@ -146,7 +152,7 @@ def _cmd_fit_save(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     request = PredictRequest(model=str(args.model), type_name=args.type_name,
-                             queries=_load_queries(args.queries),
+                             queries=load_queries(args.queries),
                              batch_size=args.batch_size)
     predictor = BatchPredictor(default_batch_size=args.batch_size)
     response = predictor.serve(request)

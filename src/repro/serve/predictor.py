@@ -274,19 +274,6 @@ class BatchPredictor:
             detector.observe(request.type_name, request.queries,
                              affinity_mass=prediction.affinity_mass)
 
-    def drift_score(self, path, type_name: str):
-        """Current :class:`~repro.diagnostics.DriftScore` of one type.
-
-        ``None`` when diagnostics are off, the model has not been scored
-        yet, its artifact carries no fingerprints, or the type has not
-        accumulated ``min_rows`` observations.
-        """
-        with self._lock:
-            detector = self._detectors.get(str(RHCHMEModel.resolve_path(path)))
-        if detector is None or detector is _UNSET:
-            return None
-        return detector.score(type_name)
-
     def drift_snapshot(self) -> dict:
         """Per-model drift-score snapshot, keyed by resolved artifact path.
 

@@ -114,10 +114,9 @@ class GrowthDelta:
                 names.add(target)
         return names
 
-    def dirty_set(self, *, full_sweep_every: int = 0) -> DirtySet:
+    def dirty_set(self) -> DirtySet:
         """The :class:`DirtySet` a refresh over this delta should use."""
-        return DirtySet(types=frozenset(self.dirty_types()),
-                        full_sweep_every=full_sweep_every)
+        return DirtySet(types=frozenset(self.dirty_types()))
 
     def describe(self) -> dict:
         """JSON-safe summary for logs and telemetry."""

@@ -1,0 +1,84 @@
+"""Under Eq. 22 the objective (Eq. 15) has a direction that only lowers it.
+
+Take a fitted state and, per type t with c_t clusters and 0 < ε ≤ 1, let
+A_t = εI + (1 − ε)/c_t · 11ᵀ.  Map G_t → G_t·A_t and
+S_tu → A_t⁻¹·S_tu·A_u⁻ᵀ:
+
+* each new row of G_t is ε·g + (1 − ε)·(the uniform row), so it stays on
+  the simplex and keeps its argmax — the labels do not change;
+* every G_t S_tu G_uᵀ is unchanged, so neither is the reconstruction term,
+  and E_R is not touched;
+* the premise: the default Laplacian is unnormalised, so L_t·1 = 0, and
+  with G_t·1 = 1 the smoothness tr(G_tᵀ L_t G_t) falls by exactly ε².
+
+So from any iterate the smoothness term can be driven towards zero at no
+cost to the rest of the objective: for λ > 0 Eq. 15 has no minimiser under
+Eq. 22, which is why default fits stop at the iteration cap.  Below
+ε = 0.1 the mapped S grows like 1/ε² and the reconstruction moves by
+round-off alone (2e-9 relative at ε = 0.01), so the test stays at ε ≥ 0.1.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag
+
+from repro.core import RHCHME, RHCHMEConfig, evaluate_objective_blocks
+from repro.data import make_dataset
+from repro.manifold import HeterogeneousManifoldEnsemble
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / abs(b)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """A default multi5-small fit with its Laplacian and relation blocks."""
+    config = RHCHMEConfig(random_state=0, max_iter=30)
+    assert config.laplacian_kind == "unnormalized" and config.lam > 0
+    data = make_dataset("multi5-small", random_state=0)
+    result = RHCHME(config).fit(data)
+    ensemble = HeterogeneousManifoldEnsemble(
+        alpha=config.alpha, gamma=config.gamma, p=config.p,
+        weighting=config.weighting, laplacian_kind=config.laplacian_kind,
+        use_subspace=config.use_subspace_member and config.alpha > 0,
+        use_pnn=config.use_pnn_member, backend=config.backend)
+    L_blocks = ensemble.build_blocks(data)
+    R_pairs = data.relation_blocks(normalize=config.normalize_relations,
+                                   backend=ensemble.resolved_backend_)
+    # The rebuilt blocks are the fit's own: they reproduce its last record.
+    final = _objective(config, result.state, L_blocks, R_pairs).total
+    assert _rel(final, result.trace.objectives[-1]) <= 1e-12
+    return config, result.state, L_blocks, R_pairs
+
+
+def _objective(config, state, L_blocks, R_pairs):
+    return evaluate_objective_blocks(R_pairs, state, L_blocks,
+                                     lam=config.lam, beta=config.beta)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_gauge_map_scales_only_the_smoothness(fitted, eps):
+    config, state, L_blocks, R_pairs = fitted
+    A = [eps * np.eye(c) + (1.0 - eps) / c * np.ones((c, c))
+         for c in state.cluster_spec.sizes]
+    A_inv = block_diag(*[np.linalg.inv(block) for block in A])
+    mapped = state.copy()
+    mapped.G_blocks = [G @ block for G, block in zip(state.G_blocks, A)]
+    mapped.S = A_inv @ state.S @ A_inv.T
+
+    before = _objective(config, state, L_blocks, R_pairs)
+    after = _objective(config, mapped, L_blocks, R_pairs)
+    assert _rel(after.reconstruction, before.reconstruction) <= 1e-10
+    assert after.error_sparsity == before.error_sparsity
+    assert before.graph_smoothness > 0
+    assert _rel(after.graph_smoothness,
+                eps ** 2 * before.graph_smoothness) <= 1e-10
+
+    for t, G in enumerate(mapped.G_blocks):
+        np.testing.assert_array_equal(mapped.labels_for_type(t),
+                                      state.labels_for_type(t))
+        assert np.all(G >= 0)
+        np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -2,11 +2,10 @@
 
 A prefix-stable two-type blobs generator (same contract as the runtime
 suite: ``diag_blobs(n)`` is an exact prefix of ``diag_blobs(m)`` for
-``n < m``, which the warm-start refresh requires) plus one session-scoped
-fitted artifact with fit-time diagnostics enabled, and a query-stream
-factory that draws *fresh* samples from the training distribution —
-optionally shifted, which is the injected covariate drift the detector
-must catch.
+``n < m``) plus one session-scoped fitted artifact with fit-time
+diagnostics enabled, and a query-stream factory that draws *fresh*
+samples from the training distribution — optionally shifted, which is the
+injected covariate drift the detector must catch.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ def diag_blobs_factory():
 @pytest.fixture(scope="session")
 def diag_dataset() -> MultiTypeRelationalData:
     return diag_blobs(100)
-
-
-@pytest.fixture(scope="session")
-def diag_grown_dataset() -> MultiTypeRelationalData:
-    return diag_blobs(150)
 
 
 @pytest.fixture(scope="session")

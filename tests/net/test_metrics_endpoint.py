@@ -1,8 +1,8 @@
 """Tests of the Prometheus ``/v1/metrics`` endpoint and its CLI surfaces.
 
 The session artifact is fit with diagnostics enabled, so every booted
-server can expose the fit-time spectral gauges; drift and policy gauges
-appear once the corresponding knobs are turned on at launch.
+server can expose the fit-time spectral gauges; drift gauges appear once
+diagnostics are turned on at launch.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.diagnostics import RefreshPolicy
 from repro.net import NetClient
 from repro.net.metrics import CONTENT_TYPE
 
@@ -91,24 +89,6 @@ class TestMetricsEndpoint:
         (score,) = drift.values()
         assert np.isfinite(score)
         assert any(key.startswith("repro_drift_rows") for key in samples)
-
-    def test_policy_gauges_appear_with_control_loop_on(self, launch,
-                                                       net_queries,
-                                                       net_grown_dataset):
-        handle = launch(diagnostics={"min_rows": 16},
-                        refresh_policy=RefreshPolicy(threshold=100.0),
-                        refresh_data=lambda path: net_grown_dataset)
-        with NetClient(handle.host, handle.port) as client:
-            client.predict("docs", "points", net_queries)
-        _, payload, _ = _raw_get(handle.host, handle.port, "/v1/metrics")
-        samples = _sample_lines(payload.decode("utf-8"))
-        armed = {key: value for key, value in samples.items()
-                 if key.startswith("repro_refresh_policy_armed")}
-        (value,) = armed.values()
-        assert value == 1.0
-        triggers = {key: value for key, value in samples.items()
-                    if key.startswith("repro_refresh_policy_triggers_total")}
-        assert list(triggers.values()) == [0.0]
 
     def test_post_method_rejected(self, launch):
         handle = launch()

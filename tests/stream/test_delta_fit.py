@@ -162,6 +162,17 @@ class TestDirtyValidation:
         with pytest.raises(ValidationError, match="DirtySet"):
             refresh_model(stream_model, stream_grown, dirty=5)
 
+    def test_bare_string_types_rejected(self):
+        # A string is iterable: split into characters, "docs" would name
+        # the types d, o, c and s.
+        with pytest.raises(ValidationError, match=r"types=\{'docs'\}"):
+            DirtySet(types="docs")
+
+    def test_one_element_set_names_one_type(self, stream_model):
+        dirty = DirtySet(types={"docs"})
+        assert dirty.types == frozenset({"docs"})
+        assert dirty.resolve(stream_model.type_names) == frozenset({0})
+
     def test_unknown_validate_mode_rejected(self, stream_model,
                                             stream_grown):
         with pytest.raises(ValidationError, match="validate"):

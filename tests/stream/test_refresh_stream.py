@@ -2,13 +2,13 @@
 
 Covers :func:`repro.stream.refresh_from_log` (dirty sets derived from log
 deltas, including edge-only appends), the :class:`RuntimeServer` delta
-path (auto dirty sets, mmap-layout preservation, ``stats()["refresh"]``
-telemetry) and the ``repro_refresh_*`` Prometheus gauges.
+path (``refresh(..., dirty="auto")``, mmap-layout preservation,
+``stats()["refresh"]`` telemetry) and the ``repro_refresh_*`` Prometheus
+gauges.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
@@ -89,9 +89,10 @@ class TestServerDeltaRefresh:
 
     def test_auto_dirty_refresh_records_telemetry(self, model_path,
                                                   stream_grown):
-        server = RuntimeServer(workers="serial", delta_refresh=True)
+        server = RuntimeServer(workers="serial")
         try:
-            outcome = server.refresh(model_path, stream_grown, max_iter=5)
+            outcome = server.refresh(model_path, stream_grown, dirty="auto",
+                                     max_iter=5)
             assert outcome.delta_scheduled
             assert outcome.types_touched == ["docs", "venues"]
             refresh = server.stats.as_dict()["refresh"]
@@ -108,9 +109,9 @@ class TestServerDeltaRefresh:
 
         from repro.serve.artifact import RHCHMEModel
 
-        server = RuntimeServer(workers="serial", delta_refresh=True)
+        server = RuntimeServer(workers="serial")
         try:
-            server.refresh(model_path, stream_grown, max_iter=5)
+            server.refresh(model_path, stream_grown, dirty="auto", max_iter=5)
         finally:
             server.close()
         sidecar = json.loads(model_path.with_suffix(".json").read_text())
@@ -128,11 +129,6 @@ class TestServerDeltaRefresh:
             server.close()
         assert not outcome.delta_scheduled
         assert refresh["last"]["delta"] is False
-
-    def test_negative_drift_threshold_rejected(self):
-        with pytest.raises(ValidationError, match="drift_dirty_threshold"):
-            RuntimeServer(workers="serial", delta_refresh=True,
-                          drift_dirty_threshold=-0.5)
 
 
 class TestRefreshMetrics:
@@ -173,9 +169,9 @@ class TestRefreshMetrics:
                                                       stream_grown,
                                                       tmp_path):
         path = stream_model.save(tmp_path / "model.npz", shards=MMAP_LAYOUT)
-        server = RuntimeServer(workers="serial", delta_refresh=True)
+        server = RuntimeServer(workers="serial")
         try:
-            server.refresh(path, stream_grown, max_iter=5)
+            server.refresh(path, stream_grown, dirty="auto", max_iter=5)
             refresh = server.stats.as_dict()["refresh"]
         finally:
             server.close()
