@@ -7,12 +7,13 @@ SRC, SNMTF and RMC all minimise variants of
 with different choices of ``L`` (none / single p-NN Laplacian / homogeneous
 candidate ensemble).  That is RHCHME's objective (Eq. 15) without the error
 matrix E_R, so the baselines run on RHCHME's blocked solver core: the same
-per-pair S update, the same per-type multiplicative G update (without the
-ℓ1 row normalisation, matching how those methods were published) and the
-same blockwise objective.  The subclasses only customise the regulariser,
-supplied as per-type Laplacian blocks.  One engine keeps the comparison
-honest — every method, Table V's timings included, runs on the same
-numerical substrate.
+per-pair S update, the same per-type multiplicative G update (without
+Eq. 22's ℓ1 row normalisation, matching how those methods were published)
+and the same blockwise objective, on the same unit-Frobenius relation
+blocks and the same k-means initialisation.  The subclasses only customise
+the regulariser, supplied as per-type Laplacian blocks.  One engine keeps
+the comparison honest — every method, Table V's timings included, runs on
+the same numerical substrate.
 """
 
 from __future__ import annotations
@@ -80,12 +81,7 @@ class BaseHOCC:
         Graph regularisation weight λ (ignored when no regulariser is used).
     max_iter, tol:
         Iteration budget and relative-decrease tolerance.
-    normalize_relations:
-        Scale each relation block of R to unit Frobenius norm.
-    row_normalize:
-        Apply the ℓ1 row normalisation to G after each update.  The published
-        baselines do not use it; it is exposed for ablation studies.
-    init, init_smoothing, random_state:
+    init, random_state:
         Initialisation controls (same semantics as RHCHME).
     track_metrics_every:
         Metric recording cadence against ground-truth labels (0 disables).
@@ -94,17 +90,12 @@ class BaseHOCC:
     method_name = "base-hocc"
 
     def __init__(self, *, lam: float = 0.1, max_iter: int = 100, tol: float = 1e-5,
-                 normalize_relations: bool = True, row_normalize: bool = False,
-                 init: str = "kmeans", init_smoothing: float = 0.2,
-                 random_state: int | None = None,
+                 init: str = "kmeans", random_state: int | None = None,
                  track_metrics_every: int = 1) -> None:
         self.lam = check_positive_float(lam, name="lam", minimum=0.0, inclusive=True)
         self.max_iter = check_positive_int(max_iter, name="max_iter")
         self.tol = check_positive_float(tol, name="tol")
-        self.normalize_relations = bool(normalize_relations)
-        self.row_normalize = bool(row_normalize)
         self.init = init
-        self.init_smoothing = float(init_smoothing)
         self.random_state = random_state
         self.track_metrics_every = int(track_metrics_every)
         self.result_: HOCCResult | None = None
@@ -127,7 +118,7 @@ class BaseHOCC:
     def fit(self, data: MultiTypeRelationalData) -> HOCCResult:
         """Run the alternating optimisation on a multi-type dataset."""
         start = time.perf_counter()
-        R_pairs = data.relation_blocks(normalize=self.normalize_relations)
+        R_pairs = data.relation_blocks(normalize=True)
         L_blocks = self.build_regularizer(data)
         lam = self.lam
         if L_blocks is None:
@@ -142,7 +133,6 @@ class BaseHOCC:
         L_parts = [products.laplacian_parts(t, block)
                    for t, block in enumerate(L_blocks)]
         state = initialize_state(data, R_pairs, init=self.init,
-                                 smoothing=self.init_smoothing,
                                  random_state=self.random_state)
         state.E_R = None  # the NMTF baselines have no error matrix
         pairs = sorted(R_pairs)
@@ -162,11 +152,11 @@ class BaseHOCC:
                 state.S = update_association_blocks(R_pairs, state,
                                                     pairs=pairs,
                                                     products=products)
-            # Unlike RHCHME, the published baselines do not apply the ℓ1
-            # row normalisation; ``row_normalize=True`` re-enables it.
+            # Unlike RHCHME, the published baselines do not apply Eq. 22's
+            # ℓ1 row normalisation.
             state.G_blocks = update_membership_blocks(
                 R_pairs, L_parts, state, lam=lam, pairs=pairs,
-                normalize=self.row_normalize, products=products)
+                normalize=False, products=products)
             state.iteration = iteration
             updated = self.update_regularizer(L_blocks, state)
             if updated is not L_blocks:

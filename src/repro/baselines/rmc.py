@@ -36,6 +36,7 @@ class RMC(BaseHOCC):
         Graph regularisation weight.
     candidate_specs:
         Candidate configurations; default is the paper's six-candidate grid.
+        Every candidate is a ``D − W`` Laplacian.
     refit_every:
         Refit the ensemble weights every this many iterations (0 keeps the
         initial uniform weights — the "pre-given linear combination" reading
@@ -51,20 +52,15 @@ class RMC(BaseHOCC):
     def __init__(self, *, lam: float = 100.0,
                  candidate_specs: Sequence[CandidateSpec] | None = None,
                  refit_every: int = 5, ensemble_smoothing: float = 1.0,
-                 laplacian_kind: str = "unnormalized", max_iter: int = 100,
-                 tol: float = 1e-5, normalize_relations: bool = True,
-                 init: str = "kmeans", init_smoothing: float = 0.2,
-                 random_state: int | None = None,
+                 max_iter: int = 100, tol: float = 1e-5,
+                 init: str = "kmeans", random_state: int | None = None,
                  track_metrics_every: int = 1) -> None:
-        super().__init__(lam=lam, max_iter=max_iter, tol=tol,
-                         normalize_relations=normalize_relations,
-                         row_normalize=False, init=init,
-                         init_smoothing=init_smoothing, random_state=random_state,
+        super().__init__(lam=lam, max_iter=max_iter, tol=tol, init=init,
+                         random_state=random_state,
                          track_metrics_every=track_metrics_every)
         self.refit_every = int(refit_every)
         self.ensemble = HomogeneousCandidateEnsemble(
-            specs=candidate_specs, laplacian_kind=laplacian_kind,
-            smoothing=ensemble_smoothing)
+            specs=candidate_specs, smoothing=ensemble_smoothing)
 
     def build_regularizer(self, data: MultiTypeRelationalData) -> list:
         """Build every candidate and return their uniform combination per type."""

@@ -2,9 +2,9 @@
 
 SNMTF (Wang et al., 2011) augments the collective factorisation with a
 single p-NN graph Laplacian regulariser per object type (Eq. 1 of the paper
-with ``L`` built from a p-nearest-neighbour graph).  The paper's experiments
-use ``p = 5``; the weighting scheme is configurable (heat kernel by default,
-which is the classic SNMTF choice).
+with ``L = D − W`` built from a p-nearest-neighbour graph).  The paper's
+experiments use ``p = 5``; the weighting scheme is configurable (heat kernel
+by default, which is the classic SNMTF choice).
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ class SNMTF(BaseHOCC):
         Neighbour size of the p-NN graph (paper: 5).
     weighting:
         Edge weighting scheme of the p-NN graph.
-    laplacian_kind:
-        Laplacian normalisation.
-    row_normalize:
-        Ablation switch applying RHCHME's ℓ1 row normalisation to G (the
-        published SNMTF does not use it).
     Other parameters:
         See :class:`~repro.baselines.base.BaseHOCC`.
     """
@@ -41,25 +36,18 @@ class SNMTF(BaseHOCC):
 
     def __init__(self, *, lam: float = 100.0, p: int = 5,
                  weighting: WeightingScheme | str = WeightingScheme.HEAT_KERNEL,
-                 laplacian_kind: str = "unnormalized", max_iter: int = 100,
-                 tol: float = 1e-5, normalize_relations: bool = True,
-                 row_normalize: bool = False,
-                 init: str = "kmeans", init_smoothing: float = 0.2,
-                 random_state: int | None = None,
+                 max_iter: int = 100, tol: float = 1e-5,
+                 init: str = "kmeans", random_state: int | None = None,
                  track_metrics_every: int = 1) -> None:
-        super().__init__(lam=lam, max_iter=max_iter, tol=tol,
-                         normalize_relations=normalize_relations,
-                         row_normalize=row_normalize, init=init,
-                         init_smoothing=init_smoothing, random_state=random_state,
+        super().__init__(lam=lam, max_iter=max_iter, tol=tol, init=init,
+                         random_state=random_state,
                          track_metrics_every=track_metrics_every)
         self.p = int(p)
         self.weighting = WeightingScheme.coerce(weighting)
-        self.laplacian_kind = laplacian_kind
 
     def build_regularizer(self, data: MultiTypeRelationalData) -> list:
         """Per-type Laplacian blocks, one p-NN graph per type."""
         ensemble = HeterogeneousManifoldEnsemble(
             alpha=0.0, p=self.p, weighting=self.weighting,
-            laplacian_kind=self.laplacian_kind,
             use_subspace=False, use_pnn=True)
         return ensemble.build_blocks(data)

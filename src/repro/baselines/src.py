@@ -20,8 +20,7 @@ class SRC(BaseHOCC):
 
     Parameters
     ----------
-    max_iter, tol, normalize_relations, init, init_smoothing, random_state,
-    track_metrics_every:
+    max_iter, tol, init, random_state, track_metrics_every:
         See :class:`~repro.baselines.base.BaseHOCC`.  The graph weight λ is
         fixed to zero because SRC has no graph regulariser.
     """
@@ -29,13 +28,10 @@ class SRC(BaseHOCC):
     method_name = "SRC"
 
     def __init__(self, *, max_iter: int = 100, tol: float = 1e-5,
-                 normalize_relations: bool = True, init: str = "kmeans",
-                 init_smoothing: float = 0.2, random_state: int | None = None,
+                 init: str = "kmeans", random_state: int | None = None,
                  track_metrics_every: int = 1) -> None:
-        super().__init__(lam=0.0, max_iter=max_iter, tol=tol,
-                         normalize_relations=normalize_relations,
-                         row_normalize=False, init=init,
-                         init_smoothing=init_smoothing, random_state=random_state,
+        super().__init__(lam=0.0, max_iter=max_iter, tol=tol, init=init,
+                         random_state=random_state,
                          track_metrics_every=track_metrics_every)
 
     def build_regularizer(self, data: MultiTypeRelationalData) -> None:

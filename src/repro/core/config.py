@@ -21,6 +21,12 @@ __all__ = ["RHCHMEConfig"]
 class RHCHMEConfig:
     """Hyper-parameters of RHCHME.
 
+    Both ensemble members use the ``D − W`` Laplacian, and every relation
+    block of R is scaled to unit Frobenius norm.  Neither is a parameter:
+    under the normalised Laplacian or unscaled relations the objective
+    rises during the fit, against Theorem 1 (see README, "Deviations from
+    the paper").
+
     Parameters
     ----------
     lam:
@@ -43,8 +49,6 @@ class RHCHMEConfig:
         Neighbour size of the p-NN graph (paper: 5).
     weighting:
         Edge weighting scheme of the p-NN member (paper: cosine).
-    laplacian_kind:
-        Laplacian normalisation used for both ensemble members.
     max_iter:
         Maximum multiplicative-update iterations of Algorithm 2.
     tol:
@@ -54,13 +58,11 @@ class RHCHMEConfig:
         objective to a graph-regularised SNMTF with ℓ1-normalised G).
     use_subspace_member, use_pnn_member:
         Ablation switches for the two ensemble members.
-    normalize_relations:
-        Scale each inter-type block of R to unit Frobenius norm.
     init:
         ``"kmeans"`` (paper default) or ``"random"`` initialisation of G.
-    init_smoothing:
-        Positive mass added to the one-hot k-means initialisation so the
-        multiplicative updates can move every entry.
+        The one-hot k-means labels are mixed with uniform mass
+        (:data:`repro.core.state.INIT_SMOOTHING`) so the multiplicative
+        updates can move every entry.
     random_state:
         Seed of the k-means initialisation (the subspace solve is exact and
         needs no seed).
@@ -102,15 +104,12 @@ class RHCHMEConfig:
     beta: float = 50.0
     p: int = 5
     weighting: WeightingScheme | str = WeightingScheme.COSINE
-    laplacian_kind: str = "unnormalized"
     max_iter: int = 100
     tol: float = 1e-5
     use_error_matrix: bool = True
     use_subspace_member: bool = True
     use_pnn_member: bool = True
-    normalize_relations: bool = True
     init: str = "kmeans"
-    init_smoothing: float = 0.2
     random_state: int | None = None
     track_metrics_every: int = 1
     backend: str = "auto"
@@ -124,8 +123,6 @@ class RHCHMEConfig:
         check_positive_int(self.p, name="p")
         check_positive_int(self.max_iter, name="max_iter")
         check_positive_float(self.tol, name="tol")
-        check_positive_float(self.init_smoothing, name="init_smoothing",
-                             minimum=0.0, inclusive=True)
         if self.init not in {"kmeans", "random"}:
             raise ValueError(f"init must be 'kmeans' or 'random', got {self.init!r}")
         if self.track_metrics_every < 0:

@@ -236,7 +236,6 @@ class RHCHME:
             gamma=config.gamma,
             p=config.p,
             weighting=config.weighting,
-            laplacian_kind=config.laplacian_kind,
             use_subspace=config.use_subspace_member and config.alpha > 0,
             use_pnn=config.use_pnn_member,
             backend=config.backend,
@@ -252,8 +251,8 @@ class RHCHME:
         # CSR relation blocks under "sparse", plain arrays under "dense".
         # E_R is row-sparse and G_t S_tu G_uᵀ stays factored on both.  Only
         # the per-pair blocks exist; the stacked (n, n) R is never assembled.
-        R_pairs = data.relation_blocks(normalize=config.normalize_relations,
-                                       backend=backend)
+        # Every block is scaled to unit Frobenius norm (see RHCHMEConfig).
+        R_pairs = data.relation_blocks(normalize=True, backend=backend)
 
         # Every product the S, G and E_R steps and the objective share is
         # computed once per iterate in this fit-scoped cache, which dies
@@ -267,7 +266,6 @@ class RHCHME:
                    for t, block in enumerate(L_blocks)]
         if warm_start is None:
             state = initialize_state(data, R_pairs, init=config.init,
-                                     smoothing=config.init_smoothing,
                                      random_state=config.random_state)
         else:
             state = self._coerce_warm_start(warm_start, data)

@@ -33,7 +33,13 @@ from ..linalg.rowsparse import RowSparseMatrix, as_row_sparse
 from ..relational.dataset import MultiTypeRelationalData
 
 __all__ = ["FactorizationState", "initialize_state",
-           "initialize_membership_blocks", "warm_start_state"]
+           "initialize_membership_blocks", "warm_start_state",
+           "INIT_SMOOTHING"]
+
+#: Uniform mass mixed into the one-hot k-means labels of a cold start
+#: (:func:`~repro.cluster.assignments.labels_to_membership`), so the
+#: multiplicative updates can move every entry.
+INIT_SMOOTHING = 0.2
 
 
 class FactorizationState:
@@ -129,16 +135,17 @@ def _relational_profile(R_pairs: Mapping, object_spec: BlockSpec,
 
 def initialize_membership_blocks(data: MultiTypeRelationalData,
                                  R_pairs: Mapping, *,
-                                 init: str = "kmeans", smoothing: float = 0.2,
+                                 init: str = "kmeans",
                                  random_state=None) -> list[np.ndarray]:
     """Initialise each type's membership block.
 
     ``init="kmeans"`` clusters each type by k-means on its rows of the
     inter-type matrix R (its relational profile), which is how the paper's
-    Algorithm 2 obtains G0.  ``init="random"`` draws uniform positive blocks.
-    Both variants end with strictly positive, row-ℓ1-normalised blocks so the
-    multiplicative updates are well defined.  ``R_pairs`` maps ordered
-    type-index pairs to dense or CSR relation blocks (see
+    Algorithm 2 obtains G0, with :data:`INIT_SMOOTHING` of uniform mass mixed
+    into the one-hot labels.  ``init="random"`` draws uniform positive
+    blocks.  Both variants end with strictly positive, row-ℓ1-normalised
+    blocks so the multiplicative updates are well defined.  ``R_pairs``
+    maps ordered type-index pairs to dense or CSR relation blocks (see
     :meth:`~repro.relational.MultiTypeRelationalData.relation_blocks`);
     sparse profiles are clustered directly in CSR form
     (:class:`~repro.cluster.kmeans.KMeans` evaluates distances through the
@@ -161,7 +168,7 @@ def initialize_membership_blocks(data: MultiTypeRelationalData,
                 labels = KMeans(n_clusters, n_init=3, max_iter=50,
                                 random_state=seed).fit_predict(profile)
             block = labels_to_membership(labels, n_clusters,
-                                         smoothing=max(smoothing, 1e-3),
+                                         smoothing=INIT_SMOOTHING,
                                          random_state=rng)
         blocks.append(row_normalize_l1(block))
     return blocks
@@ -274,7 +281,7 @@ def warm_start_state(data: MultiTypeRelationalData,
 
 
 def initialize_state(data: MultiTypeRelationalData, R_pairs: Mapping, *,
-                     init: str = "kmeans", smoothing: float = 0.2,
+                     init: str = "kmeans",
                      random_state=None) -> FactorizationState:
     """Build the initial factorisation state for Algorithm 2.
 
@@ -286,7 +293,6 @@ def initialize_state(data: MultiTypeRelationalData, R_pairs: Mapping, *,
     object_spec = data.object_block_spec()
     cluster_spec = data.cluster_block_spec()
     blocks = initialize_membership_blocks(data, R_pairs, init=init,
-                                          smoothing=smoothing,
                                           random_state=random_state)
     n_objects = object_spec.total
     n_clusters = cluster_spec.total

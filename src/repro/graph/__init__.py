@@ -8,8 +8,8 @@ affinity matrix into the regulariser used in the HOCC objectives:
   search.
 * :mod:`repro.graph.weights` — binary, heat-kernel and cosine edge weights.
 * :mod:`repro.graph.pnn` — symmetric p-NN affinity graph construction.
-* :mod:`repro.graph.laplacian` — unnormalised, symmetric-normalised and
-  random-walk Laplacians.
+* :mod:`repro.graph.laplacian` — the regulariser's ``D − W`` Laplacian
+  and the symmetric-normalised one spectral clustering uses.
 * :mod:`repro.graph.candidates` — the grid of candidate Laplacians used by
   the RMC baseline's homogeneous ensemble.
 """
@@ -31,7 +31,6 @@ from .laplacian import (
     degree_vector,
     laplacian,
     normalized_laplacian,
-    random_walk_laplacian,
     unnormalized_laplacian,
 )
 from .candidates import CandidateSpec, candidate_laplacians, default_candidate_grid
@@ -52,6 +51,5 @@ __all__ = [
     "pairwise_euclidean_distances",
     "pnn_affinity",
     "pnn_indices",
-    "random_walk_laplacian",
     "unnormalized_laplacian",
 ]

@@ -1,10 +1,10 @@
 """Candidate Laplacian grids for the RMC baseline's homogeneous ensemble.
 
-RMC (Li et al., 2013) pre-computes a set of candidate normalised graph
-Laplacians by varying the neighbour size ``p`` and the edge weighting scheme,
-then learns a convex combination of them (Eq. 2 of the paper).  The paper's
-experiments use six candidates: ``p ∈ {5, 10}`` × {binary, Gaussian kernel,
-cosine}.
+RMC (Li et al., 2013) pre-computes a set of candidate graph Laplacians
+(``D − W``, like RHCHME's members) by varying the neighbour size ``p`` and
+the edge weighting scheme, then learns a convex combination of them (Eq. 2
+of the paper).  The paper's experiments use six candidates:
+``p ∈ {5, 10}`` × {binary, Gaussian kernel, cosine}.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ def default_candidate_grid(p_values: Sequence[int] = (5, 10),
 
 def candidate_laplacians(X: np.ndarray,
                          specs: Iterable[CandidateSpec] | None = None,
-                         *, kind: str = "unnormalized") -> list[np.ndarray]:
+                         ) -> list[np.ndarray]:
     """Build the Laplacian for every candidate spec on data matrix ``X``."""
     if specs is None:
         specs = default_candidate_grid()
     laplacians = []
     for spec in specs:
         affinity = pnn_affinity(X, p=spec.p, scheme=spec.scheme, sigma=spec.sigma)
-        laplacians.append(laplacian(affinity, kind=kind))
+        laplacians.append(laplacian(affinity))
     return laplacians

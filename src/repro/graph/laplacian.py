@@ -3,9 +3,12 @@
 The HOCC objectives regularise the cluster membership matrix with
 ``tr(Gᵀ L G)`` where ``L`` is a graph Laplacian of the intra-type affinity
 ``W``.  The paper's formulation uses ``L = D − W`` (with ``D`` the degree
-matrix); the symmetric-normalised variant ``I − D^{-1/2} W D^{-1/2}`` is also
-provided because the paper refers to the regulariser as a *normalised* graph
-Laplacian and both behave equivalently up to degree scaling.
+matrix), and :func:`laplacian` is that builder: every regulariser of the
+fit and of the baselines is built by it.  The symmetric-normalised variant
+``I − D^{-1/2} W D^{-1/2}`` is kept for spectral clustering
+(:mod:`repro.cluster.spectral`).  It is not an equivalent regulariser:
+``L·1 ≠ 0`` unless every degree is equal, and with it the fit's objective
+rises under Algorithm 2 (see README, "Deviations from the paper").
 
 Every builder accepts either a dense ``numpy`` affinity or a scipy sparse
 one and returns a Laplacian in the same representation: a p-NN affinity with
@@ -26,11 +29,8 @@ __all__ = [
     "degree_vector",
     "unnormalized_laplacian",
     "normalized_laplacian",
-    "random_walk_laplacian",
     "laplacian",
 ]
-
-_EPS = 1e-12
 
 
 def _coerce_sparse(affinity, *, name: str = "affinity") -> sp.csr_array:
@@ -94,42 +94,6 @@ def normalized_laplacian(affinity):
     return laplacian_matrix
 
 
-def random_walk_laplacian(affinity):
-    """Random-walk Laplacian ``L = I − D^{-1} W`` (rows of zero degree kept)."""
-    if sp.issparse(affinity):
-        csr = _check_sparse_affinity(affinity)
-        degrees = np.asarray(csr.sum(axis=1)).ravel()
-        inverse = np.where(degrees > _EPS, 1.0 / np.maximum(degrees, _EPS), 0.0)
-        walk = sp.diags_array(inverse) @ csr
-        return (sp.eye_array(csr.shape[0], format="csr") - walk).tocsr()
-    affinity = as_float_array(affinity, name="affinity", ndim=2)
-    affinity = check_symmetric(affinity, name="affinity", fix=True)
-    degrees = np.sum(affinity, axis=1)
-    inverse = np.where(degrees > _EPS, 1.0 / np.maximum(degrees, _EPS), 0.0)
-    walk = affinity * inverse[:, None]
-    laplacian_matrix = -walk
-    laplacian_matrix[np.diag_indices_from(laplacian_matrix)] += 1.0
-    return laplacian_matrix
-
-
-def laplacian(affinity, kind: str = "unnormalized"):
-    """Dispatch to one of the Laplacian variants by name.
-
-    Parameters
-    ----------
-    affinity:
-        Symmetric non-negative affinity matrix, dense or scipy sparse; the
-        Laplacian is returned in the same representation.
-    kind:
-        ``"unnormalized"`` (paper's ``D − W``), ``"normalized"`` (symmetric)
-        or ``"random_walk"``.
-    """
-    builders = {
-        "unnormalized": unnormalized_laplacian,
-        "normalized": normalized_laplacian,
-        "random_walk": random_walk_laplacian,
-    }
-    if kind not in builders:
-        raise ValueError(
-            f"unknown laplacian kind {kind!r}; expected one of {sorted(builders)}")
-    return builders[kind](affinity)
+#: The regulariser's Laplacian ``L = D − W``: every ensemble member,
+#: candidate graph and baseline regulariser is built by this name.
+laplacian = unnormalized_laplacian

@@ -38,19 +38,16 @@ class HomogeneousCandidateEnsemble:
     specs:
         Candidate configurations; defaults to the paper's grid of
         ``p ∈ {5, 10}`` × {binary, heat kernel, cosine}.
-    laplacian_kind:
-        Laplacian normalisation applied to every candidate.
     smoothing:
         Ridge term μ of the weight-refit subproblem; keeps the learnt weights
         away from a degenerate single-candidate solution.
 
-    Each type's candidate Laplacians are divided by its object count, the
-    same convention as
+    Every candidate is a ``D − W`` Laplacian, and each type's candidates are
+    divided by its object count, the same convention as
     :class:`~repro.manifold.ensemble.HeterogeneousManifoldEnsemble`.
     """
 
     specs: Sequence[CandidateSpec] | None = None
-    laplacian_kind: str = "unnormalized"
     smoothing: float = 1.0
     weights_: np.ndarray | None = field(default=None, init=False, repr=False)
     candidates_: list[list[np.ndarray]] = field(default_factory=list, init=False, repr=False)
@@ -82,8 +79,7 @@ class HomogeneousCandidateEnsemble:
                 for blocks in per_candidate_blocks:
                     blocks.append(zero)
                 continue
-            laplacians = candidate_laplacians(object_type.features, self.specs,
-                                              kind=self.laplacian_kind)
+            laplacians = candidate_laplacians(object_type.features, self.specs)
             scale = 1.0 / float(object_type.n_objects)
             for blocks, candidate in zip(per_candidate_blocks, laplacians):
                 blocks.append(candidate * scale)

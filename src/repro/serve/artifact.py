@@ -100,11 +100,19 @@ ERROR_MATRIX_LAYOUTS = ("dense", "row-sparse")
 
 #: Config keys dropped when a sidecar is read: the retired one-step E
 #: update's (the exact prox needs neither), the retired Eq. 9 ADMM's (the
-#: exact active set needs neither) and the retired top-k thresholding of
-#: the subspace affinity (the exact affinity is already sparse).  Serving
-#: never read any of them.
+#: exact active set needs neither), the retired top-k thresholding of
+#: the subspace affinity (the exact affinity is already sparse) and the
+#: retired k-means smoothing (a warm-start refresh never reads it).
+#: Serving never read any of them.
 _RETIRED_CONFIG_KEYS = ("zeta", "error_row_tol", "subspace_max_iter",
-                        "subspace_tol", "subspace_topk")
+                        "subspace_tol", "subspace_topk", "init_smoothing")
+
+#: Retired config keys that chose the fitted objective, with the one value
+#: the fit still uses.  A sidecar holding that value drops the key; any
+#: other value is refused, since the loaded config would name an objective
+#: the model was not fitted under.
+_FIXED_CONFIG_KEYS = {"laplacian_kind": "unnormalized",
+                      "normalize_relations": True}
 
 
 def artifact_layout(sidecar: dict) -> str:
@@ -684,6 +692,12 @@ class RHCHMEModel:
             fields = dict(sidecar["config"])
             for key in _RETIRED_CONFIG_KEYS:
                 fields.pop(key, None)
+            for key, fixed in _FIXED_CONFIG_KEYS.items():
+                value = fields.pop(key, fixed)
+                if value != fixed:
+                    raise ArtifactError(
+                        f"artifact was fitted with {key}={value!r}, but "
+                        f"this library fits only {key}={fixed!r}")
             if fields.get("backend") == "torch":
                 # Artifacts fitted by the retired torch engine: serving
                 # always resolved that name by the "auto" size rule, so it

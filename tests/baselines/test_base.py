@@ -22,18 +22,6 @@ class TestBaseHOCC:
         with pytest.raises(Exception):
             SNMTF(tol=0.0)
 
-    def test_row_normalize_option_produces_simplex_rows(self, tiny_dataset):
-        result = SNMTF(lam=1.0, p=3, max_iter=10, random_state=0,
-                       row_normalize=True).fit(tiny_dataset)
-        for G in result.state.G_blocks:
-            np.testing.assert_allclose(G.sum(axis=1), 1.0, atol=1e-8)
-
-    def test_without_row_normalize_rows_not_forced_to_simplex(self, tiny_dataset):
-        result = SNMTF(lam=1.0, p=3, max_iter=10, random_state=0,
-                       row_normalize=False).fit(tiny_dataset)
-        for G in result.state.G_blocks:
-            assert not np.allclose(G.sum(axis=1), 1.0)
-
     def test_error_matrix_stays_zero_for_baselines(self, tiny_dataset):
         # The NMTF baselines have no error matrix at all: the state carries
         # none and the objective's L2,1 term reads as zero.

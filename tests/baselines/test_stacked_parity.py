@@ -20,7 +20,6 @@ from scipy.linalg import block_diag
 from repro.baselines import RMC, SNMTF, SRC
 from repro.core.state import initialize_state
 from repro.data.datasets import make_dataset
-from repro.linalg.normalize import row_normalize_l1
 from repro.linalg.norms import trace_quadratic
 from repro.linalg.parts import split_parts
 from repro.linalg.projections import project_simplex
@@ -32,8 +31,6 @@ MAX_ITER = 30
 MODELS = {
     "SRC": lambda: SRC(max_iter=MAX_ITER, random_state=SEED),
     "SNMTF": lambda: SNMTF(max_iter=MAX_ITER, random_state=SEED),
-    "SNMTF-row-normalize": lambda: SNMTF(max_iter=MAX_ITER, random_state=SEED,
-                                         row_normalize=True),
     "RMC": lambda: RMC(max_iter=MAX_ITER, random_state=SEED, refit_every=2),
 }
 
@@ -64,7 +61,7 @@ def _stacked_reference(model, data) -> dict:
         L = block_diag(*map(_dense, model.build_regularizer(data)))
     else:
         L = None
-    R_pairs = data.relation_blocks(normalize=model.normalize_relations)
+    R_pairs = data.relation_blocks(normalize=True)
     objects, clusters = data.object_block_spec(), data.cluster_block_spec()
     R = np.zeros((objects.total, objects.total))
     for (t, u), block in R_pairs.items():
@@ -72,7 +69,6 @@ def _stacked_reference(model, data) -> dict:
     mask = block_diag(*[np.ones((n, c)) for n, c in zip(objects.sizes,
                                                          clusters.sizes)])
     state = initialize_state(data, R_pairs, init=model.init,
-                             smoothing=model.init_smoothing,
                              random_state=model.random_state)
     G = block_diag(*state.G_blocks)
 
@@ -92,8 +88,7 @@ def _stacked_reference(model, data) -> dict:
             L_pos, L_neg = split_parts(L)
             numerator = numerator + model.lam * (L_neg @ G)
             denominator = denominator + model.lam * (L_pos @ G)
-        updated = G * np.sqrt(safe_divide(numerator, denominator)) * mask
-        return row_normalize_l1(updated) if model.row_normalize else updated
+        return G * np.sqrt(safe_divide(numerator, denominator)) * mask
 
     def objective():
         reconstruction = np.linalg.norm(R - G @ S @ G.T) ** 2

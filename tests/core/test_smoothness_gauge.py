@@ -8,7 +8,7 @@ S_tu → A_t⁻¹·S_tu·A_u⁻ᵀ:
   the simplex and keeps its argmax — the labels do not change;
 * every G_t S_tu G_uᵀ is unchanged, so neither is the reconstruction term,
   and E_R is not touched;
-* the premise: the default Laplacian is unnormalised, so L_t·1 = 0, and
+* the premise: the Laplacian is unnormalised, so L_t·1 = 0, and
   with G_t·1 = 1 the smoothness tr(G_tᵀ L_t G_t) falls by exactly ε².
 
 So from any iterate the smoothness term can be driven towards zero at no
@@ -37,16 +37,16 @@ def _rel(a: float, b: float) -> float:
 def fitted():
     """A default multi5-small fit with its Laplacian and relation blocks."""
     config = RHCHMEConfig(random_state=0, max_iter=30)
-    assert config.laplacian_kind == "unnormalized" and config.lam > 0
+    assert config.lam > 0
     data = make_dataset("multi5-small", random_state=0)
     result = RHCHME(config).fit(data)
     ensemble = HeterogeneousManifoldEnsemble(
         alpha=config.alpha, gamma=config.gamma, p=config.p,
-        weighting=config.weighting, laplacian_kind=config.laplacian_kind,
+        weighting=config.weighting,
         use_subspace=config.use_subspace_member and config.alpha > 0,
         use_pnn=config.use_pnn_member, backend=config.backend)
     L_blocks = ensemble.build_blocks(data)
-    R_pairs = data.relation_blocks(normalize=config.normalize_relations,
+    R_pairs = data.relation_blocks(normalize=True,
                                    backend=ensemble.resolved_backend_)
     # The rebuilt blocks are the fit's own: they reproduce its last record.
     final = _objective(config, result.state, L_blocks, R_pairs).total

@@ -47,8 +47,7 @@ class TestInitializeState:
     def test_kmeans_init_blocks_strictly_positive_within_block(self, tiny_dataset):
         R_pairs = tiny_dataset.relation_blocks()
         blocks = initialize_membership_blocks(tiny_dataset, R_pairs,
-                                              init="kmeans", smoothing=0.2,
-                                              random_state=0)
+                                              init="kmeans", random_state=0)
         for block in blocks:
             assert np.all(block > 0)
 

@@ -4,9 +4,10 @@ The E step used to scale each residual row by 2‖q_i‖/(β + 2‖q_i‖), the
 first step of the L2,1 reweighting rather than its minimiser, and the
 objective could rise under it.  The exact prox makes the E block an exact
 minimiser, so the block-coordinate argument of Theorem 1 covers it.  The
-first two tests below rose under the one-step rule.  The last still rises:
-at small β the G and S steps themselves are not descent steps, and it is
-recorded as a strict xfail until they are.
+first two tests below rose under the one-step rule.  The third fits once
+per non-default value a caller can set, at the default β.  The last still
+rises: at small β the G and S steps themselves are not descent steps, and
+it is recorded as a strict xfail until they are.
 """
 
 from __future__ import annotations
@@ -51,6 +52,19 @@ def test_corrupted_multi5_never_rises_at_small_beta():
     data = make_dataset("corrupted-multi5", random_state=3)
     result = RHCHME(beta=0.3, max_iter=50, random_state=3).fit(data)
     assert result.state.E_R.n_stored_rows > 0
+    assert _rises(result.trace.objectives).size == 0
+
+
+@pytest.mark.parametrize("override", [
+    {"weighting": "binary"}, {"weighting": "heat_kernel"},
+    {"init": "random"}, {"use_error_matrix": False},
+    {"use_subspace_member": False}, {"use_pnn_member": False},
+    {"backend": "sparse"}],
+    ids=lambda override: ",".join(f"{key}={value}"
+                                  for key, value in override.items()))
+def test_non_default_settings_never_rise(override):
+    data = make_dataset("multi5-small", random_state=0)
+    result = RHCHME(RHCHMEConfig(random_state=0, **override)).fit(data)
     assert _rises(result.trace.objectives).size == 0
 
 

@@ -13,7 +13,6 @@ from repro.graph.laplacian import (
     degree_vector,
     laplacian,
     normalized_laplacian,
-    random_walk_laplacian,
     unnormalized_laplacian,
 )
 
@@ -79,32 +78,11 @@ class TestNormalizedLaplacian:
         assert L[2, 2] == pytest.approx(1.0)
 
 
-class TestRandomWalkLaplacian:
-    def test_rows_sum_to_zero_for_connected(self):
-        affinity = np.ones((5, 5)) - np.eye(5)
-        L = random_walk_laplacian(affinity)
-        np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-10)
-
-    def test_zero_degree_row_is_identity_row(self):
-        affinity = np.zeros((3, 3))
-        affinity[0, 1] = affinity[1, 0] = 2.0
-        L = random_walk_laplacian(affinity)
-        np.testing.assert_allclose(L[2], [0.0, 0.0, 1.0])
-
-
 class TestDispatch:
     def test_known_kinds(self):
         affinity = _random_affinity(5)
-        np.testing.assert_allclose(laplacian(affinity, "unnormalized"),
+        np.testing.assert_allclose(laplacian(affinity),
                                    unnormalized_laplacian(affinity))
-        np.testing.assert_allclose(laplacian(affinity, "normalized"),
-                                   normalized_laplacian(affinity))
-        np.testing.assert_allclose(laplacian(affinity, "random_walk"),
-                                   random_walk_laplacian(affinity))
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown laplacian kind"):
-            laplacian(np.eye(3), "bogus")
 
     def test_number_of_zero_eigenvalues_equals_components(self):
         # Two disconnected cliques -> exactly two (near-)zero eigenvalues.
@@ -125,12 +103,14 @@ class TestSparseLaplacians:
         np.fill_diagonal(dense, 0.0)
         return dense, sp.csr_array(dense)
 
-    @pytest.mark.parametrize("kind", ["unnormalized", "normalized", "random_walk"])
-    def test_sparse_matches_dense(self, kind):
+    @pytest.mark.parametrize("builder", [
+        pytest.param(unnormalized_laplacian, id="unnormalized"),
+        pytest.param(normalized_laplacian, id="normalized")])
+    def test_sparse_matches_dense(self, builder):
         import scipy.sparse as sp
         dense, sparse = self._affinity_pair()
-        L_dense = laplacian(dense, kind)
-        L_sparse = laplacian(sparse, kind)
+        L_dense = builder(dense)
+        L_sparse = builder(sparse)
         assert sp.issparse(L_sparse)
         np.testing.assert_allclose(L_sparse.toarray(), L_dense, atol=1e-12)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 import warnings
 
 import numpy as np

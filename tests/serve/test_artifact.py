@@ -122,7 +122,11 @@ class TestRetiredTorchBackend:
 
 
 class TestRetiredErrorKnobs:
-    """Sidecars carrying retired config keys still load and predict."""
+    """Sidecars carrying retired config keys still load and predict.
+
+    A retired key that chose the fitted objective loads only at the value
+    the fit still uses.
+    """
 
     @staticmethod
     def check(artifact, tmp_path, **retired):
@@ -135,12 +139,14 @@ class TestRetiredErrorKnobs:
         assert loaded.config == artifact.config
         with open_model(path) as reader:
             assert reader.config == artifact.config
-        for name, queries in artifact.features.items():
-            expected = artifact.predict(name, queries)
-            actual = loaded.predict(name, queries)
-            np.testing.assert_array_equal(actual.labels, expected.labels)
-            np.testing.assert_array_equal(actual.membership,
-                                          expected.membership)
+            for name, queries in artifact.features.items():
+                expected = artifact.predict(name, queries)
+                for served in (loaded, reader):
+                    actual = served.predict(name, queries)
+                    np.testing.assert_array_equal(actual.labels,
+                                                  expected.labels)
+                    np.testing.assert_array_equal(actual.membership,
+                                                  expected.membership)
 
     def test_zeta_and_error_row_tol_are_dropped(self, blob_artifact,
                                                 tmp_path):
@@ -155,6 +161,24 @@ class TestRetiredErrorKnobs:
         # (null) or set.
         for value in (None, 10):
             self.check(blob_artifact, tmp_path, subspace_topk=value)
+
+    def test_fixed_objective_knobs_are_dropped(self, blob_artifact,
+                                               tmp_path):
+        # Every sidecar written while the knobs existed stores all three.
+        # init_smoothing goes at any value: a warm-start refresh never
+        # read it.
+        for smoothing in (0.2, 0.05):
+            self.check(blob_artifact, tmp_path, laplacian_kind="unnormalized",
+                       normalize_relations=True, init_smoothing=smoothing)
+
+    @pytest.mark.parametrize("key, value", [("laplacian_kind", "normalized"),
+                                            ("normalize_relations", False)])
+    def test_other_objectives_are_refused(self, blob_artifact, tmp_path,
+                                          key, value):
+        with pytest.raises(ArtifactError, match=key):
+            self.check(blob_artifact, tmp_path, **{key: value})
+        with pytest.raises(ArtifactError, match=key):
+            open_model(tmp_path / "model.npz")
 
 
 class TestSchemaRefusal:

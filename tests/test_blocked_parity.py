@@ -81,7 +81,7 @@ def _dense_reference_trace(data, *, backend: str, config) -> dict:
     R = np.zeros((objects.total, objects.total))
     for (t, u), block in R_pairs.items():
         R[objects.slice(t), objects.slice(u)] = _dense(block)
-    state = initialize_state(data, R_pairs, init="kmeans", smoothing=0.2,
+    state = initialize_state(data, R_pairs, init="kmeans",
                              random_state=SEED)
     G = block_diag(*state.G_blocks)
     E = np.zeros_like(R)
