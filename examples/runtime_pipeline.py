@@ -32,7 +32,7 @@ import numpy as np
 from repro import RHCHME
 from repro.relational import MultiTypeRelationalData, ObjectType, Relation
 from repro.runtime import RuntimeServer
-from repro.serve import BatchPredictor, ShardedModelReader
+from repro.serve import BatchPredictor
 
 
 def make_growing_blobs(n_points: int, *, n_pool: int = 120,
@@ -101,13 +101,14 @@ def main() -> None:
               f"{stats.batches} coalesced batches "
               f"({stream.shape[0] / runtime_seconds:,.0f} objects/s, "
               f"mean batch {stats.mean_batch_rows:.1f} rows)")
-        reader = runtime.predictor.get_model(path)
-        accounting = reader.accounting()
-        assert isinstance(reader, ShardedModelReader)
-        assert accounting["loaded_types"] == ["points"]
-        print(f"   shards read: {accounting['loaded_types']} of "
-              f"{accounting['n_types']} types "
-              f"(global shard loaded: {accounting['global_loaded']})")
+        model = runtime.predictor.get_model(path)
+        info = model.reader.cache_info()
+        read = sorted({entry["shard"] for entry in info["arrays"].values()
+                       if entry["mode"] != "cold"} - {"global"})
+        assert read == ["points"]
+        print(f"   shards read: {read} of {len(model.types)} types "
+              f"({info['mapped_bytes']:,} of {info['total_bytes']:,} "
+              "array bytes mapped, S and E_R included)")
 
     # ------------------------------------------------ 4. serial baseline
     predictor = BatchPredictor()

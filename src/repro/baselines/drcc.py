@@ -31,6 +31,7 @@ from ..cluster.assignments import labels_to_membership
 from ..cluster.kmeans import KMeans
 from ..core.convergence import TraceRecorder
 from ..core.rhchme import LabelScores
+from ..core.state import INIT_SMOOTHING
 from ..graph.laplacian import laplacian
 from ..graph.pnn import pnn_affinity
 from ..graph.weights import WeightingScheme
@@ -154,16 +155,16 @@ class DRCC:
         return np.hstack([doc_term.matrix, doc_concept.matrix])
 
     @staticmethod
-    def _init_membership(X: np.ndarray, n_clusters: int, rng: np.random.Generator,
-                         smoothing: float = 0.2) -> np.ndarray:
+    def _init_membership(X: np.ndarray, n_clusters: int,
+                         rng: np.random.Generator) -> np.ndarray:
         seed = int(rng.integers(0, 2**31 - 1))
         if n_clusters >= X.shape[0]:
             labels = np.arange(X.shape[0]) % n_clusters
         else:
             labels = KMeans(n_clusters, n_init=3, max_iter=50,
                             random_state=seed).fit_predict(X)
-        return labels_to_membership(labels, n_clusters, smoothing=smoothing,
-                                    random_state=rng)
+        return labels_to_membership(labels, n_clusters,
+                                    smoothing=INIT_SMOOTHING, random_state=rng)
 
     @staticmethod
     def _graph_update(factor: np.ndarray, positive: np.ndarray,

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .._validation import (as_float_array, check_non_negative,
-                           check_positive_float, check_random_state)
+                           check_random_state)
 from ..cluster.assignments import labels_to_membership
 from ..cluster.kmeans import KMeans
 from ..exceptions import ShapeError, ValidationError
@@ -34,12 +34,18 @@ from ..relational.dataset import MultiTypeRelationalData
 
 __all__ = ["FactorizationState", "initialize_state",
            "initialize_membership_blocks", "warm_start_state",
-           "INIT_SMOOTHING"]
+           "INIT_SMOOTHING", "WARM_START_SMOOTHING"]
 
 #: Uniform mass mixed into the one-hot k-means labels of a cold start
 #: (:func:`~repro.cluster.assignments.labels_to_membership`), so the
 #: multiplicative updates can move every entry.
 INIT_SMOOTHING = 0.2
+
+#: Fraction of uniform mass mixed into each warm-start row after ℓ1
+#: normalisation (:func:`warm_start_state`).  The multiplicative updates
+#: cannot move an entry off an exact zero, so this floor keeps every
+#: cluster reachable for newly arrived objects.
+WARM_START_SMOOTHING = 0.05
 
 
 class FactorizationState:
@@ -178,7 +184,6 @@ def warm_start_state(data: MultiTypeRelationalData,
                      blocks: Mapping[str, np.ndarray], *,
                      association: np.ndarray | None = None,
                      error_matrix: np.ndarray | None = None,
-                     smoothing: float = 0.05,
                      smooth_types=None) -> FactorizationState:
     """Build a factorisation state from per-type membership blocks.
 
@@ -207,22 +212,14 @@ def warm_start_state(data: MultiTypeRelationalData,
         which is compressed to its non-zero rows; when omitted the
         all-zero E_R has no stored rows, so a warm start never allocates
         an ``O(n²)`` zero block.
-    smoothing:
-        Fraction of uniform mass mixed into each row after ℓ1
-        normalisation.  The multiplicative updates cannot move an entry off
-        an exact zero, so a small floor keeps every cluster reachable for
-        the new objects; ``0`` disables the mixing.
     smooth_types:
-        Optional iterable of type names to restrict the smoothing mix to.
+        Optional iterable of type names to restrict the
+        :data:`WARM_START_SMOOTHING` mix to.
         A delta-scheduled refresh passes its dirty types here: frozen
         clean blocks keep their fitted values exactly (re-normalised
         only), while the blocks that will actually be re-optimised get
         the uniform floor.  ``None`` (default) smooths every type.
     """
-    smoothing = check_positive_float(smoothing, name="smoothing",
-                                     minimum=0.0, inclusive=True)
-    if smoothing >= 1.0:
-        raise ValidationError(f"smoothing must be < 1, got {smoothing}")
     object_spec = data.object_block_spec()
     cluster_spec = data.cluster_block_spec()
     smooth_names = None
@@ -248,10 +245,9 @@ def warm_start_state(data: MultiTypeRelationalData,
                 f"{block.shape}, expected {expected}")
         check_non_negative(block, name=f"blocks[{object_type.name!r}]")
         block = row_normalize_l1(block)
-        if smoothing > 0.0 and (smooth_names is None
-                                or object_type.name in smooth_names):
-            block = ((1.0 - smoothing) * block
-                     + smoothing / object_type.n_clusters)
+        if smooth_names is None or object_type.name in smooth_names:
+            block = ((1.0 - WARM_START_SMOOTHING) * block
+                     + WARM_START_SMOOTHING / object_type.n_clusters)
         prepared.append(block)
     n_objects = object_spec.total
     n_clusters = cluster_spec.total

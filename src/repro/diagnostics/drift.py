@@ -373,13 +373,14 @@ class DriftDetector:
     def from_model(cls, model, **options) -> "DriftDetector | None":
         """Build a detector from a loaded artifact's diagnostics section.
 
-        Works for both :class:`~repro.serve.RHCHMEModel` and
-        :class:`~repro.serve.shards.ShardedModelReader` (anything with a
-        ``diagnostics`` attribute).  Returns ``None`` when the artifact
-        carries no fingerprints (pre-diagnostics artifacts stay servable,
-        they just cannot be drift-scored).
+        ``model`` is an :class:`~repro.serve.RHCHMEModel` of any layout
+        (anything with a ``diagnostics`` attribute); a lazily served model
+        carries the section from its sidecar, so no array is read.
+        Returns ``None`` when the artifact carries no fingerprints
+        (pre-diagnostics artifacts stay servable, they just cannot be
+        drift-scored).
         """
-        section = getattr(model, "diagnostics", None) or {}
+        section = model.diagnostics or {}
         fingerprints_doc = section.get("fingerprints") or {}
         if not fingerprints_doc:
             return None

@@ -240,7 +240,7 @@ def _spectral_section(out: _Exposition, server) -> None:
             # A refreshed model was hot-swapped into the cache: its sidecar
             # section (spectral metrics of the refit's Laplacian blocks)
             # supersedes the one stashed at registration time.
-            document = getattr(cached, "diagnostics", None) or document
+            document = cached.diagnostics or document
         spectral = ((document or {}).get("fit") or {}).get("spectral") or {}
         for type_name, entry in spectral.items():
             labels = {"model": route.model_id, "type": type_name}

@@ -178,11 +178,6 @@ class NetServer:
         self._routes[model_id] = route
         return route
 
-    def unregister_model(self, model_id: str) -> None:
-        """Remove ``model_id`` from the routing table (in-flight finish)."""
-        if self._routes.pop(model_id, None) is None:
-            raise ModelNotFoundError(f"model {model_id!r} is not registered")
-
     @property
     def models(self) -> list[str]:
         return sorted(self._routes)

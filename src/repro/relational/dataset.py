@@ -107,21 +107,6 @@ class MultiTypeRelationalData:
         """Return the :class:`ObjectType` called ``name``."""
         return self._types[self.type_index(name)]
 
-    def feature_matrix(self, name: str) -> np.ndarray:
-        """Return the ``(n_objects, d)`` feature matrix of the named type.
-
-        Raises :class:`~repro.exceptions.ValidationError` when the type has
-        no features — callers that need per-type features (the serving
-        subsystem's out-of-sample extension, the subspace member) should fail
-        loudly rather than silently fall back to relational profiles.
-        """
-        object_type = self.get_type(name)
-        if object_type.features is None:
-            raise ValidationError(
-                f"type {name!r} has no feature matrix; out-of-sample prediction "
-                "and subspace learning need per-type features")
-        return object_type.features
-
     # -------------------------------------------------------------- relations
     def add_relation(self, relation: Relation) -> None:
         """Register a relation, validating shapes against the declared types."""

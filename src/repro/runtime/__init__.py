@@ -16,10 +16,10 @@
   into the predictor cache without dropping in-flight requests.
 
 Pairs with per-type sharded artifacts (``RHCHMEModel.save(path,
-shards="per-type-mmap")``): the runtime serves them through
-:class:`repro.serve.ShardedModelReader`, so a runtime serving queries for
-one object type memory-maps only that type's arrays.  Other layouts are
-loaded eagerly.
+shards="per-type-mmap")``): the runtime opens every artifact with
+:func:`repro.serve.open_model`, whose model of such an artifact
+memory-maps S and E_R and, of the per-type arrays, only those of the
+types it serves.  Other layouts are loaded eagerly.
 """
 
 from .batching import MicroBatcher, QueuedRequest

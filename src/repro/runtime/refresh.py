@@ -56,10 +56,6 @@ from ..serve.artifact import RHCHMEModel
 
 __all__ = ["RefreshOutcome", "refresh_model", "warm_start_blocks"]
 
-#: Uniform mass mixed into warm-start rows so no cluster starts at an exact
-#: zero (multiplicative updates cannot leave zeros).
-_SMOOTHING = 0.05
-
 #: Accepted values of the ``validate`` knob.
 _VALIDATE_MODES = ("full", "shapes")
 
@@ -321,7 +317,7 @@ def refresh_model(model: RHCHMEModel | str, data: MultiTypeRelationalData, *,
     smooth_types = None if dirty is None else sorted(dirty.types)
     state = warm_start_state(data, blocks, association=model.association,
                              error_matrix=_embed_error_matrix(model, data),
-                             smoothing=_SMOOTHING, smooth_types=smooth_types)
+                             smooth_types=smooth_types)
     estimator = RHCHME(config)
     result = estimator.fit(data, warm_start=state, dirty=dirty)
     refreshed = result.to_model(data, config)

@@ -47,7 +47,7 @@ from ..obs import Observability, activate_span
 from ..serve.artifact import MMAP_LAYOUT, RHCHMEModel, artifact_layout
 from ..serve.extension import Prediction
 from ..serve.predictor import BatchPredictor
-from ..serve.shards import ShardedModelReader
+from ..serve.shards import open_model
 from .batching import MicroBatcher, QueuedRequest
 from .refresh import RefreshOutcome, refresh_model
 
@@ -446,44 +446,37 @@ class RuntimeServer:
         that grew in ``data``) or ``None`` (default) for a full warm-start
         refit.  ``validate`` defaults per layout: ``"shapes"`` on a
         ``per-type-mmap`` artifact (whose clean feature arrays must stay
-        unpaged — the model is opened as a lazy view, with the types of
-        an explicit ``DirtySet`` promoted), ``"full"`` otherwise.
+        unpaged — the model is opened lazily by ``open_model``, with the
+        types of an explicit ``DirtySet`` promoted), ``"full"`` otherwise.
 
         With ``save=False`` the refreshed model is published to the
         in-process cache only.
         """
-        sidecar = RHCHMEModel.read_metadata(path)
-        layout = artifact_layout(sidecar)
+        layout = artifact_layout(RHCHMEModel.read_metadata(path))
         if validate is None:
             validate = "shapes" if layout == MMAP_LAYOUT else "full"
-        view = None
-        if layout == MMAP_LAYOUT:
-            # Lazy import: the streaming layer is optional for servers
-            # that never see an mmap artifact.
-            from ..stream.view import open_model_view
-            promote = sorted(dirty.types) if isinstance(dirty, DirtySet) else []
-            view = open_model_view(path, promote=promote)
-            model = view.model
-        else:
-            model = RHCHMEModel.load(path)
+        model = open_model(path)
+        if model.reader is not None and isinstance(dirty, DirtySet):
+            for name in sorted(dirty.types):
+                model.reader.promote(name)
         try:
             outcome = refresh_model(model, data, dirty=dirty,
                                     validate=validate, **overrides)
             if save:
-                # A cached lazy reader may still serve in-flight requests
+                # A cached lazy model may still serve in-flight requests
                 # and lazily open shards while the files are rewritten
                 # below; make its remaining shards resident first so it
-                # never touches the disk again.  (The refresh view itself
+                # never touches the disk again.  (The refreshed-from model
                 # survives the rewrite: promoted arrays are copies, and
                 # the atomic renames keep its mapped inodes alive.)
                 cached = self.predictor.peek_model(path)
-                if isinstance(cached, ShardedModelReader):
-                    cached.preload()
+                if cached is not None and cached.reader is not None:
+                    cached.reader.preload()
                 outcome.model.save(path, shards=(
                     "monolithic" if layout == "monolithic" else MMAP_LAYOUT))
         finally:
-            if view is not None:
-                view.close()
+            if model.reader is not None:
+                model.reader.close()
         self.predictor.put_model(path, outcome.model)
         telemetry = outcome.telemetry()
         with self._lock:

@@ -15,10 +15,11 @@ package turns one fit into a *servable model*:
   model cache, per-type input validation and latency/throughput counters;
 * per-type **sharded artifacts** — ``save(path, shards="per-type-mmap")``
   writes one raw ``.npy`` per array plus a manifest sidecar;
-  :func:`open_model` serves such an artifact lazily through
-  :class:`ShardedModelReader`, memory-mapping only the arrays of the types
-  actually queried, and loads every other layout (monolithic, legacy
-  ``per-type`` npz) eagerly;
+  :func:`open_model` returns an :class:`RHCHMEModel` for every layout.
+  On such an artifact the model's arrays are memory-mapped through a
+  :class:`ShardedModelReader` (``model.reader``): S and E_R at open, each
+  type's arrays only when that type is queried.  Every other layout
+  (monolithic, legacy ``per-type`` npz) is loaded eagerly;
 * :func:`holdout_split` — train/query splits of relational datasets for
   evaluating served predictions against full refits;
 * ``python -m repro.serve`` — ``fit-save`` / ``predict`` / ``info`` CLI.

@@ -22,13 +22,14 @@ artifact *handle* (the ``model.npz`` path a caller passes around):
 * **per-type mmap shards** (``save(path, shards="per-type-mmap")``) — one
   *raw* ``.npy`` file per array (compressed npz members cannot be
   memory-mapped), grouped per type in a ``shards`` manifest inside the JSON
-  sidecar.  :class:`repro.serve.shards.ShardedModelReader` serves it
-  lazily: it opens any individual array with ``mmap_mode="r"`` and pages
-  in only the bytes it touches, and a streaming refresh promotes just the
-  dirty types' arrays to in-memory copies and never reads the clean types'
-  features at all.  Every array file is written via temp-file + atomic
-  rename, so an open memory map in another process keeps reading the old
-  inode while a refresh replaces the file.
+  sidecar.  :func:`repro.serve.shards.open_model` serves it lazily: the
+  model's arrays are opened with ``mmap_mode="r"`` through a
+  :class:`~repro.serve.shards.ShardedModelReader` (``model.reader``) and
+  page in only the bytes they touch, and a streaming refresh promotes just
+  the dirty types' arrays to in-memory copies and never reads the clean
+  types' features at all.  Every array file is written via temp-file +
+  atomic rename, so an open memory map in another process keeps reading
+  the old inode while a refresh replaces the file.
 
 A third, legacy layout is only read: **per-type npz shards** (one
 compressed ``model.<type>.npz`` per object type plus ``model.global.npz``).
@@ -205,25 +206,6 @@ class TypeInfo:
     n_features: int | None
 
 
-def check_query_features(info: TypeInfo, X_new) -> np.ndarray:
-    """Validate a query matrix against one type's shape metadata.
-
-    Shared by the eager :class:`RHCHMEModel` and the lazy
-    :class:`repro.serve.shards.ShardedModelReader` so both front-ends reject
-    malformed requests with identical messages.
-    """
-    if info.n_features is None:
-        raise ValidationError(
-            f"type {info.name!r} was fitted without features; "
-            "out-of-sample prediction needs a feature space to embed queries in")
-    X_new = as_float_array(X_new, name="X_new", ndim=2)
-    if X_new.shape[1] != info.n_features:
-        raise ValidationError(
-            f"queries for type {info.name!r} must have {info.n_features} "
-            f"features, got {X_new.shape[1]}")
-    return X_new
-
-
 # eq=False: the generated __eq__ would compare ndarray/dict fields and raise
 # on the ambiguous array truth value; identity comparison (and explicit
 # array-level assertions in tests) is the meaningful contract here.
@@ -266,6 +248,12 @@ class RHCHMEModel:
         under ``"fit"``.  The section is additive and carries its own
         ``version`` stamp, so the artifact schema version is unchanged
         and pre-diagnostics readers simply ignore it.
+    reader:
+        The :class:`~repro.serve.shards.ShardedModelReader` a lazily served
+        model fetches its per-type arrays through (set by
+        :func:`~repro.serve.shards.open_model` on a ``per-type-mmap``
+        artifact; closing it ends the model's use), or ``None`` when every
+        array is in memory.
     """
 
     config: RHCHMEConfig
@@ -283,6 +271,7 @@ class RHCHMEModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "error_matrix",
                            as_row_sparse(self.error_matrix))
+        object.__setattr__(self, "reader", None)
         # Per-type neighbour-search indexes, built lazily on first predict
         # and reused for every later call (a KD-tree build per request would
         # dominate single-object latencies).  A plain cache, not state: the
@@ -436,7 +425,16 @@ class RHCHMEModel:
         backend is resolved against the training size.
         """
         info = self.type_info(type_name)
-        X_new = check_query_features(info, X_new)
+        if info.n_features is None:
+            raise ValidationError(
+                f"type {type_name!r} was fitted without features; "
+                "out-of-sample prediction needs a feature space to embed "
+                "queries in")
+        X_new = as_float_array(X_new, name="X_new", ndim=2)
+        if X_new.shape[1] != info.n_features:
+            raise ValidationError(
+                f"queries for type {type_name!r} must have "
+                f"{info.n_features} features, got {X_new.shape[1]}")
         resolved = resolve_backend(self.config.backend,
                                    n_objects=info.n_objects)
         index = self.query_index(type_name)
@@ -622,7 +620,7 @@ class RHCHMEModel:
             npz.  ``"per-type-mmap"`` writes one *raw* ``.npy`` per array
             (``<stem>.<type>.<kind>.npy``) so readers can memory-map
             individual arrays and page in only the bytes they touch (see
-            :class:`repro.serve.shards.ShardedModelReader`).  The legacy
+            :func:`repro.serve.shards.open_model`).  The legacy
             ``"per-type"`` npz layout is read-only and is refused here.
         """
         layout = shards or "monolithic"

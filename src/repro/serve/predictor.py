@@ -12,10 +12,10 @@ The predictor is thread-safe: the model cache and the counters are guarded
 by one lock, so it can sit behind the :mod:`repro.runtime` worker pool —
 the numerical predict itself runs outside the lock and the underlying
 artifacts are immutable, so concurrent predicts against the same model do
-not serialise.  Each artifact is opened the way its layout says
-(:func:`repro.serve.shards.open_model`): a ``per-type-mmap`` artifact
-through :class:`repro.serve.shards.ShardedModelReader`, so a process serving
-one type only maps that type's arrays; any other layout eagerly.
+not serialise.  Each artifact is opened by
+:func:`repro.serve.shards.open_model` as an :class:`RHCHMEModel`: lazily
+for a ``per-type-mmap`` artifact, so a process serving one type only maps
+that type's arrays (and S and E_R); eagerly for any other layout.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class BatchPredictor:
         self._detector_options: dict = (dict(diagnostics)
                                         if isinstance(diagnostics, dict) else {})
         self._detectors: dict[str, DriftDetector | None] = {}
-        self._models: OrderedDict[str, object] = OrderedDict()
+        self._models: OrderedDict[str, RHCHMEModel] = OrderedDict()
         # RLock: public methods that take the lock may call each other.
         self._lock = threading.RLock()
         # Per-key locks serialising cold loads: a burst of first requests
@@ -125,8 +125,8 @@ class BatchPredictor:
         self.stats = ServingStats()
 
     # ------------------------------------------------------------ model cache
-    def get_model(self, path):
-        """Return the artifact at ``path``, opening it on first use (LRU).
+    def get_model(self, path) -> RHCHMEModel:
+        """Return the model at ``path``, opening it on first use (LRU).
 
         The artifact is opened by :func:`~repro.serve.shards.open_model`:
         lazily for ``per-type-mmap``, eagerly otherwise.  Cache keys are
@@ -158,7 +158,7 @@ class BatchPredictor:
                 self._load_locks.pop(key, None)
         return model
 
-    def peek_model(self, path):
+    def peek_model(self, path) -> RHCHMEModel | None:
         """Return the cached model for ``path`` without loading or counting.
 
         ``None`` when the artifact is not resident; never touches the disk

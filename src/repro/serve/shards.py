@@ -3,51 +3,44 @@
 A monolithic :class:`~repro.serve.artifact.RHCHMEModel` load decompresses
 every array of every type.  For a serving process that only ever answers
 queries for one object type that is pure waste: the out-of-sample extension
-needs nothing beyond that type's training features and membership block —
-not the association matrix, not the error matrix, not any other type.
+needs nothing beyond that type's training features and membership block.
 
-:class:`ShardedModelReader` fronts an artifact written with
-``save(path, shards="per-type-mmap")`` and loads arrays *on demand*: each
-array is its own raw ``.npy`` file opened with ``mmap_mode="r"`` on first
-touch, so the OS pages in only the bytes a predict reads, and the global
-shard (S and E_R) is never touched by prediction at all.  :meth:`promote`
-upgrades chosen shards to in-memory copies (the copy-on-write boundary a
+:class:`ShardedModelReader` is the array store of an artifact written with
+``save(path, shards="per-type-mmap")``: each array is its own raw ``.npy``
+file, opened with ``mmap_mode="r"`` on first touch, so the OS pages in only
+the bytes a caller reads.  :meth:`~ShardedModelReader.promote` upgrades
+chosen shards to in-memory copies (the copy-on-write boundary a
 delta-scheduled refresh needs before the artifact is rewritten underneath
-the maps).  Every file open is recorded in :attr:`shard_loads` and
-:meth:`cache_info` reports byte-level residency, so tests and benchmarks
-can assert partial-load claims with manifest accounting instead of trusting
-timings.
+the maps), and :meth:`~ShardedModelReader.cache_info` reports every file
+open and byte-level residency, so tests and benchmarks can assert
+partial-load claims with manifest accounting instead of trusting timings.
 
-:func:`open_model` dispatches on the artifact's layout alone: a
-``per-type-mmap`` artifact is served through this reader, any other layout
-(monolithic, legacy ``per-type`` npz) is loaded eagerly.  Both objects
-expose the same ``predict``/``type_info`` surface, so
-:class:`repro.serve.BatchPredictor` and the runtime serve through either
-interchangeably.  The reader is thread-safe (array loads and index builds
-are single-flight under a lock) and a context manager (``close()`` releases
-every open memory map deterministically).
+:func:`open_model` returns an :class:`RHCHMEModel` for every layout.  A
+``per-type-mmap`` artifact's model maps S and E_R at open, and its
+``features``/``membership``/``labels`` mappings fetch each type's arrays
+through the reader (``model.reader``) on access, so a model serving one
+type maps only that type's arrays.  Any other layout (monolithic, legacy
+``per-type`` npz) is loaded eagerly and has ``model.reader`` ``None``.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from ..exceptions import ArtifactError, ValidationError
-from ..graph.neighbors import QueryIndex
-from ..linalg.backend import resolve_backend
 from ..linalg.rowsparse import RowSparseMatrix
 from .artifact import (GLOBAL_SHARD, MMAP_LAYOUT, RHCHMEModel, TypeInfo,
-                       artifact_layout, check_query_features,
-                       error_matrix_npz_keys, read_error_matrix)
-from .extension import Prediction, out_of_sample_predict
+                       artifact_layout, error_matrix_npz_keys,
+                       read_error_matrix)
 
 __all__ = ["ShardedModelReader", "open_model"]
 
 
 class ShardedModelReader:
-    """Serve out-of-sample predictions from a ``per-type-mmap`` artifact.
+    """The array store behind a lazily served ``per-type-mmap`` artifact.
 
     Parameters
     ----------
@@ -59,12 +52,8 @@ class ShardedModelReader:
         (load it eagerly with :meth:`RHCHMEModel.load` instead).  Arrays
         are opened as read-only memory maps until they are promoted.
 
-    Attributes
-    ----------
-    shard_loads:
-        Mapping from shard key (type name or ``"global"``) to how many
-        array files were opened for it: one per array file for the lifetime
-        of the reader unless :meth:`evict` drops it.
+    The reader is thread-safe (array loads are single-flight under a lock)
+    and a context manager (``close()`` releases every open memory map).
     """
 
     def __init__(self, path) -> None:
@@ -82,20 +71,8 @@ class ShardedModelReader:
         self._array_cache: dict[tuple[str, str], np.ndarray] = {}
         self._memmaps: list[np.ndarray] = []
         self._promoted: set[str] = set()
-        self._query_indexes: dict[str, QueryIndex] = {}
+        self._loads: dict[str, int] = {}
         self._closed = False
-        self.shard_loads: dict[str, int] = {}
-
-    # -------------------------------------------------------------- accessors
-    @property
-    def type_names(self) -> list[str]:
-        """Names of the captured object types in block order."""
-        return [t.name for t in self.types]
-
-    @property
-    def layout(self) -> str:
-        """On-disk shard layout (always ``"per-type-mmap"``)."""
-        return MMAP_LAYOUT
 
     def type_info(self, name: str) -> TypeInfo:
         """Return the :class:`TypeInfo` of the named type (metadata only)."""
@@ -103,52 +80,15 @@ class ShardedModelReader:
             if info.name == name:
                 return info
         raise ValidationError(
-            f"unknown object type {name!r}; known types: {self.type_names}")
-
-    @property
-    def loaded_types(self) -> list[str]:
-        """Type names with at least one resident array, in load order."""
-        seen: list[str] = []
-        for shard, _key in self._array_cache:
-            if shard != GLOBAL_SHARD and shard not in seen:
-                seen.append(shard)
-        return seen
-
-    def accounting(self) -> dict:
-        """Manifest accounting snapshot for partial-load assertions."""
-        return {
-            "n_types": len(self.types),
-            "n_shards_on_disk": sum(len(entries) for entries
-                                    in self._array_paths.values()),
-            "loaded_types": self.loaded_types,
-            "global_loaded": any(shard == GLOBAL_SHARD
-                                 for shard, _key in self._array_cache),
-            "shard_loads": dict(self.shard_loads),
-        }
-
-    def info(self) -> dict:
-        """The artifact's sidecar metadata (includes the shards manifest)."""
-        return dict(self._sidecar)
-
-    @property
-    def diagnostics(self) -> dict | None:
-        """The sidecar's ``diagnostics`` section (``None`` when absent).
-
-        Metadata-only — reading it never touches an array shard, so a
-        drift detector can be built for a model whose shards are still
-        cold.  Same shape as :attr:`RHCHMEModel.diagnostics`.
-        """
-        return self._sidecar.get("diagnostics")
+            f"unknown object type {name!r}; known types: "
+            f"{[info.name for info in self.types]}")
 
     # ----------------------------------------------------------- lazy loading
     def _check_open(self) -> None:
         if self._closed:
             raise ArtifactError(
-                f"reader for {self._path} is closed; open a new "
-                "ShardedModelReader (or ModelView) to read it again")
-
-    def _count_load(self, key: str) -> None:
-        self.shard_loads[key] = self.shard_loads.get(key, 0) + 1
+                f"reader for {self._path} is closed; open the artifact "
+                "again to read it")
 
     def _get(self, shard: str, key: str) -> np.ndarray:
         """One array, memory-mapped (or read, once promoted) single-flight."""
@@ -173,7 +113,7 @@ class ShardedModelReader:
             if isinstance(array, np.memmap):
                 self._memmaps.append(array)
             self._array_cache[(shard, key)] = array
-            self._count_load(shard)
+            self._loads[shard] = self._loads.get(shard, 0) + 1
         return array
 
     def features(self, type_name: str) -> np.ndarray:
@@ -213,18 +153,6 @@ class ShardedModelReader:
         return read_error_matrix(
             arrays, sum(info.n_objects for info in self.types))
 
-    def query_index(self, type_name: str) -> QueryIndex:
-        """Cached neighbour-search index of one type (single-flight build)."""
-        index = self._query_indexes.get(type_name)
-        if index is None:
-            features = self.features(type_name)
-            with self._lock:
-                index = self._query_indexes.get(type_name)
-                if index is None:
-                    index = QueryIndex(features)
-                    self._query_indexes[type_name] = index
-        return index
-
     # -------------------------------------------------------- residency moves
     def promote(self, type_name: str | None = None) -> None:
         """Promote shards from memory maps to in-memory copies.
@@ -238,7 +166,7 @@ class ShardedModelReader:
         """
         self._check_open()
         if type_name is None:
-            shards = [GLOBAL_SHARD] + self.type_names
+            shards = [GLOBAL_SHARD] + [info.name for info in self.types]
         else:
             shards = [self.type_info(type_name).name]
         with self._lock:
@@ -263,26 +191,8 @@ class ShardedModelReader:
             self.labels(info.name)
             if info.n_features is not None:
                 self.features(info.name)
-                self.query_index(info.name)
         _ = self.association
         _ = self.error_matrix
-
-    def evict(self, type_name: str | None = None) -> None:
-        """Drop one type's resident arrays (or all arrays with ``None``).
-
-        Open memory maps of evicted arrays stay tracked and are released
-        by :meth:`close`; eviction only drops the reader's references so a
-        later access re-reads (and re-maps) from disk.
-        """
-        with self._lock:
-            if type_name is None:
-                self._array_cache.clear()
-                self._query_indexes.clear()
-            else:
-                self._query_indexes.pop(type_name, None)
-                for shard, key in list(self._array_cache):
-                    if shard == type_name:
-                        del self._array_cache[(shard, key)]
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -295,7 +205,6 @@ class ShardedModelReader:
         """
         with self._lock:
             self._array_cache.clear()
-            self._query_indexes.clear()
             maps, self._memmaps = self._memmaps, []
             self._closed = True
         for array in maps:
@@ -329,7 +238,8 @@ class ShardedModelReader:
         files on disk), ``resident_bytes`` (arrays held as in-memory
         copies), ``mapped_bytes`` (arrays held as live memory maps — an
         upper bound on what mapping may page in).  ``mode`` is ``"cold"``,
-        ``"mapped"`` or ``"resident"``.
+        ``"mapped"`` or ``"resident"``.  ``loads`` counts the array files
+        opened per shard key (type name or ``"global"``).
         """
         arrays: dict[str, dict] = {}
         total = resident = mapped = 0
@@ -349,42 +259,72 @@ class ShardedModelReader:
                 arrays[key] = {"shard": shard, "bytes": nbytes, "mode": mode}
         return {"layout": MMAP_LAYOUT, "arrays": arrays,
                 "total_bytes": total, "resident_bytes": resident,
-                "mapped_bytes": mapped, "loads": dict(self.shard_loads),
+                "mapped_bytes": mapped, "loads": dict(self._loads),
                 "promoted": sorted(self._promoted), "closed": self._closed}
 
-    # ------------------------------------------------------------- prediction
-    def predict(self, type_name: str, X_new, *,
-                batch_size: int = 256) -> Prediction:
-        """Assign new objects of ``type_name`` out of sample.
 
-        Identical numerics to :meth:`RHCHMEModel.predict` — the same
-        blocks feed the same extension — but only ``type_name``'s arrays
-        are ever read from disk.
-        """
-        info = self.type_info(type_name)
-        X_new = check_query_features(info, X_new)
-        resolved = resolve_backend(self.config.backend,
-                                   n_objects=info.n_objects)
-        return out_of_sample_predict(
-            self.features(type_name), self.membership(type_name), X_new,
-            p=self.config.p, weighting=self.config.weighting,
-            backend=resolved, batch_size=batch_size,
-            index=self.query_index(type_name))
+class _LazyArrays(Mapping):
+    """Read-only mapping that fetches each array through a reader on access.
 
-    def to_model(self) -> RHCHMEModel:
-        """Load every array and return the equivalent eager model."""
-        return RHCHMEModel.load(self._path)
+    It keeps no cache of its own, so a promoted array is seen as the
+    in-memory copy the reader now holds.
+    """
+
+    def __init__(self, names: list[str],
+                 fetch: Callable[[str], np.ndarray]) -> None:
+        self._names = list(names)
+        self._fetch = fetch
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._fetch(name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
-def open_model(path):
+def mapped_model(reader: ShardedModelReader) -> RHCHMEModel:
+    """The :class:`RHCHMEModel` served over ``reader``.
+
+    S and E_R are mapped now; each type's arrays are fetched through the
+    reader on access.  The model's ``reader`` is set to ``reader``, whose
+    ``close()`` ends the model's use.
+    """
+    sidecar = reader._sidecar
+    names = [info.name for info in reader.types]
+    model = RHCHMEModel(
+        config=reader.config,
+        types=reader.types,
+        features=_LazyArrays([info.name for info in reader.types
+                              if info.n_features is not None],
+                             reader.features),
+        membership=_LazyArrays(names, reader.membership),
+        labels=_LazyArrays(names, reader.labels),
+        association=reader.association,
+        error_matrix=reader.error_matrix,
+        backend=sidecar.get("backend", "dense"),
+        schema_version=int(sidecar["schema_version"]),
+        library_version=str(sidecar.get("library_version", "unknown")),
+        diagnostics=sidecar.get("diagnostics"))
+    object.__setattr__(model, "reader", reader)
+    return model
+
+
+def open_model(path) -> RHCHMEModel:
     """Open an artifact the way its layout says it is served.
 
-    A ``per-type-mmap`` artifact is opened as a :class:`ShardedModelReader`
-    (only queried types' arrays are mapped); any other layout — monolithic
-    or legacy ``per-type`` npz — is loaded eagerly as an
-    :class:`~repro.serve.artifact.RHCHMEModel`.  Both returned objects
-    share the ``predict``/``type_info``/``type_names`` serving surface.
+    A ``per-type-mmap`` artifact is served lazily through a
+    :class:`ShardedModelReader` (only queried types' arrays are mapped, see
+    :func:`mapped_model`); any other layout — monolithic or legacy
+    ``per-type`` npz — is loaded eagerly by :meth:`RHCHMEModel.load`.
     """
     if artifact_layout(RHCHMEModel.read_metadata(path)) == MMAP_LAYOUT:
-        return ShardedModelReader(path)
+        return mapped_model(ShardedModelReader(path))
     return RHCHMEModel.load(path)

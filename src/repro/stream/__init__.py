@@ -13,9 +13,10 @@ a fraction of the cold-refit cost:
   :class:`~repro.core.schedule.DirtySet` and
   :func:`repro.runtime.refresh.refresh_model`);
 * :func:`open_model_view` / :class:`ModelView` — open a
-  ``per-type-mmap`` artifact as a lazily-backed model whose clean types
-  are never paged into memory, with promotion of the dirty types' arrays
-  as the copy-on-write boundary before the artifact is rewritten.
+  ``per-type-mmap`` artifact as a closable lazily mapped model whose
+  clean types are never paged into memory, with promotion of the dirty
+  types' arrays as the copy-on-write boundary before the artifact is
+  rewritten.
 """
 
 from ..core.schedule import DirtySet

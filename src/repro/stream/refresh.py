@@ -24,9 +24,9 @@ def refresh_from_log(model, log: ObjectLog, *, since: int | None = None,
     Parameters
     ----------
     model:
-        A fitted :class:`~repro.serve.RHCHMEModel` (eager or a
-        :class:`~repro.stream.view.ModelView`'s ``.model`` facade), or a
-        path to load one from.
+        A fitted :class:`~repro.serve.RHCHMEModel` (eager or lazily
+        mapped, e.g. a :class:`~repro.stream.view.ModelView`'s ``.model``),
+        or a path to load one from.
     log:
         The append-only object log holding base + growth.
     since:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core import RHCHME
 from repro.diagnostics import DIAGNOSTICS_SCHEMA_VERSION, DriftDetector
-from repro.serve import RHCHMEModel, ShardedModelReader
+from repro.serve import RHCHMEModel, open_model
+from repro.stream import open_model_view
 
 
 @pytest.fixture(scope="module")
@@ -51,16 +52,19 @@ class TestSidecarRoundTrip:
             self, diag_artifact, tmp_path):
         path = diag_artifact.save(tmp_path / "model.npz",
                                   shards="per-type-mmap")
-        reader = ShardedModelReader(path)
-        document = reader.diagnostics
+        with open_model_view(path) as view:
+            document = view.model.diagnostics
+            info = view.cache_info()
         assert document["version"] == DIAGNOSTICS_SCHEMA_VERSION
         assert set(document["fingerprints"]) == {"points", "anchors"}
-        assert reader.loaded_types == []  # metadata only, shards stay cold
+        # metadata only, the types' shards stay cold
+        assert all(entry["mode"] == "cold" for entry in info["arrays"].values()
+                   if entry["shard"] != "global")
 
     def test_detector_builds_from_loaded_and_sharded_models(
             self, diag_artifact, tmp_path):
         mono = RHCHMEModel.load(diag_artifact.save(tmp_path / "mono.npz"))
-        sharded = ShardedModelReader(
+        sharded = open_model(
             diag_artifact.save(tmp_path / "sharded.npz",
                                shards="per-type-mmap"))
         for model in (mono, sharded):

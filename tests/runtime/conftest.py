@@ -16,6 +16,18 @@ from repro.relational.dataset import MultiTypeRelationalData
 from repro.relational.types import ObjectType, Relation
 
 
+def touched_types(info: dict) -> list[str]:
+    """Types with an array mapped or resident in a ``cache_info()``."""
+    return sorted({entry["shard"] for entry in info["arrays"].values()
+                   if entry["mode"] != "cold"} - {"global"})
+
+
+def global_modes(info: dict) -> set[str]:
+    """Residency modes of the global shard's arrays in a ``cache_info()``."""
+    return {entry["mode"] for entry in info["arrays"].values()
+            if entry["shard"] == "global"}
+
+
 def blobs_prefix(n_points: int, *, n_pool: int = 120, n_anchors: int = 36,
                  n_clusters: int = 3, n_features: int = 6,
                  seed: int = 0) -> MultiTypeRelationalData:

@@ -16,6 +16,8 @@ from repro.exceptions import ValidationError
 from repro.metrics import cluster_alignment
 from repro.runtime import RuntimeServer, refresh_model, warm_start_blocks
 
+from .conftest import global_modes, touched_types
+
 _WAIT = 30.0
 
 
@@ -157,12 +159,12 @@ class TestServerRefresh:
             queries = grown_dataset.get_type("points").features[:4]
             runtime.predict(path=path,
                             type_name="points", queries=queries, timeout=_WAIT)
-            reader = runtime.predictor.peek_model(path)
-            assert reader.accounting()["loaded_types"] == ["points"]
+            reader = runtime.predictor.peek_model(path).reader
+            assert touched_types(reader.cache_info()) == ["points"]
             runtime.refresh(path, grown_dataset, max_iter=3)
-            accounting = reader.accounting()
-            assert sorted(accounting["loaded_types"]) == ["anchors", "points"]
-            assert accounting["global_loaded"]
+            info = reader.cache_info()
+            assert touched_types(info) == ["anchors", "points"]
+            assert global_modes(info) == {"resident"}
 
 
 class TestSparseErrorMatrixRefresh:

@@ -10,6 +10,8 @@ import pytest
 from repro.exceptions import QueueFullError, ValidationError
 from repro.runtime import RuntimeServer
 
+from .conftest import global_modes, touched_types
+
 _WAIT = 30.0
 
 
@@ -79,10 +81,11 @@ class TestCorrectness:
                                          queries=query_batch, timeout=_WAIT)
             direct = runtime_artifact.predict("points", query_batch)
             np.testing.assert_array_equal(prediction.labels, direct.labels)
-            reader = runtime.predictor.get_model(sharded_model_path)
-            accounting = reader.accounting()
-            assert accounting["loaded_types"] == ["points"]
-            assert not accounting["global_loaded"]
+            model = runtime.predictor.get_model(sharded_model_path)
+            info = model.reader.cache_info()
+            assert touched_types(info) == ["points"]
+            # S and E_R are mapped at open; none of their bytes is resident
+            assert global_modes(info) == {"mapped"}
 
 
 class TestErrorRouting:

@@ -1,8 +1,8 @@
 """Tests for per-type sharded artifacts and the lazy reader.
 
 Saves write the ``per-type-mmap`` layout (one raw ``.npy`` per array);
-partial-load claims are asserted with manifest accounting (which array
-files were actually opened), not timings.  Legacy ``per-type`` npz
+partial-load claims are asserted with the reader's byte accounting (which
+array files were actually opened), not timings.  Legacy ``per-type`` npz
 artifacts are still read: :func:`save_legacy_per_type` writes one the way
 that layout's writer did, so the read side stays covered.
 """
@@ -18,6 +18,8 @@ from repro.exceptions import ArtifactError, ValidationError
 from repro.runtime import RuntimeServer
 from repro.serve import (BatchPredictor, RHCHMEModel, ShardedModelReader,
                          open_model)
+
+from .conftest import global_modes, touched_types
 
 #: Array files of the two-type runtime artifact in the mmap layout.
 MMAP_FILES = ["anchors.features.npy", "anchors.labels.npy",
@@ -163,24 +165,23 @@ class TestMissingAndCorrupt:
 class TestLazyReader:
     def test_predict_reads_only_queried_type_shard(self, sharded_model_path,
                                                    query_batch):
-        reader = ShardedModelReader(sharded_model_path)
-        reader.predict("points", query_batch)
-        reader.predict("points", query_batch[:5])
-        accounting = reader.accounting()
-        assert accounting["loaded_types"] == ["points"]
+        model = open_model(sharded_model_path)
+        model.predict("points", query_batch)
+        model.predict("points", query_batch[:5])
+        info = model.reader.cache_info()
+        assert touched_types(info) == ["points"]
         # features and membership, each opened once; labels stay cold
-        assert accounting["shard_loads"] == {"points": 2}
-        assert not accounting["global_loaded"]
-        assert accounting["n_shards_on_disk"] == len(MMAP_FILES)
+        assert info["loads"]["points"] == 2
+        # S and E_R are mapped at open; none of their bytes is resident
+        assert global_modes(info) == {"mapped"}
+        assert len(info["arrays"]) == len(MMAP_FILES)
 
     def test_lazy_prediction_matches_eager(self, sharded_model_path,
                                            runtime_artifact, query_batch):
-        reader = ShardedModelReader(sharded_model_path)
-        lazy = reader.predict("points", query_batch)
+        lazy = open_model(sharded_model_path).predict("points", query_batch)
         eager = runtime_artifact.predict("points", query_batch)
         np.testing.assert_array_equal(lazy.labels, eager.labels)
-        np.testing.assert_allclose(lazy.membership, eager.membership,
-                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(lazy.membership, eager.membership)
 
     def test_reader_refuses_monolithic_artifact(self, runtime_model_path):
         with pytest.raises(ArtifactError, match="monolithic"):
@@ -190,9 +191,12 @@ class TestLazyReader:
                                              sharded_model_path,
                                              runtime_artifact, tmp_path):
         legacy = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
-        assert isinstance(open_model(sharded_model_path), ShardedModelReader)
-        assert isinstance(open_model(runtime_model_path), RHCHMEModel)
-        assert isinstance(open_model(legacy), RHCHMEModel)
+        lazy = open_model(sharded_model_path)
+        assert isinstance(lazy, RHCHMEModel)
+        assert isinstance(lazy.reader, ShardedModelReader)
+        for eager in (open_model(runtime_model_path), open_model(legacy)):
+            assert isinstance(eager, RHCHMEModel)
+            assert eager.reader is None
 
     def test_global_shard_loads_on_association_access(self,
                                                       sharded_model_path,
@@ -200,7 +204,7 @@ class TestLazyReader:
         reader = ShardedModelReader(sharded_model_path)
         np.testing.assert_array_equal(reader.association,
                                       runtime_artifact.association)
-        assert reader.accounting()["global_loaded"]
+        assert reader.cache_info()["arrays"]["association"]["mode"] == "mapped"
 
     def test_labels_and_membership_accessors(self, sharded_model_path,
                                              runtime_artifact):
@@ -209,32 +213,16 @@ class TestLazyReader:
                                       runtime_artifact.labels["anchors"])
         np.testing.assert_array_equal(reader.membership("anchors"),
                                       runtime_artifact.membership["anchors"])
-        assert reader.loaded_types == ["anchors"]
-
-    def test_evict_then_reload_counts_a_second_load(self, sharded_model_path,
-                                                    query_batch):
-        reader = ShardedModelReader(sharded_model_path)
-        reader.predict("points", query_batch[:3])
-        reader.evict("points")
-        reader.predict("points", query_batch[:3])
-        # features + membership, opened again after the eviction
-        assert reader.accounting()["shard_loads"] == {"points": 4}
-
-    def test_to_model_loads_everything(self, sharded_model_path,
-                                       runtime_artifact):
-        model = ShardedModelReader(sharded_model_path).to_model()
-        assert isinstance(model, RHCHMEModel)
-        np.testing.assert_array_equal(model.association,
-                                      runtime_artifact.association)
+        assert touched_types(reader.cache_info()) == ["anchors"]
 
     def test_validation_matches_eager_model(self, sharded_model_path):
-        reader = ShardedModelReader(sharded_model_path)
+        model = open_model(sharded_model_path)
         with pytest.raises(ValidationError, match="unknown object type"):
-            reader.predict("nope", np.ones((2, 6)))
+            model.predict("nope", np.ones((2, 6)))
         with pytest.raises(ValidationError, match="features"):
-            reader.predict("points", np.ones((2, 2)))
-        # neither failed request should have touched the disk
-        assert reader.accounting()["loaded_types"] == []
+            model.predict("points", np.ones((2, 2)))
+        # neither failed request should have touched a type's arrays
+        assert touched_types(model.reader.cache_info()) == []
 
 
 class TestPredictorIntegration:
@@ -247,8 +235,7 @@ class TestPredictorIntegration:
         direct = runtime_artifact.predict("points", query_batch)
         np.testing.assert_array_equal(prediction.labels, direct.labels)
         model = predictor.get_model(sharded_model_path)
-        assert isinstance(model, ShardedModelReader)
-        assert model.accounting()["loaded_types"] == ["points"]
+        assert touched_types(model.reader.cache_info()) == ["points"]
 
     def test_eager_predictor_still_loads_fully(self, runtime_artifact,
                                                tmp_path):
@@ -256,7 +243,7 @@ class TestPredictorIntegration:
         # eagerly, whole.
         legacy = save_legacy_per_type(runtime_artifact, tmp_path / "m.npz")
         predictor = BatchPredictor()
-        assert isinstance(predictor.get_model(legacy), RHCHMEModel)
+        assert predictor.get_model(legacy).reader is None
 
 
 class TestLegacyPerTypeArtifacts:
@@ -291,7 +278,7 @@ class TestLegacyPerTypeArtifacts:
         np.testing.assert_array_equal(actual.membership, expected.membership)
 
     def test_open_model_returns_eager_model(self, legacy_path):
-        assert isinstance(open_model(legacy_path), RHCHMEModel)
+        assert open_model(legacy_path).reader is None
 
     def test_reader_refuses_legacy_layout(self, legacy_path):
         with pytest.raises(ArtifactError, match="'per-type' layout"):
@@ -304,7 +291,7 @@ class TestLegacyPerTypeArtifacts:
         assert sidecar["shards"]["layout"] == "per-type-mmap"
         assert sidecar["types"][0]["n_objects"] == 120
         assert not list(legacy_path.parent.glob("*.npz"))
-        assert isinstance(open_model(legacy_path), ShardedModelReader)
+        assert open_model(legacy_path).reader is not None
 
     def test_save_refuses_per_type(self, runtime_artifact, tmp_path):
         with pytest.raises(ValidationError, match="per-type-mmap"):

@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import ArtifactError, ValidationError
 from repro.serve import RHCHMEModel, SCHEMA_VERSION, load_model
 from repro.serve.shards import open_model
+from repro.stream import open_model_view
 
 
 @pytest.fixture
@@ -112,11 +113,11 @@ class TestRetiredTorchBackend:
         edited = blob_artifact.save(tmp_path / "torch.npz",
                                     shards="per-type-mmap")
         self._mark_torch(edited)
-        with open_model(reference) as expected_reader, \
-                open_model(edited) as reader:
-            assert reader.config.backend == "auto"
-            expected = expected_reader.predict("points", queries)
-            actual = reader.predict("points", queries)
+        with open_model_view(reference) as expected_view, \
+                open_model_view(edited) as view:
+            assert view.model.config.backend == "auto"
+            expected = expected_view.model.predict("points", queries)
+            actual = view.model.predict("points", queries)
         np.testing.assert_array_equal(actual.labels, expected.labels)
         np.testing.assert_array_equal(actual.membership, expected.membership)
 
@@ -137,11 +138,11 @@ class TestRetiredErrorKnobs:
         sidecar_path.write_text(json.dumps(sidecar))
         loaded = RHCHMEModel.load(path)
         assert loaded.config == artifact.config
-        with open_model(path) as reader:
-            assert reader.config == artifact.config
+        with open_model_view(path) as view:
+            assert view.model.config == artifact.config
             for name, queries in artifact.features.items():
                 expected = artifact.predict(name, queries)
-                for served in (loaded, reader):
+                for served in (loaded, view.model):
                     actual = served.predict(name, queries)
                     np.testing.assert_array_equal(actual.labels,
                                                   expected.labels)
@@ -435,7 +436,7 @@ class TestErrorMatrixPersistence:
         reader = ShardedModelReader(path)
         np.testing.assert_array_equal(reader.association,
                                       sparse_fit_artifact.association)
-        assert reader.shard_loads == {"global": 1}
+        assert reader.cache_info()["loads"] == {"global": 1}
 
     def test_legacy_dense_sidecar_without_layout_field_loads(self,
                                                             dense_saved):
