@@ -75,9 +75,48 @@ class TestErrorMatrixAblation:
                 {"variant": "with E_R (beta=50)", "fscore": with_error},
                 {"variant": "without E_R", "fscore": without_error},
             ]))
-        # The error matrix should not hurt, and typically helps, under
-        # sample-wise corruption.
+        # At β = 50 the E step keeps no row, so E_R is empty and the two
+        # fits are the same; the check only guards that it never hurts.
         assert with_error >= without_error - 0.1
+
+
+#: corrupted-multi5 corrupts 15 of its 150 documents; at this β the E
+#: step keeps rows in every fit below (23 each).
+ROBUST_BETA = 0.2
+ROBUST_SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def robust_fits():
+    """Per seed: documents' true labels, the fit with E_R and without."""
+    fits = []
+    for seed in ROBUST_SEEDS:
+        data = make_dataset("corrupted-multi5", random_state=seed)
+        fits.append((data.get_type("documents").labels, *(
+            RHCHME(RHCHMEConfig(beta=ROBUST_BETA, random_state=seed,
+                                track_metrics_every=0,
+                                use_error_matrix=use)).fit(data)
+            for use in (True, False))))
+    return fits
+
+
+class TestErrorMatrixRecovery:
+    def test_error_matrix_keeps_rows(self, robust_fits):
+        for _, with_error, _ in robust_fits:
+            assert with_error.state.E_R.n_stored_rows > 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "E_R changes no document label even where it keeps rows: at "
+        "beta=0.2 on corrupted-multi5 it keeps 23 rows per fit, yet "
+        "documents' F is 0.829, 0.821 and 0.547 (seeds 0-2) with and "
+        "without E_R, and NMI 0.774, 0.765 and 0.504 against 0.774, 0.765 "
+        "and 0.507 without it"))
+    def test_error_matrix_raises_document_fscore(self, robust_fits):
+        raised = [clustering_fscore(truth, with_error.labels["documents"])
+                  > clustering_fscore(truth, without_error.labels["documents"])
+                  for truth, with_error, without_error in robust_fits]
+        # On most seeds, as the ablation's gate reads.
+        assert sum(raised) > len(raised) / 2
 
 
 class TestTrivialSolutionAblation:

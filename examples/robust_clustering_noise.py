@@ -10,6 +10,10 @@ garbage should not drag the factorisation off course.  This example
 3. reports FScore and shows that the rows of E_R with the largest norms point
    at the truly corrupted documents.
 
+E_R finds them (3/3, 6/6 and 11/12 at 5%, 10% and 20%), but FScore is the
+same with and without it at every level: finding a corrupted row does not
+move any document's label.
+
 The E step is the exact L2,1 prox: a row of E_R survives only where its
 residual row norm exceeds β/2.  Relation blocks have unit Frobenius norm,
 so at the paper's β = 50 no row survives; β = 0.3 keeps the corrupted
@@ -67,9 +71,10 @@ def main() -> None:
             detection = "-"
         print(f"{fraction:10.0%}  {with_error:17.3f}  {without_error:20.3f}  {detection:>20s}")
 
-    print("\nThe error matrix E_R absorbs the corrupted rows: the documents with")
-    print("the largest E_R row norms are (mostly) the ones that were corrupted,")
-    print("which keeps the factorisation of the remaining data clean.")
+    print("\nE_R finds the corrupted rows: the documents with the largest E_R")
+    print("row norms are (nearly all) the ones that were corrupted.  It does")
+    print("not change the clustering: FScore is the same with and without")
+    print("E_R at every corruption level.")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ NMTF baselines of :mod:`repro.baselines` run the same kernels.
   decomposition.
 * :mod:`repro.core.updates` — the three blockwise update rules.
 * :mod:`repro.core.rspace` — the per-pair R-space kernels of the blocked
-  core (the sparse backend never materialises ``G_t S_tu G_uᵀ``).
+  core (no backend materialises ``G_t S_tu G_uᵀ``) and the product cache
+  the steps of one fit share.
 * :mod:`repro.core.state` — blocked factorisation state and initialisation.
 * :mod:`repro.core.schedule` — delta scheduling (:class:`DirtySet`): which
   blocks an incremental refit recomputes and which stay frozen.

@@ -7,13 +7,13 @@ term (reconstruction, sparsity, graph smoothness).
 
 The evaluation runs on the blocked state: relation blocks may be dense or
 CSR and ``E_R`` is row-sparse or ``None``.  Each pair's reconstruction
-term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` comes from the residual
-row-norm identity of :mod:`repro.core.rspace` for dense and CSR blocks
-alike (so ``G_t S_tu G_uᵀ`` is never materialised), with the rows E_R
-stores differenced directly.  Those row norms, and the ``L_t^± G_t``
-products of the smoothness term, are shared through the fit's
-:class:`~repro.core.rspace.ProductCache` with the E step that precedes the
-evaluation and the G step that follows it.
+term ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` is the cluster-space expansion
+of :mod:`repro.core.rspace` for dense and CSR blocks alike (so
+``G_t S_tu G_uᵀ`` is never materialised), corrected on the rows E_R
+stores.  Those pair residuals, the cores ``G_tᵀ R_tu G_u`` they read and
+the ``L_t^± G_t`` products of the smoothness term are shared through the
+fit's :class:`~repro.core.rspace.ProductCache` with the E step that
+precedes the evaluation and the S and G steps that follow it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rspace import ProductCache
+from .updates import _map, active_relation_pairs
 
 __all__ = ["ObjectiveBreakdown", "evaluate_objective_blocks"]
 
@@ -53,14 +54,17 @@ class ObjectiveBreakdown:
 
 def _smoothness(L_pos_G, L_neg_G, G_t) -> float:
     """``tr(G_tᵀ L_t G_t)`` from ``L_t^± G_t`` (``None``: an all-zero part)."""
+    if L_pos_G is None and L_neg_G is None:
+        return 0.0
     LG = ((0.0 if L_pos_G is None else L_pos_G)
           - (0.0 if L_neg_G is None else L_neg_G))
     return float(np.sum(LG * G_t))
 
 
 def _l21(E_R) -> float:
-    """``‖E_R‖_{2,1}``; a state without an error matrix contributes zero."""
-    return 0.0 if E_R is None else E_R.l21_norm()
+    """``‖E_R‖_{2,1}``; a state without an error matrix, or an empty one,
+    contributes zero."""
+    return 0.0 if E_R is None or E_R.is_zero else E_R.l21_norm()
 
 
 def _type_l21(E_R, object_spec, t: int) -> float:
@@ -108,28 +112,22 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         evaluation exactly as before.
     products:
         The fit's :class:`~repro.core.rspace.ProductCache` (a private one
-        when ``None``).  The residual row norms come from it (usually
-        computed by the E step at the same iterate), and the ``L_t^± G_t``
-        products it computes here serve the next G step.
+        when ``None``).  The pair residuals come from it (usually formed by
+        the E step's screen at the same iterate); the cores they read serve
+        the next S step, and the ``L_t^± G_t`` products formed here the
+        next G step.
     """
-    from .updates import (_map,  # local: avoids an import cycle
-                          active_relation_pairs)
-
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     if products is None:
         products = ProductCache()
+    products.bind(R_pairs, pairs, state)
     G = state.G_blocks
-    S = state.S
     object_spec = state.object_spec
-    cluster_spec = state.cluster_spec
 
     def pair_error(pair) -> float:
-        t, u = pair
         return products.reconstruction_error(
-            pair, R_pairs.get(pair), G[t],
-            products.association_block(S, cluster_spec, pair), G[u],
-            products.error_block(state.E_R, object_spec, pair))
+            pair, products.error_block(state.E_R, object_spec, pair))
 
     def smoothness(t: int) -> float:
         parts = products.laplacian_parts(t, L_blocks[t])

@@ -119,26 +119,16 @@ class DeltaSchedule:
         # shares a row type with the dirty neighbourhood.
         self.error_types = (frozenset(pair[0] for pair in self.dirty_pairs)
                             if track_errors else frozenset())
-
-    @property
-    def laplacian_types(self) -> tuple[int, ...]:
-        """Types whose Laplacian block the fit builds (and smooths over).
-
-        Only dirty types ever run a G update, so only their ``L_t`` blocks
-        are built — the clean types' smoothness terms are a constant the
-        trace simply omits.
-        """
-        return tuple(sorted(self.dirty_types))
-
-    @property
-    def objective_pairs(self) -> frozenset:
-        """Pairs whose reconstruction term changes between iterations.
-
-        A pair's term moves when its ``S_tu``/``G`` factors move (a dirty
-        endpoint) or when its ``E_tu`` rows were re-shrunk (a row type
-        with any dirty pair re-solves its whole row block).
-        """
-        return self.dirty_pairs | frozenset(
+        # Types whose Laplacian block the fit builds (and smooths over).
+        # Only dirty types ever run a G update, so only their ``L_t``
+        # blocks are built — the clean types' smoothness terms are a
+        # constant the trace simply omits.
+        self.laplacian_types = tuple(sorted(self.dirty_types))
+        # Pairs whose reconstruction term changes between iterations.  A
+        # pair's term moves when its ``S_tu``/``G`` factors move (a dirty
+        # endpoint) or when its ``E_tu`` rows were re-shrunk (a row type
+        # with any dirty pair re-solves its whole row block).
+        self.objective_pairs = self.dirty_pairs | frozenset(
             (t, u) for t in self.error_types
             for u in range(self.n_types)
             if t != u)

@@ -18,7 +18,9 @@ the other variables are held fixed:
   fixed point of the paper's reweighting (Eq. 25–27, with D taken from E
   rather than from Q), whereas Eq. 27 applied once is only that
   iteration's first step — which can raise the objective and breaks
-  Theorem 1.
+  Theorem 1.  No row of a type whose summed residual ``Σ_i ‖q_i‖²`` is at
+  most ``(β/2)²`` survives, which the step checks in cluster space before
+  it forms any per-row norm.
 
 Every rule runs on the block structure of the problem: per-type membership
 blocks ``G_t``, per-type Laplacian blocks ``L_t`` and per-pair relation
@@ -27,9 +29,10 @@ blocks ``R_tu`` (dense or CSR).  The error matrix ``E_R`` is a
 prox keeps, or ``None`` (no error matrix).  The residual ``R − G S Gᵀ`` is
 never formed: each pair's ``G_t S_tu G_uᵀ`` stays factored (see
 :mod:`repro.core.rspace`), and only the kept rows are materialised.  The
-products the rules and the objective share (``R_tu G_u``, the grams, the
-residual row norms, ``L_t^± G_t``) come from the fit's
-:class:`~repro.core.rspace.ProductCache`, once per iterate.
+products the rules and the objective share (``R_tu G_u``, the cores
+``G_tᵀ R_tu G_u``, the grams, the pair residuals, ``L_t^± G_t``) come from
+the fit's :class:`~repro.core.rspace.ProductCache`, once per iterate: each
+rule binds the cache to its state once and then only reads it.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ import time
 import numpy as np
 
 from ..linalg.normalize import row_normalize_l1
-from ..linalg.parts import split_parts
 from ..linalg.rowsparse import RowSparseMatrix
-from ..linalg.safe import safe_divide
 from ..obs import current_span
 from .rspace import ProductCache
 from .state import FactorizationState
@@ -54,6 +55,12 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+#: Relative rounding margin of the E step's screen.  The cluster-space
+#: residual and the per-row identity both carry cancellation error of
+#: order machine epsilon times the residual's magnitude
+#: (``‖R‖² + ‖G S Gᵀ‖²``); this margin exceeds it by orders of magnitude.
+_SCREEN_MARGIN = 1e-8
 
 
 # ----------------------------------------------------------- blockwise kernels
@@ -134,41 +141,38 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
     solved into a fresh zero matrix — the pre-delta behaviour, unchanged.
 
     ``products`` is the fit's :class:`~repro.core.rspace.ProductCache`
-    (a private one when ``None``): ``R_tu G_u`` and the gram
-    pseudo-inverses come from it.
+    (a private one when ``None``): the cores and the gram pseudo-inverses
+    come from it.  Without stored E_R rows a pair's core is the
+    ``G_tᵀ R_tu G_u`` the objective read at the same factors.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     if products is None:
         products = ProductCache()
-    G = state.G_blocks
-    cluster_spec = state.cluster_spec
+    products.bind(R_pairs, pairs, state)
+    slices = products.cluster_slices
     object_spec = state.object_spec
     compute = [pair for pair in pairs
                if dirty_pairs is None or pair in dirty_pairs]
 
     def core(pair):
         """``G_tᵀ (R_tu − E_tu) G_u``; ``None`` when it is zero."""
-        t, u = pair
-        projected = products.projected_relation(
-            pair, R_pairs.get(pair),
-            products.error_block(state.E_R, object_spec, pair), G[u])
-        return None if projected is None else G[t].T @ projected
+        return products.core(pair, products.error_block(state.E_R,
+                                                        object_spec, pair))
 
     cores = _map(core, compute, name="one_pair")
 
+    total = state.cluster_spec.total
     if dirty_pairs is None or S_prev is None:
-        S = np.zeros((cluster_spec.total, cluster_spec.total))
+        S = np.zeros((total, total))
     else:
         S = np.array(S_prev, dtype=np.float64, copy=True)
-        for t in range(cluster_spec.n_types):
-            block = cluster_spec.slice(t)
+        for block in slices:
             S[block, block] = 0.0
     for (t, u), C_tu in zip(compute, cores):
-        S[cluster_spec.slice(t), cluster_spec.slice(u)] = (
+        S[slices[t], slices[u]] = (
             0.0 if C_tu is None
-            else products.gram_pinv(t, G[t]) @ (
-                C_tu @ products.gram_pinv(u, G[u])))
+            else products.gram_pinv(t) @ (C_tu @ products.gram_pinv(u)))
     return S
 
 
@@ -197,47 +201,45 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     type, exactly as before.
 
     ``products`` is the fit's :class:`~repro.core.rspace.ProductCache`
-    (a private one when ``None``): ``R_tu G_u``, the grams and
-    ``L_t^± G_t`` come from it, the latter usually computed by the
-    objective at the same ``G_t``.
+    (a private one when ``None``): ``(R_tu − E_tu) G_u``, the grams and
+    ``L_t^± G_t`` come from it, formed at the same factors by the steps
+    before it (the E step's screen, the objective and the S step).
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     if products is None:
         products = ProductCache()
+    products.bind(R_pairs, pairs, state)
     G = state.G_blocks
-    S = state.S
-    cluster_spec = state.cluster_spec
+    E_R = state.E_R
     object_spec = state.object_spec
-    by_source: dict[int, list[int]] = {}
-    by_target: dict[int, list[int]] = {}
-    for t, u in pairs:
-        by_source.setdefault(t, []).append(u)
-        by_target.setdefault(u, []).append(t)
-    todo = (list(range(object_spec.n_types)) if dirty_types is None
+    todo = (range(object_spec.n_types) if dirty_types is None
             else sorted(dirty_types))
 
     def update_type(t: int) -> np.ndarray:
         G_t = G[t]
         A = np.zeros_like(G_t)
-        for u in by_source.get(t, ()):
+        for pair in products.row_pairs[t]:
             projected = products.projected_relation(
-                (t, u), R_pairs.get((t, u)),
-                products.error_block(state.E_R, object_spec, (t, u)), G[u])
+                pair, products.error_block(E_R, object_spec, pair))
             if projected is not None:
-                A += projected @ products.association_block(
-                    S, cluster_spec, (t, u)).T
+                A += projected @ products.association_block(pair).T
         B = np.zeros((G_t.shape[1], G_t.shape[1]))
-        for u in by_target.get(t, ()):
-            S_ut = products.association_block(S, cluster_spec, (u, t))
-            B += S_ut.T @ products.gram(u, G[u]) @ S_ut
+        for pair in products.column_pairs[t]:
+            S_ut = products.association_block(pair)
+            B += S_ut.T @ products.gram(pair[0]) @ S_ut
         L_pos_G, L_neg_G = products.laplacian_products(t, L_parts[t], G_t)
-        A_pos, A_neg = split_parts(A)
-        B_pos, B_neg = split_parts(B)
+        # M = M⁺ − M⁻ with M⁺ = max(M, 0) and M⁻ = M⁺ − M: the values of
+        # split_parts up to the sign of a zero, in two array passes.
+        A_pos = np.maximum(A, 0.0)
+        A_neg = A_pos - A
+        B_pos = np.maximum(B, 0.0)
+        B_neg = B_pos - B
         numerator = _graph_term(lam, L_neg_G, A_pos) + G_t @ B_neg
         denominator = _graph_term(lam, L_pos_G, A_neg) + G_t @ B_pos
-        ratio = safe_divide(numerator, denominator, eps=_EPS)
-        updated = G_t * np.sqrt(ratio)
+        updated = numerator / np.maximum(denominator, _EPS)
+        np.sqrt(updated, out=updated)
+        updated *= G_t
         return row_normalize_l1(updated, copy=False) if normalize else updated
 
     blocks = _map(update_type, todo, name="one_type")
@@ -272,13 +274,19 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
     """Blockwise exact E step: the L2,1 prox of the residual, row-sparse.
 
     The L2,1 row norm of object ``i`` of type ``t`` spans every cross-type
-    block of its row, so the task unit is a *type*: accumulate the squared
-    residual row norms over the type's relation pairs, threshold them, and
-    materialise only the surviving rows.  A row survives the group soft
-    threshold when ``2 ‖q_i‖ > β`` and is stored as ``s_i q_i`` with
-    ``s_i = 1 − β / (2 ‖q_i‖) > 0``; a zero residual row never survives,
-    so no division by zero arises.  The global residual ``R − G S Gᵀ`` is
-    never assembled — per pair the reconstruction stays factored as
+    block of its row, so the task unit is a *type*.  A row survives the
+    group soft threshold when ``2 ‖q_i‖ > β`` and is stored as ``s_i q_i``
+    with ``s_i = 1 − β / (2 ‖q_i‖) > 0``; a zero residual row never
+    survives, so no division by zero arises.
+
+    Each type is first screened in cluster space: ``‖q_i‖² ≤ Σ_j ‖q_j‖² =
+    Σ_u ‖Q_tu‖²_F`` for every row, so a type whose summed pair residual is
+    at most ``(β/2)²`` (less a rounding margin) keeps no row, and none of
+    its per-row norms is formed.  Only a type that fails the screen
+    accumulates its squared residual row norms over its relation pairs,
+    thresholds them and materialises the surviving rows.  The screen is
+    exact: it changes no stored row.  The global residual ``R − G S Gᵀ``
+    is never assembled — per pair the reconstruction stays factored as
     ``(G_t S_tu) G_uᵀ``.  Returns a :class:`RowSparseMatrix` on both
     backends; at the default β on unit-Frobenius relation blocks it stores
     no row at all.
@@ -289,23 +297,18 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
     every type from scratch.
 
     ``products`` is the fit's :class:`~repro.core.rspace.ProductCache`
-    (a private one when ``None``).  The residual row norms this step
-    computes there are the ones the objective then reads.
+    (a private one when ``None``).  The pair residuals the screen forms
+    there are the ones the objective then reads.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     if products is None:
         products = ProductCache()
-    G = state.G_blocks
-    S = state.S
+    products.bind(R_pairs, pairs, state)
     object_spec = state.object_spec
-    cluster_spec = state.cluster_spec
     n_total = object_spec.total
-    by_source: dict[int, list[int]] = {}
-    for t, u in pairs:
-        by_source.setdefault(t, []).append(u)
-
-    todo = (list(range(object_spec.n_types)) if dirty_types is None
+    limit = (1.0 - _SCREEN_MARGIN) * (0.5 * beta) ** 2
+    todo = (range(object_spec.n_types) if dirty_types is None
             else sorted(dirty_types))
 
     def solve_type(t: int):
@@ -313,22 +316,26 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
 
         ``None`` when the threshold keeps no row: nothing is materialised.
         """
-        terms = [((t, u), R_pairs.get((t, u)),
-                  products.association_block(S, cluster_spec, (t, u)), G[u])
-                 for u in by_source.get(t, ())]
-        sq = np.zeros(G[t].shape[0])
-        for pair, R_tu, S_tu, G_u in terms:
-            sq += products.residual_sq_row_norms(pair, R_tu, G[t], S_tu, G_u)
+        type_pairs = products.row_pairs[t]
+        total = magnitude = 0.0
+        for pair in type_pairs:
+            value, size = products.residual(pair)
+            total += value
+            magnitude += size
+        if total + _SCREEN_MARGIN * magnitude < limit:
+            return None
+        sq = np.zeros(object_spec.sizes[t])
+        for pair in type_pairs:
+            sq += products.residual_sq_row_norms(pair)
         norms = np.sqrt(np.maximum(sq, 0.0))
         rows = np.flatnonzero(2.0 * norms > beta)
         if not rows.size:
             return None
         scale = 1.0 - beta / (2.0 * norms[rows])
         values = np.zeros((rows.size, n_total))
-        for pair, R_tu, S_tu, G_u in terms:
-            values[:, object_spec.slice(pair[1])] = (
-                scale[:, None]
-                * products.residual_rows(pair, R_tu, G[t], S_tu, G_u, rows))
+        for pair in type_pairs:
+            values[:, products.object_slices[pair[1]]] = (
+                scale[:, None] * products.residual_rows(pair, rows))
         return rows + object_spec.offsets[t], values
 
     results = _map(solve_type, todo, name="one_type")

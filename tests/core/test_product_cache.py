@@ -92,14 +92,20 @@ class TestRelationProductReuse:
             def __init__(self):
                 super().__init__()
                 self.computed = []
+                self.formed = {}  # id -> product, kept alive
                 caches.append(self)
 
-            def _memo(self, slot, operands, compute):
-                def counted():
-                    if slot[0] == "RG":
-                        self.computed.append((slot[1], operands[1]))
-                    return compute()
-                return super()._memo(slot, operands, counted)
+            def bind(self, R_pairs, pairs, state):
+                self.state = state
+                return super().bind(R_pairs, pairs, state)
+
+            def relation_product(self, pair):
+                product = super().relation_product(pair)
+                if product is not None and id(product) not in self.formed:
+                    self.formed[id(product)] = product
+                    self.computed.append(
+                        (pair, self.state.G_blocks[pair[1]]))
+                return product
 
         config = _config("dense", "beta-0.3")
         base = RHCHME(**config).fit(data)

@@ -12,6 +12,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import rspace
+from repro.core.state import FactorizationState
+from repro.linalg.blocks import BlockSpec
 from repro.linalg.rowsparse import RowSparseMatrix
 
 N_T, N_U, C_T, C_U = 30, 20, 4, 3
@@ -96,13 +98,15 @@ class TestProjectRelations:
         # The S update's per-pair core G_tᵀ (R_tu − E_tu) G_u (Eq. 18),
         # from the projection a fit's product cache shares.
         dense_R, R, G_t, _, G_u, E_dense, E = problem
-        products = rspace.ProductCache()
-        projected = products.projected_relation((0, 1), R, E, G_u)
-        np.testing.assert_allclose(G_t.T @ projected,
+        state = FactorizationState(G_blocks=[G_t, G_u],
+                                   object_spec=BlockSpec((N_T, N_U)),
+                                   cluster_spec=BlockSpec((C_T, C_U)))
+        products = rspace.ProductCache().bind({(0, 1): R}, [(0, 1)], state)
+        np.testing.assert_allclose(products.core((0, 1), E),
                                    G_t.T @ (dense_R - E_dense) @ G_u)
         # The E_R rows come off a copy: the shared R_tu G_u is intact.
-        np.testing.assert_allclose(
-            products.relation_product((0, 1), R, G_u), dense_R @ G_u)
+        np.testing.assert_allclose(products.relation_product((0, 1)),
+                                   dense_R @ G_u)
 
 
 class TestReconstructionError:

@@ -578,28 +578,27 @@ def error_matrix_by_full_assembly(R_pairs, state, *, beta):
     Every type builds its value block, zero-row or not, runs
     ``residual_rows`` on every pair and all blocks are concatenated.
     """
-    from repro.core.rspace import ProductCache
-    products = ProductCache()
+    from repro.core.rspace import (pair_residual_rows,
+                                   pair_residual_sq_row_norms)
     spec, cluster_spec = state.object_spec, state.cluster_spec
     n_total = spec.total
     pieces = []
     for t in range(spec.n_types):
         terms = [((t, u), R_pairs[(t, u)],
-                  products.association_block(state.S, cluster_spec, (t, u)),
+                  state.S[cluster_spec.slice(t), cluster_spec.slice(u)],
                   state.G_blocks[u])
                  for u in range(spec.n_types) if (t, u) in R_pairs]
         sq = np.zeros(spec.sizes[t])
         for pair, R_tu, S_tu, G_u in terms:
-            sq += products.residual_sq_row_norms(pair, R_tu, state.G_blocks[t],
-                                                 S_tu, G_u)
+            sq += pair_residual_sq_row_norms(R_tu, state.G_blocks[t], S_tu,
+                                             G_u)
         norms = np.sqrt(np.maximum(sq, 0.0))
         rows = np.flatnonzero(2.0 * norms > beta)
         scale = 1.0 - beta / (2.0 * norms[rows])
         values = np.zeros((rows.size, n_total))
         for pair, R_tu, S_tu, G_u in terms:
             values[:, spec.slice(pair[1])] = scale[:, None] * \
-                products.residual_rows(pair, R_tu, state.G_blocks[t], S_tu,
-                                       G_u, rows)
+                pair_residual_rows(R_tu, state.G_blocks[t], S_tu, G_u, rows)
         pieces.append((rows + spec.offsets[t], values))
     rows = np.concatenate([piece[0] for piece in pieces])
     values = (np.vstack([piece[1] for piece in pieces])
@@ -607,16 +606,18 @@ def error_matrix_by_full_assembly(R_pairs, state, *, beta):
     return RowSparseMatrix(rows, values, (n_total, n_total))
 
 
+@pytest.fixture(scope="module")
+def corrupted_fit():
+    """A corrupted-multi5 fit at a β where E_R keeps rows."""
+    from repro.core import RHCHME
+    from repro.data import make_dataset
+    data = make_dataset("corrupted-multi5", random_state=0)
+    result = RHCHME(beta=0.3, max_iter=15, random_state=0).fit(data)
+    return data, result
+
+
 class TestErrorStepEarlyExit:
     """No row survives: nothing is built; rows survive: nothing changes."""
-
-    @pytest.fixture(scope="class")
-    def corrupted_fit(self):
-        from repro.core import RHCHME
-        from repro.data import make_dataset
-        data = make_dataset("corrupted-multi5", random_state=0)
-        result = RHCHME(beta=0.3, max_iter=15, random_state=0).fit(data)
-        return data, result
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_surviving_rows_match_full_assembly(self, corrupted_fit, backend):
@@ -642,3 +643,72 @@ class TestErrorStepEarlyExit:
         n_total = data.n_objects_total
         assert E.is_zero and E.shape == (n_total, n_total)
         assert E.values.shape == (0, n_total)
+
+
+def _count_row_norms(monkeypatch) -> list:
+    """Record every per-row residual norm a product cache forms."""
+    from repro.core.rspace import ProductCache
+    calls = []
+    original = ProductCache.residual_sq_row_norms
+
+    def counted(self, pair):
+        calls.append(pair)
+        return original(self, pair)
+
+    monkeypatch.setattr(ProductCache, "residual_sq_row_norms", counted)
+    return calls
+
+
+class TestErrorStepScreen:
+    """A row type whose summed pair residual is at most (β/2)² keeps no
+    row, because ‖q_i‖² ≤ Σ_j ‖q_j‖²: the E step forms none of its per-row
+    norms, and E_R is the per-row prox's bit for bit either way."""
+
+    def test_default_fit_forms_no_row_norm(self, monkeypatch):
+        from repro.core import RHCHME
+        from repro.data import make_dataset
+        data = make_dataset("multi5-small", random_state=0)
+        calls = _count_row_norms(monkeypatch)
+        result = RHCHME(random_state=0, max_iter=10).fit(data)
+        assert result.state.E_R.is_zero
+        assert calls == []
+        # The count sees the per-row path where E_R keeps rows.
+        kept = RHCHME(random_state=0, max_iter=10, beta=0.3).fit(data)
+        assert kept.state.E_R.n_stored_rows > 0
+        assert calls
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_beta_around_both_bounds_matches_per_row_prox(
+            self, corrupted_fit, monkeypatch, backend):
+        from repro.core.rspace import pair_residual_sq_row_norms
+        data, result = corrupted_fit
+        state = result.state
+        R_pairs = data.relation_blocks(normalize=True, backend=backend)
+        spec, cluster_spec = state.object_spec, state.cluster_spec
+        type_sq = []
+        for t in range(spec.n_types):
+            sq = np.zeros(spec.sizes[t])
+            for u in range(spec.n_types):
+                if (t, u) in R_pairs:
+                    sq += pair_residual_sq_row_norms(
+                        R_pairs[(t, u)], state.G_blocks[t],
+                        state.S[cluster_spec.slice(t), cluster_spec.slice(u)],
+                        state.G_blocks[u])
+            type_sq.append(sq)
+        largest_row = 2.0 * np.sqrt(max(sq.max() for sq in type_sq))
+        largest_type = 2.0 * np.sqrt(max(sq.sum() for sq in type_sq))
+        assert largest_row < largest_type
+        calls = _count_row_norms(monkeypatch)
+        for bound in (largest_row, largest_type):
+            for beta in (bound * (1 - 1e-6), bound * (1 + 1e-6)):
+                del calls[:]
+                E = update_error_matrix_blocks(R_pairs, state, beta=beta)
+                reference = error_matrix_by_full_assembly(R_pairs, state,
+                                                          beta=beta)
+                np.testing.assert_array_equal(E.rows, reference.rows)
+                assert E.values.tobytes() == reference.values.tobytes()
+                assert E.n_stored_rows == (1 if beta < largest_row else 0)
+                if beta > largest_type:
+                    assert calls == []  # every type screened
+                else:
+                    assert calls       # the largest type was not

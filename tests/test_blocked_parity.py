@@ -5,8 +5,9 @@ per-type Laplacians, per-pair relations and blockwise S / G / E_R /
 objective kernels.  The contract is checkable against a test-local dense
 oracle of Algorithm 2 on the stacked numpy matrices: a blocked fit must
 reproduce it — same labels, same per-term objective trajectory — on both
-backends, and the two backends must agree whether their fits run one after
-the other or at once on two threads.
+backends, at a β where E_R keeps rows and at the default β, where the E
+step's screen keeps none; and the two backends must agree whether their
+fits run one after the other or at once on two threads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 
-from repro.core import RHCHME
+from repro.core import RHCHME, RHCHMEConfig
 from repro.core.state import initialize_state
 from repro.data.datasets import make_dataset
 from repro.linalg.parts import split_parts
@@ -32,6 +33,9 @@ SEED = 0
 #: A β where the exact E step keeps some of multi5-small's rows, so every
 #: parity below covers stored E_R rows.
 BETA = 0.3
+#: The default β, where the E step's screen clears every row type: the
+#: screened path and the cluster-space objective meet the oracle too.
+DEFAULT_BETA = RHCHMEConfig().beta
 TERMS = ("reconstruction", "error_sparsity", "graph_smoothness")
 BACKENDS = ("dense", "sparse")
 
@@ -41,14 +45,20 @@ def multi5_small():
     return make_dataset("multi5-small", random_state=SEED)
 
 
-def _fit(data, backend: str):
+def _fit(data, backend: str, beta: float = BETA):
     return RHCHME(max_iter=MAX_ITER, random_state=SEED, backend=backend,
-                  beta=BETA).fit(data)
+                  beta=beta).fit(data)
 
 
 @pytest.fixture(scope="module")
 def fits(multi5_small):
     return {backend: _fit(multi5_small, backend) for backend in BACKENDS}
+
+
+@pytest.fixture(scope="module")
+def default_beta_fits(multi5_small):
+    return {backend: _fit(multi5_small, backend, DEFAULT_BETA)
+            for backend in BACKENDS}
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +167,22 @@ class TestBlockedGlobalParity:
         reference = _dense_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER, beta=BETA).config)
+        for name, labels in reference["labels"].items():
+            np.testing.assert_array_equal(blocked.labels[name], labels)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_default_beta_matches_global_kernels(self, multi5_small,
+                                                 default_beta_fits, backend):
+        blocked = default_beta_fits[backend]
+        reference = _dense_reference_trace(
+            multi5_small, backend=backend,
+            config=RHCHME(max_iter=MAX_ITER, beta=DEFAULT_BETA).config)
+        assert np.all(reference["terms"]["error_sparsity"] == 0)
+        assert blocked.state.E_R.is_zero
+        for term in TERMS:
+            np.testing.assert_allclose(blocked.trace.terms_series(term),
+                                       reference["terms"][term],
+                                       rtol=1e-6, atol=1e-10)
         for name, labels in reference["labels"].items():
             np.testing.assert_array_equal(blocked.labels[name], labels)
 
