@@ -128,7 +128,10 @@ class HeterogeneousManifoldEnsemble:
         Types without features contribute a zero Laplacian block (no
         intra-type smoothing), matching how the paper treats types whose
         only information is relational; so does a single-object type,
-        which has no pair of objects to relate.  ``backend`` overrides the
+        which has no pair of objects to relate.  That block is an empty
+        CSR matrix on either backend: the solver treats an all-zero part
+        as absent, so a dense ``(n, n)`` array of zeros would only cost
+        memory and scans.  ``backend`` overrides the
         instance knob with an already-resolved concrete backend —
         :meth:`build_blocks` always passes one, resolved once against the
         dataset's *total* object count so every block shares a
@@ -140,8 +143,7 @@ class HeterogeneousManifoldEnsemble:
             backend, n_objects=n_objects)
         use_sparse = backend == "sparse"
         if features is None or n_objects < 2:
-            zero = (sp.csr_array((n_objects, n_objects), dtype=np.float64)
-                    if use_sparse else np.zeros((n_objects, n_objects)))
+            zero = sp.csr_array((n_objects, n_objects), dtype=np.float64)
             return _TypeLaplacians(name=name, subspace=None, pnn=None, combined=zero)
 
         subspace_laplacian = None

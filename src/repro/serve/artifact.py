@@ -5,8 +5,8 @@ An :class:`RHCHMEModel` freezes everything a serving process needs from one
 the factorisation state (per-type membership blocks ``G_k``, the association
 matrix ``S`` and the error matrix ``E_R``), the fitted hard labels, and a
 schema/version stamp.  It round-trips exactly through ``save``/``load`` —
-arrays in one compressed ``.npz``, metadata in a human-readable JSON sidecar
-— so a model fitted in one process can serve out-of-sample predictions in
+arrays in one compressed ``.npz``, metadata in a compact JSON sidecar —
+so a model fitted in one process can serve out-of-sample predictions in
 another, deterministically.
 
 Artifacts are stamped with :data:`SCHEMA_VERSION`; ``load`` refuses any
@@ -39,6 +39,7 @@ save round-trips to; ``save`` no longer writes it.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 import threading
@@ -297,7 +298,8 @@ class RHCHMEModel:
 
     # ----------------------------------------------------------- construction
     @classmethod
-    def from_fit(cls, result, data, config: RHCHMEConfig) -> "RHCHMEModel":
+    def from_fit(cls, result, data, config: RHCHMEConfig, *,
+                 fingerprints=None) -> "RHCHMEModel":
         """Build an artifact from a fit result, its dataset and its config.
 
         ``data`` must be the dataset the result was fitted on: a mismatched
@@ -305,6 +307,15 @@ class RHCHMEModel:
         different objects, producing an artifact that predicts garbage
         without ever erroring.  The block structure is checked up front so
         the mismatch fails at export time, not at serving time.
+
+        Every featured type gets a drift fingerprint.  ``fingerprints``
+        optionally maps type names to fingerprint documents (the sidecar's
+        JSON form) already taken of exactly these training features under
+        this config's ``p``, ``weighting`` and ``random_state``; the export
+        stores a copy of each instead of recomputing it.  A delta refresh
+        passes the stored fingerprints of the types it left clean (see
+        :func:`repro.runtime.refresh.refresh_model`); every other type is
+        fingerprinted from its features.
         """
         state = result.state
         if (state.object_spec.n_types != data.n_types
@@ -342,11 +353,13 @@ class RHCHMEModel:
         from ..diagnostics.drift import fingerprint_features
         from ..diagnostics.spectral import DIAGNOSTICS_SCHEMA_VERSION
         diagnostics: dict = {"version": DIAGNOSTICS_SCHEMA_VERSION}
+        known = fingerprints or {}
         fingerprints = {
-            name: fingerprint_features(
-                matrix, p=config.p, weighting=config.weighting,
-                random_state=config.random_state,
-                type_name=name).to_json_dict()
+            name: (copy.deepcopy(known[name]) if name in known
+                   else fingerprint_features(
+                       matrix, p=config.p, weighting=config.weighting,
+                       random_state=config.random_state,
+                       type_name=name).to_json_dict())
             for name, matrix in features.items()}
         if fingerprints:
             diagnostics["fingerprints"] = fingerprints
@@ -480,8 +493,9 @@ class RHCHMEModel:
         size, not the arrays'.  That size is set by the drift fingerprints
         each export stores under ``diagnostics["fingerprints"]`` (bounded
         feature samples of every featured type): a multi5
-        ``per-type-mmap`` sidecar is about 881 KB, of which all but about
-        2 KB are fingerprints, and each read parses all of it.  Returns
+        ``per-type-mmap`` sidecar, written as compact JSON, is about
+        384 KB, of which all but about 1.5 KB are fingerprints, and each
+        read parses all of it (about 7 ms).  Returns
         the sidecar dictionary (for a sharded artifact it includes the
         ``shards`` manifest).
         """
@@ -682,9 +696,11 @@ class RHCHMEModel:
             sidecar["shards"] = manifest
         # Sidecar last and atomically: readers never see a torn JSON, and a
         # crash mid-save leaves the previous sidecar in place (whose
-        # shape/key checks refuse any half-updated array set loudly).
+        # shape/key checks refuse any half-updated array set loudly).  It
+        # is machine-read, so it is written compact: ``indent`` would send
+        # the fingerprints through json's pure-Python encoder.
         tmp_sidecar = sidecar_path.with_name(sidecar_path.name + ".tmp")
-        tmp_sidecar.write_text(json.dumps(sidecar, indent=2) + "\n")
+        tmp_sidecar.write_text(json.dumps(sidecar) + "\n")
         tmp_sidecar.replace(sidecar_path)
         return npz_path
 

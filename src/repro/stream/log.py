@@ -18,7 +18,8 @@ batch, described by a JSON manifest with a monotone version counter.
   :class:`~repro.relational.dataset.MultiTypeRelationalData` (base +
   every appended segment), caching per-type feature concatenations and
   per-relation assemblies so repeated calls between appends are free and
-  a call after an append only loads the new segments.
+  a call after an append only loads the new feature segments and
+  rebuilds only the relations whose edges or endpoint sizes changed.
 * :meth:`ObjectLog.delta_since` summarises growth between two versions as
   a :class:`GrowthDelta`, whose :meth:`GrowthDelta.dirty_set` is exactly
   the :class:`~repro.core.schedule.DirtySet` a delta-scheduled refresh
@@ -160,12 +161,14 @@ class ObjectLog:
                 f"reads version {LOG_SCHEMA_VERSION})")
         self._manifest = manifest
         # Incremental caches: concatenated features per type, assembled
-        # relation matrices, and the last materialised dataset — each keyed
-        # by the number of segments (or version) it was built from.
+        # relations, and the last materialised dataset — keyed by the
+        # number of segments, the relation's (edge segments, endpoint
+        # sizes) stamp, or the version they were built from.
         self._feature_parts: dict[str, list[np.ndarray]] = {}
         self._feature_scanned: dict[str, int] = {}
         self._feature_concat: dict[str, tuple[int, np.ndarray]] = {}
-        self._relation_cache: dict[tuple[str, str], tuple[int, object]] = {}
+        self._relation_cache: dict[tuple[str, str],
+                                   tuple[tuple[int, int, int], Relation]] = {}
         self._dataset_cache: tuple[int, MultiTypeRelationalData] | None = None
 
     # ------------------------------------------------------------ construction
@@ -233,7 +236,7 @@ class ObjectLog:
                     "relations": relations,
                     "segments": []}
         tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+        tmp.write_text(json.dumps(manifest) + "\n")
         tmp.replace(manifest_path)
         return cls(directory)
 
@@ -285,7 +288,7 @@ class ObjectLog:
         segment["version"] = self._manifest["version"]
         manifest_path = self.directory / _MANIFEST
         tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-        tmp.write_text(json.dumps(self._manifest, indent=2) + "\n")
+        tmp.write_text(json.dumps(self._manifest) + "\n")
         tmp.replace(manifest_path)
         self._dataset_cache = None
         return self._manifest["version"]
@@ -445,17 +448,23 @@ class ObjectLog:
         self._feature_concat[name] = (len(parts), concat)
         return concat
 
-    def _relation_matrix(self, entry: dict, sizes: dict[str, int]):
-        """Assemble one relation at the current sizes (cached per version)."""
+    def _relation(self, entry: dict, sizes: dict[str, int]) -> Relation:
+        """One relation at the current sizes, rebuilt only when it changed.
+
+        Each relation is cached against its own edge-segment count and
+        endpoint sizes, so an append that gives it no edges and grows
+        neither endpoint returns the cached :class:`Relation` object.
+        """
         key = (entry["source"], entry["target"])
-        cached = self._relation_cache.get(key)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        n_source = sizes[entry["source"]]
-        n_target = sizes[entry["target"]]
         segments = [segment for segment in self._manifest["segments"]
                     if segment["kind"] == "edges"
                     and (segment["source"], segment["target"]) == key]
+        n_source = sizes[entry["source"]]
+        n_target = sizes[entry["target"]]
+        stamp = (len(segments), n_source, n_target)
+        cached = self._relation_cache.get(key)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
         path = self.directory / entry["file"]
         if entry["sparse"]:
             base = sp.coo_array(sp.load_npz(path))
@@ -483,15 +492,19 @@ class ObjectLog:
                               (np.asarray(arrays["rows"], dtype=np.int64),
                                np.asarray(arrays["cols"], dtype=np.int64)),
                               np.asarray(arrays["values"], dtype=np.float64))
-        self._relation_cache[key] = (self.version, matrix)
-        return matrix
+        relation = Relation(entry["source"], entry["target"], matrix,
+                            weight=float(entry.get("weight", 1.0)))
+        self._relation_cache[key] = (stamp, relation)
+        return relation
 
     def dataset(self) -> MultiTypeRelationalData:
         """Materialise the current dataset (base + every appended segment).
 
         Cached per version: repeated calls between appends return the same
-        object, and a call after an append loads only the new segments'
-        arrays on top of the cached feature parts.
+        object.  A call after an append loads only the new segments'
+        feature arrays on top of the cached feature parts, and rebuilds
+        only the relations whose edges or endpoint sizes changed; every
+        other relation is the same :class:`Relation` object as before.
         """
         if (self._dataset_cache is not None
                 and self._dataset_cache[0] == self.version):
@@ -503,11 +516,8 @@ class ObjectLog:
                                     n_objects=sizes[entry["name"]],
                                     n_clusters=int(entry["n_clusters"]),
                                     features=self._features_for(entry)))
-        relations = []
-        for entry in self._manifest["relations"]:
-            relations.append(Relation(entry["source"], entry["target"],
-                                      self._relation_matrix(entry, sizes),
-                                      weight=float(entry.get("weight", 1.0))))
+        relations = [self._relation(entry, sizes)
+                     for entry in self._manifest["relations"]]
         data = MultiTypeRelationalData(types, relations)
         self._dataset_cache = (self.version, data)
         return data

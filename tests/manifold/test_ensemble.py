@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,7 @@ class TestHeterogeneousEnsemble:
 
     def test_type_without_features_gets_zero_block(self):
         import numpy as np
+        import scipy.sparse as sp
         from repro.relational.dataset import MultiTypeRelationalData
         from repro.relational.types import ObjectType, Relation
         rng = np.random.default_rng(0)
@@ -61,8 +64,45 @@ class TestHeterogeneousEnsemble:
             [docs, terms], [Relation("documents", "terms", rng.random((8, 5)))])
         ensemble = HeterogeneousManifoldEnsemble(alpha=1.0, gamma=10.0, p=3)
         L_blocks = ensemble.build_blocks(data)
-        np.testing.assert_allclose(L_blocks[1], 0.0)
+        # The zero block is CSR even under the dense backend.
+        assert ensemble.resolved_backend_ == "dense"
+        assert isinstance(L_blocks[1], sp.csr_array)
+        np.testing.assert_allclose(L_blocks[1].toarray(), 0.0)
         assert L_blocks[1].shape == (5, 5)
+
+    def test_featureless_type_allocates_no_square_array(self):
+        # A dense (n, n) zero block would allocate n² doubles (32 MB here).
+        n = 2000
+        ensemble = HeterogeneousManifoldEnsemble(backend="dense")
+        tracemalloc.start()
+        try:
+            member = ensemble.build_for_type("hub", None, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert member.combined.shape == (n, n)
+        assert peak < n * n * 8 // 100, peak
+
+    def test_featureless_type_spectral_summary_unchanged(self):
+        # A diagnostics fit reports the featureless type exactly as it did
+        # when the block was a dense array of zeros: the degenerate sentinel.
+        from repro.core import RHCHME
+        from repro.diagnostics import spectral_block_metrics
+        from repro.relational.dataset import MultiTypeRelationalData
+        from repro.relational.types import ObjectType, Relation
+        rng = np.random.default_rng(0)
+        docs = ObjectType("documents", n_objects=30, n_clusters=2,
+                          features=rng.random((30, 4)))
+        hub = ObjectType("hub", n_objects=12, n_clusters=2)  # no features
+        data = MultiTypeRelationalData(
+            [docs, hub], [Relation("documents", "hub", rng.random((30, 12)))])
+        result = RHCHME(max_iter=3, random_state=0, diagnostics=True,
+                        backend="dense", track_metrics_every=0).fit(data)
+        spectral = result.extras["diagnostics"]["spectral"]
+        assert spectral["hub"] == spectral_block_metrics(
+            np.zeros((12, 12)), type_name="hub").as_dict()
+        assert spectral["hub"]["degenerate"] is True
+        assert spectral["documents"]["degenerate"] is False
 
     def test_both_members_disabled_rejected(self):
         with pytest.raises(ValueError):

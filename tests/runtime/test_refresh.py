@@ -225,3 +225,111 @@ class TestSparseErrorMatrixRefresh:
             agreement = _agreement(cold.labels[name],
                                    outcome.model.labels[name])
             assert agreement >= 0.9, (name, agreement)
+
+
+class TestFingerprintReuse:
+    """A delta refresh copies its clean types' stored drift fingerprints.
+
+    Reuse must be exact (the copy equals a fresh fingerprint of the same
+    features) and guarded: a full refit, a changed sketch knob, a foreign
+    diagnostics version or a model without fingerprints recomputes them
+    all.
+    """
+
+    @staticmethod
+    def _fresh(model, data, name):
+        from repro.diagnostics import fingerprint_features
+        config = model.config
+        return fingerprint_features(
+            data.get_type(name).features, p=config.p,
+            weighting=config.weighting, random_state=config.random_state,
+            type_name=name).to_json_dict()
+
+    @pytest.fixture()
+    def fingerprinted(self, monkeypatch):
+        """Names of the types ``fingerprint_features`` ran for, in order."""
+        import repro.diagnostics.drift as drift
+        calls = []
+        original = drift.fingerprint_features
+
+        def counting(features, **kwargs):
+            calls.append(kwargs.get("type_name"))
+            return original(features, **kwargs)
+
+        monkeypatch.setattr(drift, "fingerprint_features", counting)
+        return calls
+
+    def test_clean_fingerprint_equals_fresh_one(self, runtime_artifact,
+                                                grown_dataset):
+        outcome = refresh_model(runtime_artifact, grown_dataset,
+                                dirty="auto", max_iter=3)
+        stored = outcome.model.diagnostics["fingerprints"]
+        for name in ("points", "anchors"):
+            assert stored[name] == self._fresh(outcome.model, grown_dataset,
+                                               name)
+        # Adopted as a copy: the two models share no mutable document.
+        assert (stored["anchors"]
+                is not runtime_artifact.diagnostics["fingerprints"]["anchors"])
+
+    def test_only_dirty_types_are_fingerprinted(self, runtime_artifact,
+                                                grown_dataset, fingerprinted):
+        outcome = refresh_model(runtime_artifact, grown_dataset,
+                                dirty="auto", max_iter=3)
+        assert outcome.dirty.types == {"points"}
+        assert fingerprinted == ["points"]
+
+    @pytest.mark.parametrize("dirty, overrides", [
+        (None, {}),
+        ("auto", {"p": 4}),
+        ("auto", {"random_state": 1}),
+    ], ids=["full-refit", "p-override", "random-state-override"])
+    def test_recomputed_when_refit_or_knobs_change(
+            self, runtime_artifact, grown_dataset, fingerprinted, dirty,
+            overrides):
+        outcome = refresh_model(runtime_artifact, grown_dataset, dirty=dirty,
+                                max_iter=3, **overrides)
+        assert fingerprinted == ["points", "anchors"]
+        assert (outcome.model.diagnostics["fingerprints"]["anchors"]
+                == self._fresh(outcome.model, grown_dataset, "anchors"))
+
+    @pytest.mark.parametrize("diagnostics", [
+        "foreign-version", "no-fingerprints", "no-diagnostics"])
+    def test_recomputed_when_stored_section_unusable(
+            self, runtime_artifact, grown_dataset, fingerprinted,
+            diagnostics):
+        import dataclasses
+        section = dict(runtime_artifact.diagnostics)
+        if diagnostics == "foreign-version":
+            section["version"] = section["version"] + 1
+        elif diagnostics == "no-fingerprints":
+            del section["fingerprints"]
+        else:
+            section = None
+        stored = dataclasses.replace(runtime_artifact, diagnostics=section)
+        outcome = refresh_model(stored, grown_dataset, dirty="auto",
+                                max_iter=3)
+        assert fingerprinted == ["points", "anchors"]
+        assert (outcome.model.diagnostics["fingerprints"]["anchors"]
+                == self._fresh(outcome.model, grown_dataset, "anchors"))
+
+    def test_grown_type_left_clean_is_recomputed(self, runtime_artifact,
+                                                 grown_dataset,
+                                                 fingerprinted):
+        # A DirtySet may leave a grown type clean; its stored sketch covers
+        # fewer rows than the type now has, so it is not reused.
+        from repro.core.schedule import DirtySet
+        refresh_model(runtime_artifact, grown_dataset,
+                      dirty=DirtySet(types={"anchors"}), max_iter=3)
+        assert fingerprinted == ["points", "anchors"]
+
+    def test_mapped_refresh_leaves_clean_features_unmapped(
+            self, sharded_model_path, grown_dataset, fingerprinted):
+        from repro.stream import open_model_view
+        with open_model_view(sharded_model_path, promote=["points"]) as view:
+            outcome = refresh_model(view.model, grown_dataset, dirty="auto",
+                                    validate="shapes", max_iter=3)
+            info = view.cache_info()
+            stored = view.model.diagnostics["fingerprints"]["anchors"]
+        assert info["arrays"]["features::anchors"]["mode"] == "cold"
+        assert fingerprinted == ["points"]
+        assert outcome.model.diagnostics["fingerprints"]["anchors"] == stored

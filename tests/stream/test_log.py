@@ -239,3 +239,65 @@ class TestDeltaSince:
         json.dumps(document)
         assert document["dirty_types"] == ["docs", "words"]
         json.dumps(log.describe())
+
+
+class TestRelationRebuilds:
+    """An append rebuilds only the relations whose edges or sizes changed."""
+
+    @staticmethod
+    def _relations(log):
+        data = log.dataset()
+        return {(r.source, r.target): r for r in data.relations}
+
+    def test_objects_append_keeps_untouched_relations(self, log):
+        before = self._relations(log)
+        log.append_objects("words", np.random.default_rng(1).random((3, 6)))
+        after = self._relations(log)
+        assert after[("docs", "words")] is not before[("docs", "words")]
+        for pair in (("docs", "authors"), ("docs", "venues")):
+            assert after[pair] is before[pair]
+            assert after[pair].matrix is before[pair].matrix
+
+    def test_edges_append_rebuilds_only_that_relation(self, log):
+        before = self._relations(log)
+        log.append_edges("docs", "authors", [0, 1], [2, 3], [0.5, 0.25])
+        after = self._relations(log)
+        assert after[("docs", "authors")] is not before[("docs", "authors")]
+        for pair in (("docs", "words"), ("docs", "venues")):
+            assert after[pair] is before[pair]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_every_version_matches_a_fresh_log(self, star_factory, tmp_path,
+                                               sparse):
+        log = ObjectLog.create(tmp_path / "log", star_factory(sparse=sparse))
+        rng = np.random.default_rng(2)
+        appends = [
+            lambda: log.append_objects("words", rng.random((3, 6))),
+            lambda: log.append_edges("docs", "words", [0, 5], [48, 50],
+                                     [1.0, 0.5]),
+            lambda: log.append_objects("venues", count=2),
+            lambda: log.append_edges("authors", "docs", [1, 1], [4, 4],
+                                     [0.5, 0.5]),
+            lambda: log.append_objects("docs", rng.random((4, 6))),
+            lambda: log.append_edges("docs", "venues", [61, 63], [20, 21],
+                                     [2.0, 1.0]),
+        ]
+        for append in [None] + appends:
+            if append is not None:
+                append()
+            cached = self._relations(log)
+            fresh = self._relations(ObjectLog(log.directory))
+            assert cached.keys() == fresh.keys()
+            for pair, relation in fresh.items():
+                got, want = cached[pair].matrix, relation.matrix
+                assert sp.issparse(got) == sp.issparse(want) == sparse
+                if sparse:
+                    for name in ("indptr", "indices", "data"):
+                        np.testing.assert_array_equal(getattr(got, name),
+                                                      getattr(want, name))
+                        assert (getattr(got, name).dtype
+                                == getattr(want, name).dtype)
+                    assert got.shape == want.shape
+                else:
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
