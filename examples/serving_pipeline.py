@@ -11,7 +11,9 @@ top of the one-shot reproduction:
    self-contained and deterministic;
 4. serve the same queries in-process through a :class:`BatchPredictor` and
    print its throughput counters;
-5. compare the out-of-sample predictions against a full refit on the entire
+5. serve them once more with drift scoring on and print the documents'
+   drift score against their training distribution;
+6. compare the out-of-sample predictions against a full refit on the entire
    corpus (training + held-out documents) — the agreement is what makes the
    extension a faithful stand-in for refitting.
 
@@ -46,6 +48,19 @@ np.savez(out_path, labels=prediction.labels, membership=prediction.membership)
 print(f"    (fresh process: predicted {prediction.n_queries} queries "
       f"in {prediction.n_batches} batches)")
 """
+
+
+def drift_score(model_path, queries) -> dict:
+    """Drift of ``queries`` as one fresh drift-scoring predictor sees them.
+
+    The detector builds the documents' training fingerprint from the saved
+    features on the first scored batch.  Twelve held-out documents are
+    fewer than its default 64-row window, hence the smaller ``min_rows``.
+    """
+    predictor = BatchPredictor(diagnostics={"min_rows": 8})
+    predictor.predict(path=model_path, type_name="documents", X_new=queries)
+    (snapshot,) = predictor.drift_snapshot().values()
+    return snapshot["documents"]
 
 
 def main() -> None:
@@ -90,9 +105,22 @@ def main() -> None:
               f"{stats.seconds:.4f}s ({stats.objects_per_second:,.0f} objects/s)")
         assert np.array_equal(served.labels, fresh_labels), \
             "fresh-process and in-process predictions must be identical"
-        print("fresh-process predictions are identical to in-process ones\n")
+        print("fresh-process predictions are identical to in-process ones")
 
-    # 4) agreement with a full refit on the entire corpus
+        # 4) serve them once more, scoring drift, and the same documents
+        # shifted by half a feature standard deviation for contrast.
+        held_out = drift_score(model_path, split.query_features)
+        shifted = drift_score(model_path, split.query_features
+                              + 0.5 * split.query_features.std(axis=0))
+        print(f"drift score of the held-out documents: "
+              f"{held_out['score']:.2f} (feature PSI "
+              f"{held_out['feature_psi_mean']:.2f}, affinity-mass PSI "
+              f"{held_out['mass_psi']:.2f}); shifted: "
+              f"{shifted['score']:.2f}")
+        print(f"    ({held_out['rows']} rows are a small window: PSI over "
+              "so few rows reads high even without drift)\n")
+
+    # 5) agreement with a full refit on the entire corpus
     refit = RHCHME(max_iter=40, random_state=0).fit(data)
     mapping = cluster_alignment(result.labels["documents"],
                                 refit.labels["documents"][split.train_indices])

@@ -144,21 +144,16 @@ class RHCHMEResult:
     extras: dict = field(default_factory=dict)
 
     def to_model(self, data: MultiTypeRelationalData,
-                 config: RHCHMEConfig, *,
-                 fingerprints=None) -> "RHCHMEModel":
+                 config: RHCHMEConfig) -> "RHCHMEModel":
         """Convert this fit outcome into a servable, persistable artifact.
 
         Captures the per-type training features, the factorisation state
         (membership blocks, S, E_R), the hard labels and the configuration
         into an immutable :class:`repro.serve.RHCHMEModel` that supports
         ``save``/``load`` round-trips and out-of-sample batch prediction.
-        ``fingerprints`` holds drift fingerprints to adopt instead of
-        recomputing them (a delta refresh passes its clean types'; see
-        :meth:`repro.serve.RHCHMEModel.from_fit`).
         """
         from ..serve.artifact import RHCHMEModel
-        return RHCHMEModel.from_fit(self, data, config,
-                                    fingerprints=fingerprints)
+        return RHCHMEModel.from_fit(self, data, config)
 
 
 class RHCHME:

@@ -9,12 +9,12 @@ Two layers watch a model from fit to serving:
     trajectories, recorded alongside the objective trace and persisted
     into the artifact sidecar's ``diagnostics`` section.
 ``repro.diagnostics.drift``
-    Serving-time covariate drift: each artifact carries per-type
-    *fingerprints* of its training features (moment sketches, per-feature
-    quantile histograms and a p-NN affinity-mass histogram); a
-    :class:`DriftDetector` scores incoming query batches against them
-    with population-stability-index (PSI) statistics at O(features ·
-    bins) per batch, independent of batch size.
+    Serving-time covariate drift: a :class:`DriftDetector` builds per-type
+    *fingerprints* of a model's stored training features (moment sketches,
+    per-feature quantile histograms and a p-NN affinity-mass histogram)
+    the first time it scores a type, and scores incoming query batches
+    against them with population-stability-index (PSI) statistics at
+    O(features · bins) per batch, independent of batch size.
 
 Both only report: acting on a drift score (refreshing the model with
 :meth:`repro.runtime.RuntimeServer.refresh`) is left to the caller.

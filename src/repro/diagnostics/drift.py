@@ -1,14 +1,20 @@
 """Serving-time covariate drift detection against training fingerprints.
 
-An artifact cannot carry its training set to the serving tier, but it can
-carry a *fingerprint*: per feature, the quantile bin edges and bin
-proportions of the training distribution plus a four-moment sketch, and —
-because the out-of-sample extension already computes each query's p-NN
-affinity weights to the training objects — the distribution of the total
-*affinity mass* a training-like object collects from its p neighbours.
-:func:`fingerprint_features` builds this at export time from a bounded
-sample (cost is capped regardless of training-set size) and the artifact
-sidecar persists it as JSON.
+A *fingerprint* sketches one type's training distribution: per feature,
+the quantile bin edges and bin proportions of the training rows plus a
+four-moment sketch, and — because the out-of-sample extension already
+computes each query's p-NN affinity weights to the training objects —
+the distribution of the total *affinity mass* a training-like object
+collects from its p neighbours.  :func:`fingerprint_features` builds it
+from a bounded sample (cost is capped regardless of training-set size).
+
+Nothing persists a fingerprint.  It is a deterministic function of the
+training features every artifact already stores and of the model
+config's ``p``, ``weighting`` and ``random_state``, so
+:meth:`DriftDetector.from_model` builds each type's fingerprint from
+``model.features`` the first time it scores that type.  A lazily mapped
+model therefore pages in only the scored types' features, which their
+predicts map anyway.
 
 At serving time a :class:`DriftDetector` folds every query batch into
 exponentially-decayed histograms over the *fingerprint's own bin edges*
@@ -30,6 +36,7 @@ marginals look fine but that land in the gaps of the training manifold
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +145,7 @@ def population_stability_index(expected_proportions: np.ndarray,
 
 @dataclass(frozen=True)
 class FeatureFingerprint:
-    """Training-distribution sketch of one type, persisted with the artifact.
+    """Training-distribution sketch of one type's features.
 
     Attributes
     ----------
@@ -175,42 +182,6 @@ class FeatureFingerprint:
     @property
     def has_mass_sketch(self) -> bool:
         return self.mass_edges.size > 0
-
-    def to_json_dict(self) -> dict:
-        """JSON-safe document (the sidecar's per-type fingerprint entry)."""
-        return {
-            "type_name": self.type_name,
-            "n_reference": int(self.n_reference),
-            "n_sampled": int(self.n_sampled),
-            "p": int(self.p),
-            "bins": int(self.bins),
-            "feature_edges": self.feature_edges.tolist(),
-            "feature_proportions": self.feature_proportions.tolist(),
-            "mass_edges": self.mass_edges.tolist(),
-            "mass_proportions": self.mass_proportions.tolist(),
-            "moments": {name: np.asarray(values).tolist()
-                        for name, values in self.moments.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, document: dict) -> "FeatureFingerprint":
-        """Rebuild a fingerprint from its sidecar JSON document."""
-        return cls(
-            type_name=str(document["type_name"]),
-            n_reference=int(document["n_reference"]),
-            n_sampled=int(document["n_sampled"]),
-            p=int(document["p"]),
-            bins=int(document["bins"]),
-            feature_edges=np.asarray(document["feature_edges"],
-                                     dtype=np.float64),
-            feature_proportions=np.asarray(document["feature_proportions"],
-                                           dtype=np.float64),
-            mass_edges=np.asarray(document["mass_edges"], dtype=np.float64),
-            mass_proportions=np.asarray(document["mass_proportions"],
-                                        dtype=np.float64),
-            moments={name: np.asarray(values, dtype=np.float64)
-                     for name, values in document.get("moments", {}).items()},
-        )
 
 
 def _affinity_masses(features: np.ndarray, sample: np.ndarray,
@@ -291,6 +262,48 @@ def fingerprint_features(features, *, p: int = 5,
                               moments=moments)
 
 
+class _ModelFingerprints(Mapping):
+    """A model's fingerprints, each built on first access.
+
+    Keys are the model's featured types, listed without reading a feature
+    array.  Looking one up fingerprints ``model.features[name]`` under the
+    model config's ``p``, ``weighting`` and ``random_state`` once
+    (single-flight under a lock) and keeps the result.
+    """
+
+    def __init__(self, model) -> None:
+        self._model = model
+        self._names = list(model.features)
+        self._built: dict[str, FeatureFingerprint] = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, name: str) -> FeatureFingerprint:
+        fingerprint = self._built.get(name)
+        if fingerprint is not None:
+            return fingerprint
+        if name not in self._names:
+            raise KeyError(name)
+        with self._lock:
+            fingerprint = self._built.get(name)
+            if fingerprint is None:
+                config = self._model.config
+                fingerprint = fingerprint_features(
+                    self._model.features[name], p=config.p,
+                    weighting=config.weighting,
+                    random_state=config.random_state, type_name=name)
+                self._built[name] = fingerprint
+        return fingerprint
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 @dataclass(frozen=True)
 class DriftScore:
     """Drift assessment of one type's accumulated query window."""
@@ -345,8 +358,9 @@ class DriftDetector:
     Parameters
     ----------
     fingerprints:
-        Per-type :class:`FeatureFingerprint` (from
-        :meth:`DriftDetector.from_model` or built directly).
+        Mapping from type name to its :class:`FeatureFingerprint`, read
+        and never mutated: built directly, or the lazily built
+        fingerprints of :meth:`DriftDetector.from_model`.
     min_rows:
         Rows a type must accumulate before a score is reported; below it
         :meth:`score` returns ``None`` (a 5-row window saying "drift!"
@@ -360,9 +374,9 @@ class DriftDetector:
     is re-evaluated at most every :data:`SCORE_EVERY_BATCHES` batches.
     """
 
-    def __init__(self, fingerprints: dict[str, FeatureFingerprint], *,
+    def __init__(self, fingerprints: Mapping[str, FeatureFingerprint], *,
                  min_rows: int = 64, half_life_rows: int = 4096) -> None:
-        self.fingerprints = dict(fingerprints)
+        self.fingerprints = fingerprints
         self.min_rows = check_positive_int(min_rows, name="min_rows")
         self.half_life_rows = check_positive_int(half_life_rows,
                                                  name="half_life_rows")
@@ -371,21 +385,19 @@ class DriftDetector:
 
     @classmethod
     def from_model(cls, model, **options) -> "DriftDetector | None":
-        """Build a detector from a loaded artifact's diagnostics section.
+        """A detector over a model's featured types.
 
         ``model`` is an :class:`~repro.serve.RHCHMEModel` of any layout
-        (anything with a ``diagnostics`` attribute); a lazily served model
-        carries the section from its sidecar, so no array is read.
-        Returns ``None`` when the artifact carries no fingerprints
-        (pre-diagnostics artifacts stay servable, they just cannot be
-        drift-scored).
+        (anything with ``features`` and ``config``).  Each type's
+        fingerprint is built from ``model.features`` the first time a
+        batch of that type is scored, so building the detector reads no
+        array, and a lazily mapped model maps only the scored types'
+        features.  Returns ``None`` when the model has no featured type:
+        it cannot receive queries to score.
         """
-        section = model.diagnostics or {}
-        fingerprints_doc = section.get("fingerprints") or {}
-        if not fingerprints_doc:
+        fingerprints = _ModelFingerprints(model)
+        if not fingerprints:
             return None
-        fingerprints = {name: FeatureFingerprint.from_json_dict(document)
-                        for name, document in fingerprints_doc.items()}
         return cls(fingerprints, **options)
 
     def _window_locked(self, fingerprint: FeatureFingerprint) -> _TypeWindow:

@@ -30,9 +30,10 @@ scheduling* (see :mod:`repro.core.schedule`): only the types whose data
 actually changed — and their neighbourhood of pairs — recompute, so a
 refresh touching 1 of T types costs a fraction of even the warm-start
 refit.  ``dirty="auto"`` derives the dirty set from the growth delta
-itself; ``dirty=None`` keeps the full warm-start refit.  The export of a
-delta refresh also skips the clean types' drift fingerprints: it copies
-the ones the model already stores (see :func:`_clean_fingerprints`).
+itself; ``dirty=None`` keeps the full warm-start refit.  The export
+computes no drift fingerprint, whatever the schedule: a drift-scoring
+server builds a type's fingerprint from the refreshed features the first
+time it scores that type (see :mod:`repro.diagnostics.drift`).
 
 ``refresh_model`` requires the grown dataset to *extend* the fitted one:
 same types in the same order, same cluster counts, old objects forming a
@@ -51,7 +52,6 @@ from ..core.config import RHCHMEConfig
 from ..core.rhchme import RHCHME, RHCHMEResult
 from ..core.schedule import DirtySet
 from ..core.state import warm_start_state
-from ..diagnostics.spectral import DIAGNOSTICS_SCHEMA_VERSION
 from ..exceptions import ValidationError
 from ..linalg.rowsparse import RowSparseMatrix
 from ..relational.dataset import MultiTypeRelationalData
@@ -248,36 +248,6 @@ def _embed_error_matrix(model: RHCHMEModel, data: MultiTypeRelationalData
     return RowSparseMatrix(index[old.rows], values, (n_total, n_total))
 
 
-def _sketch_knobs(config: RHCHMEConfig) -> tuple:
-    """The config fields a drift fingerprint depends on."""
-    return config.p, config.weighting, config.random_state
-
-
-def _clean_fingerprints(model: RHCHMEModel, data: MultiTypeRelationalData,
-                        config: RHCHMEConfig,
-                        dirty: DirtySet | None) -> dict[str, dict]:
-    """Stored drift fingerprints the refreshed export can adopt as they are.
-
-    A type the dirty set leaves clean keeps its training features, so its
-    stored fingerprint is what ``fingerprint_features`` would recompute,
-    provided it was taken under the same diagnostics layout, over the
-    type's current row count and with the refresh config's ``p``,
-    ``weighting`` and ``random_state``.  Every other type is fingerprinted
-    again, and so is every type of a full refit (``dirty=None``).  Only the
-    sidecar's diagnostics section is read, never a feature array.
-    """
-    diagnostics = model.diagnostics or {}
-    stored = diagnostics.get("fingerprints")
-    if (dirty is None or not stored
-            or diagnostics.get("version") != DIAGNOSTICS_SCHEMA_VERSION
-            or _sketch_knobs(config) != _sketch_knobs(model.config)):
-        return {}
-    return {name: fingerprint for name, fingerprint in stored.items()
-            if name not in dirty.types
-            and fingerprint.get("n_reference")
-            == data.get_type(name).n_objects}
-
-
 def _seed_agreement(blocks: dict[str, np.ndarray],
                     result: RHCHMEResult) -> float | None:
     """Fraction of objects keeping their warm-start hard label."""
@@ -312,9 +282,7 @@ def refresh_model(model: RHCHMEModel | str, data: MultiTypeRelationalData, *,
         named types' neighbourhood, and ``"auto"`` builds that set from
         the growth delta (types that gained objects).  Warm-start
         smoothing is then applied only to the dirty types, so frozen
-        blocks keep their fitted values exactly, and the export copies
-        the clean types' stored drift fingerprints instead of
-        recomputing them.
+        blocks keep their fitted values exactly.
     validate:
         ``"full"`` (default) checks the feature prefix element-wise;
         ``"shapes"`` trusts the append-only contract and checks only
@@ -355,9 +323,7 @@ def refresh_model(model: RHCHMEModel | str, data: MultiTypeRelationalData, *,
                              smooth_types=smooth_types)
     estimator = RHCHME(config)
     result = estimator.fit(data, warm_start=state, dirty=dirty)
-    refreshed = result.to_model(
-        data, config,
-        fingerprints=_clean_fingerprints(model, data, config, dirty))
+    refreshed = result.to_model(data, config)
     return RefreshOutcome(model=refreshed, result=result, grown=grown,
                           dirty=dirty, seconds=time.perf_counter() - start,
                           agreement_proxy=_seed_agreement(blocks, result))

@@ -39,7 +39,6 @@ save round-trips to; ``save`` no longer writes it.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 import threading
@@ -61,7 +60,8 @@ from .extension import Prediction, out_of_sample_predict
 
 __all__ = ["SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS", "SHARD_LAYOUTS",
            "MMAP_LAYOUT", "TypeInfo", "RHCHMEModel", "load_model",
-           "artifact_layout", "error_matrix_npz_keys", "read_error_matrix"]
+           "artifact_layout", "error_matrix_npz_keys", "read_error_matrix",
+           "read_diagnostics"]
 
 #: Version stamp of the on-disk artifact layout.  Bump whenever the npz key
 #: set or the sidecar structure changes incompatibly; ``load`` refuses
@@ -116,6 +116,11 @@ _RETIRED_CONFIG_KEYS = ("zeta", "error_row_tol", "subspace_max_iter",
 _FIXED_CONFIG_KEYS = {"laplacian_kind": "unnormalized",
                       "normalize_relations": True}
 
+#: Diagnostics keys dropped when a sidecar is read: the drift fingerprints
+#: earlier exports stored, which a drift-scoring server now builds from
+#: the stored features.  The next save writes the section without them.
+_RETIRED_DIAGNOSTICS_KEYS = ("fingerprints",)
+
 
 def artifact_layout(sidecar: dict) -> str:
     """Array layout named by a validated sidecar (``"monolithic"`` if none)."""
@@ -155,6 +160,19 @@ def read_error_matrix(arrays, n_total: int) -> RowSparseMatrix | None:
                                np.asarray(arrays["error_matrix_values"]),
                                (n_total, n_total))
     return as_row_sparse(arrays.get("error_matrix"))
+
+
+def read_diagnostics(sidecar: dict) -> dict | None:
+    """The ``diagnostics`` section a model loaded from ``sidecar`` carries.
+
+    ``None`` when the sidecar predates the section; retired keys are
+    dropped.
+    """
+    section = sidecar.get("diagnostics")
+    if section is None:
+        return None
+    return {key: value for key, value in section.items()
+            if key not in _RETIRED_DIAGNOSTICS_KEYS}
 
 
 def _safe_label(label: str) -> str:
@@ -242,13 +260,14 @@ class RHCHMEModel:
         The concrete backend the fit resolved to (``"dense"``/``"sparse"``).
     diagnostics:
         The sidecar's JSON ``diagnostics`` section (``None`` on artifacts
-        that predate it): per-type training-feature *fingerprints* for
-        serving-time drift detection (always written by
+        that predate it): its ``version`` stamp (always written by
         :meth:`from_fit`), plus — when the fit ran with
         ``config.diagnostics=True`` — the fit-time spectral/churn record
-        under ``"fit"``.  The section is additive and carries its own
-        ``version`` stamp, so the artifact schema version is unchanged
-        and pre-diagnostics readers simply ignore it.
+        under ``"fit"``.  The section is additive, so the artifact schema
+        version is unchanged and pre-diagnostics readers simply ignore
+        it.  Drift fingerprints are not stored: a drift-scoring server
+        builds them from ``features`` (see
+        :meth:`repro.diagnostics.DriftDetector.from_model`).
     reader:
         The :class:`~repro.serve.shards.ShardedModelReader` a lazily served
         model fetches its per-type arrays through (set by
@@ -298,8 +317,7 @@ class RHCHMEModel:
 
     # ----------------------------------------------------------- construction
     @classmethod
-    def from_fit(cls, result, data, config: RHCHMEConfig, *,
-                 fingerprints=None) -> "RHCHMEModel":
+    def from_fit(cls, result, data, config: RHCHMEConfig) -> "RHCHMEModel":
         """Build an artifact from a fit result, its dataset and its config.
 
         ``data`` must be the dataset the result was fitted on: a mismatched
@@ -307,15 +325,6 @@ class RHCHMEModel:
         different objects, producing an artifact that predicts garbage
         without ever erroring.  The block structure is checked up front so
         the mismatch fails at export time, not at serving time.
-
-        Every featured type gets a drift fingerprint.  ``fingerprints``
-        optionally maps type names to fingerprint documents (the sidecar's
-        JSON form) already taken of exactly these training features under
-        this config's ``p``, ``weighting`` and ``random_state``; the export
-        stores a copy of each instead of recomputing it.  A delta refresh
-        passes the stored fingerprints of the types it left clean (see
-        :func:`repro.runtime.refresh.refresh_model`); every other type is
-        fingerprinted from its features.
         """
         state = result.state
         if (state.object_spec.n_types != data.n_types
@@ -346,23 +355,10 @@ class RHCHMEModel:
                 result.labels[object_type.name], dtype=np.int64).copy()
         error_matrix = (state.E_R.copy() if config.use_error_matrix
                         and state.E_R is not None else None)
-        # Every export fingerprints the training features (bounded-sample
-        # sketches — see repro.diagnostics.drift), so any artifact can be
-        # drift-scored at serving time; the fit-time spectral/churn record
-        # rides along only when the fit opted in via config.diagnostics.
-        from ..diagnostics.drift import fingerprint_features
+        # The fit-time spectral/churn record rides along only when the fit
+        # opted in via config.diagnostics.
         from ..diagnostics.spectral import DIAGNOSTICS_SCHEMA_VERSION
         diagnostics: dict = {"version": DIAGNOSTICS_SCHEMA_VERSION}
-        known = fingerprints or {}
-        fingerprints = {
-            name: (copy.deepcopy(known[name]) if name in known
-                   else fingerprint_features(
-                       matrix, p=config.p, weighting=config.weighting,
-                       random_state=config.random_state,
-                       type_name=name).to_json_dict())
-            for name, matrix in features.items()}
-        if fingerprints:
-            diagnostics["fingerprints"] = fingerprints
         fit_section = result.extras.get("diagnostics")
         if fit_section:
             diagnostics["fit"] = fit_section
@@ -490,14 +486,12 @@ class RHCHMEModel:
 
         Performs the same existence/format/schema-version checks as
         :meth:`load` but never opens any npz, so its cost is the sidecar's
-        size, not the arrays'.  That size is set by the drift fingerprints
-        each export stores under ``diagnostics["fingerprints"]`` (bounded
-        feature samples of every featured type): a multi5
-        ``per-type-mmap`` sidecar, written as compact JSON, is about
-        384 KB, of which all but about 1.5 KB are fingerprints, and each
-        read parses all of it (about 7 ms).  Returns
-        the sidecar dictionary (for a sharded artifact it includes the
-        ``shards`` manifest).
+        size, not the arrays': a multi5 default-fit sidecar, written as
+        compact JSON, is 719 bytes monolithic and 1,455 bytes with the
+        ``per-type-mmap`` manifest.  (Sidecars that still store drift
+        fingerprints under ``diagnostics["fingerprints"]`` are about
+        384 KB, which each read parses.)  Returns the sidecar dictionary
+        (for a sharded artifact it includes the ``shards`` manifest).
         """
         npz_path, sidecar_path = cls._paths(path)
         if not sidecar_path.exists():
@@ -697,8 +691,8 @@ class RHCHMEModel:
         # Sidecar last and atomically: readers never see a torn JSON, and a
         # crash mid-save leaves the previous sidecar in place (whose
         # shape/key checks refuse any half-updated array set loudly).  It
-        # is machine-read, so it is written compact: ``indent`` would send
-        # the fingerprints through json's pure-Python encoder.
+        # is machine-read, so it is written compact: ``indent`` would run
+        # json's pure-Python encoder.
         tmp_sidecar = sidecar_path.with_name(sidecar_path.name + ".tmp")
         tmp_sidecar.write_text(json.dumps(sidecar) + "\n")
         tmp_sidecar.replace(sidecar_path)
@@ -834,7 +828,7 @@ class RHCHMEModel:
                    backend=sidecar.get("backend", "dense"),
                    schema_version=int(sidecar["schema_version"]),
                    library_version=str(sidecar.get("library_version", "unknown")),
-                   diagnostics=sidecar.get("diagnostics"))
+                   diagnostics=read_diagnostics(sidecar))
 
 
 def load_model(path) -> RHCHMEModel:

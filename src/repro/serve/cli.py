@@ -193,11 +193,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # decompresses the (potentially huge) arrays.
     metadata = RHCHMEModel.read_metadata(args.model)
     # Computed convenience keys so scripts need not infer the layout from
-    # the manifest or walk the diagnostics section for availability.
+    # the manifest or walk the sidecar for availability.  Any featured
+    # type can be drift-scored: the server fingerprints its stored
+    # features on the first scored batch.
     metadata["layout"] = artifact_layout(metadata)
-    diagnostics = metadata.get("diagnostics") or {}
+    available = {"drift": any(entry.get("n_features") is not None
+                              for entry in metadata.get("types", ())),
+                 "fit": bool((metadata.get("diagnostics") or {}).get("fit"))}
     metadata["diagnostics_available"] = sorted(
-        key for key in ("fingerprints", "fit") if diagnostics.get(key))
+        key for key, present in available.items() if present)
     print(json.dumps(metadata, indent=2))
     return 0
 

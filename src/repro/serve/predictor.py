@@ -35,7 +35,7 @@ from .shards import open_model
 __all__ = ["ServingStats", "BatchPredictor"]
 
 # Cache sentinel distinguishing "detector not built yet" from "model has no
-# fingerprints" (stored as None so the probe is not repeated per request).
+# featured type" (stored as None so the probe is not repeated per request).
 _UNSET = object()
 
 
@@ -85,13 +85,13 @@ class BatchPredictor:
     diagnostics:
         Score every served batch against the model's training fingerprints
         with a :class:`repro.diagnostics.DriftDetector` (one per cached
-        model, built lazily from the artifact sidecar).  ``False``
-        (default) skips scoring entirely; ``True`` enables it with the
-        detector defaults; a dict enables it and is forwarded as detector
-        options (e.g. ``{"min_rows": 32}``).  Scoring is O(batch) counting
-        on histograms already computed at fit time, so the per-request
-        overhead is a few percent at most; models whose artifacts predate
-        fingerprints are silently skipped.
+        model, dropped with it).  ``False`` (default) skips scoring
+        entirely; ``True`` enables it with the detector defaults; a dict
+        enables it and is forwarded as detector options (e.g.
+        ``{"min_rows": 32}``).  The first scored batch of each type builds
+        that type's fingerprint from the model's training features (a
+        bounded 512-row sample); after that, scoring is O(batch) counting
+        against it.  Models with no featured type are skipped.
     obs:
         Optional :class:`repro.obs.Observability` hub to record the
         ``compute.predict`` stage into (the runtime passes its own, so the
@@ -178,15 +178,17 @@ class BatchPredictor:
         key = str(RHCHMEModel.resolve_path(path))
         with self._lock:
             self._models.pop(key, None)
-            # The new model carries fresh fingerprints: drop the old
-            # detector so post-swap batches are scored against them.
+            # Drop the old detector: post-swap batches are scored against
+            # fingerprints built from the new model's features.
             self._detectors.pop(key, None)
             self._store_locked(key, model)
 
     def _store_locked(self, key: str, model) -> None:
         self._models[key] = model
         while len(self._models) > self.cache_size:
-            self._models.popitem(last=False)
+            evicted, _ = self._models.popitem(last=False)
+            # A detector holds its model to fingerprint it lazily.
+            self._detectors.pop(evicted, None)
             self.stats.cache_evictions += 1
 
     def evict(self, path=None) -> None:
@@ -278,8 +280,8 @@ class BatchPredictor:
         """Per-model drift-score snapshot, keyed by resolved artifact path.
 
         Values are the per-type :meth:`DriftDetector.snapshot` documents of
-        every model that has been scored at least once; models without
-        fingerprints are omitted.
+        every cached model that has been scored at least once; models with
+        no featured type are omitted.
         """
         with self._lock:
             detectors = {key: det for key, det in self._detectors.items()

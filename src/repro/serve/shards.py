@@ -34,7 +34,7 @@ from ..exceptions import ArtifactError, ValidationError
 from ..linalg.rowsparse import RowSparseMatrix
 from .artifact import (GLOBAL_SHARD, MMAP_LAYOUT, RHCHMEModel, TypeInfo,
                        artifact_layout, error_matrix_npz_keys,
-                       read_error_matrix)
+                       read_diagnostics, read_error_matrix)
 
 __all__ = ["ShardedModelReader", "open_model"]
 
@@ -312,7 +312,7 @@ def mapped_model(reader: ShardedModelReader) -> RHCHMEModel:
         backend=sidecar.get("backend", "dense"),
         schema_version=int(sidecar["schema_version"]),
         library_version=str(sidecar.get("library_version", "unknown")),
-        diagnostics=sidecar.get("diagnostics"))
+        diagnostics=read_diagnostics(sidecar))
     object.__setattr__(model, "reader", reader)
     return model
 

@@ -18,8 +18,8 @@ batch, described by a JSON manifest with a monotone version counter.
   :class:`~repro.relational.dataset.MultiTypeRelationalData` (base +
   every appended segment), caching per-type feature concatenations and
   per-relation assemblies so repeated calls between appends are free and
-  a call after an append only loads the new feature segments and
-  rebuilds only the relations whose edges or endpoint sizes changed.
+  a call after an append only loads the new segment files and rebuilds
+  only the relations whose edges or endpoint sizes changed.
 * :meth:`ObjectLog.delta_since` summarises growth between two versions as
   a :class:`GrowthDelta`, whose :meth:`GrowthDelta.dirty_set` is exactly
   the :class:`~repro.core.schedule.DirtySet` a delta-scheduled refresh
@@ -161,14 +161,15 @@ class ObjectLog:
                 f"reads version {LOG_SCHEMA_VERSION})")
         self._manifest = manifest
         # Incremental caches: concatenated features per type, assembled
-        # relations, and the last materialised dataset — keyed by the
-        # number of segments, the relation's (edge segments, endpoint
-        # sizes) stamp, or the version they were built from.
+        # relations with their accumulated entries (never mutated), and
+        # the last materialised dataset — keyed by the number of
+        # segments, the relation's (edge segments, endpoint sizes) stamp,
+        # or the version they were built from.
         self._feature_parts: dict[str, list[np.ndarray]] = {}
         self._feature_scanned: dict[str, int] = {}
         self._feature_concat: dict[str, tuple[int, np.ndarray]] = {}
-        self._relation_cache: dict[tuple[str, str],
-                                   tuple[tuple[int, int, int], Relation]] = {}
+        self._relation_cache: dict[
+            tuple[str, str], tuple[tuple[int, int, int], object, Relation]] = {}
         self._dataset_cache: tuple[int, MultiTypeRelationalData] | None = None
 
     # ------------------------------------------------------------ construction
@@ -448,12 +449,24 @@ class ObjectLog:
         self._feature_concat[name] = (len(parts), concat)
         return concat
 
+    def _edges(self, segment: dict) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        """The ``(rows, cols, values)`` triplets of one edge segment."""
+        with np.load(self.directory / segment["file"]) as arrays:
+            return (np.asarray(arrays["rows"], dtype=np.int64),
+                    np.asarray(arrays["cols"], dtype=np.int64),
+                    np.asarray(arrays["values"], dtype=np.float64))
+
     def _relation(self, entry: dict, sizes: dict[str, int]) -> Relation:
         """One relation at the current sizes, rebuilt only when it changed.
 
-        Each relation is cached against its own edge-segment count and
-        endpoint sizes, so an append that gives it no edges and grows
-        neither endpoint returns the cached :class:`Relation` object.
+        Each relation is cached with its stamp (edge segments applied,
+        endpoint sizes) and its accumulated entries: the dense matrix, or
+        on the CSR path the concatenated COO triplets.  An append that
+        gives it no edges and grows neither endpoint returns the cached
+        :class:`Relation` object; any other append loads only the edge
+        segments past the stamp.  The CSR matrix is built from the full
+        triplet list, so duplicates sum exactly as in a fresh build.
         """
         key = (entry["source"], entry["target"])
         segments = [segment for segment in self._manifest["segments"]
@@ -463,48 +476,49 @@ class ObjectLog:
         n_target = sizes[entry["target"]]
         stamp = (len(segments), n_source, n_target)
         cached = self._relation_cache.get(key)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        path = self.directory / entry["file"]
+        if cached is not None:
+            cached_stamp, entries, relation = cached
+            if cached_stamp == stamp:
+                return relation
+            applied = cached_stamp[0]
+        else:
+            path = self.directory / entry["file"]
+            if entry["sparse"]:
+                base = sp.coo_array(sp.load_npz(path))
+                entries = (np.asarray(base.row, dtype=np.int64),
+                           np.asarray(base.col, dtype=np.int64),
+                           np.asarray(base.data, dtype=np.float64))
+            else:
+                entries = np.load(path)
+            applied = 0
+        new = [self._edges(segment) for segment in segments[applied:]]
         if entry["sparse"]:
-            base = sp.coo_array(sp.load_npz(path))
-            rows = [np.asarray(base.row, dtype=np.int64)]
-            cols = [np.asarray(base.col, dtype=np.int64)]
-            data = [np.asarray(base.data, dtype=np.float64)]
-            for segment in segments:
-                with np.load(self.directory / segment["file"]) as arrays:
-                    rows.append(np.asarray(arrays["rows"], dtype=np.int64))
-                    cols.append(np.asarray(arrays["cols"], dtype=np.int64))
-                    data.append(np.asarray(arrays["values"],
-                                           dtype=np.float64))
-            matrix = sp.coo_array(
-                (np.concatenate(data),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n_source, n_target)).tocsr()
+            entries = tuple(np.concatenate(parts)
+                            for parts in zip(entries, *new))
+            rows, cols, values = entries
+            matrix = sp.coo_array((values, (rows, cols)),
+                                  shape=(n_source, n_target)).tocsr()
             matrix.sum_duplicates()
         else:
-            base = np.load(path)
             matrix = np.zeros((n_source, n_target))
-            matrix[: base.shape[0], : base.shape[1]] = base
-            for segment in segments:
-                with np.load(self.directory / segment["file"]) as arrays:
-                    np.add.at(matrix,
-                              (np.asarray(arrays["rows"], dtype=np.int64),
-                               np.asarray(arrays["cols"], dtype=np.int64)),
-                              np.asarray(arrays["values"], dtype=np.float64))
+            matrix[: entries.shape[0], : entries.shape[1]] = entries
+            for rows, cols, values in new:
+                np.add.at(matrix, (rows, cols), values)
+            entries = matrix
         relation = Relation(entry["source"], entry["target"], matrix,
                             weight=float(entry.get("weight", 1.0)))
-        self._relation_cache[key] = (stamp, relation)
+        self._relation_cache[key] = (stamp, entries, relation)
         return relation
 
     def dataset(self) -> MultiTypeRelationalData:
         """Materialise the current dataset (base + every appended segment).
 
         Cached per version: repeated calls between appends return the same
-        object.  A call after an append loads only the new segments'
-        feature arrays on top of the cached feature parts, and rebuilds
-        only the relations whose edges or endpoint sizes changed; every
-        other relation is the same :class:`Relation` object as before.
+        object.  A call after an append loads only the new segment files:
+        feature arrays on top of the cached feature parts, and edges on
+        top of each changed relation's cached entries.  Only the relations
+        whose edges or endpoint sizes changed are rebuilt; every other
+        relation is the same :class:`Relation` object as before.
         """
         if (self._dataset_cache is not None
                 and self._dataset_cache[0] == self.version):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.diagnostics import (DriftDetector, FeatureFingerprint,
-                               fingerprint_features,
+from repro.core import RHCHMEConfig
+from repro.diagnostics import (DriftDetector, fingerprint_features,
                                population_stability_index)
 
 
@@ -98,18 +98,6 @@ class TestFingerprint:
         assert fp.n_sampled == 256
         assert fp.n_reference == 5000
 
-    def test_json_round_trip(self, fingerprint):
-        document = fingerprint.to_json_dict()
-        import json
-        rebuilt = FeatureFingerprint.from_json_dict(
-            json.loads(json.dumps(document)))
-        np.testing.assert_array_equal(rebuilt.feature_edges,
-                                      fingerprint.feature_edges)
-        np.testing.assert_array_equal(rebuilt.mass_proportions,
-                                      fingerprint.mass_proportions)
-        assert rebuilt.type_name == fingerprint.type_name
-        assert rebuilt.p == fingerprint.p
-
     def test_tiny_type_has_no_mass_sketch_but_no_nans(self):
         fp = fingerprint_features(np.ones((2, 3)), p=5)
         assert not fp.has_mass_sketch
@@ -174,17 +162,35 @@ class TestDriftDetector:
         assert score.mass_psi > score.feature_psi_mean
 
     def test_from_model_without_fingerprints_returns_none(self):
-        class Bare:
-            diagnostics = None
+        # A model with no featured type has nothing to fingerprint.
+        class Featureless:
+            config = RHCHMEConfig()
+            features: dict = {}
 
-        assert DriftDetector.from_model(Bare()) is None
+        assert DriftDetector.from_model(Featureless()) is None
 
-    def test_from_model_reads_sidecar_documents(self, fingerprint):
+    def test_from_model_builds_fingerprints_on_first_use(self, reference):
+        class CountingFeatures(dict):
+            reads = 0
+
+            def __getitem__(self, name):
+                CountingFeatures.reads += 1
+                return super().__getitem__(name)
+
         class Carrier:
-            diagnostics = {"version": 1,
-                           "fingerprints": {
-                               "points": fingerprint.to_json_dict()}}
+            config = RHCHMEConfig(p=4, random_state=3)
+            features = CountingFeatures(points=reference)
 
         detector = DriftDetector.from_model(Carrier(), min_rows=16)
         assert detector is not None
         assert set(detector.fingerprints) == {"points"}
+        assert CountingFeatures.reads == 0
+        for _ in range(3):
+            detector.observe("points", reference[:32])
+        assert CountingFeatures.reads == 1
+        built = detector.fingerprints["points"]
+        assert (built.p, built.n_reference) == (4, reference.shape[0])
+        np.testing.assert_array_equal(
+            built.feature_edges,
+            fingerprint_features(reference, p=4,
+                                 random_state=3).feature_edges)

@@ -228,22 +228,29 @@ class TestSparseErrorMatrixRefresh:
 
 
 class TestFingerprintReuse:
-    """A delta refresh copies its clean types' stored drift fingerprints.
+    """A refresh neither computes nor carries over drift fingerprints.
 
-    Reuse must be exact (the copy equals a fresh fingerprint of the same
-    features) and guarded: a full refit, a changed sketch knob, a foreign
-    diagnostics version or a model without fingerprints recomputes them
-    all.
+    A detector over the refreshed model builds each one from the refreshed
+    features under the refreshed config, so nothing stale is reused: it
+    equals a fresh fingerprint of the grown dataset whatever the schedule
+    or the config overrides.
     """
 
     @staticmethod
-    def _fresh(model, data, name):
-        from repro.diagnostics import fingerprint_features
+    def _assert_fresh(model, data, name):
+        from repro.diagnostics import DriftDetector, fingerprint_features
         config = model.config
-        return fingerprint_features(
+        built = DriftDetector.from_model(model).fingerprints[name]
+        fresh = fingerprint_features(
             data.get_type(name).features, p=config.p,
             weighting=config.weighting, random_state=config.random_state,
-            type_name=name).to_json_dict()
+            type_name=name)
+        assert built.n_reference == data.get_type(name).n_objects
+        assert built.p == config.p
+        for field in ("feature_edges", "feature_proportions", "mass_edges",
+                      "mass_proportions"):
+            assert (getattr(built, field).tobytes()
+                    == getattr(fresh, field).tobytes()), field
 
     @pytest.fixture()
     def fingerprinted(self, monkeypatch):
@@ -263,20 +270,17 @@ class TestFingerprintReuse:
                                                 grown_dataset):
         outcome = refresh_model(runtime_artifact, grown_dataset,
                                 dirty="auto", max_iter=3)
-        stored = outcome.model.diagnostics["fingerprints"]
-        for name in ("points", "anchors"):
-            assert stored[name] == self._fresh(outcome.model, grown_dataset,
-                                               name)
-        # Adopted as a copy: the two models share no mutable document.
-        assert (stored["anchors"]
-                is not runtime_artifact.diagnostics["fingerprints"]["anchors"])
-
-    def test_only_dirty_types_are_fingerprinted(self, runtime_artifact,
-                                                grown_dataset, fingerprinted):
-        outcome = refresh_model(runtime_artifact, grown_dataset,
-                                dirty="auto", max_iter=3)
         assert outcome.dirty.types == {"points"}
-        assert fingerprinted == ["points"]
+        assert "fingerprints" not in outcome.model.diagnostics
+        for name in ("points", "anchors"):
+            self._assert_fresh(outcome.model, grown_dataset, name)
+
+    @pytest.mark.parametrize("dirty", [None, "auto"], ids=["full", "delta"])
+    def test_no_type_is_fingerprinted(self, runtime_artifact, grown_dataset,
+                                      fingerprinted, dirty):
+        refresh_model(runtime_artifact, grown_dataset, dirty=dirty,
+                      max_iter=3)
+        assert fingerprinted == []
 
     @pytest.mark.parametrize("dirty, overrides", [
         (None, {}),
@@ -284,43 +288,21 @@ class TestFingerprintReuse:
         ("auto", {"random_state": 1}),
     ], ids=["full-refit", "p-override", "random-state-override"])
     def test_recomputed_when_refit_or_knobs_change(
-            self, runtime_artifact, grown_dataset, fingerprinted, dirty,
-            overrides):
+            self, runtime_artifact, grown_dataset, dirty, overrides):
         outcome = refresh_model(runtime_artifact, grown_dataset, dirty=dirty,
                                 max_iter=3, **overrides)
-        assert fingerprinted == ["points", "anchors"]
-        assert (outcome.model.diagnostics["fingerprints"]["anchors"]
-                == self._fresh(outcome.model, grown_dataset, "anchors"))
-
-    @pytest.mark.parametrize("diagnostics", [
-        "foreign-version", "no-fingerprints", "no-diagnostics"])
-    def test_recomputed_when_stored_section_unusable(
-            self, runtime_artifact, grown_dataset, fingerprinted,
-            diagnostics):
-        import dataclasses
-        section = dict(runtime_artifact.diagnostics)
-        if diagnostics == "foreign-version":
-            section["version"] = section["version"] + 1
-        elif diagnostics == "no-fingerprints":
-            del section["fingerprints"]
-        else:
-            section = None
-        stored = dataclasses.replace(runtime_artifact, diagnostics=section)
-        outcome = refresh_model(stored, grown_dataset, dirty="auto",
-                                max_iter=3)
-        assert fingerprinted == ["points", "anchors"]
-        assert (outcome.model.diagnostics["fingerprints"]["anchors"]
-                == self._fresh(outcome.model, grown_dataset, "anchors"))
+        for name, value in overrides.items():
+            assert getattr(outcome.model.config, name) == value
+        self._assert_fresh(outcome.model, grown_dataset, "anchors")
 
     def test_grown_type_left_clean_is_recomputed(self, runtime_artifact,
-                                                 grown_dataset,
-                                                 fingerprinted):
-        # A DirtySet may leave a grown type clean; its stored sketch covers
-        # fewer rows than the type now has, so it is not reused.
+                                                 grown_dataset):
+        # A DirtySet may leave a grown type clean; its fingerprint still
+        # covers every row the refreshed model holds.
         from repro.core.schedule import DirtySet
-        refresh_model(runtime_artifact, grown_dataset,
-                      dirty=DirtySet(types={"anchors"}), max_iter=3)
-        assert fingerprinted == ["points", "anchors"]
+        outcome = refresh_model(runtime_artifact, grown_dataset,
+                                dirty=DirtySet(types={"anchors"}), max_iter=3)
+        self._assert_fresh(outcome.model, grown_dataset, "points")
 
     def test_mapped_refresh_leaves_clean_features_unmapped(
             self, sharded_model_path, grown_dataset, fingerprinted):
@@ -329,7 +311,6 @@ class TestFingerprintReuse:
             outcome = refresh_model(view.model, grown_dataset, dirty="auto",
                                     validate="shapes", max_iter=3)
             info = view.cache_info()
-            stored = view.model.diagnostics["fingerprints"]["anchors"]
         assert info["arrays"]["features::anchors"]["mode"] == "cold"
-        assert fingerprinted == ["points"]
-        assert outcome.model.diagnostics["fingerprints"]["anchors"] == stored
+        assert fingerprinted == []
+        assert "fingerprints" not in outcome.model.diagnostics

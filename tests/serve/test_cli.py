@@ -170,6 +170,9 @@ class TestShardedCli:
         completed = run_cli("info", "--model", model_path)
         info = json.loads(completed.stdout)
         assert info["layout"] == "monolithic"
+        # Featured types can be drift-scored; the fit kept no health record.
+        assert info["diagnostics_available"] == ["drift"]
+        assert "fingerprints" not in info["diagnostics"]
 
     def test_predict_serves_from_shards(self, sharded_artifact):
         tmp, model_path = sharded_artifact

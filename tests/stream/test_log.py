@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,30 @@ class TestRelationRebuilds:
         assert after[("docs", "authors")] is not before[("docs", "authors")]
         for pair in (("docs", "words"), ("docs", "venues")):
             assert after[pair] is before[pair]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_append_loads_only_the_new_segment_files(
+            self, star_factory, tmp_path, monkeypatch, sparse):
+        log = ObjectLog.create(tmp_path / "log", star_factory(sparse=sparse))
+        log.dataset()
+        loaded = []
+        load = np.load
+
+        def counting(file, *args, **kwargs):
+            loaded.append(Path(file).name)
+            return load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            loaded.clear()
+            objects = log.append_objects("words", rng.random((2, 6)))
+            edges = log.append_edges("docs", "words", [0, 1], [48, 49],
+                                     [1.0, 0.5])
+            log.dataset()
+            assert sorted(loaded) == [
+                f"seg{objects:06d}.words.features.npy",
+                f"seg{edges:06d}.docs__words.edges.npz"]
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
     def test_every_version_matches_a_fresh_log(self, star_factory, tmp_path,
